@@ -1,13 +1,17 @@
 /// \file bench_micro_kernel.cpp
 /// \brief Micro-benchmarks of the discrete-event kernel's hot paths.
 ///
-/// Four workloads, each reported as events/sec/core (single-threaded,
+/// Each workload is reported as events/sec/core (single-threaded,
 /// best-of-N steady-state reps against a warm EventArena):
 ///   - schedule_dispatch: 200k one-shot events, scheduled then drained.
 ///     This is the headline kernel-throughput metric tracked in
 ///     BENCH_<n>.json across PRs.
 ///   - periodic: 100 processes at 1 Hz over 1000 simulated seconds
 ///     (in-place re-arm path; zero allocations per firing).
+///   - sparse periodic: the bedside shape — 10 processes at 0.5-5 s
+///     periods, so the pending population stays under the calendar
+///     queue's grow threshold and the queue keeps its start-up bucket
+///     count; its width has to follow the traffic (re-width path).
 ///   - churn: 200k randomized-deadline events, every other one
 ///     cancelled via its EventHandle before the drain.
 ///   - churn90: the cancel-heavy variant (9 of 10 events cancelled),
@@ -49,6 +53,7 @@ namespace {
 std::size_t g_schedule_events = 200000;
 std::size_t g_periodic_procs = 100;
 std::int64_t g_periodic_horizon_s = 1000;
+std::int64_t g_sparse_horizon_s = 200000;
 std::size_t g_churn_events = 200000;
 std::size_t g_churn90_events = 200000;
 std::size_t g_bus_subscribers = 64;
@@ -98,6 +103,28 @@ double run_periodic() {
     s.run_until(sim::SimTime::origin() +
                 sim::SimDuration::seconds(g_periodic_horizon_s));
     return seconds_since(t0);
+}
+
+/// Periods of the sparse-periodic sources, in milliseconds (~8.8 events
+/// per simulated second in total).
+constexpr std::int64_t kSparsePeriodsMs[] = {500,  500,  1000, 1000, 1000,
+                                             2000, 2000, 3000, 4000, 5000};
+std::uint64_t g_sparse_events = 0;
+std::uint64_t g_sparse_rewidths = 0;
+
+double run_sparse_periodic() {
+    g_arena.reset();
+    const auto t0 = Clock::now();
+    sim::Simulation s{1, &g_arena};
+    for (const std::int64_t ms : kSparsePeriodsMs) {
+        s.schedule_periodic(sim::SimDuration::millis(ms), [] {});
+    }
+    s.run_until(sim::SimTime::origin() +
+                sim::SimDuration::seconds(g_sparse_horizon_s));
+    const double elapsed = seconds_since(t0);
+    g_sparse_events = s.events_dispatched();
+    g_sparse_rewidths = s.queue_rewidths();
+    return elapsed;
 }
 
 double run_churn() {
@@ -175,6 +202,7 @@ int main(int argc, char** argv) {
         g_schedule_events = 20000;
         g_periodic_procs = 20;
         g_periodic_horizon_s = 100;
+        g_sparse_horizon_s = 20000;
         g_churn_events = 20000;
         g_churn90_events = 20000;
         g_bus_subscribers = 8;
@@ -195,6 +223,7 @@ int main(int argc, char** argv) {
         static_cast<double>(after.nodes_recycled - before.nodes_recycled);
 
     const double pe = best_seconds(g_reps, run_periodic);
+    const double sp = best_seconds(g_reps, run_sparse_periodic);
     const double ch = best_seconds(g_reps, run_churn);
     const double ch90 = best_seconds(g_reps, run_churn90);
     const double bp = best_seconds(std::max(2, g_reps - 2), run_bus_publish);
@@ -202,6 +231,7 @@ int main(int argc, char** argv) {
     const double sd_eps = static_cast<double>(g_schedule_events) / sd;
     const double pe_eps = static_cast<double>(g_periodic_procs) *
                           static_cast<double>(g_periodic_horizon_s) / pe;
+    const double sp_eps = static_cast<double>(g_sparse_events) / sp;
     const double ch_eps = static_cast<double>(g_churn_events) / ch;
     const double ch90_eps = static_cast<double>(g_churn90_events) / ch90;
     const double bp_eps = static_cast<double>(g_bus_subscribers) *
@@ -210,6 +240,7 @@ int main(int argc, char** argv) {
     std::printf("kernel micro-benchmarks (single core, steady-state)\n");
     std::printf("  %-22s %12.0f events/sec\n", "schedule+dispatch", sd_eps);
     std::printf("  %-22s %12.0f events/sec\n", "periodic re-arm", pe_eps);
+    std::printf("  %-22s %12.0f events/sec\n", "sparse periodic", sp_eps);
     std::printf("  %-22s %12.0f events/sec\n", "churn (50% cancel)", ch_eps);
     std::printf("  %-22s %12.0f events/sec\n", "churn (90% cancel)", ch90_eps);
     std::printf("  %-22s %12.0f deliveries/sec\n", "bus publish", bp_eps);
@@ -220,6 +251,10 @@ int main(int argc, char** argv) {
     report.metric("schedule_dispatch_events_per_sec_core", sd_eps,
                   "events/sec/core");
     report.metric("periodic_events_per_sec_core", pe_eps, "events/sec/core");
+    report.metric("sparse_periodic_events_per_sec_core", sp_eps,
+                  "events/sec/core");
+    report.metric("sparse_periodic_rewidths",
+                  static_cast<double>(g_sparse_rewidths), "rewidths/rep");
     report.metric("churn_events_per_sec_core", ch_eps, "events/sec/core");
     report.metric("churn_cancel90_events_per_sec_core", ch90_eps,
                   "events/sec/core");

@@ -119,7 +119,9 @@ void PcaInterlock::on_device_recovered(const std::string& device_name) {
 void PcaInterlock::on_vital(const mcps::net::Message& m) {
     const auto* v = mcps::net::payload_as<mcps::net::VitalSignPayload>(m);
     if (!v) return;
-    metrics_[v->metric] = MetricState{v->value, v->valid, ctx_.sim.now()};
+    if (const auto metric = vital_metric_from(v->metric)) {
+        vitals_.set(*metric, VitalReading{v->value, v->valid, ctx_.sim.now()});
+    }
 }
 
 void PcaInterlock::on_ack(const mcps::net::Message& m) {
@@ -142,38 +144,35 @@ void PcaInterlock::on_ack(const mcps::net::Message& m) {
     retry_handle_.cancel();
 }
 
-bool PcaInterlock::metric_fresh(const std::string& metric) const {
-    auto it = metrics_.find(metric);
-    if (it == metrics_.end()) return false;
-    if (it->second.updated_at.is_never()) return false;
-    return ctx_.sim.now() - it->second.updated_at <= cfg_.staleness_limit;
+bool PcaInterlock::metric_fresh(VitalMetric metric) const {
+    return vitals_[metric].fresh(ctx_.sim.now(), cfg_.staleness_limit);
 }
 
-std::optional<double> PcaInterlock::metric_value(
-    const std::string& metric) const {
-    auto it = metrics_.find(metric);
-    if (it == metrics_.end()) return std::nullopt;
-    return it->second.value;
+std::optional<double> PcaInterlock::metric_value(VitalMetric metric) const {
+    const VitalReading& r = vitals_[metric];
+    if (!r.seen()) return std::nullopt;
+    return r.value;
 }
 
 bool PcaInterlock::condition_now() const {
-    const auto spo2 = metric_value("spo2");
-    const bool spo2_fresh = metric_fresh("spo2");
+    const auto spo2 = metric_value(VitalMetric::kSpo2);
+    const bool spo2_fresh = metric_fresh(VitalMetric::kSpo2);
 
     if (cfg_.mode == InterlockMode::kSpO2Only) {
         return spo2_fresh && spo2 && *spo2 < cfg_.spo2_stop;
     }
 
-    const auto etco2 = metric_value("etco2");
-    const auto rr = metric_value("resp_rate");
-    const bool cap_fresh = metric_fresh("etco2");
+    const auto etco2 = metric_value(VitalMetric::kEtco2);
+    const auto rr = metric_value(VitalMetric::kRespRate);
+    const bool cap_fresh = metric_fresh(VitalMetric::kEtco2);
 
     const bool spo2_critical = spo2_fresh && spo2 && *spo2 < cfg_.spo2_stop;
     const bool spo2_warning = spo2_fresh && spo2 && *spo2 < cfg_.spo2_warn;
     const bool resp_critical =
         cap_fresh && ((etco2 && (*etco2 < cfg_.etco2_low ||
                                  *etco2 > cfg_.etco2_high)) ||
-                      (rr && metric_fresh("resp_rate") && *rr < cfg_.rr_low));
+                      (rr && metric_fresh(VitalMetric::kRespRate) &&
+                       *rr < cfg_.rr_low));
 
     // Either sensor alone at critical level, or a concordant warning on
     // both: capnometry's fast response plus oximetry's specificity.
@@ -181,16 +180,19 @@ bool PcaInterlock::condition_now() const {
 }
 
 bool PcaInterlock::vitals_normal_now() const {
-    const auto spo2 = metric_value("spo2");
-    if (!metric_fresh("spo2") || !spo2 || *spo2 < cfg_.spo2_warn) return false;
+    const auto spo2 = metric_value(VitalMetric::kSpo2);
+    if (!metric_fresh(VitalMetric::kSpo2) || !spo2 || *spo2 < cfg_.spo2_warn) {
+        return false;
+    }
     if (cfg_.mode == InterlockMode::kDualSensor) {
-        const auto etco2 = metric_value("etco2");
-        const auto rr = metric_value("resp_rate");
-        if (!metric_fresh("etco2") || !etco2 ||
+        const auto etco2 = metric_value(VitalMetric::kEtco2);
+        const auto rr = metric_value(VitalMetric::kRespRate);
+        if (!metric_fresh(VitalMetric::kEtco2) || !etco2 ||
             *etco2 < cfg_.etco2_low + 5.0 || *etco2 > cfg_.etco2_high - 5.0) {
             return false;
         }
-        if (!metric_fresh("resp_rate") || !rr || *rr < cfg_.rr_low + 2.0) {
+        if (!metric_fresh(VitalMetric::kRespRate) || !rr ||
+            *rr < cfg_.rr_low + 2.0) {
             return false;
         }
     }
@@ -256,9 +258,9 @@ void PcaInterlock::check() {
     const SimTime now = ctx_.sim.now();
 
     // --- Data-loss handling -------------------------------------------
-    const bool spo2_lost = !metric_fresh("spo2");
+    const bool spo2_lost = !metric_fresh(VitalMetric::kSpo2);
     const bool cap_lost = cfg_.mode == InterlockMode::kDualSensor &&
-                          !metric_fresh("etco2");
+                          !metric_fresh(VitalMetric::kEtco2);
     const bool any_lost = spo2_lost || cap_lost || device_lost_active_;
     // Grace period: don't declare loss before the first sample ever had a
     // chance to arrive.

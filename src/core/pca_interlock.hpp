@@ -23,12 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 
 #include "devices/device.hpp"
 #include "ice/app.hpp"
+#include "vital_metric.hpp"
 
 namespace mcps::core {
 
@@ -116,18 +116,12 @@ public:
     }
 
 private:
-    struct MetricState {
-        double value = 0.0;
-        bool valid = true;
-        mcps::sim::SimTime updated_at = mcps::sim::SimTime::never();
-    };
-
     void on_vital(const mcps::net::Message& m);
     void on_ack(const mcps::net::Message& m);
     void check();
-    [[nodiscard]] bool metric_fresh(const std::string& metric) const;
-    [[nodiscard]] std::optional<double> metric_value(
-        const std::string& metric) const;
+    [[nodiscard]] bool metric_fresh(VitalMetric metric) const;
+    /// Latest value; nullopt until the metric is first seen.
+    [[nodiscard]] std::optional<double> metric_value(VitalMetric metric) const;
     /// True if the trigger condition (respiratory depression) holds now.
     [[nodiscard]] bool condition_now() const;
     /// True if all gating vitals are in the normal band now.
@@ -143,7 +137,7 @@ private:
     std::string capnometer_name_;
 
     InterlockState state_ = InterlockState::kMonitoring;
-    std::map<std::string, MetricState> metrics_;
+    VitalTable vitals_;
     mcps::sim::SimTime condition_since_ = mcps::sim::SimTime::never();
     mcps::sim::SimTime normal_since_ = mcps::sim::SimTime::never();
     mcps::sim::SimTime trigger_onset_ = mcps::sim::SimTime::never();

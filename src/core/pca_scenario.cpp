@@ -32,6 +32,17 @@ struct PcaScenario::Impl {
     mcps::sim::RunningStats pain_stats;
     bool hook_fired = false;
 
+    /// The 1 Hz ground-truth recorder's signals, resolved on its first
+    /// tick (see TraceRecorder::signal).
+    struct TruthSignals {
+        mcps::sim::Signal* spo2 = nullptr;
+        mcps::sim::Signal* resp_rate = nullptr;
+        mcps::sim::Signal* etco2 = nullptr;
+        mcps::sim::Signal* apneic = nullptr;
+        mcps::sim::Signal* effect_site = nullptr;
+        mcps::sim::Signal* delivering = nullptr;
+    } truth;
+
     explicit Impl(PcaScenarioConfig c)
         : cfg{std::move(c)},
           sim{cfg.seed},
@@ -117,19 +128,23 @@ PcaScenario::PcaScenario(PcaScenarioConfig cfg)
         SimDuration::seconds(1),
         [this] {
             auto& im2 = *impl_;
+            auto& t = im2.truth;
+            if (t.spo2 == nullptr) {  // first tick: resolve the handles once
+                t.spo2 = &im2.trace.signal("truth/spo2");
+                t.resp_rate = &im2.trace.signal("truth/resp_rate");
+                t.etco2 = &im2.trace.signal("truth/etco2");
+                t.apneic = &im2.trace.signal("truth/apneic");
+                t.effect_site = &im2.trace.signal("truth/effect_site");
+                t.delivering = &im2.trace.signal("pump/delivering");
+            }
             const SimTime now = im2.sim.now();
-            im2.trace.record("truth/spo2", now,
-                             im2.patient.spo2().as_percent());
-            im2.trace.record("truth/resp_rate", now,
-                             im2.patient.resp_rate().as_per_minute());
-            im2.trace.record("truth/etco2", now,
-                             im2.patient.etco2().as_mmhg());
-            im2.trace.record("truth/apneic", now,
-                             im2.patient.is_apneic() ? 1.0 : 0.0);
-            im2.trace.record("truth/effect_site", now,
-                             im2.patient.pk().effect_site().as_ng_per_ml());
-            im2.trace.record("pump/delivering", now,
-                             im2.pump.delivering() ? 1.0 : 0.0);
+            t.spo2->record(now, im2.patient.spo2().as_percent());
+            t.resp_rate->record(now, im2.patient.resp_rate().as_per_minute());
+            t.etco2->record(now, im2.patient.etco2().as_mmhg());
+            t.apneic->record(now, im2.patient.is_apneic() ? 1.0 : 0.0);
+            t.effect_site->record(
+                now, im2.patient.pk().effect_site().as_ng_per_ml());
+            t.delivering->record(now, im2.pump.delivering() ? 1.0 : 0.0);
         },
         mcps::sim::EventPriority::kLate);
 

@@ -18,6 +18,7 @@ std::string_view to_string(AlarmSeverity s) noexcept {
 SmartAlarm::SmartAlarm(devices::DeviceContext ctx, std::string name,
                        SmartAlarmConfig cfg)
     : ctx_{ctx}, name_{std::move(name)}, cfg_{std::move(cfg)} {
+    last_tech_alert_.fill(SimTime::never());
     if (cfg_.check_period <= mcps::sim::SimDuration::zero()) {
         throw std::invalid_argument("SmartAlarmConfig: check period <= 0");
     }
@@ -48,32 +49,38 @@ void SmartAlarm::stop() {
 void SmartAlarm::on_vital(const mcps::net::Message& m) {
     const auto* v = mcps::net::payload_as<mcps::net::VitalSignPayload>(m);
     if (!v) return;
-    metrics_[v->metric] = MetricState{v->value, v->valid, ctx_.sim.now()};
+    if (const auto metric = vital_metric_from(v->metric)) {
+        vitals_.set(*metric, VitalReading{v->value, v->valid, ctx_.sim.now()});
+    }
 }
 
-bool SmartAlarm::fresh(const MetricState& m) const {
-    if (m.updated_at.is_never()) return false;
-    return ctx_.sim.now() - m.updated_at <= cfg_.staleness_limit;
+bool SmartAlarm::fresh(const VitalReading& r) const {
+    return r.fresh(ctx_.sim.now(), cfg_.staleness_limit);
 }
 
-SmartAlarm::Contribution SmartAlarm::contribution(
-    const std::string& metric) const {
+SmartAlarm::Contribution SmartAlarm::contribution(VitalMetric metric) const {
     Contribution c;
-    const auto it = metrics_.find(metric);
-    if (it == metrics_.end() || !fresh(it->second)) return c;
-    const double v = it->second.value;
-    c.degraded = !it->second.valid;
+    const VitalReading& r = vitals_[metric];
+    if (!fresh(r)) return c;
+    const double v = r.value;
+    c.degraded = !r.valid;
 
-    if (metric == "spo2") {
-        c.points = cfg_.w_spo2 * std::max(0.0, cfg_.spo2_norm - v);
-    } else if (metric == "resp_rate") {
-        c.points = cfg_.w_rr * std::max(0.0, cfg_.rr_norm - v);
-    } else if (metric == "etco2") {
-        c.points = cfg_.w_etco2_low * std::max(0.0, cfg_.etco2_low_norm - v) +
-                   cfg_.w_etco2_high * std::max(0.0, v - cfg_.etco2_high_norm);
-    } else if (metric == "pulse_rate") {
-        c.points = cfg_.w_pulse * (std::max(0.0, cfg_.pulse_low - v) +
-                                   std::max(0.0, v - cfg_.pulse_high));
+    switch (metric) {
+        case VitalMetric::kSpo2:
+            c.points = cfg_.w_spo2 * std::max(0.0, cfg_.spo2_norm - v);
+            break;
+        case VitalMetric::kRespRate:
+            c.points = cfg_.w_rr * std::max(0.0, cfg_.rr_norm - v);
+            break;
+        case VitalMetric::kEtco2:
+            c.points =
+                cfg_.w_etco2_low * std::max(0.0, cfg_.etco2_low_norm - v) +
+                cfg_.w_etco2_high * std::max(0.0, v - cfg_.etco2_high_norm);
+            break;
+        case VitalMetric::kPulseRate:
+            c.points = cfg_.w_pulse * (std::max(0.0, cfg_.pulse_low - v) +
+                                       std::max(0.0, v - cfg_.pulse_high));
+            break;
     }
     c.abnormal = c.points > 0.5;
     if (c.degraded) c.points *= cfg_.invalid_factor;
@@ -82,35 +89,31 @@ SmartAlarm::Contribution SmartAlarm::contribution(
 
 void SmartAlarm::evaluate() {
     const SimTime now = ctx_.sim.now();
-    static const std::string kMetrics[] = {"spo2", "resp_rate", "etco2",
-                                           "pulse_rate"};
 
     // Technical alerts for silent channels (distinct from patient alarms;
     // rate-limited per channel).
-    for (const auto& metric : kMetrics) {
-        const auto it = metrics_.find(metric);
-        const bool silent =
-            it != metrics_.end() && !fresh(it->second);  // seen once, now quiet
+    for (const VitalMetric metric : kVitalMetrics) {
+        const VitalReading& r = vitals_[metric];
+        const bool silent = r.seen() && !fresh(r);  // seen once, now quiet
         if (!silent) continue;
-        auto lt = last_tech_alert_.find(metric);
-        if (lt != last_tech_alert_.end() && now - lt->second < cfg_.rearm) {
-            continue;
-        }
-        last_tech_alert_[metric] = now;
-        tech_alerts_.push_back(TechnicalAlert{now, metric});
-        ctx_.trace.mark(now, "smart_alarm/" + name_ + "/tech/" + metric);
+        SimTime& last = last_tech_alert_[static_cast<std::size_t>(metric)];
+        if (!last.is_never() && now - last < cfg_.rearm) continue;
+        last = now;
+        const std::string name{to_string(metric)};
+        tech_alerts_.push_back(TechnicalAlert{now, name});
+        ctx_.trace.mark(now, "smart_alarm/" + name_ + "/tech/" + name);
     }
 
     // Fused risk score with corroboration weighting.
-    Contribution contribs[4];
+    Contribution contribs[kVitalMetricCount];
     int abnormal_count = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        contribs[i] = contribution(kMetrics[i]);
+    for (std::size_t i = 0; i < kVitalMetricCount; ++i) {
+        contribs[i] = contribution(kVitalMetrics[i]);
         if (contribs[i].abnormal) ++abnormal_count;
     }
     double score = 0.0;
     double best = -1.0;
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < kVitalMetricCount; ++i) {
         double pts = contribs[i].points;
         if (contribs[i].abnormal && abnormal_count < 2) {
             pts *= cfg_.uncorroborated_factor;  // lone anomaly: discounted
@@ -118,11 +121,14 @@ void SmartAlarm::evaluate() {
         score += pts;
         if (pts > best) {
             best = pts;
-            dominant_ = kMetrics[i];
+            dominant_ = kVitalMetrics[i];
         }
     }
     score_ = score;
-    ctx_.trace.record("smart_alarm/" + name_ + "/score", now, score);
+    if (score_signal_ == nullptr) {
+        score_signal_ = &ctx_.trace.signal("smart_alarm/" + name_ + "/score");
+    }
+    score_signal_->record(now, score);
 
     // Persistence-filtered threshold crossing, critical first.
     auto try_fire = [&](AlarmSeverity sev, double threshold,
@@ -134,10 +140,11 @@ void SmartAlarm::evaluate() {
                 auto lf = last_fired_.find(key);
                 if (lf == last_fired_.end() || now - lf->second >= cfg_.rearm) {
                     last_fired_[key] = now;
-                    alarms_.push_back(AlarmEvent{now, sev, score, dominant_});
+                    const std::string dominant{to_string(dominant_)};
+                    alarms_.push_back(AlarmEvent{now, sev, score, dominant});
                     ctx_.trace.mark(now, "smart_alarm/" + name_ + "/" + key);
                     ctx_.bus.publish(name_, "alarm/" + name_,
-                                     mcps::net::StatusPayload{key, dominant_});
+                                     mcps::net::StatusPayload{key, dominant});
                 }
                 return true;
             }

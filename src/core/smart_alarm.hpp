@@ -23,6 +23,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "devices/device.hpp"
+#include "vital_metric.hpp"
 
 namespace mcps::core {
 
@@ -106,12 +108,6 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
 private:
-    struct MetricState {
-        double value = 0.0;
-        bool valid = true;
-        mcps::sim::SimTime updated_at = mcps::sim::SimTime::never();
-    };
-
     struct Contribution {
         double points = 0.0;  ///< pre-corroboration
         bool abnormal = false;
@@ -120,19 +116,23 @@ private:
 
     void on_vital(const mcps::net::Message& m);
     void evaluate();
-    [[nodiscard]] bool fresh(const MetricState& m) const;
-    [[nodiscard]] Contribution contribution(const std::string& metric) const;
+    [[nodiscard]] bool fresh(const VitalReading& r) const;
+    [[nodiscard]] Contribution contribution(VitalMetric metric) const;
 
     devices::DeviceContext ctx_;
     std::string name_;
     SmartAlarmConfig cfg_;
-    std::map<std::string, MetricState> metrics_;
+    VitalTable vitals_;
     double score_ = 0.0;
-    std::string dominant_;
+    /// "smart_alarm/<name>/score", resolved on the first evaluation (see
+    /// TraceRecorder::signal).
+    mcps::sim::Signal* score_signal_ = nullptr;
+    VitalMetric dominant_ = VitalMetric::kSpo2;
     mcps::sim::SimTime above_warning_since_ = mcps::sim::SimTime::never();
     mcps::sim::SimTime above_critical_since_ = mcps::sim::SimTime::never();
     std::map<std::string, mcps::sim::SimTime> last_fired_;
-    std::map<std::string, mcps::sim::SimTime> last_tech_alert_;
+    /// Per metric; never() until its first technical alert.
+    std::array<mcps::sim::SimTime, kVitalMetricCount> last_tech_alert_;
     std::vector<AlarmEvent> alarms_;
     std::vector<TechnicalAlert> tech_alerts_;
     mcps::sim::EventHandle check_handle_;

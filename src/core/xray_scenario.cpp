@@ -68,8 +68,10 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
     sim.schedule_periodic(SimDuration::millis(500), [&] {
         patient.step(0.5);
     });
+    mcps::sim::Signal* truth_spo2 = nullptr;  // resolved on the first tick
     sim.schedule_periodic(SimDuration::seconds(1), [&] {
-        trace.record("truth/spo2", sim.now(), patient.spo2().as_percent());
+        if (truth_spo2 == nullptr) truth_spo2 = &trace.signal("truth/spo2");
+        truth_spo2->record(sim.now(), patient.spo2().as_percent());
     });
 
     // Procedure requests at fixed intervals.

@@ -43,11 +43,16 @@ void Capnometer::sample_tick() {
     auto et = etco2_->sample(sim().now());
     if (!et) return;  // cannula displaced silences both channels
     publish(etco2_->topic(), *et);
-    trace().record("sensor/" + name() + "/etco2", sim().now(), et->value);
+    if (etco2_signal_ == nullptr) {
+        etco2_signal_ = &trace().signal("sensor/" + name() + "/etco2");
+    }
+    etco2_signal_->record(sim().now(), et->value);
     if (auto rr = rr_->sample(sim().now())) {
         publish(rr_->topic(), *rr);
-        trace().record("sensor/" + name() + "/resp_rate", sim().now(),
-                       rr->value);
+        if (rr_signal_ == nullptr) {
+            rr_signal_ = &trace().signal("sensor/" + name() + "/resp_rate");
+        }
+        rr_signal_->record(sim().now(), rr->value);
     }
 }
 

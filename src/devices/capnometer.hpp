@@ -44,6 +44,10 @@ private:
     CapnometerConfig cfg_;
     std::unique_ptr<SensorChannel> etco2_;
     std::unique_ptr<SensorChannel> rr_;
+    /// "sensor/<name>/etco2" and ".../resp_rate", each resolved on its
+    /// first sample (see TraceRecorder::signal).
+    mcps::sim::Signal* etco2_signal_ = nullptr;
+    mcps::sim::Signal* rr_signal_ = nullptr;
     mcps::sim::EventHandle tick_;
 };
 

@@ -178,8 +178,10 @@ void GpcaPump::tick() {
     }
 
     deliver(Dose::mg(basal_mg + bolus_mg));
-    trace().record("pump/" + name() + "/window_mg", sim().now(),
-                   window_total_mg_);
+    if (window_signal_ == nullptr) {
+        window_signal_ = &trace().signal("pump/" + name() + "/window_mg");
+    }
+    window_signal_->record(sim().now(), window_total_mg_);
 }
 
 bool GpcaPump::press_button() {

@@ -161,6 +161,9 @@ private:
     mcps::sim::SimTime lockout_until_ = mcps::sim::SimTime::origin();
     std::deque<std::pair<mcps::sim::SimTime, double>> window_mg_;
     double window_total_mg_ = 0.0;
+    /// "pump/<name>/window_mg", resolved on the first delivering tick
+    /// (see TraceRecorder::signal).
+    mcps::sim::Signal* window_signal_ = nullptr;
     PumpStats stats_;
     mcps::sim::EventHandle tick_handle_;
     mcps::sim::EventHandle status_handle_;

@@ -49,8 +49,10 @@ void PulseOximeter::sample_tick() {
     auto spo2_sample = spo2_->sample(sim().now());
     if (!spo2_sample) return;  // probe-off silences both channels
     publish(spo2_->topic(), *spo2_sample);
-    trace().record("sensor/" + name() + "/spo2", sim().now(),
-                   spo2_sample->value);
+    if (spo2_signal_ == nullptr) {
+        spo2_signal_ = &trace().signal("sensor/" + name() + "/spo2");
+    }
+    spo2_signal_->record(sim().now(), spo2_sample->value);
     if (auto pr = pulse_->sample(sim().now())) {
         publish(pulse_->topic(), *pr);
     }

@@ -52,6 +52,9 @@ private:
     PulseOximeterConfig cfg_;
     std::unique_ptr<SensorChannel> spo2_;
     std::unique_ptr<SensorChannel> pulse_;
+    /// "sensor/<name>/spo2", resolved on the first sample (see
+    /// TraceRecorder::signal).
+    mcps::sim::Signal* spo2_signal_ = nullptr;
     mcps::sim::EventHandle tick_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -121,7 +122,18 @@ Listener::~Listener() {
 Fd Listener::accept_one() {
     while (true) {
         const int fd = ::accept(fd_.get(), nullptr, nullptr);
-        if (fd >= 0) return Fd{fd};
+        if (fd >= 0) {
+            // Responses are whole lines written in one send; without
+            // NODELAY, Nagle holds a pipelined response back until the
+            // client ACKs the previous one, which a client that delays
+            // its ACKs sends late.
+            if (!ep_.is_unix()) {
+                const int on = 1;
+                (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on,
+                                   sizeof on);
+            }
+            return Fd{fd};
+        }
         if (errno == EINTR) continue;
         return Fd{};
     }

@@ -62,7 +62,9 @@ public:
     [[nodiscard]] const Endpoint& endpoint() const noexcept { return ep_; }
     [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
-    /// Accept one connection; invalid Fd on transient failure.
+    /// Accept one connection; invalid Fd on transient failure. TCP
+    /// connections get TCP_NODELAY (responses are never held back for
+    /// coalescing).
     [[nodiscard]] Fd accept_one();
 
 private:

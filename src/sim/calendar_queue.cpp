@@ -16,6 +16,8 @@ constexpr std::size_t kMinBuckets = 16;
 /// the run's peak event population.
 constexpr std::size_t kGrowOccupancy = 2;
 constexpr std::size_t kGrowFactor = 4;
+/// Consumed drain entries tolerated before an insert trims them.
+constexpr std::size_t kDrainTrim = 256;
 }  // namespace
 
 CalendarQueue::CalendarQueue(EventArena& arena)
@@ -31,6 +33,13 @@ void CalendarQueue::push(std::uint32_t idx) {
         // zero-delay follow-ups like ideal-channel bus deliveries).
         // Keep the drain sorted; new events carry fresh (larger)
         // sequence numbers, so this append is O(1) in the common case.
+        // A wide bucket-year can keep the drain open for many pops; drop
+        // the consumed prefix now and then so it holds only live keys.
+        if (drain_head_ >= kDrainTrim) {
+            const auto consumed = static_cast<std::ptrdiff_t>(drain_head_);
+            drain_.erase(drain_.begin(), drain_.begin() + consumed);
+            drain_head_ = 0;
+        }
         const auto it = std::upper_bound(
             drain_.begin() + static_cast<std::ptrdiff_t>(drain_head_),
             drain_.end(), e,
@@ -54,9 +63,12 @@ std::optional<CalendarQueue::Entry> CalendarQueue::pop_if_at_most(
     if (size_ == 0) return std::nullopt;
 
     if (!drain_valid_ || drain_head_ >= drain_.size()) {
-        // Advance the cursor to the next bucket-year holding events.
-        // At most one full lap over the buckets; a sparser queue jumps
-        // straight to the global minimum year instead of coasting.
+        // Advance the cursor to the next bucket-year holding events: at
+        // most one lap over the buckets. A lap that finds nothing means
+        // the width no longer fits the live traffic (the next event lies
+        // a year or more past the cursor), so re-derive the width from
+        // the live span instead of coasting; the re-width leaves the
+        // cursor on the minimum's bucket-year.
         if (drain_valid_) {
             drain_.clear();
             drain_head_ = 0;
@@ -72,14 +84,8 @@ std::optional<CalendarQueue::Entry> CalendarQueue::pop_if_at_most(
             ++cursor_;
         }
         if (!found) {
-            std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-            for (const std::uint32_t head : heads_) {
-                for (std::uint32_t i = head; i != kNoEvent;
-                     i = arena_->node(i).next) {
-                    best = std::min(best, quot(arena_->node(i).when.ticks()));
-                }
-            }
-            cursor_ = best;
+            resize(heads_.size());
+            ++rewidths_;
             fill_drain();  // size_ > 0, so this bucket-year is non-empty
         }
         drain_valid_ = true;
@@ -93,6 +99,7 @@ std::optional<CalendarQueue::Entry> CalendarQueue::pop_if_at_most(
         drain_head_ = 0;
     }
     --size_;
+    last_popped_ = e.when;
     return e;
 }
 
@@ -208,8 +215,15 @@ void CalendarQueue::resize(std::size_t new_bucket_count) {
     // quot() is a shift (a 64-bit divide per push/pop was measurable)
     // and expected occupancy stays O(1) while one "year"
     // (nbuckets * width) spans the live horizon. Order never depends
-    // on this choice.
-    const std::uint64_t ideal = static_cast<std::uint64_t>(hi - lo) /
+    // on this choice. The span runs from the last pop (the queue's
+    // "now"), not from the earliest live event: with every pending
+    // event at one instant (a lone periodic source, or N sources in
+    // phase) the live span is zero, and a 1-tick width would fail the
+    // next lap again — the gap up to that instant is the one to size
+    // for. (A rewound standalone queue can hold events before the last
+    // pop, hence the min.)
+    const std::int64_t from = std::min(lo, last_popped_);
+    const std::uint64_t ideal = static_cast<std::uint64_t>(hi - from) /
                                     static_cast<std::uint64_t>(scratch_.size()) +
                                 1;
     width_shift_ = 0;

@@ -33,6 +33,19 @@
 ///    state). Geometry never shrinks within a run: a shrink would be
 ///    another full relink sweep, bought back only a few bytes of
 ///    bucket-head storage.
+///  - re-width: advancing the cursor probes at most one lap of
+///    buckets. A lap that finds no event means the width is wrong for
+///    the live traffic (a small population never crosses the grow
+///    threshold, so it would otherwise keep its start-up 1-tick width
+///    while its events lie seconds apart). The queue then re-derives
+///    the width from the span between the last pop and the latest
+///    pending event, at the same bucket count (Brown's rule), and
+///    lands the cursor on the minimum's bucket-year. That costs
+///    O(buckets + population), the order of the global-minimum scan it
+///    replaces. A year then covers at least half the live span, so
+///    the next lap succeeds unless the traffic's spacing itself
+///    changes: a steady workload re-widths a few times per run, not
+///    once per pop.
 
 #pragma once
 
@@ -96,6 +109,12 @@ public:
     [[nodiscard]] std::uint64_t tombstones_compacted() const noexcept {
         return tombstones_compacted_;
     }
+    /// Number of re-widths: pops whose lap over the buckets found no
+    /// event and re-derived the bucket width instead (bench/test
+    /// introspection; stays O(log horizon) on a steady workload).
+    [[nodiscard]] std::uint64_t rewidths() const noexcept {
+        return rewidths_;
+    }
 
 private:
     /// Strict (when, prio, seq) order — identical to the heap comparator
@@ -142,8 +161,10 @@ private:
     bool drain_valid_ = false;       ///< drain_ holds cursor_'s entries
     std::size_t mask_ = 0;           ///< heads_.size() - 1 (power of two)
     std::size_t size_ = 0;
+    std::int64_t last_popped_ = 0;  ///< timestamp of the latest pop
     std::uint64_t compactions_ = 0;
     std::uint64_t tombstones_compacted_ = 0;
+    std::uint64_t rewidths_ = 0;
 };
 
 }  // namespace mcps::sim

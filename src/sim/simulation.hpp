@@ -169,6 +169,11 @@ public:
     [[nodiscard]] std::uint64_t tombstones_compacted() const noexcept {
         return queue_.tombstones_compacted();
     }
+    /// Bucket-width re-derivations by this run's queue (a lap over the
+    /// buckets that found no event).
+    [[nodiscard]] std::uint64_t queue_rewidths() const noexcept {
+        return queue_.rewidths();
+    }
 
     /// Minimum tombstone population before the drain loop considers a
     /// compaction sweep (amortizes the O(population) pass).

@@ -108,7 +108,12 @@ private:
 class TraceRecorder {
 public:
     /// Get-or-create a signal by name. References remain valid for the
-    /// recorder's lifetime (node-based map storage).
+    /// recorder's lifetime (node-based map storage), so a caller that
+    /// records on a hot path should hold the returned Signal& rather
+    /// than build the name and search the map on every sample (which is
+    /// what record() below does). Resolve it on the first sample, not
+    /// ahead of time: creating a signal adds it to signal_names(),
+    /// write_csv() and the trace fingerprint even if it never samples.
     Signal& signal(const std::string& name);
 
     /// Look up an existing signal; nullptr if never recorded.

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -50,7 +52,8 @@ using RefQueue = std::priority_queue<RefKey, std::vector<RefKey>, RefAfter>;
 /// Pushes a node with the given key into both queues.
 class DifferentialHarness {
 public:
-    void push(std::int64_t when, std::int8_t prio) {
+    /// Returns the pushed entry's sequence number.
+    std::uint64_t push(std::int64_t when, std::int8_t prio) {
         const std::uint64_t seq = next_seq_++;
         const std::uint32_t idx = arena_.acquire();
         EventNode& n = arena_.node(idx);
@@ -59,15 +62,16 @@ public:
         n.prio = static_cast<EventPriority>(prio);
         queue_.push(idx);
         ref_.push(RefKey{when, seq, prio});
+        return seq;
     }
 
     /// Pops one entry from both queues and asserts the keys agree.
-    /// Returns false when both are empty.
-    [[nodiscard]] bool pop_and_compare() {
+    /// Returns the popped key; nullopt when both are empty.
+    std::optional<RefKey> pop_and_compare() {
         const auto e = queue_.pop_if_at_most(SimTime::never().ticks());
         if (!e) {
             EXPECT_TRUE(ref_.empty());
-            return false;
+            return std::nullopt;
         }
         EXPECT_FALSE(ref_.empty());
         const RefKey expect = ref_.top();
@@ -77,7 +81,7 @@ public:
                                       << expect.when;
         EXPECT_EQ(e->prio, expect.prio);
         arena_.release(e->idx);
-        return true;
+        return expect;
     }
 
     [[nodiscard]] CalendarQueue& queue() noexcept { return queue_; }
@@ -192,6 +196,91 @@ TEST(EventQueueDifferential, BucketGeometryGrowsWithPopulation) {
     }
     EXPECT_GT(q.bucket_count(), initial);
     EXPECT_EQ(q.size(), 10000u);
+}
+
+/// The bedside shape: a handful of periodic sources whose population
+/// never reaches the grow threshold, so the queue keeps its start-up
+/// bucket count and must re-derive the width from the live traffic.
+/// Periods span 0.25 s to 60 s; one event sits far in the future; one
+/// event lands hours before the cursor's bucket-year (a rewind).
+TEST(EventQueueDifferential, SparsePeriodicMatchesReference) {
+    constexpr std::int64_t kSecond = 1'000'000;
+    constexpr std::int64_t kHour = 3600 * kSecond;
+    const std::int64_t periods[] = {kSecond / 4, kSecond / 2, kSecond,
+                                    2 * kSecond, 5 * kSecond, 17 * kSecond,
+                                    60 * kSecond};
+    DifferentialHarness h;
+    std::map<std::uint64_t, std::int64_t> period_of;  // seq -> period
+    for (const std::int64_t p : periods) {
+        period_of[h.push(p, 0)] = p;
+    }
+    h.push(10 * kHour, 1);  // far future
+    ASSERT_LT(h.queue().size(), 32u);  // below the grow threshold
+
+    std::int64_t now = 0;
+    bool rewound = false;
+    while (now < 12 * kHour) {
+        const auto e = h.pop_and_compare();
+        ASSERT_TRUE(e.has_value());
+        now = e->when;
+        const auto it = period_of.find(e->seq);
+        if (it == period_of.end()) continue;  // a one-shot
+        const std::int64_t period = it->second;
+        period_of.erase(it);
+        period_of[h.push(now + period, 0)] = period;
+
+        if (!rewound && now > 5 * kHour) {
+            h.push(now / 2, -1);  // must pop next, from an earlier year
+            rewound = true;
+        }
+    }
+    EXPECT_TRUE(rewound);
+    EXPECT_LT(h.queue().size(), 32u);
+    EXPECT_EQ(h.queue().bucket_count(), 16u);  // never grew
+    EXPECT_GE(h.queue().rewidths(), 1u);
+    while (h.pop_and_compare()) {
+    }
+}
+
+/// The re-width rule cannot thrash: on a 40 sim-hour sparse run it fires
+/// O(log horizon) times, not once per pop. Covers the bedside mix
+/// (several periods plus one far-future event), a lone periodic source
+/// and sources in phase; in the last two every pending event sits at one
+/// instant whenever a lap fails, so the live span alone would size a
+/// 1-tick width that fails the very next lap.
+TEST(EventQueueBoundedWork, SparseRunRewidthsLogarithmically) {
+    const SimDuration horizon = SimDuration::hours(40);
+    // log2 of the horizon in ticks (~37): the bound "O(log horizon)".
+    std::uint64_t log_horizon = 0;
+    while ((std::int64_t{1} << log_horizon) < horizon.ticks()) ++log_horizon;
+
+    struct Mix {
+        const char* name;
+        std::vector<SimDuration> periods;
+        bool far_event;
+    };
+    const std::vector<Mix> mixes = {
+        {"bedside",
+         {SimDuration::millis(250), SimDuration::millis(500),
+          SimDuration::seconds(1), SimDuration::seconds(2),
+          SimDuration::seconds(5), SimDuration::seconds(12),
+          SimDuration::seconds(60)},
+         true},
+        {"lone", {SimDuration::seconds(60)}, false},
+        {"in-phase", std::vector<SimDuration>(8, SimDuration::seconds(5)),
+         false},
+    };
+    for (const Mix& mix : mixes) {
+        Simulation s{3};
+        for (const SimDuration p : mix.periods) s.schedule_periodic(p, [] {});
+        if (mix.far_event) {
+            s.schedule_at(SimTime::origin() + SimDuration::hours(39), [] {});
+        }
+        s.run_for(horizon);
+        EXPECT_LT(s.events_pending(), 32u) << mix.name;
+        EXPECT_GE(s.queue_rewidths(), 1u) << mix.name;
+        EXPECT_LE(s.queue_rewidths(), log_horizon) << mix.name;
+    }
 }
 
 /// Reference model of the full Simulation seq-assignment contract:

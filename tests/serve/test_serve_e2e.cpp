@@ -3,9 +3,13 @@
 /// concurrent workload whose every response must match the pinned
 /// per-preset fingerprints, cache byte-identity (hit and recompute),
 /// admission-control rejection under a saturated queue, draining
-/// rejections, graceful drain, and cache snapshot across a restart.
+/// rejections, graceful drain, cache snapshot across a restart, and the
+/// socket options of accepted connections.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <cstdio>
 #include <map>
@@ -292,6 +296,21 @@ TEST(ServeE2E, MalformedAndOversizedLinesGetStructuredErrors) {
     const Response r = client.run(testsupport::pinned_spec("pca"));
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(client.ping().pong);
+}
+
+/// Accepted TCP connections carry TCP_NODELAY, so a pipelined response
+/// is never held back waiting for the client's ACK of the previous one.
+TEST(ServeE2E, AcceptedTcpConnectionHasNoDelay) {
+    Listener listener{Endpoint::tcp("127.0.0.1", 0)};
+    const Fd client = connect_to(listener.endpoint());
+    const Fd accepted = listener.accept_one();
+    ASSERT_TRUE(accepted.valid());
+    int value = 0;
+    socklen_t len = sizeof value;
+    ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &value,
+                           &len),
+              0);
+    EXPECT_EQ(value, 1);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "devices/devices.hpp"
 #include "physio/population.hpp"
 
@@ -155,6 +157,28 @@ TEST_F(SensorsTest, OximeterForcedDropoutSilencesBothChannels) {
     EXPECT_TRUE(oxi.in_dropout());
     sim_.run_for(20_s);
     EXPECT_GT(messages, 0);
+}
+
+/// Trace signals are resolved on the first sample, not when the device
+/// starts: a probe that never reads leaves no empty signal behind to show
+/// up in signal_names(), write_csv() or the trace fingerprint.
+TEST_F(SensorsTest, OximeterWithProbeOffCreatesNoTraceSignal) {
+    devices::PulseOximeterConfig cfg;
+    cfg.dropout_probability = 1.0;  // the probe never reads
+    devices::PulseOximeter oxi{ctx_, "oxi1", patient_, cfg};
+    oxi.start();
+    sim_.run_for(2_min);
+    const auto names = trace_.signal_names();
+    EXPECT_EQ(std::find(names.begin(), names.end(), "sensor/oxi1/spo2"),
+              names.end());
+    EXPECT_EQ(trace_.find("sensor/oxi1/spo2"), nullptr);
+
+    devices::PulseOximeter reading{ctx_, "oxi2", patient_};
+    reading.start();
+    sim_.run_for(5_s);
+    const sim::Signal* spo2 = trace_.find("sensor/oxi2/spo2");
+    ASSERT_NE(spo2, nullptr);
+    EXPECT_EQ(spo2->size(), 5u);
 }
 
 TEST_F(SensorsTest, CapnometerTracksEtco2AndRr) {

@@ -24,7 +24,9 @@
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
 #   5. bench smoke:          tools/bench_baseline.sh --quick and
 #                            tools/bench_serve.sh --quick (validate the
-#                            --json flows; numbers are not checked)
+#                            --json flows; numbers are not checked),
+#                            plus a 2 s perfbench bedside run that must
+#                            report "correct": true
 #   6. ASan+UBSan:           full test suite under address+undefined
 #   7. TSan:                 ward-engine + kernel + serve + obs +
 #                            hospital suites under thread sanitizer (the
@@ -114,6 +116,16 @@ echo "hospital preset smoke: OK"
 "${repo_root}/build-ci-werror/tools/mcps_trace" check-bench \
     "${repo_root}/build-ci-werror/BENCH_pipeline_smoke.json" >/dev/null
 echo "pipeline smoke: OK"
+# Repository benchmark smoke: a short bedside run of perfbench (its own
+# Release build under .bench_build/) must check every pin and invariant.
+# The last stdout line is the result; its "correct" flag is the verdict.
+perfbench_result="$(cd "${repo_root}" && python3 perfbench/run.py \
+    --workload bedside --seed 1 --seconds 2 --trace 0 2>/dev/null | tail -n 1 || true)"
+if ! printf '%s\n' "${perfbench_result}" | grep -qF '"correct": true'; then
+    echo "perfbench bedside smoke FAILED: ${perfbench_result}" >&2
+    exit 1
+fi
+echo "perfbench bedside smoke: OK"
 
 run_coverage() {
     stage "coverage report (MCPS_COVERAGE=ON)"

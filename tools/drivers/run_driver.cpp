@@ -49,7 +49,8 @@ void usage(std::ostream& os, std::string_view prog) {
           "      [--quiet]\n"
           "        run one scenario; print the outcome table (or write\n"
           "        the artifacts as JSON to --json and the structured\n"
-          "        event log as JSONL to --events-out).\n"
+          "        event log as JSONL to --events-out; pca- and\n"
+          "        xray-family scenarios only).\n"
           "  selfcheck\n"
           "        run every registered scenario for one sim-minute and\n"
           "        require spec round-trip + fingerprint reproduction.\n";
@@ -174,6 +175,15 @@ int cmd_run(const std::vector<std::string_view>& raw) {
             }
             spec.set(sv.substr(0, eq), sv.substr(eq + 1));
         }
+    }
+
+    // Hospital runs do not feed the event log; refuse rather than write
+    // an empty file and exit 0.
+    if (const auto* info = scenario::registry().find(spec.name);
+        !events_path.empty() && info != nullptr &&
+        info->family == scenario::ScenarioFamily::kHospital) {
+        throw CliError{"--events-out: scenario '" + spec.name +
+                       "' is hospital-family and records no event log"};
     }
 
     mcps::obs::EventLog log;
