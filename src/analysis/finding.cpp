@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace mcps::analysis {
+
+using obs::json_escape;
 
 namespace {
 
@@ -174,30 +177,6 @@ std::string AnalysisReport::to_text() const {
            std::to_string(errors()) + " error, " + std::to_string(warnings()) +
            " warning), suppressed: " + std::to_string(suppressed_findings) +
            "\n";
-    return out;
-}
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
     return out;
 }
 

@@ -104,7 +104,4 @@ struct AnalysisReport {
     void write_json(std::ostream& out) const;
 };
 
-/// Escape a string for embedding in a JSON string literal.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 }  // namespace mcps::analysis

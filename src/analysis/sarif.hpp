@@ -5,7 +5,7 @@
 /// The writer emits one run with the full rule catalog as
 /// tool.driver.rules and one result per finding (file-anchored findings
 /// carry a physicalLocation). The validator is NOT a schema engine: it
-/// parses the JSON with a small recursive-descent parser and checks the
+/// parses the JSON with the shared reader (obs/json.hpp) and checks the
 /// structural subset CI relies on (version string, non-empty run, unique
 /// rule ids, every result's ruleId resolvable, legal level, anchored
 /// line numbers >= 1) so the gate needs no Python or third-party JSON

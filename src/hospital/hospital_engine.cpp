@@ -17,13 +17,14 @@
 #include "physio/patient_batch.hpp"
 #include "physio/population.hpp"
 #include "sim/guarded.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 
 namespace mcps::hospital {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+using sim::kFnvOffset;
 
 constexpr std::uint64_t mix64(std::uint64_t h, std::uint64_t v) noexcept {
     h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);

@@ -2,26 +2,13 @@
 
 #include <bit>
 
+#include "sim/hash.hpp"
+
 namespace mcps::obs {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
-constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-    h ^= v;
-    h *= 1099511628211ULL;
-    h ^= h >> 29;
-    return h;
-}
-
-std::uint64_t mix_string(std::uint64_t h, std::string_view s) noexcept {
-    h = mix(h, s.size());
-    for (char c : s) h = mix(h, static_cast<std::uint8_t>(c));
-    return h;
-}
-
-}  // namespace
+using mcps::sim::kFnvOffset;
+using mcps::sim::mix;
+using mcps::sim::mix_string;
 
 void EventLog::append(const EventLog& other) {
     events_.insert(events_.end(), other.events_.begin(), other.events_.end());

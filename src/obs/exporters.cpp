@@ -1,18 +1,18 @@
 #include "exporters.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "format.hpp"
+#include "json.hpp"
 
 namespace mcps::obs {
 
@@ -27,247 +27,56 @@ void write_jsonl(const EventLog& log, std::ostream& os) {
     }
 }
 
-// ---- minimal JSON parser ---------------------------------------------
-//
-// Parses the two formats this module itself defines (JSONL events,
-// bench --json reports). Full JSON value grammar, no extensions; errors
-// carry a byte offset.
-
 namespace {
 
-struct JsonValue {
-    enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-    Type type = Type::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /// First member with \p key; nullptr if absent or not an object.
-    [[nodiscard]] const JsonValue* get(std::string_view key) const {
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
+/// Reads one write_jsonl line into \p log: t_us an int64, value a
+/// number or null (NaN), kind/src/detail strings. Unknown keys are
+/// skipped.
+void read_event(std::string_view line, EventLog& log) {
+    JsonReader r{line};
+    if (r.peek() != JsonKind::kObject) {
+        r.skip();  // a malformed non-object reports the reader's error
+        r.fail("not an object");
     }
-};
-
-class JsonParser {
-public:
-    explicit JsonParser(std::string_view text) : text_{text} {}
-
-    JsonValue parse() {
-        skip_ws();
-        JsonValue v = parse_value();
-        skip_ws();
-        if (pos_ != text_.size()) fail("trailing content");
-        return v;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& what) const {
-        throw std::runtime_error("json: " + what + " at offset " +
-                                 std::to_string(pos_));
-    }
-
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-            ++pos_;
+    std::optional<std::int64_t> t_us;
+    std::optional<EventKind> kind;
+    std::optional<std::string> src, detail;
+    std::optional<double> value;
+    std::string_view key;
+    r.begin_object();
+    while (r.next_member(key)) {
+        const JsonKind k = r.peek();
+        const bool str = k == JsonKind::kString;
+        if (key == "t_us" && k == JsonKind::kNumber) {
+            t_us = r.int64();
+        } else if (key == "kind" && str) {
+            const std::string_view name = r.string();
+            kind = event_kind_from(name);
+            if (!kind) r.fail("unknown event kind '" + std::string{name} + "'");
+        } else if (key == "src" && str) {
+            src = r.string();
+        } else if (key == "detail" && str) {
+            detail = r.string();
+        } else if (key == "value" && k == JsonKind::kNumber) {
+            value = r.number();
+        } else if (key == "value" && k == JsonKind::kNull) {
+            r.null();
+            value = std::numeric_limits<double>::quiet_NaN();
+        } else if (key == "t_us" || key == "kind" || key == "src" ||
+                   key == "detail" || key == "value") {
+            r.fail("'" + std::string{key} + "' has the wrong type");
+        } else {
+            r.skip();
         }
     }
-
-    char peek() const {
-        if (pos_ >= text_.size()) {
-            throw std::runtime_error("json: unexpected end of input");
-        }
-        return text_[pos_];
+    r.finish();
+    if (!t_us || !kind || !src || !detail || !value) {
+        r.fail("missing event field");
     }
-
-    void expect(char c) {
-        if (peek() != c) fail(std::string{"expected '"} + c + "'");
-        ++pos_;
-    }
-
-    bool consume_literal(std::string_view lit) {
-        if (text_.substr(pos_, lit.size()) != lit) return false;
-        pos_ += lit.size();
-        return true;
-    }
-
-    JsonValue parse_value() {
-        switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
-            case '"': {
-                JsonValue v;
-                v.type = JsonValue::Type::kString;
-                v.str = parse_string();
-                return v;
-            }
-            case 't':
-            case 'f': {
-                JsonValue v;
-                v.type = JsonValue::Type::kBool;
-                if (consume_literal("true")) {
-                    v.boolean = true;
-                } else if (consume_literal("false")) {
-                    v.boolean = false;
-                } else {
-                    fail("bad literal");
-                }
-                return v;
-            }
-            case 'n': {
-                if (!consume_literal("null")) fail("bad literal");
-                return JsonValue{};
-            }
-            default: return parse_number();
-        }
-    }
-
-    JsonValue parse_object() {
-        JsonValue v;
-        v.type = JsonValue::Type::kObject;
-        expect('{');
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            skip_ws();
-            std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            skip_ws();
-            v.object.emplace_back(std::move(key), parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue parse_array() {
-        JsonValue v;
-        v.type = JsonValue::Type::kArray;
-        expect('[');
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            skip_ws();
-            v.array.push_back(parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string parse_string() {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size()) fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size()) fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'u': {
-                    if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        code <<= 4U;
-                        if (h >= '0' && h <= '9') {
-                            code |= static_cast<unsigned>(h - '0');
-                        } else if (h >= 'a' && h <= 'f') {
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        } else if (h >= 'A' && h <= 'F') {
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        } else {
-                            fail("bad \\u escape");
-                        }
-                    }
-                    // The writer only escapes control characters; decode
-                    // BMP code points as UTF-8 for completeness.
-                    if (code < 0x80) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xC0U | (code >> 6U));
-                        out += static_cast<char>(0x80U | (code & 0x3FU));
-                    } else {
-                        out += static_cast<char>(0xE0U | (code >> 12U));
-                        out += static_cast<char>(0x80U | ((code >> 6U) & 0x3FU));
-                        out += static_cast<char>(0x80U | (code & 0x3FU));
-                    }
-                    break;
-                }
-                default: fail("unknown escape");
-            }
-        }
-    }
-
-    JsonValue parse_number() {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        if (pos_ == start) fail("expected a value");
-        const std::string token{text_.substr(start, pos_ - start)};
-        char* end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) fail("bad number");
-        JsonValue out;
-        out.type = JsonValue::Type::kNumber;
-        out.number = v;
-        return out;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
-
-const JsonValue* require(const JsonValue& obj, std::string_view key,
-                         JsonValue::Type type, std::string& error) {
-    const JsonValue* v = obj.get(key);
-    if (!v) {
-        error = "missing key '" + std::string{key} + "'";
-        return nullptr;
-    }
-    if (v->type != type) {
-        error = "key '" + std::string{key} + "' has the wrong type";
-        return nullptr;
-    }
-    return v;
+    log.emit(*kind,
+             mcps::sim::SimTime::origin() +
+                 mcps::sim::SimDuration::micros(*t_us),
+             std::move(*src), std::move(*detail), *value);
 }
 
 }  // namespace
@@ -279,38 +88,12 @@ EventLog read_jsonl(std::istream& is) {
     while (std::getline(is, line)) {
         ++lineno;
         if (line.empty()) continue;
-        const auto fail = [&](const std::string& what) -> void {
-            throw std::runtime_error("jsonl line " + std::to_string(lineno) +
-                                     ": " + what);
-        };
-        JsonValue v;
         try {
-            v = JsonParser{line}.parse();
-        } catch (const std::exception& e) {
-            fail(e.what());
+            read_event(line, log);
+        } catch (const JsonError& e) {
+            throw std::runtime_error("jsonl line " + std::to_string(lineno) +
+                                     ": " + e.what());
         }
-        if (v.type != JsonValue::Type::kObject) fail("not an object");
-        const JsonValue* t = v.get("t_us");
-        const JsonValue* kind = v.get("kind");
-        const JsonValue* src = v.get("src");
-        const JsonValue* detail = v.get("detail");
-        const JsonValue* value = v.get("value");
-        if (!t || t->type != JsonValue::Type::kNumber ||
-            !kind || kind->type != JsonValue::Type::kString ||
-            !src || src->type != JsonValue::Type::kString ||
-            !detail || detail->type != JsonValue::Type::kString || !value) {
-            fail("missing or mistyped event field");
-        }
-        const auto k = event_kind_from(kind->str);
-        if (!k) fail("unknown event kind '" + kind->str + "'");
-        const double val = value->type == JsonValue::Type::kNumber
-                               ? value->number
-                               : std::numeric_limits<double>::quiet_NaN();
-        log.emit(*k,
-                 mcps::sim::SimTime::origin() +
-                     mcps::sim::SimDuration::micros(
-                         static_cast<std::int64_t>(t->number)),
-                 src->str, detail->str, val);
     }
     return log;
 }
@@ -352,55 +135,61 @@ void write_chrome_trace(const EventLog& log, std::ostream& os) {
 
 // ---- bench --json schema ---------------------------------------------
 
+namespace {
+
+struct Invalid {
+    std::string what;
+};
+
+/// \p obj's member \p key, which must exist with kind \p kind.
+const JsonValue& member(const JsonValue& obj, std::string_view key,
+                        JsonKind kind, const std::string& at = "") {
+    const JsonValue* v = obj.get(key);
+    if (!v) throw Invalid{at + "missing key '" + std::string{key} + "'"};
+    if (v->kind != kind) {
+        throw Invalid{at + "key '" + std::string{key} +
+                      "' has the wrong type"};
+    }
+    return *v;
+}
+
+void check_bench(const JsonValue& root) {
+    if (root.kind != JsonKind::kObject) {
+        throw Invalid{"top level is not an object"};
+    }
+    (void)member(root, "bench", JsonKind::kString);
+    const double seed = member(root, "seed", JsonKind::kNumber).number;
+    if (seed != std::floor(seed)) throw Invalid{"'seed' is not an integer"};
+    const JsonValue& metrics = member(root, "metrics", JsonKind::kArray);
+    for (std::size_t i = 0; i < metrics.array.size(); ++i) {
+        const JsonValue& m = metrics.array[i];
+        const std::string at = "metrics[" + std::to_string(i) + "]: ";
+        if (m.kind != JsonKind::kObject) throw Invalid{at + "not an object"};
+        (void)member(m, "name", JsonKind::kString, at);
+        (void)member(m, "unit", JsonKind::kString, at);
+        // The reader yields only finite numbers, so number-or-null is
+        // the whole "finite or null" rule.
+        const JsonValue* value = m.get("value");
+        if (!value || (value->kind != JsonKind::kNumber &&
+                       value->kind != JsonKind::kNull)) {
+            throw Invalid{at + "'value' must be a number or null"};
+        }
+    }
+}
+
+}  // namespace
+
 bool validate_bench_json(std::istream& is, std::string& error) {
     const std::string text{std::istreambuf_iterator<char>{is},
                            std::istreambuf_iterator<char>{}};
-    JsonValue root;
     try {
-        root = JsonParser{text}.parse();
-    } catch (const std::exception& e) {
+        check_bench(parse_json(text));
+    } catch (const JsonError& e) {
         error = e.what();
         return false;
-    }
-    if (root.type != JsonValue::Type::kObject) {
-        error = "top level is not an object";
+    } catch (const Invalid& e) {
+        error = e.what;
         return false;
-    }
-    if (!require(root, "bench", JsonValue::Type::kString, error)) return false;
-    const JsonValue* seed =
-        require(root, "seed", JsonValue::Type::kNumber, error);
-    if (!seed) return false;
-    if (seed->number != std::floor(seed->number)) {
-        error = "'seed' is not an integer";
-        return false;
-    }
-    const JsonValue* metrics =
-        require(root, "metrics", JsonValue::Type::kArray, error);
-    if (!metrics) return false;
-    for (std::size_t i = 0; i < metrics->array.size(); ++i) {
-        const JsonValue& m = metrics->array[i];
-        const std::string at = "metrics[" + std::to_string(i) + "]: ";
-        if (m.type != JsonValue::Type::kObject) {
-            error = at + "not an object";
-            return false;
-        }
-        std::string sub;
-        if (!require(m, "name", JsonValue::Type::kString, sub) ||
-            !require(m, "unit", JsonValue::Type::kString, sub)) {
-            error = at + sub;
-            return false;
-        }
-        const JsonValue* value = m.get("value");
-        if (!value || (value->type != JsonValue::Type::kNumber &&
-                       value->type != JsonValue::Type::kNull)) {
-            error = at + "'value' must be a number or null";
-            return false;
-        }
-        if (value->type == JsonValue::Type::kNumber &&
-            !std::isfinite(value->number)) {
-            error = at + "'value' is not finite";
-            return false;
-        }
     }
     return true;
 }

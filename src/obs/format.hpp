@@ -27,32 +27,4 @@ namespace mcps::obs {
     return buf;
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-/// Event sources/details are topic-like ASCII, but the exporter must
-/// stay correct for arbitrary content.
-[[nodiscard]] inline std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 }  // namespace mcps::obs

@@ -2,18 +2,17 @@
 
 #include <cstdio>
 
+#include "sim/hash.hpp"
+
 namespace mcps::pipeline {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+using sim::kFnvOffset;
+using sim::kFnvPrime;
 
 std::uint64_t fnv1a_step(std::uint64_t h, std::string_view s) noexcept {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
+    h = sim::fnv1a64(h, s);
     // A field separator that cannot appear in the data keeps
     // ("ab","c") and ("a","bc") from colliding.
     h ^= 0xffU;

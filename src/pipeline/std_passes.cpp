@@ -10,6 +10,7 @@
 #include "assurance/assurance.hpp"
 #include "findings_io.hpp"
 #include "obs/exporters.hpp"
+#include "sim/hash.hpp"
 #include "ward/ward_engine.hpp"
 
 namespace mcps::pipeline {
@@ -346,7 +347,7 @@ void add_ward_merge_pass(PipelineGraph& g,
     p.outputs = {"ward/summary"};
     p.run = [ids](PassContext& ctx) {
         std::string out;
-        std::uint64_t combined = 0xcbf29ce484222325ULL;
+        std::uint64_t combined = sim::kFnvOffset;
         for (const std::string& id : ids) {
             std::string fp = ctx.input("ward/" + id + "/fingerprint").payload;
             while (!fp.empty() && fp.back() == '\n') fp.pop_back();
@@ -354,10 +355,7 @@ void add_ward_merge_pass(PipelineGraph& g,
             out += '\t';
             out += fp;
             out += '\n';
-            for (const char c : fp) {
-                combined ^= static_cast<unsigned char>(c);
-                combined *= 1099511628211ULL;
-            }
+            combined = sim::fnv1a64(combined, fp);
         }
         out += "combined\t" + hex64(combined) + "\n";
         ctx.emit("ward/summary", Artifact{"ward-summary", std::move(out)});

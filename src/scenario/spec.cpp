@@ -5,6 +5,8 @@
 #include <charconv>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace mcps::scenario {
 
 namespace {
@@ -154,130 +156,77 @@ ScenarioSpec parse_spec(std::string_view text) {
 
 namespace {
 
-/// Minimal JSON reader for the one fixed spec shape. Not a general
-/// parser: strings are restricted to the spec charset (no escapes).
-class JsonCursor {
-public:
-    explicit JsonCursor(std::string_view text) : text_{text} {}
+/// Throws SpecError{\p what}, after consuming the value at the cursor
+/// so that malformed JSON inside it still surfaces as the reader's error.
+[[noreturn]] void reject_value(obs::JsonReader& r, const std::string& what) {
+    r.skip();
+    throw SpecError{what};
+}
 
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-            ++pos_;
-        }
+/// A value of the wrong kind is a spec error, not a JSON error.
+void want(obs::JsonReader& r, obs::JsonKind kind, std::string_view key,
+          const char* what) {
+    if (r.peek() != kind) {
+        reject_value(r, "spec json: " + std::string{key} + ": expected " +
+                            what);
     }
-
-    char peek() {
-        skip_ws();
-        if (pos_ >= text_.size()) {
-            throw SpecError{"spec json: unexpected end of input"};
-        }
-        return text_[pos_];
-    }
-
-    void expect(char c) {
-        if (peek() != c) {
-            throw SpecError{std::string{"spec json: expected '"} + c +
-                            "', got '" + text_[pos_] + "'"};
-        }
-        ++pos_;
-    }
-
-    bool accept(char c) {
-        skip_ws();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    std::string string() {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            const char c = text_[pos_++];
-            if (c == '\\') {
-                throw SpecError{
-                    "spec json: escape sequences are not supported in "
-                    "spec strings"};
-            }
-            out.push_back(c);
-        }
-        if (pos_ >= text_.size()) {
-            throw SpecError{"spec json: unterminated string"};
-        }
-        ++pos_;  // closing quote
-        return out;
-    }
-
-    std::uint64_t unsigned_number(std::string_view key) {
-        skip_ws();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-            ++pos_;
-        }
-        return parse_spec_u64(key, text_.substr(start, pos_ - start));
-    }
-
-    void done() {
-        skip_ws();
-        if (pos_ != text_.size()) {
-            throw SpecError{"spec json: trailing content after object"};
-        }
-    }
-
-private:
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
-ScenarioSpec parse_spec_json(std::string_view json) {
-    JsonCursor c{json};
+ScenarioSpec read_spec_json(obs::JsonReader& r) {
+    using obs::JsonKind;
     ScenarioSpec spec;
     bool seen_name = false;
-    c.expect('{');
-    if (!c.accept('}')) {
-        do {
-            const std::string key = c.string();
-            c.expect(':');
-            if (key == "scenario") {
-                spec.name = c.string();
-                validate_key(spec.name);
-                seen_name = true;
-            } else if (key == "seed") {
-                spec.seed = c.unsigned_number(key);
-            } else if (key == "minutes") {
-                spec.minutes = c.unsigned_number(key);
-            } else if (key == "overrides") {
-                c.expect('{');
-                if (!c.accept('}')) {
-                    do {
-                        const std::string k = c.string();
-                        c.expect(':');
-                        const std::string v = c.string();
-                        if (spec.find(k) != nullptr) {
-                            throw SpecError{"spec: duplicate key '" + k +
-                                            "'"};
-                        }
-                        validate_key(k);
-                        validate_value(k, v);
-                        spec.overrides.emplace_back(k, v);
-                    } while (c.accept(','));
-                    c.expect('}');
+    std::string_view key;
+    r.begin_object();
+    while (r.next_member(key)) {
+        if (key == "scenario") {
+            want(r, JsonKind::kString, key, "a string");
+            spec.name = r.string();
+            validate_key(spec.name);
+            seen_name = true;
+        } else if (key == "seed") {
+            want(r, JsonKind::kNumber, key, "an integer");
+            spec.seed = parse_spec_u64(key, r.raw_value());
+        } else if (key == "minutes") {
+            want(r, JsonKind::kNumber, key, "an integer");
+            spec.minutes = parse_spec_u64(key, r.raw_value());
+        } else if (key == "overrides") {
+            want(r, JsonKind::kObject, key, "an object");
+            r.begin_object();
+            std::string_view k_view;
+            while (r.next_member(k_view)) {
+                std::string k{k_view};
+                want(r, JsonKind::kString, k, "a string");
+                std::string v{r.string()};
+                if (spec.find(k) != nullptr) {
+                    throw SpecError{"spec: duplicate key '" + k + "'"};
                 }
-            } else {
-                throw SpecError{"spec json: unknown key '" + key + "'"};
+                validate_key(k);
+                validate_value(k, v);
+                spec.overrides.emplace_back(std::move(k), std::move(v));
             }
-        } while (c.accept(','));
-        c.expect('}');
+        } else {
+            reject_value(r, "spec json: unknown key '" + std::string{key} +
+                                "'");
+        }
     }
-    c.done();
     if (!seen_name) throw SpecError{"spec json: missing 'scenario' key"};
     return spec;
+}
+
+ScenarioSpec parse_spec_json(std::string_view json) {
+    obs::JsonReader r{json};
+    try {
+        ScenarioSpec spec = read_spec_json(r);
+        if (!r.at_end()) {
+            throw SpecError{"spec json: trailing content after object"};
+        }
+        return spec;
+    } catch (const obs::JsonError& e) {
+        throw SpecError{std::string{"spec json: "} + e.what()};
+    }
 }
 
 }  // namespace mcps::scenario

@@ -28,6 +28,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace mcps::scenario {
 
 /// Thrown on malformed spec text/JSON or — from the registry — on an
@@ -69,7 +71,14 @@ struct ScenarioSpec {
 [[nodiscard]] ScenarioSpec parse_spec(std::string_view text);
 
 /// Parse the JSON form (an object with "scenario", optional "seed",
-/// "minutes" and "overrides"). \throws SpecError on malformed input.
+/// "minutes" and "overrides"). Strings may use the escapes of the shared
+/// reader (obs/json.hpp); the decoded text must still be in the spec
+/// charset. \throws SpecError on malformed input.
 [[nodiscard]] ScenarioSpec parse_spec_json(std::string_view json);
+
+/// Read one JSON spec object at \p r's cursor, for documents that embed
+/// a spec (serve requests). \throws SpecError on a bad spec and
+/// obs::JsonError on malformed JSON.
+[[nodiscard]] ScenarioSpec read_spec_json(obs::JsonReader& r);
 
 }  // namespace mcps::scenario

@@ -1,190 +1,19 @@
 #include "protocol.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace mcps::serve {
+
+using obs::json_escape;
 
 namespace {
 
 [[noreturn]] void bad(std::string message) {
     throw ProtocolError{"bad-request", std::move(message)};
 }
-
-/// Strict, total JSON scanner for the fixed envelope shapes. Escape
-/// handling is limited to what the protocol itself emits (json_escape
-/// below); anything else is a structured error. Balanced sub-values
-/// ("spec", "artifacts", "stats") are captured as raw text with a depth
-/// bound so adversarial nesting cannot recurse or allocate unboundedly.
-class Scan {
-public:
-    explicit Scan(std::string_view t) : t_{t} {}
-
-    void ws() noexcept {
-        while (i_ < t_.size() &&
-               std::isspace(static_cast<unsigned char>(t_[i_])) != 0) {
-            ++i_;
-        }
-    }
-
-    char peek() {
-        ws();
-        if (i_ >= t_.size()) bad("unexpected end of input");
-        return t_[i_];
-    }
-
-    void expect(char c) {
-        if (peek() != c) {
-            bad(std::string{"expected '"} + c + "', got '" + t_[i_] + "'");
-        }
-        ++i_;
-    }
-
-    bool accept(char c) {
-        ws();
-        if (i_ < t_.size() && t_[i_] == c) {
-            ++i_;
-            return true;
-        }
-        return false;
-    }
-
-    /// Quoted string with the protocol's escape set.
-    std::string string() {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (i_ >= t_.size()) bad("unterminated string");
-            const char c = t_[i_++];
-            if (c == '"') return out;
-            if (static_cast<unsigned char>(c) < 0x20) {
-                bad("raw control byte in string");
-            }
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (i_ >= t_.size()) bad("unterminated escape");
-            const char e = t_[i_++];
-            switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'n': out.push_back('\n'); break;
-                case 't': out.push_back('\t'); break;
-                case 'r': out.push_back('\r'); break;
-                case 'u': {
-                    if (i_ + 4 > t_.size()) bad("truncated \\u escape");
-                    unsigned v = 0;
-                    for (int k = 0; k < 4; ++k) {
-                        const char h = t_[i_++];
-                        v <<= 4;
-                        if (h >= '0' && h <= '9') {
-                            v |= static_cast<unsigned>(h - '0');
-                        } else if (h >= 'a' && h <= 'f') {
-                            v |= static_cast<unsigned>(h - 'a' + 10);
-                        } else if (h >= 'A' && h <= 'F') {
-                            v |= static_cast<unsigned>(h - 'A' + 10);
-                        } else {
-                            bad("invalid \\u escape digit");
-                        }
-                    }
-                    if (v > 0x7F) {
-                        // The protocol only ever \u-escapes control
-                        // bytes; anything else arrives as raw UTF-8.
-                        bad("\\u escape above U+007F unsupported");
-                    }
-                    out.push_back(static_cast<char>(v));
-                    break;
-                }
-                default: bad(std::string{"unsupported escape '\\"} + e + "'");
-            }
-        }
-    }
-
-    std::uint64_t u64(std::string_view key) {
-        ws();
-        const std::size_t start = i_;
-        while (i_ < t_.size() &&
-               std::isdigit(static_cast<unsigned char>(t_[i_])) != 0) {
-            ++i_;
-        }
-        const std::string_view v = t_.substr(start, i_ - start);
-        std::uint64_t out = 0;
-        const auto [p, ec] =
-            std::from_chars(v.data(), v.data() + v.size(), out);
-        if (v.empty() || ec != std::errc{} || p != v.data() + v.size()) {
-            bad(std::string{key} + ": expected an unsigned integer");
-        }
-        return out;
-    }
-
-    bool boolean(std::string_view key) {
-        ws();
-        if (t_.substr(i_, 4) == "true") {
-            i_ += 4;
-            return true;
-        }
-        if (t_.substr(i_, 5) == "false") {
-            i_ += 5;
-            return false;
-        }
-        bad(std::string{key} + ": expected true or false");
-    }
-
-    /// Captures one balanced JSON value as raw text (object, array,
-    /// string, number, bool or null). Depth-limited; string-aware.
-    std::string_view raw_value() {
-        ws();
-        const std::size_t start = i_;
-        int depth = 0;
-        bool in_string = false;
-        if (i_ >= t_.size()) bad("unexpected end of input");
-        do {
-            if (i_ >= t_.size()) bad("truncated value");
-            const char c = t_[i_];
-            if (in_string) {
-                if (c == '\\') {
-                    if (i_ + 1 >= t_.size()) bad("unterminated escape");
-                    ++i_;
-                } else if (c == '"') {
-                    in_string = false;
-                }
-            } else if (c == '"') {
-                in_string = true;
-            } else if (c == '{' || c == '[') {
-                if (++depth > kMaxDepth) bad("value nested too deeply");
-            } else if (c == '}' || c == ']') {
-                if (depth == 0) bad("unbalanced value");
-                --depth;
-            } else if (depth == 0 && (c == ',' || std::isspace(
-                                          static_cast<unsigned char>(c)))) {
-                break;  // bare scalar ended
-            }
-            ++i_;
-        } while (depth > 0 || in_string ||
-                 (i_ > start && t_[start] != '{' && t_[start] != '[' &&
-                  t_[start] != '"' && i_ < t_.size() && t_[i_] != ',' &&
-                  t_[i_] != '}' && t_[i_] != ']' &&
-                  std::isspace(static_cast<unsigned char>(t_[i_])) == 0) ||
-                 i_ == start);
-        if (i_ == start) bad("empty value");
-        return t_.substr(start, i_ - start);
-    }
-
-    void done() {
-        ws();
-        if (i_ != t_.size()) bad("trailing content after object");
-    }
-
-private:
-    static constexpr int kMaxDepth = 16;
-    std::string_view t_;
-    std::size_t i_ = 0;
-};
 
 bool id_char(char c) noexcept {
     return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -257,78 +86,52 @@ bool utf8_valid(std::string_view s) noexcept {
     return true;
 }
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (u < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", u);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    return out;
-}
-
 Request parse_request(std::string_view line) {
     if (!utf8_valid(line)) bad("request line is not valid UTF-8");
-    Scan s{line};
+    obs::JsonReader s{line};
     Request r;
     bool seen_spec = false, seen_cmd = false, seen_id = false;
     bool seen_class = false, seen_no_cache = false;
     std::string cmd;
-    s.expect('{');
-    if (!s.accept('}')) {
-        do {
-            const std::string key = s.string();
-            s.expect(':');
+    std::string_view key;
+    const auto once = [&](bool& seen) {
+        if (seen) bad("duplicate field '" + std::string{key} + "'");
+        seen = true;
+    };
+    try {
+        s.begin_object();
+        while (s.next_member(key)) {
             if (key == "id") {
-                if (seen_id) bad("duplicate field 'id'");
-                seen_id = true;
+                once(seen_id);
                 r.id = s.string();
                 validate_id(r.id);
             } else if (key == "spec") {
-                if (seen_spec) bad("duplicate field 'spec'");
-                seen_spec = true;
-                const std::string_view raw = s.raw_value();
-                if (raw.empty() || raw.front() != '{') {
+                once(seen_spec);
+                if (s.peek() != obs::JsonKind::kObject) {
                     bad("spec: expected a JSON object");
                 }
                 try {
-                    r.spec = scenario::parse_spec_json(raw);
+                    r.spec = scenario::read_spec_json(s);
                 } catch (const scenario::SpecError& e) {
                     throw ProtocolError{"bad-spec", e.what()};
                 }
             } else if (key == "class") {
-                if (seen_class) bad("duplicate field 'class'");
-                seen_class = true;
+                once(seen_class);
                 r.qos = parse_qos_class(s.string());
             } else if (key == "no_cache") {
-                if (seen_no_cache) bad("duplicate field 'no_cache'");
-                seen_no_cache = true;
-                r.no_cache = s.boolean(key);
+                once(seen_no_cache);
+                r.no_cache = s.boolean();
             } else if (key == "cmd") {
-                if (seen_cmd) bad("duplicate field 'cmd'");
-                seen_cmd = true;
+                once(seen_cmd);
                 cmd = s.string();
             } else {
-                bad("unknown field '" + key + "'");
+                bad("unknown field '" + std::string{key} + "'");
             }
-        } while (s.accept(','));
-        s.expect('}');
+        }
+        s.finish();
+    } catch (const obs::JsonError& e) {
+        bad(e.what());
     }
-    s.done();
 
     if (seen_spec == seen_cmd) {
         bad("exactly one of 'spec' or 'cmd' is required");
@@ -424,52 +227,49 @@ std::string error_response(std::string_view id, std::string_view status,
 
 Response parse_response(std::string_view line) {
     if (!utf8_valid(line)) bad("response line is not valid UTF-8");
-    Scan s{line};
+    obs::JsonReader s{line};
     Response r;
-    s.expect('{');
-    if (!s.accept('}')) {
-        do {
-            const std::string key = s.string();
-            s.expect(':');
+    try {
+        s.begin_object();
+        std::string_view key;
+        while (s.next_member(key)) {
             if (key == "id") {
                 r.id = s.string();
             } else if (key == "status") {
                 r.status = s.string();
             } else if (key == "cached") {
-                r.cached = s.boolean(key);
+                r.cached = s.boolean();
             } else if (key == "pong") {
-                r.pong = s.boolean(key);
+                r.pong = s.boolean();
             } else if (key == "draining") {
-                r.draining = s.boolean(key);
+                r.draining = s.boolean();
             } else if (key == "queue_us") {
-                r.queue_us = s.u64(key);
+                r.queue_us = s.uint64();
             } else if (key == "run_us") {
-                r.run_us = s.u64(key);
+                r.run_us = s.uint64();
             } else if (key == "artifacts") {
-                r.artifacts = std::string{s.raw_value()};
+                r.artifacts = s.raw_value();
             } else if (key == "stats") {
-                r.stats = std::string{s.raw_value()};
+                r.stats = s.raw_value();
             } else if (key == "error") {
-                s.expect('{');
-                do {
-                    const std::string ek = s.string();
-                    s.expect(':');
-                    if (ek == "code") {
+                s.begin_object();
+                while (s.next_member(key)) {
+                    if (key == "code") {
                         r.error_code = s.string();
-                    } else if (ek == "message") {
+                    } else if (key == "message") {
                         r.error_message = s.string();
                     } else {
-                        bad("unknown error field '" + ek + "'");
+                        bad("unknown error field '" + std::string{key} + "'");
                     }
-                } while (s.accept(','));
-                s.expect('}');
+                }
             } else {
-                bad("unknown field '" + key + "'");
+                bad("unknown field '" + std::string{key} + "'");
             }
-        } while (s.accept(','));
-        s.expect('}');
+        }
+        s.finish();
+    } catch (const obs::JsonError& e) {
+        bad(e.what());
     }
-    s.done();
     if (r.status.empty()) bad("response missing 'status'");
     return r;
 }

@@ -3,12 +3,14 @@
 ///
 /// Framing: one JSON object per LF-terminated line ("JSONL"), with a
 /// hard per-line byte bound enforced by the socket layer *before* any
-/// parsing (socket_io.hpp). Lines must be valid UTF-8. The parser here
-/// is deliberately strict and total: every malformed input — truncated
-/// objects, unknown fields, wrong types, bad escapes, oversized ids —
-/// maps to a ProtocolError carrying a machine-readable code, never to a
-/// crash or an unbounded allocation (the fuzz-style mutation tests in
-/// tests/serve assert exactly this).
+/// parsing (socket_io.hpp). Lines must be valid UTF-8. Lines are read
+/// with the shared strict, total JSON reader (obs/json.hpp: depth bound
+/// 16, no raw control bytes, \u only up to U+007F, whole-token numbers),
+/// and the embedded spec is read in place by scenario::read_spec_json:
+/// every malformed input — truncated objects, unknown fields, wrong
+/// types, bad escapes, oversized ids — maps to a ProtocolError carrying
+/// a machine-readable code, never to a crash or an unbounded allocation
+/// (the fuzz-style mutation tests in tests/serve assert exactly this).
 ///
 /// Request lines (exactly one of "spec" / "cmd"):
 ///   {"id":"r1","spec":{"scenario":"pca","seed":42,"minutes":1,
@@ -90,9 +92,6 @@ inline constexpr std::size_t kMaxIdBytes = 64;
 /// True iff \p s is well-formed UTF-8 (rejects overlong encodings,
 /// surrogates and out-of-range code points).
 [[nodiscard]] bool utf8_valid(std::string_view s) noexcept;
-
-/// JSON string-escape \p s (quotes, backslashes, control bytes).
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Compact single-line rendering of run artifacts:
 /// {"spec":{...},"fingerprint":"0x...","outcome":{...}}. This is the

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "scenario/registry.hpp"
 
 namespace mcps::serve {
@@ -233,7 +234,7 @@ std::string Server::stats_line() const {
         std::ostringstream& os;
         bool& first;
         void emit(const std::string& name, const std::string& value) {
-            os << (first ? "" : ",") << "\"" << json_escape(name)
+            os << (first ? "" : ",") << "\"" << obs::json_escape(name)
                << "\":" << value;
             first = false;
         }

@@ -19,17 +19,9 @@
 #include <cstdint>
 #include <string_view>
 
-namespace mcps::sim {
+#include "hash.hpp"
 
-/// Stable 64-bit FNV-1a hash used to derive per-name substream seeds.
-[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) noexcept {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+namespace mcps::sim {
 
 /// splitmix64 step; used for seed expansion (reference: Steele et al.).
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/hash.hpp"
+
 namespace mcps::ta {
 
 std::string Bound::to_string() const {
@@ -157,11 +159,11 @@ bool Dbm::operator==(const Dbm& o) const {
 
 std::size_t Dbm::hash() const {
     // FNV-1a over raw bound values of the canonical matrix.
-    std::size_t h = 14695981039346656037ULL;
+    std::size_t h = sim::kFnvOffset;
     if (empty_) return h;
     for (const Bound& b : m_) {
         h ^= static_cast<std::size_t>(static_cast<std::uint32_t>(b.raw()));
-        h *= 1099511628211ULL;
+        h *= sim::kFnvPrime;
     }
     return h;
 }

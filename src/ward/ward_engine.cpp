@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/hash.hpp"
 #include "sim/table.hpp"
 #include "thread_pool.hpp"
 
@@ -14,14 +15,8 @@ namespace mcps::ward {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
-constexpr std::uint64_t mix64(std::uint64_t h, std::uint64_t v) noexcept {
-    h ^= v;
-    h *= 1099511628211ULL;
-    h ^= h >> 29;
-    return h;
-}
+using sim::kFnvOffset;
+using sim::mix;
 
 /// Per-shard reduction state. Filled by exactly one worker at a time;
 /// merged in shard order on the coordinating thread.
@@ -64,7 +59,7 @@ struct ShardAccumulator {
         violations += o.violations;
         events_dispatched += o.events_dispatched;
         fingerprints.push_back(
-            mix64(o.fingerprint, static_cast<std::uint64_t>(o.kind) + 1));
+            mix(o.fingerprint, static_cast<std::uint64_t>(o.kind) + 1));
     }
 };
 
@@ -154,8 +149,8 @@ WardReport WardEngine::run(const testkit::InvariantChecker& checker,
 
     // Canonical reduction: shard order == global scenario order, so the
     // Welford merge tree and the fingerprint chain are job-independent.
-    std::uint64_t fp = mix64(kFnvOffset, cfg_.seed);
-    fp = mix64(fp, n);
+    std::uint64_t fp = mix(kFnvOffset, cfg_.seed);
+    fp = mix(fp, n);
     for (const auto& acc : accs) {
         rep.drug_mg.merge(acc.drug_mg);
         rep.min_spo2.merge(acc.min_spo2);
@@ -174,7 +169,7 @@ WardReport WardEngine::run(const testkit::InvariantChecker& checker,
         rep.smart_critical += acc.smart_critical;
         rep.violations += acc.violations;
         rep.events_dispatched += acc.events_dispatched;
-        for (const std::uint64_t f : acc.fingerprints) fp = mix64(fp, f);
+        for (const std::uint64_t f : acc.fingerprints) fp = mix(fp, f);
     }
     rep.fingerprint = fp;
 

@@ -194,6 +194,36 @@ TEST(SpecErrors, MalformedJson) {
               "");
 }
 
+TEST(SpecErrors, JsonEscapesDecodeBeforeValidation) {
+    // The shared reader's escapes are accepted in spec strings...
+    const ScenarioSpec s = scenario::parse_spec_json(
+        R"({"scenario": "p\u0063a", "overrides": {"demand": "pro\/xy"}})");
+    EXPECT_EQ(s.name, "pca");
+    ASSERT_EQ(s.overrides.size(), 1u);
+    EXPECT_EQ(s.overrides[0].second, "pro/xy");
+    // ...but the decoded text must still be in the spec charset.
+    EXPECT_EQ(spec_error_of([] {
+                  (void)scenario::parse_spec_json(
+                      R"({"scenario": "pca", "overrides": {"d": "a\u0020b"}})");
+              }),
+              "spec: d: invalid value 'a b'");
+    EXPECT_NE(spec_error_of([] {
+                  (void)scenario::parse_spec_json(R"({"scenario": "\u00e9"})");
+              }),
+              "");
+    // A value of the wrong kind is a spec error naming the key.
+    EXPECT_EQ(spec_error_of([] {
+                  (void)scenario::parse_spec_json(
+                      R"({"scenario": "pca", "seed": "7"})");
+              }),
+              "spec json: seed: expected an integer");
+    EXPECT_EQ(spec_error_of([] {
+                  (void)scenario::parse_spec_json(
+                      R"({"scenario": "pca", "minutes": 1.5})");
+              }),
+              "spec: minutes: expected an integer, got '1.5'");
+}
+
 TEST(SpecErrors, SetValidatesKeyAndValue) {
     ScenarioSpec s;
     s.name = "pca";

@@ -116,8 +116,16 @@ TEST(Protocol, BadSpecIsItsOwnErrorCode) {
               "bad-spec");
     EXPECT_EQ(parse_error_code(R"({"id":"x","spec":{"scenario":""}})"),
               "bad-spec");
+    // Well-formed JSON of the wrong kind inside the spec is the spec's.
+    EXPECT_EQ(parse_error_code(R"({"id":"x","spec":{"scenario":5}})"),
+              "bad-spec");
+    EXPECT_EQ(parse_error_code(
+                  R"({"id":"x","spec":{"scenario":"pca","seed":1.5}})"),
+              "bad-spec");
     // Structurally broken spec never reaches the spec parser.
     EXPECT_EQ(parse_error_code(R"({"id":"x","spec":[1]})"), "bad-request");
+    EXPECT_EQ(parse_error_code(R"({"id":"x","spec":{"scenario" "pca"}})"),
+              "bad-request");
 }
 
 TEST(Protocol, RejectsNonUtf8AndDeepNesting) {

@@ -219,15 +219,27 @@ TEST(Jsonl, EscapedStringsSurvive) {
 }
 
 TEST(Jsonl, RejectsMalformedLinesWithLineNumber) {
-    std::istringstream is{
+    const char* bad_lines[] = {
+        "not json",
+        // t_us must be an integer within int64, not a double cast to one.
+        "{\"t_us\":1e300,\"kind\":\"bus_publish\",\"src\":\"a\","
+        "\"detail\":\"t\",\"value\":1}",
+        // value must be a number or null, not silently NaN.
         "{\"t_us\":0,\"kind\":\"bus_publish\",\"src\":\"a\","
-        "\"detail\":\"t\",\"value\":1}\nnot json\n"};
-    try {
-        (void)read_jsonl(is);
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string{e.what()}.find("line 2"), std::string::npos)
-            << e.what();
+        "\"detail\":\"t\",\"value\":\"oops\"}",
+    };
+    for (const char* bad : bad_lines) {
+        std::istringstream is{
+            "{\"t_us\":0,\"kind\":\"bus_publish\",\"src\":\"a\","
+            "\"detail\":\"t\",\"value\":1}\n" +
+            std::string{bad} + "\n"};
+        try {
+            (void)read_jsonl(is);
+            FAIL() << "expected std::runtime_error for " << bad;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("line 2"), std::string::npos)
+                << e.what();
+        }
     }
 }
 
