@@ -53,6 +53,10 @@ public:
         }
     }
 
+    /// Reports to \p path; reporting is a no-op when it is empty.
+    JsonReporter(std::string bench_name, std::string path)
+        : bench_name_{std::move(bench_name)}, path_{std::move(path)} {}
+
     [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
 
     void set_seed(std::uint64_t seed) noexcept { seed_ = seed; }

@@ -1,13 +1,13 @@
 # Executes every experiment binary in --quick mode with --json and
-# validates each report against the benchio schema via `mcps_trace
+# validates each report against the benchio schema via `mcps trace
 # check-bench`. Driven by the `bench_json_smoke` ctest; fails on the
 # first bench that crashes or emits a malformed report.
 #
 # Expected -D variables: BENCH_DIR (directory holding the bench
-# binaries), MCPS_TRACE (path to the mcps_trace binary), OUT_DIR
+# binaries), MCPS (path to the mcps binary), OUT_DIR
 # (scratch directory for the JSON reports).
 
-foreach(var BENCH_DIR MCPS_TRACE OUT_DIR)
+foreach(var BENCH_DIR MCPS OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_json_smoke: missing -D${var}")
   endif()
@@ -42,7 +42,7 @@ foreach(bench IN LISTS benches)
       "${bench} exited with ${run_rc}\nstdout:\n${run_out}\nstderr:\n${run_err}")
   endif()
   execute_process(
-    COMMAND "${MCPS_TRACE}" check-bench "${report}"
+    COMMAND "${MCPS}" trace check-bench "${report}"
     RESULT_VARIABLE check_rc
     OUTPUT_VARIABLE check_out
     ERROR_VARIABLE check_err)

@@ -7,8 +7,8 @@
 ///   cmake -B build -G Ninja && cmake --build build
 ///   ./build/examples/quickstart
 ///
-/// The same spec line reproduces the same run from the mcps_run CLI:
-///   ./build/tools/mcps_run run --spec 'pca seed=7 minutes=120 ...'
+/// The same spec line reproduces the same run from the `mcps run` CLI:
+///   ./build/tools/mcps run run --spec 'pca seed=7 minutes=120 ...'
 
 #include <cstdio>
 

@@ -1,7 +1,7 @@
 /// \file analysis.hpp
 /// \brief Umbrella header for the mcps_analysis model-level safety
 /// linter (rules TA1–TA5, ICE1, AS1, SIM1, CONC1, CFG1; see finding.hpp
-/// for the catalog and tools/mcps_analyze for the CLI).
+/// for the catalog and tools/drivers/analyze_driver.cpp for the CLI).
 
 #pragma once
 

@@ -2,7 +2,7 @@
 /// \brief The analysis driver: runs rules over targets, applies
 /// suppressions, accumulates one AnalysisReport.
 ///
-/// Usage (mirrors tools/mcps_analyze):
+/// Usage (mirrors `mcps analyze`):
 ///
 ///   Analyzer a{suppressions};
 ///   a.check_automaton("pump_lockout", model, {.expected_unreachable =

@@ -36,9 +36,9 @@
 /// Known lexical limits (documented in DESIGN.md): mutex identity is
 /// the trailing identifier of the lock argument (two same-named
 /// members of different classes alias), locks held across a call into
-/// another function are invisible (declare the edge manually, as
-/// ResultCache::mu_ -> SharedMetrics::mu_ does), and defer_lock /
-/// adopt_lock tags are treated as plain acquisitions.
+/// another function are invisible (declare the edge manually with
+/// MCPS_LOCK_ORDER(outer, inner)), and defer_lock / adopt_lock tags are
+/// treated as plain acquisitions.
 ///
 /// Waivers follow the SIM1 convention:
 ///   // mcps-analyze: allow(CONC1): reason       (same or previous line)

@@ -4,7 +4,7 @@
 ///
 /// MetricsRegistry is deliberately single-threaded (the sim kernel and
 /// the ward engine's per-shard registries never share one across
-/// threads). Long-running services — the mcps_serve daemon's request
+/// threads). Long-running services — the `mcps serve` daemon's request
 /// readers, admission queue and worker pool — need many threads
 /// incrementing the same counters, so this facade serializes every
 /// mutation behind one mutex and hands out *copies* (snapshot()) rather

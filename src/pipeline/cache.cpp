@@ -1,127 +1,128 @@
 #include "cache.hpp"
 
-#include <algorithm>
+#include <cstdio>
 #include <fstream>
-#include <mutex>
-#include <utility>
-#include <vector>
+
+#include "sim/hash.hpp"
 
 namespace mcps::pipeline {
 
 namespace {
-constexpr std::string_view kSnapshotHeader = "mcps-artifact-cache v1";
+
+constexpr std::string_view kSnapshotHeader = "mcps-artifact-cache v2";
+constexpr std::size_t kDigestHexDigits = 16;
+
+std::string digest_field(std::string_view body) {
+    char buf[kDigestHexDigits + 1];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(sim::fnv1a64(body)));
+    return buf;
+}
+
+/// One snapshot line back into (key, artifact); false when the line is
+/// malformed or its digest does not cover its bytes.
+bool parse_line(std::string_view line, std::string& key, Artifact& art) {
+    if (line.size() <= kDigestHexDigits ||
+        line[kDigestHexDigits] != '\t') {
+        return false;
+    }
+    const std::string_view body = line.substr(kDigestHexDigits + 1);
+    if (line.substr(0, kDigestHexDigits) != digest_field(body)) return false;
+    const std::size_t t1 = body.find('\t');
+    const std::size_t t2 = body.find('\t', t1 + 1);
+    if (t1 == std::string_view::npos || t2 == std::string_view::npos ||
+        body.find('\t', t2 + 1) != std::string_view::npos) {
+        return false;
+    }
+    return snapshot_unescape(body.substr(0, t1), key) &&
+           snapshot_unescape(body.substr(t1 + 1, t2 - t1 - 1), art.kind) &&
+           snapshot_unescape(body.substr(t2 + 1), art.payload);
+}
+
 }  // namespace
 
-ArtifactCache::ArtifactCache(std::size_t max_entries,
-                             obs::SharedMetrics* metrics)
-    : max_entries_{max_entries}, metrics_{metrics} {}
-
 std::optional<Artifact> ArtifactCache::lookup(const std::string& key) {
-    std::lock_guard lk{mu_};
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    const std::lock_guard lock{mu_};
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
         ++misses_;
-        mirror_locked();
         return std::nullopt;
     }
     ++hits_;
-    mirror_locked();
-    return it->second;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
 }
 
 void ArtifactCache::insert(const std::string& key, Artifact artifact) {
-    std::lock_guard lk{mu_};
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        it->second = std::move(artifact);
-    } else {
-        if (max_entries_ != 0 && entries_.size() >= max_entries_) return;
-        entries_.emplace(key, std::move(artifact));
-    }
+    if (max_entries_ == 0) return;
+    const std::lock_guard lock{mu_};
     ++inserts_;
-    mirror_locked();
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+        it->second->second = std::move(artifact);
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return;
+    }
+    lru_.emplace_front(key, std::move(artifact));
+    index_.emplace(key, lru_.begin());
+    while (lru_.size() > max_entries_) {
+        index_.erase(lru_.back().first);
+        lru_.pop_back();
+        ++evictions_;
+    }
 }
 
 std::size_t ArtifactCache::size() const {
-    std::lock_guard lk{mu_};
-    return entries_.size();
-}
-
-std::uint64_t ArtifactCache::hits() const {
-    std::lock_guard lk{mu_};
-    return hits_;
-}
-
-std::uint64_t ArtifactCache::misses() const {
-    std::lock_guard lk{mu_};
-    return misses_;
-}
-
-std::uint64_t ArtifactCache::inserts() const {
-    std::lock_guard lk{mu_};
-    return inserts_;
+    const std::lock_guard lock{mu_};
+    return lru_.size();
 }
 
 void ArtifactCache::clear() {
-    std::lock_guard lk{mu_};
-    entries_.clear();
-    mirror_locked();
-}
-
-void ArtifactCache::mirror_locked() {
-    if (metrics_ == nullptr) return;
-    metrics_->set_gauge("pipeline/cache/entries",
-                        static_cast<double>(entries_.size()));
-    metrics_->set_gauge("pipeline/cache/hits", static_cast<double>(hits_));
-    metrics_->set_gauge("pipeline/cache/misses",
-                        static_cast<double>(misses_));
+    const std::lock_guard lock{mu_};
+    lru_.clear();
+    index_.clear();
 }
 
 bool ArtifactCache::save(const std::string& path) const {
-    std::vector<std::pair<std::string, const Artifact*>> sorted;
+    std::string text{kSnapshotHeader};
+    text += '\n';
     {
-        std::lock_guard lk{mu_};
-        sorted.reserve(entries_.size());
-        for (const auto& [key, art] : entries_) {
-            sorted.emplace_back(key, &art);
+        const std::lock_guard lock{mu_};
+        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+            const std::string body = snapshot_escape(it->first) + '\t' +
+                                     snapshot_escape(it->second.kind) +
+                                     '\t' +
+                                     snapshot_escape(it->second.payload);
+            text += digest_field(body);
+            text += '\t';
+            text += body;
+            text += '\n';
         }
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        // Serialize under the lock: the Artifact pointers stay valid and
-        // the snapshot is a consistent point-in-time view.
-        std::ofstream out{path, std::ios::binary | std::ios::trunc};
-        if (!out) return false;
-        out << kSnapshotHeader << "\n";
-        for (const auto& [key, art] : sorted) {
-            out << key << "\t" << snapshot_escape(art->kind) << "\t"
-                << snapshot_escape(art->payload) << "\n";
-        }
-        return static_cast<bool>(out);
     }
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    if (!out) return false;
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.close();  // flushes: a full disk shows up here, not before
+    return !out.fail();
 }
 
 std::size_t ArtifactCache::load(const std::string& path) {
     std::ifstream in{path, std::ios::binary};
     if (!in) return 0;
-    std::string line;
-    if (!std::getline(in, line) || line != kSnapshotHeader) return 0;
+    // A fixed-size header read: a device like /dev/full or /dev/zero has
+    // no newline for getline to stop at.
+    std::string line(kSnapshotHeader.size() + 1, '\0');
+    if (!in.read(line.data(), static_cast<std::streamsize>(line.size())) ||
+        line.substr(0, kSnapshotHeader.size()) != kSnapshotHeader ||
+        line.back() != '\n') {
+        return 0;
+    }
     std::size_t inserted = 0;
+    std::string key;
+    Artifact art;
     while (std::getline(in, line)) {
-        const std::size_t t1 = line.find('\t');
-        if (t1 == std::string::npos) continue;
-        const std::size_t t2 = line.find('\t', t1 + 1);
-        if (t2 == std::string::npos) continue;
-        Artifact art;
-        if (!snapshot_unescape(
-                std::string_view{line}.substr(t1 + 1, t2 - t1 - 1),
-                art.kind)) {
-            continue;
-        }
-        if (!snapshot_unescape(std::string_view{line}.substr(t2 + 1),
-                               art.payload)) {
-            continue;
-        }
-        insert(line.substr(0, t1), std::move(art));
+        if (!parse_line(line, key, art)) continue;
+        insert(key, std::move(art));
         ++inserted;
     }
     return inserted;

@@ -1,91 +1,98 @@
 /// \file cache.hpp
-/// \brief ArtifactCache: content-keyed store of pass outputs.
+/// \brief ArtifactCache: the one key -> artifact store of the repo.
 ///
-/// The cache maps artifact keys (artifact.hpp: a content hash of the
-/// producing pass + its input digests) to finished Artifacts. A pass
-/// whose every output key hits is *replayed* from the cache without
-/// executing; a key changes exactly when an upstream input changed, so
-/// invalidation is structural — there is nothing to expire by hand.
+/// The pipeline keys it by artifact keys (artifact.hpp: a content hash
+/// of the producing pass + its input digests), so invalidation is
+/// structural: a key changes exactly when an upstream input changed.
+/// The serve layer keys it by normalized spec text and stores each
+/// response's artifacts JSON line.
 ///
-/// Follows the serve ResultCache conventions: mutex-guarded and safe to
-/// share across pipeline worker threads; hit/miss/insert counters
-/// mirrored into an optional obs::SharedMetrics under
-/// "pipeline/cache/*"; and a versioned, line-oriented disk snapshot
-/// (`key<TAB>kind<TAB>escaped-payload` per line) whose load() skips
-/// malformed lines so a stale or truncated snapshot degrades to a
-/// smaller cache, never a crash. Unlike the serve cache there is no LRU
-/// bound by default (pipeline artifact sets are small and enumerable);
-/// \p max_entries caps it when a bound is wanted.
+/// An LRU bounded by \p max_entries (unbounded by default, 0 holds
+/// nothing): lookup() refreshes recency and an insert past the bound
+/// evicts the least-recently-used entry. Mutex-guarded and safe to
+/// share across worker threads.
+///
+/// Snapshots: save() writes a versioned, line-oriented file, least
+/// recent first, one `digest<TAB>key<TAB>kind<TAB>payload` line per
+/// entry with the three fields snapshot_escape()d and the digest a
+/// 16-hex-digit fnv1a64 over the escaped `key<TAB>kind<TAB>payload`.
+/// load() re-inserts in file order, which restores recency, and skips
+/// any line that is malformed or fails its digest, so a stale, truncated
+/// or corrupted snapshot degrades to a smaller cache, never to wrong
+/// bytes or a crash. save -> load -> save is byte-identical.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
+#include <list>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "artifact.hpp"
-#include "obs/shared_metrics.hpp"
 #include "sim/guarded.hpp"
 
 namespace mcps::pipeline {
 
-/// mirror_locked() calls into SharedMetrics while holding the cache
-/// mutex — same audited nesting as serve::ResultCache; declared so the
-/// CONC1 lock-order DAG covers the pipeline layer too.
-MCPS_LOCK_ORDER(ArtifactCache::mu_, obs::SharedMetrics::mu_);
-
 class ArtifactCache {
 public:
-    /// \p max_entries of 0 means unbounded. \p metrics may be null;
-    /// when set it must outlive the cache.
-    explicit ArtifactCache(std::size_t max_entries = 0,
-                           obs::SharedMetrics* metrics = nullptr);
+    explicit ArtifactCache(
+        std::size_t max_entries = std::numeric_limits<std::size_t>::max())
+        : max_entries_{max_entries} {}
 
-    /// Returns the cached artifact, or nullopt on a miss.
+    /// Returns the cached artifact and refreshes its recency, or
+    /// nullopt on a miss.
     [[nodiscard]] std::optional<Artifact> lookup(const std::string& key);
 
-    /// Insert (or overwrite) an entry. When a max_entries bound is set
-    /// and reached, further *new* keys are dropped (pipeline keys are
-    /// content hashes: overwriting an existing key stores the same
-    /// bytes, so there is no recency to track).
+    /// Insert (or overwrite and refresh) an entry, evicting the
+    /// least-recently-used entry beyond the bound.
     void insert(const std::string& key, Artifact artifact);
 
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::size_t max_entries() const noexcept {
         return max_entries_;
     }
-    [[nodiscard]] std::uint64_t hits() const;
-    [[nodiscard]] std::uint64_t misses() const;
-    [[nodiscard]] std::uint64_t inserts() const;
+    [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+    [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+    [[nodiscard]] std::uint64_t inserts() const noexcept { return inserts_; }
+    [[nodiscard]] std::uint64_t evictions() const noexcept {
+        return evictions_;
+    }
 
     void clear();
 
-    /// Write a snapshot to \p path (keys in sorted order, so snapshots
-    /// of equal caches are byte-identical). Returns false on I/O error.
+    /// Write a snapshot to \p path, least recent first. Returns false
+    /// when the file cannot be opened or any byte fails to reach it.
     [[nodiscard]] bool save(const std::string& path) const;
 
-    /// Load a snapshot written by save(), inserting entries (subject to
-    /// the capacity bound; counters are not restored). Malformed lines
-    /// are skipped. Returns the number of entries inserted; 0 when the
-    /// file is missing or unreadable.
+    /// Load a snapshot written by save(), inserting entries in file
+    /// order (subject to the bound; counters are not restored). Skips
+    /// malformed lines and lines whose digest does not match. Returns
+    /// the number of entries inserted; 0 when the file is missing,
+    /// unreadable or has another header.
     std::size_t load(const std::string& path);
 
 private:
-    void mirror_locked() MCPS_REQUIRES(mu_);
+    using Entry = std::pair<std::string, Artifact>;
 
     const std::size_t max_entries_;
-    obs::SharedMetrics* metrics_;
 
     mutable std::mutex mu_;
-    std::unordered_map<std::string, Artifact> entries_ MCPS_GUARDED_BY(mu_);
-    std::uint64_t hits_ MCPS_GUARDED_BY(mu_) = 0;
-    std::uint64_t misses_ MCPS_GUARDED_BY(mu_) = 0;
-    std::uint64_t inserts_ MCPS_GUARDED_BY(mu_) = 0;
+    std::list<Entry> lru_ MCPS_GUARDED_BY(mu_);  ///< front = most recent
+    std::unordered_map<std::string, std::list<Entry>::iterator> index_
+        MCPS_GUARDED_BY(mu_);
+    // Bumped under mu_, read without it.
+    std::atomic<std::uint64_t> hits_{0}, misses_{0}, inserts_{0},
+        evictions_{0};
 };
 
-/// Escape a payload for the one-line snapshot format: backslash,
-/// tab and newline become \\, \t, \n.
+/// Escape a field for the one-line snapshot format: backslash, tab and
+/// newline become \\, \t, \n.
 [[nodiscard]] std::string snapshot_escape(std::string_view s);
 /// Inverse of snapshot_escape. Returns false on a dangling backslash
 /// or unknown escape (the malformed-line signal).

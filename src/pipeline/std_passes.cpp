@@ -134,7 +134,7 @@ void add_analysis_passes(PipelineGraph& g, const AnalysisPassOptions& opts) {
     }
     const std::string sup = "suppress=" + opts.suppress;
 
-    // Stage registration order mirrors tools/mcps_analyze so the merged
+    // Stage registration order mirrors `mcps analyze` so the merged
     // report's finding order — hence its JSON/SARIF bytes — matches the
     // classic CLI exactly.
     std::vector<std::string> stages;

@@ -2,7 +2,7 @@
 /// \brief Canonical scenario configurations and outcome extraction.
 ///
 /// These presets are THE library defaults: the golden traces
-/// (tests/golden), the mcps_trace CLI, the registry's built-in
+/// (tests/golden), the `mcps trace` CLI, the registry's built-in
 /// scenarios, the benches and the examples all start from the same
 /// functions, so a default can no longer drift between consumers (the
 /// drift-regression test in tests/scenario asserts the golden presets

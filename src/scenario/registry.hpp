@@ -9,7 +9,7 @@
 /// concrete configuration and runs it to RunArtifacts. Benches, CLIs,
 /// the ward engine, the testkit and the examples all start here instead
 /// of re-declaring PcaScenarioConfig/XrayScenarioConfig defaults by
-/// hand; the ICE1 lint (mcps_analyze) flags scenario assemblies that
+/// hand; the ICE1 lint (`mcps analyze`) flags scenario assemblies that
 /// bypass the layer.
 ///
 /// Consumers that sweep a parameter not expressible as a flat knob
@@ -37,7 +37,7 @@ enum class ScenarioFamily { kPca, kXray, kHospital };
 [[nodiscard]] std::string_view to_string(ScenarioFamily f) noexcept;
 
 /// One documented override knob. The kind + domain fields exist so
-/// `mcps_run describe` can print the legal values and the round-trip
+/// `mcps run describe` can print the legal values and the round-trip
 /// property test can sample valid random overrides.
 struct KnobInfo {
     enum class Kind : std::uint8_t {
@@ -54,7 +54,7 @@ struct KnobInfo {
     std::uint64_t max_count = 1;       ///< kCount domain
 
     /// Claimed-safe envelope, consumed by the TA5 deadline-feasibility
-    /// lint (mcps_analyze): the sub-domain over which the scenario's
+    /// lint (`mcps analyze`): the sub-domain over which the scenario's
     /// safety claim is made. The full domain stays settable — runs
     /// outside the envelope are hazard experiments, not claimed safe.
     /// Defaults claim the whole domain; knobs that stretch the
@@ -65,7 +65,7 @@ struct KnobInfo {
     std::vector<std::string> safe_choices;
 };
 
-/// Per-scenario metadata (everything `mcps_run list/describe` shows).
+/// Per-scenario metadata (everything `mcps run list/describe` shows).
 struct ScenarioInfo {
     std::string name;
     std::string description;

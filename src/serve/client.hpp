@@ -1,5 +1,5 @@
 /// \file client.hpp
-/// \brief Synchronous mcps_serve client: one connection, one request in
+/// \brief Synchronous `mcps serve` client: one connection, one request in
 /// flight. Covers the CLI, the load generator and the e2e tests; the
 /// 1:1 request/response line discipline of the protocol means a
 /// synchronous caller can always pair the next response line with the

@@ -1,5 +1,5 @@
 /// \file protocol.hpp
-/// \brief The mcps_serve wire protocol: JSONL requests and responses.
+/// \brief The `mcps serve` wire protocol: JSONL requests and responses.
 ///
 /// Framing: one JSON object per LF-terminated line ("JSONL"), with a
 /// hard per-line byte bound enforced by the socket layer *before* any

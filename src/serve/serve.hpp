@@ -4,7 +4,6 @@
 #pragma once
 
 #include "admission.hpp"  // IWYU pragma: export
-#include "cache.hpp"      // IWYU pragma: export
 #include "client.hpp"     // IWYU pragma: export
 #include "protocol.hpp"   // IWYU pragma: export
 #include "server.hpp"     // IWYU pragma: export

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "scenario/registry.hpp"
 
 namespace mcps::serve {
@@ -21,6 +20,9 @@ namespace {
 // scenario runs themselves stay on sim::SimTime.
 // mcps-analyze: allow(SIM1): real-service queue/run wall-latency
 using WallClock = std::chrono::steady_clock;
+
+/// The kind tag of every cached serve result (an artifacts_json_line).
+constexpr const char* kArtifactsKind = "artifacts-json";
 
 std::uint64_t micros_since(WallClock::time_point t0,
                            WallClock::time_point t1) {
@@ -34,7 +36,7 @@ std::uint64_t micros_since(WallClock::time_point t0,
 
 Server::Server(ServerConfig cfg)
     : cfg_{std::move(cfg)},
-      cache_{cfg_.cache_entries, &metrics_},
+      cache_{cfg_.cache_entries},
       queue_{cfg_.queue_capacity},
       listener_{cfg_.endpoint} {
     if (!cfg_.cache_load_path.empty()) {
@@ -141,11 +143,10 @@ void Server::handle_run(const std::shared_ptr<Conn>& conn, Request req) {
                                   "server is draining"));
         return;
     }
-    const std::string key = cache_key(req.spec);
     if (!req.no_cache) {
-        if (auto hit = cache_.lookup(key)) {
+        if (auto hit = cache_.lookup(req.spec.to_text())) {
             metrics_.add("serve/completed");
-            send(conn, ok_run_response(req.id, true, 0, 0, *hit));
+            send(conn, ok_run_response(req.id, true, 0, 0, hit->payload));
             return;
         }
     }
@@ -207,7 +208,9 @@ void Server::worker_tick() {
         return;
     }
     const std::uint64_t run_us = micros_since(t0, Clock::now());
-    if (!job.no_cache) cache_.insert(cache_key(job.spec), artifacts);
+    if (!job.no_cache) {
+        cache_.insert(job.spec.to_text(), {kArtifactsKind, artifacts});
+    }
     metrics_.add("serve/completed");
     metrics_.observe("serve/queue_ms", 0.0, 1000.0, 100,
                      static_cast<double>(queue_us) / 1000.0);
@@ -227,44 +230,37 @@ std::string Server::stats_line() const {
     const obs::MetricsRegistry snap = metrics_.snapshot();
     std::ostringstream os;
     os << "{\"counters\":{";
-    // MetricsRegistry iterates in sorted name order, so this line is
-    // deterministic for a given state.
-    bool first = true;
-    struct Sink {
-        std::ostringstream& os;
-        bool& first;
-        void emit(const std::string& name, const std::string& value) {
-            os << (first ? "" : ",") << "\"" << obs::json_escape(name)
-               << "\":" << value;
-            first = false;
-        }
+    const auto counter = [&snap](const char* name) -> std::uint64_t {
+        const obs::Counter* c = snap.find_counter(name);
+        return c != nullptr ? c->value() : 0;
     };
     // No public iteration API on the registry; rebuild via write_json
     // would be multiline, so probe the serve-relevant names directly.
-    static const char* const kCounters[] = {
-        "serve/connections",          "serve/requests",
-        "serve/completed",            "serve/shed",
-        "serve/rejected/overloaded",  "serve/rejected/draining",
-        "serve/errors/bad-request",   "serve/errors/bad-spec",
-        "serve/errors/oversized",     "serve/errors/internal",
-        "serve/cache/hits",           "serve/cache/misses",
-        "serve/cache/evictions",      "serve/cache/snapshot_loaded",
+    // The cache counters come from the cache itself.
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"serve/connections", counter("serve/connections")},
+        {"serve/requests", counter("serve/requests")},
+        {"serve/completed", counter("serve/completed")},
+        {"serve/shed", counter("serve/shed")},
+        {"serve/rejected/overloaded", counter("serve/rejected/overloaded")},
+        {"serve/rejected/draining", counter("serve/rejected/draining")},
+        {"serve/errors/bad-request", counter("serve/errors/bad-request")},
+        {"serve/errors/bad-spec", counter("serve/errors/bad-spec")},
+        {"serve/errors/oversized", counter("serve/errors/oversized")},
+        {"serve/errors/internal", counter("serve/errors/internal")},
+        {"serve/cache/hits", cache_.hits()},
+        {"serve/cache/misses", cache_.misses()},
+        {"serve/cache/evictions", cache_.evictions()},
+        {"serve/cache/snapshot_loaded",
+         counter("serve/cache/snapshot_loaded")},
     };
-    Sink sink{os, first};
-    for (const char* name : kCounters) {
-        const obs::Counter* c = snap.find_counter(name);
-        sink.emit(name, std::to_string(c != nullptr ? c->value() : 0));
+    const char* sep = "";
+    for (const auto& [name, value] : counters) {
+        os << sep << "\"" << name << "\":" << value;
+        sep = ",";
     }
-    os << "},\"gauges\":{";
-    first = true;
-    static const char* const kGauges[] = {"serve/cache/entries"};
-    for (const char* name : kGauges) {
-        const obs::Gauge* g = snap.find_gauge(name);
-        std::ostringstream v;
-        v << (g != nullptr ? g->value() : 0.0);
-        sink.emit(name, v.str());
-    }
-    os << "}}";
+    os << "},\"gauges\":{\"serve/cache/entries\":"
+       << static_cast<double>(cache_.size()) << "}}";
     return os.str();
 }
 

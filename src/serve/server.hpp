@@ -1,5 +1,5 @@
 /// \file server.hpp
-/// \brief The mcps_serve scenario-execution service.
+/// \brief The `mcps serve` scenario-execution service.
 ///
 /// A Server owns one Listener, one accept thread, one reader thread per
 /// connection, and a ward::ThreadPool of scenario workers fed through
@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "admission.hpp"
-#include "cache.hpp"
 #include "obs/shared_metrics.hpp"
+#include "pipeline/cache.hpp"
 #include "protocol.hpp"
 #include "sim/guarded.hpp"
 #include "socket_io.hpp"
@@ -82,7 +82,7 @@ public:
     void wait();
 
     [[nodiscard]] obs::SharedMetrics& metrics() noexcept { return metrics_; }
-    [[nodiscard]] ResultCache& cache() noexcept { return cache_; }
+    [[nodiscard]] pipeline::ArtifactCache& cache() noexcept { return cache_; }
 
 private:
     // Wall-clock queue/run latency of a real network service; simulated
@@ -118,7 +118,7 @@ private:
 
     ServerConfig cfg_;
     obs::SharedMetrics metrics_;
-    ResultCache cache_;
+    pipeline::ArtifactCache cache_;
     AdmissionQueue<Job> queue_;
     Listener listener_;
     std::unique_ptr<ward::ThreadPool> pool_;

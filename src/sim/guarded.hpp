@@ -1,6 +1,6 @@
 /// \file guarded.hpp
 /// \brief Lock-discipline annotations checked statically by CONC1
-/// (src/analysis/conc_lint.hpp, `mcps_analyze --scan-conc`).
+/// (src/analysis/conc_lint.hpp, `mcps analyze --scan-conc`).
 ///
 /// The macros expand to nothing: they are machine-readable
 /// documentation, not behavior. The CONC1 pass reads them lexically

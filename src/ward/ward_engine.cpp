@@ -64,7 +64,7 @@ struct ShardAccumulator {
 };
 
 /// Fold one scenario outcome into a shard-local metrics registry. Names
-/// are stable wire identifiers (exported by mcps_trace / the ward CLI).
+/// are stable wire identifiers (exported by `mcps trace` / the ward CLI).
 void record_outcome(obs::MetricsRegistry& reg, const ScenarioOutcome& o) {
     reg.counter("ward.scenarios").add(1);
     reg.counter("ward.runs." + std::string{to_string(o.kind)}).add(1);

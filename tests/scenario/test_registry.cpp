@@ -82,7 +82,7 @@ TEST(ScenarioRegistry, DefaultSpecUsesScenarioDuration) {
 
 // ------------------------------------- historical-config equivalence ----
 //
-// The registry presets must equal the configurations mcps_trace
+// The registry presets must equal the configurations `mcps trace`
 // hard-coded before the registry existed: the committed golden traces
 // were recorded with those, so any drift here is a byte-identity break.
 
@@ -114,7 +114,7 @@ TEST(ScenarioRegistry, PcaEventStreamMatchesExplicitAssembly) {
     obs::EventLog via_registry;
     (void)scenario::registry().run(spec, {.events = &via_registry});
 
-    // The pre-registry assembly, byte-for-byte (tools/mcps_trace before
+    // The pre-registry assembly, byte-for-byte (the trace CLI before
     // the registry migration).
     core::PcaScenarioConfig cfg;
     cfg.seed = 42;

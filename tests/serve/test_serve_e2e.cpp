@@ -109,12 +109,24 @@ TEST(ServeE2E, MixedWorkloadMatchesPinnedFingerprints) {
     }
     EXPECT_GE(server.cache().hits(), 1u);
 
-    // The stats command reports the counters over the wire.
+    // The stats command reports the cache's own counters over the wire:
+    // one hit per cached:true response, one entry per cached spec.
     Client stats_client{server.endpoint()};
     const Response stats = stats_client.stats();
     EXPECT_TRUE(stats.ok());
     EXPECT_NE(stats.stats.find("\"serve/requests\":"), std::string::npos);
-    EXPECT_NE(stats.stats.find("\"serve/cache/hits\":"), std::string::npos);
+    const auto stat = [&stats](const std::string& name) {
+        const std::string probe = "\"" + name + "\":";
+        const std::size_t at = stats.stats.find(probe);
+        EXPECT_NE(at, std::string::npos) << name;
+        return at == std::string::npos
+                   ? -1.0
+                   : std::stod(stats.stats.substr(at + probe.size()));
+    };
+    EXPECT_EQ(stat("serve/cache/hits"), static_cast<double>(cached));
+    EXPECT_EQ(stat("serve/cache/entries"),
+              static_cast<double>(server.cache().size()));
+    EXPECT_EQ(server.cache().size(), std::size(testsupport::kPins));
 
     server.request_drain();
     server.wait();

@@ -2,7 +2,7 @@
 # The full analysis gate, in one command:
 #
 #   1. warning-clean build:  MCPS_WERROR=ON (-Wconversion -Wshadow -Werror)
-#   2. model linter:         mcps_analyze over shipped models + src/ scan
+#   2. model linter:         mcps analyze over shipped models + src/ scan
 #                            + scenario registry-bypass scan (ICE1)
 #                            + CONC1 lock-discipline scan over src/tools
 #                            + TA5 deadline slack table with the
@@ -13,22 +13,25 @@
 #                            SARIF + the CFG1 missing-root exit code),
 #                            the scenario registry/spec suite, the
 #                            calendar-queue/arena differential suite,
-#                            the service suite (protocol fuzz, cache,
-#                            admission, e2e), the shared-metrics stress
+#                            the service suite (protocol fuzz,
+#                            admission, e2e, `mcps load` smoke, `mcps
+#                            serve` SIGTERM drain), the shared-metrics stress
 #                            suite, the hospital-population suite
 #                            (SoA physio differential, jobs invariance,
 #                            alarm storm, hospital fuzz smoke) and the
 #                            pipeline suite (artifact cache, graph
 #                            scheduling, cold/warm/parallel determinism,
-#                            knob-edit invalidation, CLI drift guard)
+#                            knob-edit invalidation), and the CLI
+#                            usage-error exit codes
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
-#   5. bench smoke:          tools/bench_baseline.sh --quick and
-#                            tools/bench_serve.sh --quick (validate the
-#                            --json flows; numbers are not checked),
-#                            plus a 2 s perfbench bedside run that must
-#                            report "correct": true
+#   5. bench smoke:          tools/bench_baseline.sh --quick (validates
+#                            the --json flow; numbers are not checked),
+#                            hospital and pipeline smokes, plus a 2 s
+#                            perfbench bedside run that must report
+#                            "correct": true
 #   6. ASan+UBSan:           full test suite under address+undefined
-#   7. TSan:                 ward-engine + kernel + serve + obs +
+#   7. TSan:                 `mcps` and the test binaries: ward-engine
+#                            + kernel + serve + obs +
 #                            hospital suites under thread sanitizer (the
 #                            obs stress test is the dynamic complement
 #                            of CONC1; the hospital suite drives the
@@ -64,8 +67,8 @@ cmake -S "${repo_root}" -B "${repo_root}/build-ci-werror" \
 cmake --build "${repo_root}/build-ci-werror" -j "${jobs}" >/dev/null
 echo "warning-clean: OK"
 
-stage "2/7 model linter (mcps_analyze)"
-"${repo_root}/build-ci-werror/tools/mcps_analyze" \
+stage "2/7 model linter (mcps analyze)"
+"${repo_root}/build-ci-werror/tools/mcps" analyze \
     --src-root "${repo_root}/src" \
     --scan-scenarios "${repo_root}/src" \
     --scan-scenarios "${repo_root}/bench" \
@@ -76,7 +79,7 @@ stage "2/7 model linter (mcps_analyze)"
     --cross-check --deadline-table \
     --sarif "${repo_root}/build-ci-werror/analysis.sarif" \
     --matrix
-"${repo_root}/build-ci-werror/tools/mcps_analyze" \
+"${repo_root}/build-ci-werror/tools/mcps" analyze \
     --check-sarif "${repo_root}/build-ci-werror/analysis.sarif"
 
 stage "3/7 analysis + scenario + kernel + serve + obs + hospital + pipeline test labels"
@@ -91,19 +94,12 @@ stage "5/7 bench baseline smoke (--quick)"
 "${repo_root}/tools/bench_baseline.sh" --quick \
     --out "${repo_root}/build-ci-werror/BENCH_smoke.json" >/dev/null
 echo "bench baseline smoke: OK"
-# Serve-layer smoke: an embedded server + load sweep over loopback TCP
-# (uses the werror tree's binaries; validates the BENCH_7 --json flow).
-"${repo_root}/build-ci-werror/tools/mcps_load" --embed --quick \
-    --json "${repo_root}/build-ci-werror/BENCH_serve_smoke.json" >/dev/null
-"${repo_root}/build-ci-werror/tools/mcps_trace" check-bench \
-    "${repo_root}/build-ci-werror/BENCH_serve_smoke.json" >/dev/null
-echo "serve load smoke: OK"
 # Hospital-population smoke: the preset must run end-to-end on the
-# mcps_run surface (96 patients / 4 wards, 2 simulated minutes).
-"${repo_root}/build-ci-werror/tools/mcps_run" run \
+# `mcps run` surface (96 patients / 4 wards, 2 simulated minutes).
+"${repo_root}/build-ci-werror/tools/mcps" run run \
     --spec "hospital-small minutes=2" >/dev/null
 echo "hospital preset smoke: OK"
-# Pipeline smoke: the unified driver's determinism gate (serial-cold vs
+# Pipeline smoke: the pipeline driver's determinism gate (serial-cold vs
 # parallel-cold vs warm-from-cache manifests) over a mixed graph, plus
 # a bench-schema timing report validated by the built-in checker.
 "${repo_root}/build-ci-werror/tools/mcps" pipeline \
@@ -113,7 +109,7 @@ echo "hospital preset smoke: OK"
     --spec "pca seed=42 minutes=2" \
     --json "${repo_root}/build-ci-werror/BENCH_pipeline_smoke.json" \
     --quiet >/dev/null
-"${repo_root}/build-ci-werror/tools/mcps_trace" check-bench \
+"${repo_root}/build-ci-werror/tools/mcps" trace check-bench \
     "${repo_root}/build-ci-werror/BENCH_pipeline_smoke.json" >/dev/null
 echo "pipeline smoke: OK"
 # Repository benchmark smoke: a short bedside run of perfbench (its own
@@ -161,10 +157,8 @@ stage "7/7 TSan ward + kernel + serve + obs + hospital + pipeline suites"
 cmake -S "${repo_root}" -B "${repo_root}/build-ci-tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMCPS_SANITIZE=thread >/dev/null
 cmake --build "${repo_root}/build-ci-tsan" -j "${jobs}" \
-    --target mcps_tests mcps_ward_cli mcps_kernel_tests \
-    mcps_serve_tests mcps_obs_tests mcps_hospital_tests \
-    mcps_pipeline_tests mcps mcps_run mcps_analyze \
-    mcps_fuzz >/dev/null
+    --target mcps mcps_tests mcps_kernel_tests mcps_serve_tests \
+    mcps_obs_tests mcps_hospital_tests mcps_pipeline_tests >/dev/null
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L ward -R 'Ward|ward' --output-on-failure
 # The kernel is single-threaded by contract, but its tests still run

@@ -1,10 +1,9 @@
 /// \file cli.hpp
-/// \brief Shared argv parsing for the mcps_* command-line tools.
+/// \brief Shared argv parsing for the `mcps <cmd>` drivers.
 ///
-/// mcps_trace, mcps_fuzz, mcps_ward and mcps_run each carried their own
-/// copy of the same flag-value plumbing; this header is the single one.
-/// Header-only so the tools stay single-translation-unit, and included
-/// by the scenario test suite so the error messages are unit-tested.
+/// One copy of the flag-value plumbing for every driver. Header-only,
+/// and included by the scenario test suite so the error messages are
+/// unit-tested.
 ///
 /// Error contract (exact strings, asserted by tests/scenario):
 ///   "<flag>: expected an integer, got '<v>'"
@@ -32,13 +31,13 @@ struct CliError {
 
 /// The shared driver error contract, factored out of the tools' main()
 /// functions (each carried its own copy of the same catch ladder).
-/// Exact behavior, asserted by the drift-guard test:
+/// Exact behavior (the cli_*_exit2 ctests pin the exit code):
 ///
 ///   CliError        -> "<prog>: <message>" on stderr, usage(stderr), 2
 ///   std::exception  -> "<prog>: <what()>"  on stderr,               2
 ///   otherwise       -> body's return value
 ///
-/// \p prog is the invocation name ("mcps_run" or "mcps run"), \p usage
+/// \p prog is the invocation name ("mcps run"), \p usage
 /// any callable taking the stream to print usage to.
 template <typename Usage, typename Body>
 int tool_main(std::string_view prog, Usage&& usage, Body&& body) {

@@ -4,11 +4,8 @@
 /// Each driver is the complete implementation of one tool — argument
 /// parsing, execution, output, exit code — parameterized only by the
 /// invocation name \p prog (used in usage text and error prefixes) and
-/// the argument vector (argv without the program name). The unified
-/// `mcps` dispatcher and the five classic single-tool binaries are both
-/// thin shims over this registry, so `mcps run ...` and `mcps_run ...`
-/// execute the same code path and produce byte-identical stdout and
-/// exit codes (the drift-guard test holds them to that).
+/// the argument vector (argv without the program name). The one `mcps`
+/// binary dispatches `mcps <cmd> ...` to `<cmd>_main("mcps <cmd>", ...)`.
 ///
 /// Exit-code contracts are each driver's own (documented in its .cpp);
 /// all of them reserve 2 for usage errors.
@@ -45,5 +42,13 @@ int analyze_main(std::string_view prog,
 /// report per-pass timing and cache traffic.
 int pipeline_main(std::string_view prog,
                   const std::vector<std::string_view>& args);
+
+/// Scenario-execution service: serve JSONL run requests until drained.
+int serve_main(std::string_view prog,
+               const std::vector<std::string_view>& args);
+
+/// Latency-percentile load generator against a serve endpoint.
+int load_main(std::string_view prog,
+              const std::vector<std::string_view>& args);
 
 }  // namespace mcps::drivers

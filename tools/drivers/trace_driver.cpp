@@ -45,7 +45,7 @@ void usage(std::ostream& os, std::string_view prog) {
        << " <subcommand> [options]\n"
           "  run --scenario NAME [--seed N] [--minutes M]\n"
           "      [--out PATH] [--chrome PATH] [--no-bus] [--quiet]\n"
-          "        run a registered scenario (see `mcps_run list`) with\n"
+          "        run a registered scenario (see `mcps run list`) with\n"
           "        structured tracing; write the event log as JSONL to\n"
           "        --out (default stdout) and optionally as a Chrome\n"
           "        trace_event file to --chrome. --no-bus drops bus\n"

@@ -1,5 +1,5 @@
 /// \file mcps.cpp
-/// \brief The unified mcps entry point: one binary, every driver.
+/// \brief The mcps entry point: one binary, every driver.
 ///
 ///   mcps run       scenario registry (list/describe/run/selfcheck)
 ///   mcps trace     structured traces (run/inspect/diff/check/check-bench)
@@ -7,11 +7,11 @@
 ///   mcps fuzz      scenario fuzzer (fuzz/replay/hospital)
 ///   mcps analyze   model-level safety linter
 ///   mcps pipeline  composable pass pipeline over cached artifacts
+///   mcps serve     scenario-execution service (JSONL over TCP/Unix)
+///   mcps load      load generator against a serve endpoint
 ///
-/// Each subcommand dispatches to the same driver the classic single-tool
-/// binary (mcps_run, mcps_trace, ...) wraps, so `mcps run ...` and
-/// `mcps_run ...` produce byte-identical stdout and exit codes (the
-/// drift-guard test pins that). Exit code 2 = unknown command.
+/// Each subcommand is one driver of tools/drivers.hpp, invoked with the
+/// program name "mcps <cmd>". Exit code 2 = unknown command.
 
 #include <iostream>
 #include <string>
@@ -31,11 +31,10 @@ void usage(std::ostream& os) {
           "  fuzz       scenario fuzzer: fuzz, replay, hospital modes\n"
           "  analyze    model-level safety linter\n"
           "  pipeline   composable pass pipeline over cached artifacts\n"
+          "  serve      scenario-execution service (JSONL over TCP/Unix)\n"
+          "  load       load generator against a serve endpoint\n"
           "\n"
-          "`mcps <command> --help` shows the command's options. Each\n"
-          "command is also available as a classic standalone binary\n"
-          "(mcps_run, mcps_trace, mcps_ward, mcps_fuzz, mcps_analyze)\n"
-          "with identical behavior.\n";
+          "`mcps <command> --help` shows the command's options.\n";
 }
 
 }  // namespace
@@ -56,6 +55,8 @@ int main(int argc, char** argv) {
     if (cmd == "fuzz") return mcps::drivers::fuzz_main(prog, rest);
     if (cmd == "analyze") return mcps::drivers::analyze_main(prog, rest);
     if (cmd == "pipeline") return mcps::drivers::pipeline_main(prog, rest);
+    if (cmd == "serve") return mcps::drivers::serve_main(prog, rest);
+    if (cmd == "load") return mcps::drivers::load_main(prog, rest);
 
     std::cerr << "mcps: unknown command '" << cmd << "'\n";
     usage(std::cerr);
