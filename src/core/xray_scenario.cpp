@@ -28,8 +28,7 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
 
     if (auto* log = cfg.events) {
         log->emit(mcps::obs::EventKind::kScenarioStart, sim.now(), "xray",
-                  std::string{to_string(cfg.mode)},
-                  static_cast<double>(cfg.seed));
+                  to_string(cfg.mode), static_cast<double>(cfg.seed));
     }
 
     devices::Ventilator vent{ctx, "vent1", patient, cfg.ventilator};

@@ -3,19 +3,20 @@
 ///
 /// An Event is the structured counterpart of a TraceRecorder mark: it
 /// carries a closed kind taxonomy, the simulated instant, the emitting
-/// component, a kind-specific detail string and one numeric value. The
-/// taxonomy deliberately mirrors the layers of the system — bus traffic,
-/// supervisor decisions, pump commands, interlock trips, fault
-/// injections, ward sharding — so a single log reconstructs "what the
-/// closed-loop system did and when" across every layer (the forensic
-/// accountability the MCPS vision requires).
+/// component, a kind-specific detail string (both interned by the owning
+/// EventLog) and one numeric value. The taxonomy deliberately mirrors
+/// the layers of the system — bus traffic, supervisor decisions, pump
+/// commands, interlock trips, fault injections, ward sharding — so a
+/// single log reconstructs "what the closed-loop system did and when"
+/// across every layer (the forensic accountability the MCPS vision
+/// requires).
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/time.hpp"
 
@@ -42,17 +43,24 @@ enum class EventKind : std::uint8_t {
 /// Inverse of to_string; nullopt for unknown names.
 [[nodiscard]] std::optional<EventKind> event_kind_from(std::string_view s);
 
-/// One structured event. Everything in here must be a pure function of
-/// the scenario's (seed, config) — no wall-clock, no addresses — so that
-/// logs are bit-identical across runs and job counts.
+/// Index of a string in the owning EventLog's symbol table.
+using SymbolId = std::uint32_t;
+
+/// One structured event: a fixed-size POD. Source and detail are ids
+/// into the owning log's symbol table (EventLog::symbol resolves them);
+/// EventLog's == compares logs by their resolved text. Every
+/// field must be a pure function of the scenario's (seed, config) — no
+/// wall-clock, no addresses — so that logs are bit-identical across runs
+/// and job counts.
 struct Event {
     EventKind kind = EventKind::kScenarioStart;
     mcps::sim::SimTime time;
-    std::string source;  ///< endpoint/device/app name ("ward" for shards)
-    std::string detail;  ///< kind-specific text (topic, state, fault kind)
-    double value = 0.0;  ///< kind-specific number (seq, index, magnitude)
-
-    friend bool operator==(const Event&, const Event&) = default;
+    SymbolId source = 0;  ///< endpoint/device/app name ("ward" for shards)
+    SymbolId detail = 0;  ///< kind-specific text (topic, state, fault kind)
+    double value = 0.0;   ///< kind-specific number (seq, index, magnitude)
 };
+
+static_assert(std::is_trivially_copyable_v<Event>);
+static_assert(sizeof(Event) <= 32);
 
 }  // namespace mcps::obs

@@ -8,13 +8,22 @@
 /// merged log bit-identical for ANY `--jobs`, the same argument the
 /// WardReport fingerprint makes for statistics.
 ///
+/// Source and detail text is interned into the log's symbol table: ids
+/// are assigned in first-appearance order (source before detail within
+/// one event), so they are as deterministic as the events themselves,
+/// and an emit copies no string once its symbols are known.
+///
 /// Instrumentation sites hold a nullable `EventLog*`: a null pointer is
 /// the disabled fast path (one branch, no strings built), so scenarios
 /// that don't ask for observability pay nothing measurable.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "event.hpp"
@@ -28,10 +37,29 @@ public:
     /// Append one event. `time` is the event's simulated instant; it
     /// need not be monotone across the log (fault windows are emitted at
     /// arm time, ward shards restart the clock), only deterministic.
-    void emit(EventKind kind, mcps::sim::SimTime time, std::string source,
-              std::string detail, double value = 0.0) {
-        events_.push_back(Event{kind, time, std::move(source),
-                                std::move(detail), value});
+    /// Out of line, so the events-off sites it would be inlined into
+    /// (Bus::publish among them) keep their size.
+    void emit(EventKind kind, mcps::sim::SimTime time, std::string_view source,
+              std::string_view detail, double value = 0.0);
+    /// Append an event whose source and detail came from this log's
+    /// intern(). \throws std::out_of_range for an id outside the table.
+    void emit(const Event& e) {
+        if (e.source >= symbol_count() || e.detail >= symbol_count()) {
+            throw std::out_of_range{"EventLog::emit: unknown symbol id"};
+        }
+        events_.push_back(e);
+    }
+
+    /// The id of \p text, adding it to the symbol table if it is new.
+    SymbolId intern(std::string_view text);
+    /// The text of a symbol id. The view lives until the next intern()
+    /// that adds a symbol.
+    [[nodiscard]] std::string_view symbol(SymbolId id) const noexcept {
+        const std::size_t begin = id == 0 ? 0 : ends_[id - 1];
+        return std::string_view{text_}.substr(begin, ends_[id] - begin);
+    }
+    [[nodiscard]] std::size_t symbol_count() const noexcept {
+        return ends_.size();
     }
 
     [[nodiscard]] const std::vector<Event>& events() const noexcept {
@@ -39,10 +67,12 @@ public:
     }
     [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
     [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-    void clear() noexcept { events_.clear(); }
+    /// Drops the events and the symbol table.
+    void clear() noexcept;
     void reserve(std::size_t n) { events_.reserve(n); }
 
     /// Append another log's events after this one's (shard-order merge).
+    /// Ids are remapped as if each event had been emitted here.
     void append(const EventLog& other);
 
     /// Number of events of one kind.
@@ -52,18 +82,29 @@ public:
     /// fingerprint equal iff their JSONL serializations are identical.
     [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
+    /// Same events with the same text, whatever the two symbol tables.
+    friend bool operator==(const EventLog& a, const EventLog& b) noexcept;
+
 private:
+    void grow_slots();
+
     std::vector<Event> events_;
+    /// The symbols back to back; symbol i ends at ends_[i] and starts
+    /// where symbol i - 1 ends.
+    std::string text_;
+    std::vector<std::size_t> ends_;
+    /// Open-addressed index over the symbols: id + 1, or 0 for empty.
+    /// The size is zero or a power of two, at most half full.
+    std::vector<SymbolId> slots_;
 };
 
 /// Emit-if-enabled helper for instrumentation sites holding `EventLog*`.
 /// Arguments are only evaluated eagerly, so keep them cheap; sites that
 /// build strings should guard with `if (log)` themselves.
 inline void emit(EventLog* log, EventKind kind, mcps::sim::SimTime time,
-                 std::string source, std::string detail, double value = 0.0) {
-    if (log) {
-        log->emit(kind, time, std::move(source), std::move(detail), value);
-    }
+                 std::string_view source, std::string_view detail,
+                 double value = 0.0) {
+    if (log) log->emit(kind, time, source, detail, value);
 }
 
 }  // namespace mcps::obs

@@ -1,14 +1,15 @@
 #include "exporters.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "format.hpp"
@@ -16,22 +17,191 @@
 
 namespace mcps::obs {
 
-// ---- JSONL ------------------------------------------------------------
+// ---- JSONL and Chrome trace_event -----------------------------------
+
+namespace {
+
+/// Each symbol's JSON-escaped text, indexed by id: the writers escape
+/// once per symbol, not once per event.
+std::vector<std::string> escaped_symbols(const EventLog& log) {
+    std::vector<std::string> out(log.symbol_count());
+    for (std::size_t id = 0; id < out.size(); ++id) {
+        append_json_escaped(out[id], log.symbol(static_cast<SymbolId>(id)));
+    }
+    return out;
+}
+
+/// Longest decimal int64 ("-9223372036854775808").
+constexpr std::size_t kMaxIntChars = 20;
+
+char* put(char* p, std::string_view s) {
+    return std::copy(s.begin(), s.end(), p);
+}
+
+char* put_int(char* p, std::int64_t v) {
+    return std::to_chars(p, p + kMaxIntChars, v).ptr;
+}
+
+/// One write_jsonl line per event.
+struct JsonlRecords {
+    static constexpr std::string_view kTime = "{\"t_us\":",
+                                      kKind = ",\"kind\":\"",
+                                      kSrc = "\",\"src\":\"",
+                                      kDetail = "\",\"detail\":\"",
+                                      kValue = "\",\"value\":", kEnd = "}\n";
+    static constexpr std::size_t kFixed =
+        kTime.size() + kMaxIntChars + kKind.size() + kSrc.size() +
+        kDetail.size() + kValue.size() + kMaxNumberChars + kEnd.size();
+
+    std::vector<std::string> sym;
+
+    [[nodiscard]] std::size_t bound(const Event& e) const {
+        return kFixed + to_string(e.kind).size() + sym[e.source].size() +
+               sym[e.detail].size();
+    }
+    char* write(char* p, const Event& e) const {
+        p = put_int(put(p, kTime), e.time.ticks());
+        p = put(put(put(p, kKind), to_string(e.kind)), kSrc);
+        p = put(put(put(p, sym[e.source]), kDetail), sym[e.detail]);
+        p = write_number(put(p, kValue), e.value);
+        return put(p, kEnd);
+    }
+};
+
+/// One Chrome instant event per event, each after a ",\n": the lane
+/// records always come first, since every event has a source.
+struct ChromeRecords {
+    static constexpr std::string_view kName = ",\n{\"name\":\"",
+                                      kCat = "\",\"cat\":\"",
+                                      kTime = "\",\"ph\":\"i\",\"s\":\"t\","
+                                              "\"ts\":",
+                                      kLane = ",\"pid\":1,\"tid\":",
+                                      kValue = ",\"args\":{\"value\":",
+                                      kEnd = "}}";
+    static constexpr std::size_t kFixed =
+        kName.size() + 1 + kCat.size() + kTime.size() + kMaxIntChars +
+        kLane.size() + kMaxIntChars + kValue.size() + kMaxNumberChars +
+        kEnd.size();
+
+    std::vector<std::string> sym;
+    std::vector<std::int64_t> lane;  ///< by source symbol id
+
+    [[nodiscard]] std::size_t bound(const Event& e) const {
+        return kFixed + 2 * to_string(e.kind).size() + sym[e.detail].size();
+    }
+    // Kind names need no escaping, so escape(kind + ":" + detail) is
+    // kind + ":" + escape(detail).
+    char* write(char* p, const Event& e) const {
+        p = put(put(p, kName), to_string(e.kind));
+        *p++ = ':';
+        p = put(put(put(p, sym[e.detail]), kCat), to_string(e.kind));
+        p = put_int(put(p, kTime), e.time.ticks());
+        p = put_int(put(p, kLane), lane[e.source]);
+        p = write_number(put(p, kValue), e.value);
+        return put(p, kEnd);
+    }
+};
+
+/// Appends the Chrome header to \p out: the trace array's opening and
+/// one thread-name record per lane, lanes numbered by the first
+/// appearance of their source (the emission order is deterministic, so
+/// lane numbering is too). Fills \p rec's lane table.
+void append_chrome_header(const EventLog& log, ChromeRecords& rec,
+                          std::string& out) {
+    rec.lane.assign(log.symbol_count(), 0);
+    out += "{\"traceEvents\":[";
+    std::int64_t lanes = 0;
+    for (const Event& e : log.events()) {
+        if (rec.lane[e.source] != 0) continue;
+        rec.lane[e.source] = ++lanes;
+        out += lanes == 1 ? "\n" : ",\n";
+        out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+        out += std::to_string(lanes);
+        out += ",\"args\":{\"name\":\"";
+        out += rec.sym[e.source];
+        out += "\"}}";
+    }
+}
+
+/// The bytes a streamed export holds before handing them on.
+constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+
+void flush(std::string& buf, std::ostream& os) {
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+}
+
+/// Appends every event's record to \p out, each through a raw cursor:
+/// two resizes per record instead of one append per field. Without a
+/// \p sink the summed bounds are reserved first, so the buffer is never
+/// copied on growth; with one, \p out is flushed to it whenever it
+/// passes kFlushBytes, so a large log is never held in memory twice.
+template <class Records>
+void append_records(const EventLog& log, const Records& rec,
+                    std::string& out, std::ostream* sink) {
+    std::size_t total = out.size();
+    if (sink) {
+        total = 2 * kFlushBytes;
+    } else {
+        for (const Event& e : log.events()) total += rec.bound(e);
+    }
+    out.reserve(total);
+    for (const Event& e : log.events()) {
+        const std::size_t at = out.size();
+        out.resize(at + rec.bound(e));
+        out.resize(static_cast<std::size_t>(rec.write(out.data() + at, e) -
+                                            out.data()));
+        if (sink && out.size() >= kFlushBytes) flush(out, *sink);
+    }
+}
+
+void append_jsonl(const EventLog& log, std::string& out, std::ostream* sink) {
+    append_records(log, JsonlRecords{escaped_symbols(log)}, out, sink);
+}
+
+void append_chrome_trace(const EventLog& log, std::string& out,
+                         std::ostream* sink) {
+    ChromeRecords rec{escaped_symbols(log), {}};
+    append_chrome_header(log, rec, out);
+    append_records(log, rec, out, sink);
+    out += "\n]}\n";
+}
+
+}  // namespace
+
+void write_jsonl(const EventLog& log, std::string& out) {
+    append_jsonl(log, out, nullptr);
+}
 
 void write_jsonl(const EventLog& log, std::ostream& os) {
-    for (const auto& e : log.events()) {
-        os << "{\"t_us\":" << e.time.ticks() << ",\"kind\":\""
-           << to_string(e.kind) << "\",\"src\":\"" << json_escape(e.source)
-           << "\",\"detail\":\"" << json_escape(e.detail)
-           << "\",\"value\":" << format_number(e.value) << "}\n";
-    }
+    std::string buf;
+    append_jsonl(log, buf, &os);
+    flush(buf, os);
+}
+
+void write_chrome_trace(const EventLog& log, std::string& out) {
+    append_chrome_trace(log, out, nullptr);
+}
+
+void write_chrome_trace(const EventLog& log, std::ostream& os) {
+    std::string buf;
+    append_chrome_trace(log, buf, &os);
+    flush(buf, os);
 }
 
 namespace {
 
+[[noreturn]] void fail_wrong_type(const JsonReader& r, std::string_view key) {
+    std::string reason{"'"};
+    reason += key;
+    reason += "' has the wrong type";
+    r.fail(reason);
+}
+
 /// Reads one write_jsonl line into \p log: t_us an int64, value a
 /// number or null (NaN), kind/src/detail strings. Unknown keys are
-/// skipped.
+/// skipped. src and detail are interned as they are read, straight from
+/// the reader's views.
 void read_event(std::string_view line, EventLog& log) {
     JsonReader r{line};
     if (r.peek() != JsonKind::kObject) {
@@ -40,7 +210,7 @@ void read_event(std::string_view line, EventLog& log) {
     }
     std::optional<std::int64_t> t_us;
     std::optional<EventKind> kind;
-    std::optional<std::string> src, detail;
+    std::optional<SymbolId> src, detail;
     std::optional<double> value;
     std::string_view key;
     r.begin_object();
@@ -52,11 +222,16 @@ void read_event(std::string_view line, EventLog& log) {
         } else if (key == "kind" && str) {
             const std::string_view name = r.string();
             kind = event_kind_from(name);
-            if (!kind) r.fail("unknown event kind '" + std::string{name} + "'");
+            if (!kind) {
+                std::string reason{"unknown event kind '"};
+                reason += name;
+                reason += '\'';
+                r.fail(reason);
+            }
         } else if (key == "src" && str) {
-            src = r.string();
+            src = log.intern(r.string());
         } else if (key == "detail" && str) {
-            detail = r.string();
+            detail = log.intern(r.string());
         } else if (key == "value" && k == JsonKind::kNumber) {
             value = r.number();
         } else if (key == "value" && k == JsonKind::kNull) {
@@ -64,7 +239,7 @@ void read_event(std::string_view line, EventLog& log) {
             value = std::numeric_limits<double>::quiet_NaN();
         } else if (key == "t_us" || key == "kind" || key == "src" ||
                    key == "detail" || key == "value") {
-            r.fail("'" + std::string{key} + "' has the wrong type");
+            fail_wrong_type(r, key);
         } else {
             r.skip();
         }
@@ -73,64 +248,49 @@ void read_event(std::string_view line, EventLog& log) {
     if (!t_us || !kind || !src || !detail || !value) {
         r.fail("missing event field");
     }
-    log.emit(*kind,
-             mcps::sim::SimTime::origin() +
-                 mcps::sim::SimDuration::micros(*t_us),
-             std::move(*src), std::move(*detail), *value);
+    log.emit(Event{*kind,
+                   mcps::sim::SimTime::origin() +
+                       mcps::sim::SimDuration::micros(*t_us),
+                   *src, *detail, *value});
+}
+
+/// Reads line \p lineno (1-based) of a JSONL stream into \p log.
+void read_line(std::string_view line, std::size_t lineno, EventLog& log) {
+    if (line.empty()) return;
+    try {
+        read_event(line, log);
+    } catch (const JsonError& e) {
+        std::string msg{"jsonl line "};
+        msg += std::to_string(lineno);
+        msg += ": ";
+        msg += e.what();
+        throw std::runtime_error{msg};
+    }
 }
 
 }  // namespace
 
-EventLog read_jsonl(std::istream& is) {
+EventLog read_jsonl(std::string_view text) {
     EventLog log;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty()) continue;
-        try {
-            read_event(line, log);
-        } catch (const JsonError& e) {
-            throw std::runtime_error("jsonl line " + std::to_string(lineno) +
-                                     ": " + e.what());
-        }
+    // Event lines run about 100 bytes; an event takes 32, so this stays
+    // under half the text's size whatever the text holds.
+    log.reserve(text.size() / 64);
+    for (std::size_t lineno = 1; !text.empty(); ++lineno) {
+        const std::size_t nl = text.find('\n');
+        read_line(text.substr(0, nl), lineno, log);
+        text.remove_prefix(nl == std::string_view::npos ? text.size()
+                                                        : nl + 1);
     }
     return log;
 }
 
-// ---- Chrome trace_event ----------------------------------------------
-
-void write_chrome_trace(const EventLog& log, std::ostream& os) {
-    // One timeline lane per source, numbered by first appearance (the
-    // emission order is deterministic, so lane numbering is too).
-    std::map<std::string, int> lane;
-    std::vector<std::string> lane_order;
-    for (const auto& e : log.events()) {
-        if (lane.emplace(e.source, static_cast<int>(lane_order.size()) + 1)
-                .second) {
-            lane_order.push_back(e.source);
-        }
+EventLog read_jsonl(std::istream& is) {
+    EventLog log;
+    std::string line;
+    for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
+        read_line(line, lineno, log);
     }
-
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (std::size_t i = 0; i < lane_order.size(); ++i) {
-        os << (first ? "\n" : ",\n")
-           << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-           << i + 1 << ",\"args\":{\"name\":\"" << json_escape(lane_order[i])
-           << "\"}}";
-        first = false;
-    }
-    for (const auto& e : log.events()) {
-        os << (first ? "\n" : ",\n") << "{\"name\":\""
-           << json_escape(std::string{to_string(e.kind)} + ":" + e.detail)
-           << "\",\"cat\":\"" << to_string(e.kind)
-           << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << e.time.ticks()
-           << ",\"pid\":1,\"tid\":" << lane.at(e.source)
-           << ",\"args\":{\"value\":" << format_number(e.value) << "}}";
-        first = false;
-    }
-    os << "\n]}\n";
+    return log;
 }
 
 // ---- bench --json schema ---------------------------------------------

@@ -17,14 +17,17 @@
 ///  * Metrics summary — MetricsRegistry::write_table / write_json (see
 ///    metrics.hpp).
 ///
-/// read_jsonl parses exactly what write_jsonl emits (the round-trip is
-/// exact); validate_bench_json checks the `--json` report schema every
-/// bench binary emits via benchio::JsonReporter.
+/// Both writers build their text in one buffer, escaping each symbol
+/// once rather than once per event. read_jsonl parses exactly what
+/// write_jsonl emits (the round-trip is exact); validate_bench_json
+/// checks the `--json` report schema every bench binary emits via
+/// benchio::JsonReporter.
 
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "event_log.hpp"
 
@@ -32,16 +35,23 @@ namespace mcps::obs {
 
 /// Write one event per line; byte-deterministic for a given log.
 void write_jsonl(const EventLog& log, std::ostream& os);
+/// The same bytes, appended to \p out.
+void write_jsonl(const EventLog& log, std::string& out);
 
-/// Parse a JSONL event stream produced by write_jsonl.
+/// Parse a JSONL event stream produced by write_jsonl. Lines are read
+/// in place and src/detail are interned straight from them.
 /// \throws std::runtime_error naming the offending line on malformed
 /// input or unknown event kinds.
+[[nodiscard]] EventLog read_jsonl(std::string_view text);
+/// The same, reading the stream line by line into one reused buffer.
 [[nodiscard]] EventLog read_jsonl(std::istream& is);
 
 /// Write the Chrome trace_event ("chrome://tracing") representation:
 /// one instant event per log entry, one timeline lane per source (lanes
 /// numbered by first appearance), plus thread-name metadata records.
 void write_chrome_trace(const EventLog& log, std::ostream& os);
+/// The same bytes, appended to \p out.
+void write_chrome_trace(const EventLog& log, std::string& out);
 
 /// Validate a benchio::JsonReporter report: must be a JSON object with
 /// a string "bench", an integer "seed" and a "metrics" array whose

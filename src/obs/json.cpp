@@ -1,15 +1,17 @@
 #include "json.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <utility>
 
 namespace mcps::obs {
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
+void append_json_escaped(std::string& out, std::string_view s) {
+    std::size_t run = 0;  // first byte not yet appended
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        out.append(s.substr(run, i - run));
+        run = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -17,17 +19,18 @@ std::string json_escape(std::string_view s) {
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
             default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
+                out += "\\u00";
+                out += "0123456789abcdef"[c >> 4];
+                out += "0123456789abcdef"[c & 0xF];
         }
     }
+    out.append(s.substr(run));
+}
+
+std::string json_escape(std::string_view s) {
+    std::string out;
+    out.reserve(s.size() + 2);
+    append_json_escaped(out, s);
     return out;
 }
 

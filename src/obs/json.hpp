@@ -31,6 +31,9 @@ namespace mcps::obs {
 
 /// JSON string escaping: quotes, backslashes, and control bytes as \n,
 /// \r, \t or \u00XX; every other byte passes through unchanged.
+/// Appends the escaped \p s to \p out.
+void append_json_escaped(std::string& out, std::string_view s);
+/// The escaped \p s as a new string.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 inline constexpr int kJsonMaxDepth = 16;

@@ -7,8 +7,6 @@
 
 namespace mcps::serve {
 
-using obs::json_escape;
-
 namespace {
 
 [[noreturn]] void bad(std::string message) {
@@ -190,39 +188,59 @@ std::string artifacts_json_line(const scenario::RunArtifacts& a) {
     return os.str();
 }
 
+namespace {
+
+/// `{"id":"<id>","status":"` — the head every response line shares.
+std::string response_head(std::string_view id) {
+    std::string out = "{\"id\":\"";
+    obs::append_json_escaped(out, id);
+    out += "\",\"status\":\"";
+    return out;
+}
+
+}  // namespace
+
 std::string ok_run_response(std::string_view id, bool cached,
                             std::uint64_t queue_us, std::uint64_t run_us,
                             std::string_view artifacts_json) {
-    std::ostringstream os;
-    os << "{\"id\":\"" << json_escape(id) << "\",\"status\":\"ok\""
-       << ",\"cached\":" << (cached ? "true" : "false")
-       << ",\"queue_us\":" << queue_us << ",\"run_us\":" << run_us
-       << ",\"artifacts\":" << artifacts_json << "}";
-    return os.str();
+    std::string out = response_head(id);
+    out += cached ? "ok\",\"cached\":true" : "ok\",\"cached\":false";
+    out += ",\"queue_us\":";
+    out += std::to_string(queue_us);
+    out += ",\"run_us\":";
+    out += std::to_string(run_us);
+    out += ",\"artifacts\":";
+    out += artifacts_json;
+    out += '}';
+    return out;
 }
 
 std::string pong_response(std::string_view id) {
-    return "{\"id\":\"" + json_escape(id) +
-           "\",\"status\":\"ok\",\"pong\":true}";
+    return response_head(id) + "ok\",\"pong\":true}";
 }
 
 std::string stats_response(std::string_view id, std::string_view stats_json) {
-    return "{\"id\":\"" + json_escape(id) + "\",\"status\":\"ok\",\"stats\":" +
-           std::string{stats_json} + "}";
+    std::string out = response_head(id);
+    out += "ok\",\"stats\":";
+    out += stats_json;
+    out += '}';
+    return out;
 }
 
 std::string drain_response(std::string_view id) {
-    return "{\"id\":\"" + json_escape(id) +
-           "\",\"status\":\"ok\",\"draining\":true}";
+    return response_head(id) + "ok\",\"draining\":true}";
 }
 
 std::string error_response(std::string_view id, std::string_view status,
                            std::string_view code, std::string_view message) {
-    std::ostringstream os;
-    os << "{\"id\":\"" << json_escape(id) << "\",\"status\":\"" << status
-       << "\",\"error\":{\"code\":\"" << json_escape(code)
-       << "\",\"message\":\"" << json_escape(message) << "\"}}";
-    return os.str();
+    std::string out = response_head(id);
+    out += status;
+    out += "\",\"error\":{\"code\":\"";
+    obs::append_json_escaped(out, code);
+    out += "\",\"message\":\"";
+    obs::append_json_escaped(out, message);
+    out += "\"}}";
+    return out;
 }
 
 Response parse_response(std::string_view line) {

@@ -130,10 +130,10 @@ void FaultInjector::apply(const FaultEvent& e) {
     }
     ++armed_;
     if (events_) {
+        const std::string_view kind = to_string(e.kind);
         events_->emit(mcps::obs::EventKind::kFaultInject, SimTime::at(e.at),
-                      e.target.empty() ? std::string{to_string(e.kind)}
-                                       : e.target,
-                      std::string{to_string(e.kind)}, e.magnitude);
+                      e.target.empty() ? kind : std::string_view{e.target},
+                      kind, e.magnitude);
     }
 }
 

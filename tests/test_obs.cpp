@@ -6,8 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "obs/format.hpp"
 #include "obs/obs.hpp"
@@ -49,7 +56,21 @@ TEST(EventLog, EmitAppendCount) {
     EXPECT_EQ(a.count(EventKind::kBusPublish), 1u);
     EXPECT_EQ(a.count(EventKind::kInterlockTrip), 1u);
     EXPECT_EQ(a.count(EventKind::kShardStart), 0u);
-    EXPECT_EQ(a.events().back().source, "ilk");
+    EXPECT_EQ(a.symbol(a.events().back().source), "ilk");
+}
+
+TEST(EventLog, EmitOfInternedIdsChecksThem) {
+    EventLog log;
+    const SymbolId src = log.intern("oxi1");
+    const SymbolId detail = log.intern("vitals/bed1/spo2");
+    log.emit(Event{EventKind::kBusPublish, at(1_s), src, detail, 1.0});
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log.symbol(log.events()[0].detail), "vitals/bed1/spo2");
+    EXPECT_THROW(log.emit(Event{EventKind::kBusPublish, at(1_s), src, 2, 1.0}),
+                 std::out_of_range);
+    EXPECT_THROW(log.emit(Event{EventKind::kBusPublish, at(1_s), 7, src, 1.0}),
+                 std::out_of_range);
+    EXPECT_EQ(log.size(), 1u);
 }
 
 TEST(EventLog, NullGuardedEmitHelper) {
@@ -78,6 +99,105 @@ TEST(EventLog, FingerprintIsOrderAndValueExact) {
     EXPECT_NE(a.fingerprint(), c.fingerprint());  // values matter
 }
 
+TEST(EventLog, SymbolsInternInFirstAppearanceOrder) {
+    EventLog log;
+    log.emit(EventKind::kBusPublish, at(1_s), "oxi1", "vitals", 1.0);
+    log.emit(EventKind::kBusDeliver, at(1_s), "pump1", "vitals", 1.0);
+    log.emit(EventKind::kBusPublish, at(2_s), "oxi1", "oxi1", 2.0);
+    ASSERT_EQ(log.symbol_count(), 3u);
+    EXPECT_EQ(log.symbol(0), "oxi1");
+    EXPECT_EQ(log.symbol(1), "vitals");
+    EXPECT_EQ(log.symbol(2), "pump1");
+    // One table serves source and detail: "oxi1" is one id in both.
+    EXPECT_EQ(log.events()[2].source, log.events()[2].detail);
+
+    // A copy owns its table; growing it leaves the original intact.
+    EventLog copy = log;
+    copy.emit(EventKind::kBusDrop, at(3_s), "new", "topic");
+    EXPECT_EQ(log.symbol_count(), 3u);
+    EXPECT_EQ(copy.symbol(copy.events().back().detail), "topic");
+    EXPECT_EQ(copy.symbol(copy.events().front().source), "oxi1");
+
+    log.clear();
+    EXPECT_EQ(log.symbol_count(), 0u);
+    log.emit(EventKind::kBusDrop, at(1_s), "b", "a");
+    EXPECT_EQ(log.symbol(0), "b");
+}
+
+TEST(EventLog, InternSurvivesManySymbols) {
+    EventLog log;
+    for (int i = 0; i < 5000; ++i) {
+        log.emit(EventKind::kBusPublish, at(1_s), "src" + std::to_string(i),
+                 "shared", static_cast<double>(i));
+    }
+    ASSERT_EQ(log.symbol_count(), 5001u);
+    for (int i = 0; i < 5000; ++i) {
+        const Event& e = log.events()[static_cast<std::size_t>(i)];
+        ASSERT_EQ(log.symbol(e.source), "src" + std::to_string(i));
+        ASSERT_EQ(log.symbol(e.detail), "shared");
+        ASSERT_EQ(log.intern("src" + std::to_string(i)), e.source);
+    }
+    EXPECT_EQ(log.symbol_count(), 5001u);  // lookups add nothing
+}
+
+/// The ward shard merge: appending logs whose tables share some symbols
+/// and not others must equal emitting every event into one log — same
+/// events, same ids, same fingerprint, same JSONL.
+TEST(EventLog, AppendRemapsSymbolsLikeOneLog) {
+    struct Rec {
+        EventKind kind;
+        SimTime t;
+        const char* src;
+        const char* detail;
+        double value;
+    };
+    const std::vector<Rec> shard_a = {
+        {EventKind::kShardStart, at(0_s), "ward", "shard", 0.0},
+        {EventKind::kBusPublish, at(1_s), "oxi1", "vitals/bed1/spo2", 1.0},
+        {EventKind::kBusDeliver, at(1_s), "pump1", "vitals/bed1/spo2", 1.0},
+    };
+    const std::vector<Rec> shard_b = {
+        {EventKind::kShardStart, at(0_s), "ward", "shard", 1.0},
+        {EventKind::kInterlockTrip, at(5_s), "ilk", "stop/spo2", 1.0},
+        {EventKind::kBusPublish, at(6_s), "oxi1", "vitals/bed2/spo2", 2.0},
+        {EventKind::kPumpCommand, at(7_s), "pump1", "ward", 3.0},
+    };
+    const auto fill = [](EventLog& log, const std::vector<Rec>& recs) {
+        for (const Rec& r : recs) {
+            log.emit(r.kind, r.t, r.src, r.detail, r.value);
+        }
+    };
+    EventLog a, b, one;
+    fill(a, shard_a);
+    fill(b, shard_b);
+    fill(one, shard_a);
+    fill(one, shard_b);
+
+    EventLog merged;
+    merged.append(a);
+    merged.append(b);
+    ASSERT_EQ(merged.size(), one.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {  // ids match too
+        EXPECT_EQ(merged.events()[i].source, one.events()[i].source) << i;
+        EXPECT_EQ(merged.events()[i].detail, one.events()[i].detail) << i;
+    }
+    EXPECT_TRUE(merged == one);
+    EXPECT_EQ(merged.symbol_count(), one.symbol_count());
+    EXPECT_EQ(merged.fingerprint(), one.fingerprint());
+    std::string merged_text, one_text;
+    write_jsonl(merged, merged_text);
+    write_jsonl(one, one_text);
+    EXPECT_EQ(merged_text, one_text);
+
+    // Appending a log to itself doubles it.
+    EventLog twice = a;
+    twice.append(twice);
+    ASSERT_EQ(twice.size(), 2 * a.size());
+    EXPECT_EQ(twice.symbol_count(), a.symbol_count());
+    EXPECT_EQ(twice.symbol(twice.events().back().detail),
+              "vitals/bed1/spo2");
+}
+
 // ---- deterministic formatting ----------------------------------------
 
 TEST(Format, NumbersAreDeterministic) {
@@ -92,11 +212,54 @@ TEST(Format, NumbersAreDeterministic) {
     EXPECT_EQ(std::stod(format_number(v)), v);
 }
 
+/// std::to_chars is specified as printf in the C locale: the formatter
+/// must give the bytes of "%lld" / "%.17g" for every double.
+TEST(Format, NumbersMatchPrintf) {
+    const auto by_printf = [](double v) {
+        if (!std::isfinite(v)) return std::string{"null"};
+        char buf[40];
+        if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+            std::snprintf(buf, sizeof buf, "%lld",
+                          static_cast<long long>(v));
+        } else {
+            std::snprintf(buf, sizeof buf, "%.17g", v);
+        }
+        return std::string{buf};
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 1e-300, -1e300, 5e-324, 2.2250738585072014e-308,
+        -2.2250738585072014e-308, 1.7976931348623157e308,
+        9.007199254740991e15, 9.007199254740992e15, -9.007199254740992e15,
+        1e21, 123456.789, 0.1, 1.0 / 3.0, -0.5, 1e-5,
+        12345678901234567890.0};
+    std::mt19937_64 rng{20261017};
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t bits = rng();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof v);
+        values.push_back(v);
+        values.push_back(static_cast<double>(static_cast<std::int64_t>(bits) >>
+                                             (bits % 64)));
+        values.push_back(static_cast<double>(bits % 100000) / 1000.0);
+    }
+    for (const double v : values) {
+        ASSERT_EQ(format_number(v), by_printf(v)) << std::hexfloat << v;
+        std::string appended = "x";
+        append_number(appended, v);
+        ASSERT_EQ(appended.substr(1), by_printf(v));
+    }
+}
+
 TEST(Format, JsonEscapesControlAndQuotes) {
     EXPECT_EQ(json_escape("plain/topic"), "plain/topic");
     EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
     EXPECT_EQ(json_escape("x\n\t"), "x\\n\\t");
     EXPECT_EQ(json_escape(std::string{"\x01"}), "\\u0001");
+    EXPECT_EQ(json_escape(std::string{"a\x1f\bb\x7f"}),
+              "a\\u001f\\u0008b\x7f");
+    std::string out = "k=";
+    append_json_escaped(out, "\"q\"");
+    EXPECT_EQ(out, "k=\\\"q\\\"");
 }
 
 // ---- metrics registry ------------------------------------------------
@@ -197,7 +360,7 @@ TEST(Jsonl, WriteReadRoundTripIsExact) {
     std::istringstream is{os.str()};
     const EventLog back = read_jsonl(is);
     ASSERT_EQ(back.size(), log.size());
-    EXPECT_TRUE(back.events() == log.events());
+    EXPECT_TRUE(back == log);
     EXPECT_EQ(back.fingerprint(), log.fingerprint());
 
     std::ostringstream os2;
@@ -214,8 +377,9 @@ TEST(Jsonl, EscapedStringsSurvive) {
     std::istringstream is{os.str()};
     const EventLog back = read_jsonl(is);
     ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back.events()[0].source, "sup \"one\"");
-    EXPECT_EQ(back.events()[0].detail, "line\nbreak\tand\\slash");
+    EXPECT_EQ(back.symbol(back.events()[0].source), "sup \"one\"");
+    EXPECT_EQ(back.symbol(back.events()[0].detail),
+              "line\nbreak\tand\\slash");
 }
 
 TEST(Jsonl, RejectsMalformedLinesWithLineNumber) {
@@ -250,6 +414,32 @@ TEST(Jsonl, RejectsUnknownKind) {
     EXPECT_THROW((void)read_jsonl(is), std::runtime_error);
 }
 
+/// write_jsonl's exact line shape and any other spelling of the same
+/// object (whitespace, key order, escapes, unknown keys) read to the
+/// same log.
+TEST(Jsonl, AnySpellingOfALineReadsTheSame) {
+    const std::string canonical =
+        "{\"t_us\":5,\"kind\":\"bus_publish\",\"src\":\"a\","
+        "\"detail\":\"t/x\",\"value\":1.5}\n"
+        "{\"t_us\":-7,\"kind\":\"bus_drop\",\"src\":\"t/x\","
+        "\"detail\":\"a\",\"value\":null}\n";
+    const std::string respelled =
+        "{ \"value\":1.5e0, \"detail\":\"t\\/x\",\"src\":\"\\u0061\","
+        "\"kind\":\"bus_publish\",\"t_us\":5, \"extra\":[1,{}]}\r\n"
+        "\n"
+        "\t{\"t_us\":-7,\"kind\":\"bus_drop\",\"src\":\"t/x\","
+        "\"detail\":\"a\",\"value\":null} \n";
+    const EventLog a = read_jsonl(canonical);
+    const EventLog b = read_jsonl(respelled);
+    ASSERT_EQ(a.size(), 2u);
+    EXPECT_TRUE(a == b);
+    std::string text;
+    write_jsonl(b, text);
+    EXPECT_EQ(text, canonical);
+    std::istringstream is{respelled};
+    EXPECT_TRUE(read_jsonl(is) == a);
+}
+
 // ---- Chrome trace ----------------------------------------------------
 
 TEST(ChromeTrace, EmitsLanesAndInstantEvents) {
@@ -267,6 +457,14 @@ TEST(ChromeTrace, EmitsLanesAndInstantEvents) {
     EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);
     // Two sources -> two lanes (tids 1 and 2).
     EXPECT_NE(out.find("\"tid\":2"), std::string::npos);
+
+    std::string appended;
+    write_chrome_trace(log, appended);
+    EXPECT_EQ(appended, out);
+
+    std::ostringstream empty;
+    write_chrome_trace(EventLog{}, empty);
+    EXPECT_EQ(empty.str(), "{\"traceEvents\":[\n]}\n");
 }
 
 // ---- bench JSON schema -----------------------------------------------

@@ -269,7 +269,7 @@ TEST(WardEngine, ObservationIsBitIdenticalAcrossJobCounts) {
         const auto& o = observations[i];
         // Full structural equality, not just fingerprints.
         ASSERT_EQ(o.events.size(), ref.events.size());
-        EXPECT_TRUE(o.events.events() == ref.events.events());
+        EXPECT_TRUE(o.events == ref.events);
         EXPECT_EQ(o.events.fingerprint(), ref.events.fingerprint());
         EXPECT_EQ(o.metrics.fingerprint(), ref.metrics.fingerprint());
     }

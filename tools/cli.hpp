@@ -10,11 +10,14 @@
 ///   "<flag>: expected a number, got '<v>'"
 ///   "<flag>: empty entry in '<v>'"
 ///   "<flag>: missing value"
+///   "<flag>: cannot open '<path>'"
+///   "<flag>: cannot write '<path>'"
 
 #pragma once
 
 #include <charconv>
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -50,6 +53,26 @@ int tool_main(std::string_view prog, Usage&& usage, Body&& body) {
     } catch (const std::exception& e) {
         std::cerr << prog << ": " << e.what() << "\n";
         return 2;
+    }
+}
+
+/// The one way a driver writes an output file: opens \p path, hands the
+/// stream to \p write, then closes it and checks the stream, so a full
+/// disk fails the command (exit 2) instead of exiting 0 with a short
+/// file. \p flag names the option the path came from.
+/// \throws CliError "<flag>: cannot open '<path>'" or
+/// "<flag>: cannot write '<path>'".
+template <typename Write>
+void write_file(std::string_view flag, const std::string& path,
+                Write&& write) {
+    std::ofstream out{path, std::ios::binary};
+    if (!out) {
+        throw CliError{std::string{flag} + ": cannot open '" + path + "'"};
+    }
+    write(static_cast<std::ostream&>(out));
+    out.close();
+    if (!out) {
+        throw CliError{std::string{flag} + ": cannot write '" + path + "'"};
     }
 }
 

@@ -36,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "../cli.hpp"
 #include "../drivers.hpp"
 #include "analysis/analysis.hpp"
 #include "analysis/shipped.hpp"
@@ -185,25 +186,22 @@ int analyze_main(std::string_view prog,
         std::cout << "\nTA5 deadline slack table:\n"
                   << analyzer.deadline_report().to_text();
     }
-    if (!json_path.empty()) {
-        std::ofstream out{json_path};
-        if (!out) {
-            std::cerr << prog << ": --json: cannot open '" << json_path
-                      << "'\n";
-            return 2;
+    try {
+        if (!json_path.empty()) {
+            cli::write_file("--json", json_path, [&](std::ostream& out) {
+                report.write_json(out);
+            });
+            if (!quiet) std::cout << "json report: " << json_path << "\n";
         }
-        report.write_json(out);
-        if (!quiet) std::cout << "json report: " << json_path << "\n";
-    }
-    if (!sarif_path.empty()) {
-        std::ofstream out{sarif_path};
-        if (!out) {
-            std::cerr << prog << ": --sarif: cannot open '" << sarif_path
-                      << "'\n";
-            return 2;
+        if (!sarif_path.empty()) {
+            cli::write_file("--sarif", sarif_path, [&](std::ostream& out) {
+                analysis::write_sarif(report, out);
+            });
+            if (!quiet) std::cout << "sarif report: " << sarif_path << "\n";
         }
-        analysis::write_sarif(report, out);
-        if (!quiet) std::cout << "sarif report: " << sarif_path << "\n";
+    } catch (const cli::CliError& e) {
+        std::cerr << prog << ": " << e.message << "\n";
+        return 2;
     }
     const bool config_error = std::any_of(
         report.findings.begin(), report.findings.end(),

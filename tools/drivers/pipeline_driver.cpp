@@ -21,7 +21,6 @@
 /// 2 = usage or I/O error.
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -140,7 +139,10 @@ pipeline::PipelineGraph build_graph(const PipelineCli& cli) {
     }
     std::vector<std::string> ward_ids;
     for (std::size_t i = 0; i < cli.wards.size(); ++i) {
-        const std::string id = "w" + std::to_string(i + 1);
+        // Two-step concatenation sidesteps GCC 12's -Wrestrict false
+        // positive on `const char* + std::string&&` (GCC bug 105329).
+        std::string id{"w"};
+        id += std::to_string(i + 1);
         ward_ids.push_back(id);
         pipeline::add_ward_pass(g, id,
                                 pipeline::parse_ward_config(cli.wards[i]));
@@ -160,20 +162,12 @@ void write_artifacts(const pipeline::PipelineResult& result,
     for (const auto& [name, art] : result.artifacts) {
         const std::filesystem::path path = root / name;
         std::filesystem::create_directories(path.parent_path());
-        std::ofstream out{path, std::ios::binary};
-        if (!out) {
-            throw CliError{"--out-dir: cannot open '" + path.string() + "'"};
-        }
-        out << art.payload;
+        mcps::cli::write_file("--out-dir", path.string(),
+                              [&](std::ostream& out) { out << art.payload; });
     }
-    {
-        std::ofstream out{root / "MANIFEST", std::ios::binary};
-        if (!out) {
-            throw CliError{"--out-dir: cannot open '" +
-                           (root / "MANIFEST").string() + "'"};
-        }
-        out << result.manifest();
-    }
+    mcps::cli::write_file(
+        "--out-dir", (root / "MANIFEST").string(),
+        [&](std::ostream& out) { out << result.manifest(); });
     if (!quiet) {
         std::cout << "artifacts: " << out_dir << " ("
                   << result.artifacts.size() << " files + MANIFEST)\n";
@@ -182,34 +176,33 @@ void write_artifacts(const pipeline::PipelineResult& result,
 
 void write_bench_json(const pipeline::PipelineResult& result, unsigned jobs,
                       const std::string& path, bool quiet) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw CliError{"--json: cannot open '" + path + "'"};
+    mcps::cli::write_file("--json", path, [&](std::ostream& out) {
+        bool first = true;
+        auto metric = [&](const std::string& name, const char* unit,
+                          double value) {
+            out << (first ? "\n" : ",\n") << "    {\"name\": \"" << name
+                << "\", \"unit\": \"" << unit << "\", \"value\": " << value
+                << "}";
+            first = false;
+        };
 
-    bool first = true;
-    auto metric = [&](const std::string& name, const char* unit,
-                      double value) {
-        out << (first ? "\n" : ",\n") << "    {\"name\": \"" << name
-            << "\", \"unit\": \"" << unit << "\", \"value\": " << value
-            << "}";
-        first = false;
-    };
-
-    out << "{\n  \"bench\": \"pipeline\",\n  \"seed\": 0,\n"
-           "  \"metrics\": [";
-    metric("passes", "count", static_cast<double>(result.passes.size()));
-    metric("jobs", "count", static_cast<double>(jobs));
-    metric("cache_hits", "count", static_cast<double>(result.cache_hits));
-    metric("cache_misses", "count",
-           static_cast<double>(result.cache_misses));
-    double total_us = 0.0;
-    for (const auto& p : result.passes) total_us += p.wall_us;
-    metric("wall_total", "us", total_us);
-    for (const auto& p : result.passes) {
-        metric("pass/" + p.name + "/wall", "us", p.wall_us);
-        metric("pass/" + p.name + "/cached", "bool",
-               p.from_cache ? 1.0 : 0.0);
-    }
-    out << "\n  ]\n}\n";
+        out << "{\n  \"bench\": \"pipeline\",\n  \"seed\": 0,\n"
+               "  \"metrics\": [";
+        metric("passes", "count", static_cast<double>(result.passes.size()));
+        metric("jobs", "count", static_cast<double>(jobs));
+        metric("cache_hits", "count", static_cast<double>(result.cache_hits));
+        metric("cache_misses", "count",
+               static_cast<double>(result.cache_misses));
+        double total_us = 0.0;
+        for (const auto& p : result.passes) total_us += p.wall_us;
+        metric("wall_total", "us", total_us);
+        for (const auto& p : result.passes) {
+            metric("pass/" + p.name + "/wall", "us", p.wall_us);
+            metric("pass/" + p.name + "/cached", "bool",
+                   p.from_cache ? 1.0 : 0.0);
+        }
+        out << "\n  ]\n}\n";
+    });
     if (!quiet) std::cout << "bench json: " << path << "\n";
 }
 

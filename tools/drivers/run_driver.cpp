@@ -17,7 +17,6 @@
 ///
 /// Exit codes: 0 = success, 1 = selfcheck failure, 2 = usage error.
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -192,22 +191,18 @@ int cmd_run(const std::vector<std::string_view>& raw) {
     const scenario::RunArtifacts art = scenario::registry().run(spec, run);
 
     if (!events_path.empty()) {
-        std::ofstream out{events_path, std::ios::binary};
-        if (!out) {
-            throw CliError{"--events-out: cannot open '" + events_path + "'"};
-        }
-        mcps::obs::write_jsonl(log, out);
+        mcps::cli::write_file(
+            "--events-out", events_path,
+            [&](std::ostream& out) { mcps::obs::write_jsonl(log, out); });
         if (!quiet) {
             std::cout << "event log: " << events_path << " (" << log.size()
                       << " events)\n";
         }
     }
     if (!json_path.empty()) {
-        std::ofstream out{json_path, std::ios::binary};
-        if (!out) {
-            throw CliError{"--json: cannot open '" + json_path + "'"};
-        }
-        art.write_json(out);
+        mcps::cli::write_file("--json", json_path, [&](std::ostream& out) {
+            art.write_json(out);
+        });
         if (!quiet) std::cout << "artifacts: " << json_path << "\n";
     }
     if (!quiet) {

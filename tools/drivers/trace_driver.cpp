@@ -99,16 +99,17 @@ obs::EventLog drop_bus_events(const obs::EventLog& in) {
     out.reserve(in.size());
     for (const auto& e : in.events()) {
         if (!is_bus_kind(e.kind)) {
-            out.emit(e.kind, e.time, e.source, e.detail, e.value);
+            out.emit(e.kind, e.time, in.symbol(e.source), in.symbol(e.detail),
+                     e.value);
         }
     }
     return out;
 }
 
 std::string serialize(const obs::EventLog& log) {
-    std::ostringstream os;
-    obs::write_jsonl(log, os);
-    return os.str();
+    std::string text;
+    obs::write_jsonl(log, text);
+    return text;
 }
 
 std::string read_file(const std::string& path) {
@@ -117,12 +118,6 @@ std::string read_file(const std::string& path) {
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) throw CliError{"cannot open '" + path + "' for writing"};
-    out << content;
 }
 
 /// Line-oriented byte diff. Returns true when identical; otherwise
@@ -210,18 +205,18 @@ int cmd_run(const std::vector<std::string_view>& args) {
     if (out_path.empty()) {
         obs::write_jsonl(log, std::cout);
     } else {
-        std::ofstream out{out_path, std::ios::binary};
-        if (!out) throw CliError{"--out: cannot open '" + out_path + "'"};
-        obs::write_jsonl(log, out);
+        mcps::cli::write_file("--out", out_path, [&](std::ostream& out) {
+            obs::write_jsonl(log, out);
+        });
         if (!quiet) {
             std::cout << "event log: " << out_path << " (" << log.size()
                       << " events)\n";
         }
     }
     if (!chrome_path.empty()) {
-        std::ofstream out{chrome_path, std::ios::binary};
-        if (!out) throw CliError{"--chrome: cannot open '" + chrome_path + "'"};
-        obs::write_chrome_trace(log, out);
+        mcps::cli::write_file(
+            "--chrome", chrome_path,
+            [&](std::ostream& out) { obs::write_chrome_trace(log, out); });
         if (!quiet) std::cout << "chrome trace: " << chrome_path << "\n";
     }
     return 0;
@@ -238,7 +233,7 @@ int cmd_inspect(const std::vector<std::string_view>& args) {
     std::map<std::string, std::uint64_t> by_source;
     for (const auto& e : log.events()) {
         ++by_kind[e.kind];
-        ++by_source[e.source];
+        ++by_source[std::string{log.symbol(e.source)}];
     }
 
     std::cout << path << ": " << log.size() << " events";
@@ -289,7 +284,8 @@ int cmd_check(const std::vector<std::string_view>& args) {
     const std::string actual = serialize(log);
 
     if (update) {
-        write_file(golden, actual);
+        mcps::cli::write_file("--golden", golden,
+                              [&](std::ostream& out) { out << actual; });
         std::cout << "golden updated: " << golden << " (" << log.size()
                   << " events, " << actual.size() << " bytes)\n";
         return 0;

@@ -10,7 +10,6 @@
 /// 2 = usage or I/O error.
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -132,34 +131,26 @@ int ward_main(std::string_view prog,
         if (!quiet) report.print(std::cout);
 
         if (!events_path.empty()) {
-            std::ofstream out{events_path};
-            if (!out) {
-                throw CliError{"--events-out: cannot open '" + events_path +
-                               "' for writing"};
-            }
-            mcps::obs::write_jsonl(obsv.events, out);
+            cli::write_file("--events-out", events_path,
+                            [&](std::ostream& out) {
+                                mcps::obs::write_jsonl(obsv.events, out);
+                            });
             if (!quiet) {
                 std::cout << "event log: " << events_path << " ("
                           << obsv.events.size() << " events)\n";
             }
         }
         if (!metrics_path.empty()) {
-            std::ofstream out{metrics_path};
-            if (!out) {
-                throw CliError{"--metrics-out: cannot open '" + metrics_path +
-                               "' for writing"};
-            }
-            obsv.metrics.write_json(out);
+            cli::write_file(
+                "--metrics-out", metrics_path,
+                [&](std::ostream& out) { obsv.metrics.write_json(out); });
             if (!quiet) std::cout << "metrics: " << metrics_path << "\n";
         }
 
         if (!json_path.empty()) {
-            std::ofstream out{json_path};
-            if (!out) {
-                throw CliError{"--json: cannot open '" + json_path +
-                               "' for writing"};
-            }
-            report.write_json(out);
+            cli::write_file("--json", json_path, [&](std::ostream& out) {
+                report.write_json(out);
+            });
             if (!quiet) std::cout << "json report: " << json_path << "\n";
         }
 
