@@ -28,16 +28,19 @@ SubscriptionId Bus::subscribe(const std::string& endpoint,
                               const std::string& pattern, Handler handler) {
     if (!handler) throw std::invalid_argument("subscribe: empty handler");
     const SubscriptionId id{next_sub_++};
-    subs_.push_back(Subscription{id, endpoint, pattern, std::move(handler),
-                                 &channel_for(endpoint)});
+    subs_.push_back(std::make_unique<Subscription>(Subscription{
+        id, endpoint, pattern, std::move(handler), &channel_for(endpoint)}));
     return id;
 }
 
 bool Bus::unsubscribe(SubscriptionId id) {
-    const auto it = std::find_if(
-        subs_.begin(), subs_.end(),
-        [id](const Subscription& s) { return s.id.value == id.value; });
+    const auto it = std::find_if(subs_.begin(), subs_.end(),
+                                 [id](const auto& s) {
+                                     return s->id.value == id.value;
+                                 });
     if (it == subs_.end()) return false;
+    (*it)->live = false;
+    retired_.push_back(std::move(*it));
     subs_.erase(it);
     return true;
 }
@@ -101,7 +104,8 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
 
     // Snapshot matching subscriptions now; a subscriber added after
     // publication must not receive an in-flight message.
-    for (const auto& sub : subs_) {
+    for (const auto& slot : subs_) {
+        const Subscription& sub = *slot;
         if (!topic_matches(sub.pattern, topic)) continue;
         DeliveryPlan plan = sub.channel->plan_delivery(now);
         if (plan.dropped) {
@@ -126,24 +130,19 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
                                              garbled_vital(msg->seq), false};
             }
         }
-        const SubscriptionId sub_id = sub.id;
-        auto deliver = [this, msg = std::move(out), sub_id]() {
+        auto deliver = [this, msg = std::move(out), to = slot.get()]() {
             // Re-check liveness at delivery time: unsubscribing cancels
             // in-flight deliveries, as a real middleware detach would.
-            const auto it = std::find_if(subs_.begin(), subs_.end(),
-                                         [sub_id](const Subscription& s) {
-                                             return s.id.value == sub_id.value;
-                                         });
-            if (it == subs_.end()) return;
+            if (!to->live) return;
             ++stats_.delivered;
             stats_.delivery_latency_ms.add(
                 (sim_.now() - msg->sent_at).to_millis());
             if (events_) {
                 events_->emit(mcps::obs::EventKind::kBusDeliver, sim_.now(),
-                              it->endpoint, msg->topic,
+                              to->endpoint, msg->topic,
                               static_cast<double>(msg->seq));
             }
-            it->handler(*msg);
+            to->handler(*msg);
         };
         sim_.schedule_after(plan.delay, deliver);
         if (plan.duplicated) {

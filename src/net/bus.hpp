@@ -44,7 +44,9 @@ struct BusStats {
     std::uint64_t dropped = 0;
     std::uint64_t duplicated = 0;
     std::uint64_t corrupted = 0;
-    mcps::sim::SampleSet delivery_latency_ms;
+    /// Sim-time publish-to-delivery latency: running moments only, so a
+    /// long run's stats stay a few words.
+    mcps::sim::RunningStats delivery_latency_ms;
 };
 
 /// The pub/sub bus. One per scenario; endpoints register a link channel
@@ -62,7 +64,8 @@ public:
 
     /// Subscribe \p endpoint to all topics matching \p pattern (see
     /// topic_matches). The handler runs at delivery time (after the
-    /// endpoint's channel delay).
+    /// endpoint's channel delay). A handler may subscribe or unsubscribe,
+    /// itself included, while it runs.
     SubscriptionId subscribe(const std::string& endpoint,
                              const std::string& pattern, Handler handler);
 
@@ -115,6 +118,8 @@ private:
         /// Resolved at subscribe time: channels are never destroyed while
         /// the bus lives, so publish skips the per-delivery map lookup.
         Channel* channel = nullptr;
+        /// Cleared by unsubscribe: deliveries still in flight check it.
+        bool live = true;
     };
 
     Channel& channel_for(const std::string& endpoint);
@@ -123,7 +128,13 @@ private:
     ChannelParameters default_params_;
     std::uint64_t next_seq_{1};
     std::uint64_t next_sub_{1};
-    std::vector<Subscription> subs_;
+    /// Live subscriptions in subscribe order. Each sits at a fixed heap
+    /// address, which scheduled deliveries hold and a running handler
+    /// executes from, so subscribing or unsubscribing moves nothing.
+    std::vector<std::unique_ptr<Subscription>> subs_;
+    /// Unsubscribed slots, kept until the bus dies: a scheduled delivery
+    /// or a handler still running may point at one.
+    std::vector<std::unique_ptr<Subscription>> retired_;
     std::map<std::string, std::unique_ptr<Channel>> channels_;
     std::vector<std::pair<mcps::sim::SimTime, mcps::sim::SimTime>> partitions_;
     MessagePool pool_;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <iterator>
 #include <limits>
@@ -285,11 +286,32 @@ EventLog read_jsonl(std::string_view text) {
 }
 
 EventLog read_jsonl(std::istream& is) {
+    constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
     EventLog log;
-    std::string line;
-    for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
-        read_line(line, lineno, log);
+    // buf[0, carried) is the line the last chunk ended inside, and the
+    // next chunk is read after it, so a large stream is never held
+    // whole; buf outgrows one chunk only for a line longer than one.
+    std::vector<char> buf(kChunkBytes);
+    std::size_t carried = 0, lineno = 1;
+    while (true) {
+        if (buf.size() < carried + kChunkBytes) {
+            buf.resize(carried + kChunkBytes);
+        }
+        is.read(buf.data() + carried,
+                static_cast<std::streamsize>(kChunkBytes));
+        const auto got = static_cast<std::size_t>(is.gcount());
+        if (got == 0) break;  // end of stream
+        std::string_view rest{buf.data(), carried + got};
+        for (std::size_t nl; (nl = rest.find('\n')) != std::string_view::npos;
+             ++lineno) {
+            read_line(rest.substr(0, nl), lineno, log);
+            rest.remove_prefix(nl + 1);
+        }
+        carried = rest.size();
+        std::memmove(buf.data(), rest.data(), carried);
     }
+    // A last line without a newline.
+    read_line(std::string_view{buf.data(), carried}, lineno, log);
     return log;
 }
 

@@ -43,7 +43,8 @@ void write_jsonl(const EventLog& log, std::string& out);
 /// \throws std::runtime_error naming the offending line on malformed
 /// input or unknown event kinds.
 [[nodiscard]] EventLog read_jsonl(std::string_view text);
-/// The same, reading the stream line by line into one reused buffer.
+/// The same, reading the stream in 64 KiB chunks: beyond the log it
+/// builds, it holds one chunk plus the line that chunk ends inside.
 [[nodiscard]] EventLog read_jsonl(std::istream& is);
 
 /// Write the Chrome trace_event ("chrome://tracing") representation:

@@ -1,6 +1,8 @@
 #include "json.hpp"
 
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <utility>
 
 namespace mcps::obs {
@@ -42,29 +44,50 @@ namespace {
 
 bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
+/// A string byte the scan can step over: not '"', not '\\', not a
+/// control byte.
+bool is_plain(char c) noexcept {
+    return static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\';
+}
+
+constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+
+/// 0x80 in exactly the bytes of \p v that are zero. Adding 0x7F to a
+/// byte's low seven bits never carries into the next byte, so no byte's
+/// result depends on its neighbours.
+std::uint64_t zero_bytes(std::uint64_t v) noexcept {
+    return ~(((v & kLow7) + kLow7) | v | kLow7);
+}
+
+/// The first non-plain byte of \p s at or after \p pos, or s.size():
+/// eight bytes per step, then byte by byte over the tail.
+std::size_t skip_plain(std::string_view s, std::size_t pos) noexcept {
+    for (; pos + 8 <= s.size(); pos += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, s.data() + pos, 8);
+        const std::uint64_t hit = zero_bytes(w ^ (std::uint64_t{'"'} * kOnes)) |
+                                  zero_bytes(w ^ (std::uint64_t{'\\'} * kOnes)) |
+                                  zero_bytes(w & (std::uint64_t{0xE0} * kOnes));
+        if (hit == 0) continue;
+        // The mask is exact, so its lowest-addressed set byte is the
+        // first non-plain byte in either byte order.
+        const int bit = std::endian::native == std::endian::little
+                            ? std::countr_zero(hit)
+                            : std::countl_zero(hit);
+        return pos + static_cast<std::size_t>(bit / 8);
+    }
+    while (pos < s.size() && is_plain(s[pos])) ++pos;
+    return pos;
+}
+
 }  // namespace
 
 void JsonReader::fail(const std::string& reason) const {
     throw JsonError{reason, pos_};
 }
 
-void JsonReader::ws() noexcept {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r' || text_[pos_] == '\t')) {
-        ++pos_;
-    }
-}
-
-bool JsonReader::accept(char c) noexcept {
-    ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-}
-
-void JsonReader::expect(char c) {
-    if (accept(c)) return;
+void JsonReader::fail_expected(char c) const {
     fail(pos_ >= text_.size() ? std::string{"unexpected end of input"}
                               : std::string{"expected '"} + c + "'");
 }
@@ -120,16 +143,11 @@ std::string_view JsonReader::scan_string(std::string& out) {
     std::size_t run = pos_;  // first byte not yet copied to \p out
     out.clear();
     while (true) {
+        pos_ = skip_plain(text_, pos_);
         if (pos_ >= text_.size()) fail("unterminated string");
         const char c = text_[pos_];
         if (c == '"') break;
-        if (static_cast<unsigned char>(c) < 0x20) {
-            fail("raw control byte in string");
-        }
-        if (c != '\\') {
-            ++pos_;
-            continue;
-        }
+        if (c != '\\') fail("raw control byte in string");
         out.append(text_.substr(run, pos_ - run));
         if (++pos_ >= text_.size()) fail("unterminated escape");
         switch (text_[pos_]) {

@@ -89,9 +89,26 @@ public:
     [[noreturn]] void fail(const std::string& reason) const;
 
 private:
-    void ws() noexcept;
-    bool accept(char c) noexcept;
-    void expect(char c);
+    // ws, accept and expect run around every token, so they are inline
+    // (expect's error path is not): a JSONL event line takes a dozen.
+    void ws() noexcept {
+        while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+    }
+    bool accept(char c) noexcept {
+        ws();
+        if (pos_ >= text_.size() || text_[pos_] != c) return false;
+        ++pos_;
+        return true;
+    }
+    void expect(char c) {
+        if (!accept(c)) fail_expected(c);
+    }
+    /// Every byte above ' ' is settled by the first comparison.
+    static bool is_space(char c) noexcept {
+        return static_cast<unsigned char>(c) <= ' ' &&
+               (c == ' ' || c == '\n' || c == '\r' || c == '\t');
+    }
+    [[noreturn]] void fail_expected(char c) const;
     void open(char c);
     bool next(char close);
     std::string_view scan_string(std::string& out);

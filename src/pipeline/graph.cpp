@@ -78,24 +78,27 @@ struct ExecOutcome {
     double wall_us = 0.0;
 };
 
-/// Run one pass as a pure function of \p inputs. Tries a full cache
-/// replay first (all outputs present under their content keys); on any
-/// miss executes the body and stores the outputs.
+/// Run one pass as a pure function of \p inputs. Against a cache, tries
+/// a full replay first (all outputs present under their content keys);
+/// on any miss executes the body and stores the outputs. Without one,
+/// no input is digested and no key is built: keys exist only to address
+/// the cache.
 ExecOutcome execute_pass(const Pass& pass,
                          const std::map<std::string, Artifact>& inputs,
                          ArtifactCache* cache) {
     ExecOutcome out;
-    std::vector<std::uint64_t> digests;
-    digests.reserve(pass.inputs.size());
-    for (const auto& name : pass.inputs) {
-        digests.push_back(inputs.at(name).digest());
-    }
-    for (const auto& name : pass.outputs) {
-        out.keys.emplace(name,
-                         artifact_key(pass.name, pass.params, digests, name));
-    }
+    const bool cached_run = cache != nullptr && pass.cacheable;
+    if (cached_run) {
+        std::vector<std::uint64_t> digests;
+        digests.reserve(pass.inputs.size());
+        for (const auto& name : pass.inputs) {
+            digests.push_back(inputs.at(name).digest());
+        }
+        for (const auto& name : pass.outputs) {
+            out.keys.emplace(
+                name, artifact_key(pass.name, pass.params, digests, name));
+        }
 
-    if (cache != nullptr && pass.cacheable) {
         std::map<std::string, Artifact> cached;
         for (const auto& [name, key] : out.keys) {
             auto hit = cache->lookup(key);
@@ -129,7 +132,7 @@ ExecOutcome execute_pass(const Pass& pass,
     out.wall_us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
 
-    if (cache != nullptr && pass.cacheable) {
+    if (cached_run) {
         for (const auto& [name, art] : out.outputs) {
             cache->insert(out.keys.at(name), art);
         }

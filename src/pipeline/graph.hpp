@@ -59,7 +59,9 @@ struct PipelineResult {
     /// deterministic).
     std::map<std::string, Artifact> artifacts;
     /// Output artifact name -> the content-hash cache key it was
-    /// stored/looked up under.
+    /// stored or looked up under. Only passes run against a cache have
+    /// keys: an uncached run (or a non-cacheable pass) digests no input
+    /// and leaves this empty.
     std::map<std::string, std::string> keys;
     /// This run's cache traffic (counted per pass output).
     std::uint64_t cache_hits = 0;

@@ -1,17 +1,21 @@
 /// \file test_json.cpp
-/// \brief The shared JSON reader (obs/json.hpp): escape set, whole-token
-/// numbers, the depth bound, raw_value spans, and a mutation sweep over
-/// every document shape the repo reads (JSONL event, bench report,
-/// SARIF, scenario spec) asserting the reader is total.
+/// \brief The shared JSON reader (obs/json.hpp): escape set, the string
+/// scan against a byte loop, whole-token numbers, the depth bound,
+/// raw_value spans, and a mutation sweep over every document shape the
+/// repo reads (JSONL event, bench report, SARIF, scenario spec)
+/// asserting the reader is total, with its outcomes pinned.
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
 
 #include "obs/exporters.hpp"
 #include "obs/json.hpp"
+#include "sim/hash.hpp"
 
 namespace {
 
@@ -73,6 +77,118 @@ TEST(Json, RejectsRawControlBytes) {
     EXPECT_TRUE(rejects("\"line\nbreak\""));
     EXPECT_TRUE(rejects(std::string("\"nul\0\"", 6)));
     EXPECT_FALSE(rejects("\"del\x7f\""));
+}
+
+/// The string rules as a plain byte loop, one byte per step: what a
+/// whole document holding one string (with whitespace around it) reads
+/// to, as "ok <value>" or "error <reason> at offset <n>".
+std::string reference_string(std::string_view doc) {
+    const auto error = [](const char* reason, std::size_t at) {
+        return std::string{"error "} + reason + " at offset " +
+               std::to_string(at);
+    };
+    const auto is_ws = [](char c) {
+        return c == ' ' || c == '\n' || c == '\r' || c == '\t';
+    };
+    std::size_t pos = 0;
+    while (pos < doc.size() && is_ws(doc[pos])) ++pos;
+    if (pos >= doc.size()) return error("unexpected end of input", pos);
+    if (doc[pos] != '"') return error("expected '\"'", pos);
+    ++pos;
+    std::string value;
+    while (true) {
+        if (pos >= doc.size()) return error("unterminated string", pos);
+        const char c = doc[pos];
+        if (c == '"') break;
+        if (static_cast<unsigned char>(c) < 0x20) {
+            return error("raw control byte in string", pos);
+        }
+        if (c != '\\') {
+            value.push_back(c);
+            ++pos;
+            continue;
+        }
+        if (++pos >= doc.size()) return error("unterminated escape", pos);
+        switch (doc[pos]) {
+            case '"': value.push_back('"'); break;
+            case '\\': value.push_back('\\'); break;
+            case '/': value.push_back('/'); break;
+            case 'b': value.push_back('\b'); break;
+            case 'f': value.push_back('\f'); break;
+            case 'n': value.push_back('\n'); break;
+            case 'r': value.push_back('\r'); break;
+            case 't': value.push_back('\t'); break;
+            case 'u': {
+                unsigned v = 0;
+                for (std::size_t i = 1; i <= 4; ++i) {
+                    const char h = pos + i < doc.size() ? doc[pos + i] : 'g';
+                    const int d = h >= '0' && h <= '9'   ? h - '0'
+                                  : h >= 'a' && h <= 'f' ? h - 'a' + 10
+                                  : h >= 'A' && h <= 'F' ? h - 'A' + 10
+                                                         : -1;
+                    if (d < 0) return error("bad \\u escape", pos);
+                    v = v * 16 + static_cast<unsigned>(d);
+                }
+                if (v > 0x7F) return error("\\u escape above U+007F", pos);
+                value.push_back(static_cast<char>(v));
+                pos += 4;
+                break;
+            }
+            default: return error("unknown escape", pos);
+        }
+        ++pos;
+    }
+    ++pos;
+    while (pos < doc.size() && is_ws(doc[pos])) ++pos;
+    if (pos != doc.size()) return error("trailing content", pos);
+    return "ok " + value;
+}
+
+/// The same document through the reader's cursor.
+std::string reader_string(std::string_view doc) {
+    try {
+        JsonReader r{doc};
+        std::string value{r.string()};
+        r.finish();
+        return "ok " + value;
+    } catch (const JsonError& e) {
+        return std::string{"error "} + e.what();
+    }
+}
+
+/// The word-at-a-time string scan against the byte loop: every byte at
+/// every offset of a 16-byte string, the string starting at every
+/// position mod 8, closed in each of the buffer's last eight bytes or
+/// left unterminated. Same value, or same error text at the same offset.
+TEST(Json, StringScanMatchesAByteLoop) {
+    std::size_t cases = 0, errors = 0;
+    for (const char filler : {'x', '\xe9'}) {
+        for (std::size_t lead = 0; lead < 8; ++lead) {
+            for (std::size_t at = 0; at < 16; ++at) {
+                for (int byte = 0; byte < 256; ++byte) {
+                    std::string body(16, filler);
+                    body[at] = static_cast<char>(byte);
+                    const std::string open = std::string(lead, ' ') + '"' +
+                                             body;
+                    for (std::size_t pad = 0; pad <= 8; ++pad) {
+                        // pad 8: no closing quote at all.
+                        const std::string doc =
+                            pad == 8 ? open
+                                     : open + '"' + std::string(pad, ' ');
+                        const std::string want = reference_string(doc);
+                        ASSERT_EQ(reader_string(doc), want)
+                            << "lead " << lead << " at " << at << " byte "
+                            << byte << " pad " << pad;
+                        ++cases;
+                        errors += want.starts_with("error ") ? 1 : 0;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 2u * 8 * 16 * 256 * 9);
+    EXPECT_GT(errors, 0u);
+    EXPECT_LT(errors, cases);
 }
 
 // ---- numbers ---------------------------------------------------------
@@ -228,9 +344,54 @@ TEST(Json, DomKeepsOrderAndFirstDuplicate) {
 
 // ---- totality --------------------------------------------------------
 
+/// A canonical rendering of a parsed value, for outcome digests.
+std::string render(const JsonValue& v) {
+    switch (v.kind) {
+        case JsonKind::kNull: return "n";
+        case JsonKind::kBool: return "b";  // the tree keeps no bool value
+        case JsonKind::kNumber: {
+            char buf[32];
+            const auto r = std::to_chars(buf, buf + sizeof buf, v.number);
+            return "#" + std::string(buf, r.ptr);
+        }
+        case JsonKind::kString:
+            return "s" + std::to_string(v.string.size()) + ":" + v.string;
+        case JsonKind::kArray: {
+            std::string out = "[";
+            for (const JsonValue& e : v.array) out += render(e) + ",";
+            return out + "]";
+        }
+        case JsonKind::kObject: {
+            std::string out = "{";
+            for (const auto& [k, e] : v.object) {
+                out += std::to_string(k.size()) + ":" + k + "=" + render(e) +
+                       ",";
+            }
+            return out + "}";
+        }
+    }
+    return "?";
+}
+
+/// What parse_json makes of \p doc: the rendered value, or the error
+/// text with its offset. A document that parses also streams through
+/// the cursor.
+std::string outcome_of(std::string_view doc) {
+    try {
+        std::string out = "ok " + render(parse_json(doc));
+        JsonReader r{doc};
+        r.skip();
+        r.finish();
+        return out;
+    } catch (const JsonError& e) {
+        return std::string{"error "} + e.what();
+    }
+}
+
 /// Random byte mutations of every document shape the repo reads: each
 /// mutant must parse or throw JsonError; any other exception or a crash
-/// fails the run.
+/// fails the run. The digest of every outcome (value, or error text and
+/// offset) is pinned, so a reader change that moves an error fails here.
 TEST(Json, MutationSweepNeverCrashes) {
     EventLog log;
     log.emit(EventKind::kBusPublish,
@@ -261,6 +422,7 @@ TEST(Json, MutationSweepNeverCrashes) {
 
     std::mt19937_64 rng{20261017};
     std::uint64_t parsed = 0, rejected = 0;
+    std::uint64_t digest = mcps::sim::kFnvOffset;
     for (int iter = 0; iter < 8000; ++iter) {
         std::string doc = seeds[static_cast<std::size_t>(iter) %
                                 std::size(seeds)];
@@ -279,16 +441,9 @@ TEST(Json, MutationSweepNeverCrashes) {
             }
             if (doc.empty()) doc.push_back('x');
         }
-        try {
-            const JsonValue v = parse_json(doc);
-            ++parsed;
-            // A mutant that parses also streams through the cursor.
-            JsonReader r{doc};
-            r.skip();
-            r.finish();
-        } catch (const JsonError&) {
-            ++rejected;
-        }
+        const std::string outcome = outcome_of(doc);
+        ++(outcome.starts_with("ok ") ? parsed : rejected);
+        digest = mcps::sim::fnv1a64(digest, outcome);
     }
     EXPECT_GT(rejected, 0U);
     EXPECT_GT(parsed, 0U);
@@ -296,11 +451,11 @@ TEST(Json, MutationSweepNeverCrashes) {
     for (int iter = 0; iter < 2000; ++iter) {
         std::string doc(rng() % 200, '\0');
         for (char& c : doc) c = static_cast<char>(rng() & 0xFF);
-        try {
-            (void)parse_json(doc);
-        } catch (const JsonError&) {
-        }
+        digest = mcps::sim::fnv1a64(digest, outcome_of(doc));
     }
+    // Pinned from the byte-at-a-time string scan: a faster reader must
+    // not move any value or error.
+    EXPECT_EQ(digest, 0xcb60a1fc2275f6f2ULL);
 }
 
 }  // namespace

@@ -92,11 +92,16 @@ TEST(PipelineDeterminism, ColdWarmParallelManifestsAreByteIdentical) {
     EXPECT_EQ(cold.manifest(), wide.manifest());
     EXPECT_EQ(cold.manifest(), uncached.manifest());
     EXPECT_EQ(cold.digest(), wide.digest());
+    EXPECT_EQ(cold.digest(), uncached.digest());
 
     // The manifest covers every artifact in the graph: one key per pass
     // output plus the three provided sources (two specs, one ward
-    // config).
+    // config). Keys only address the cache, so a run without one has
+    // none.
     EXPECT_EQ(cold.artifacts.size(), cold.keys.size() + 3u);
+    EXPECT_EQ(warm.keys, cold.keys);
+    EXPECT_TRUE(uncached.keys.empty());
+    EXPECT_EQ(uncached.artifacts.size(), cold.artifacts.size());
 }
 
 TEST(PipelineDeterminism, ScenarioKnobEditInvalidatesExactlyDownstream) {

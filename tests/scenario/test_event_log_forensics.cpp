@@ -1,14 +1,16 @@
 /// \file test_event_log_forensics.cpp
 /// \brief The incident record's exporters against real scenario logs:
 /// the Chrome bytes of the x-ray golden trace are pinned by digest, the
-/// JSONL goldens round-trip byte for byte, and a mutation sweep over a
+/// JSONL goldens round-trip byte for byte, a mutation sweep over a
 /// real pca log shows read_jsonl either rejects a damaged log or reads
-/// one whose JSONL is a fixed point.
+/// one whose JSONL is a fixed point, and the stream and in-memory
+/// read_jsonl agree on every input, chunk boundaries included.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -69,6 +71,31 @@ TEST(EventLogForensics, GoldenChromeBytesArePinned) {
     EXPECT_EQ(streamed.str(), chrome);
 }
 
+/// read_jsonl over \p text as one view and as a stream: both must read
+/// equal logs or throw the same message. Returns the log, or nullopt
+/// when both rejected \p text.
+std::optional<obs::EventLog> read_both(const std::string& text) {
+    std::optional<obs::EventLog> from_view, from_stream;
+    std::string view_error, stream_error;
+    try {
+        from_view = obs::read_jsonl(std::string_view{text});
+    } catch (const std::runtime_error& e) {
+        view_error = e.what();
+    }
+    try {
+        std::istringstream in{text};
+        from_stream = obs::read_jsonl(in);
+    } catch (const std::runtime_error& e) {
+        stream_error = e.what();
+    }
+    EXPECT_EQ(stream_error, view_error);
+    EXPECT_EQ(from_stream.has_value(), from_view.has_value());
+    if (from_stream && from_view) {
+        EXPECT_TRUE(*from_stream == *from_view);
+    }
+    return from_view;
+}
+
 obs::EventLog pca_log(std::uint64_t minutes) {
     scenario::ScenarioSpec spec = scenario::registry().default_spec("pca");
     spec.minutes = minutes;
@@ -82,7 +109,7 @@ obs::EventLog pca_log(std::uint64_t minutes) {
 /// ROADMAP's event-log mutation sweep, on a real multi-line pca log:
 /// every mutant either throws std::runtime_error, or reads back to a log
 /// whose symbols all resolve and whose JSONL is a fixed point under
-/// read -> write.
+/// read -> write. Both read_jsonl overloads give the same answer.
 TEST(EventLogForensics, MutationSweepRejectsOrReachesAFixedPoint) {
     const obs::EventLog base = pca_log(5);
     ASSERT_GT(base.size(), 500u);
@@ -124,18 +151,13 @@ TEST(EventLogForensics, MutationSweepRejectsOrReachesAFixedPoint) {
             }
         }
 
-        bool ok = true;
-        obs::EventLog log;
-        try {
-            log = obs::read_jsonl(doc);
-        } catch (const std::runtime_error&) {
-            ok = false;
-        }
-        if (!ok) {
+        const std::optional<obs::EventLog> read = read_both(doc);
+        if (!read) {
             ++rejected;
             continue;
         }
         ++read_back;
+        const obs::EventLog& log = *read;
         for (const obs::Event& e : log.events()) {
             ASSERT_LT(e.source, log.symbol_count());
             ASSERT_LT(e.detail, log.symbol_count());
@@ -146,6 +168,67 @@ TEST(EventLogForensics, MutationSweepRejectsOrReachesAFixedPoint) {
     }
     EXPECT_GT(rejected, 0u);
     EXPECT_GT(read_back, 0u);
+}
+
+/// The stream overload reads 64 KiB chunks; these texts put line ends
+/// everywhere a chunk can cut. Each must read like the view overload:
+/// the same log, or the same error naming the same line.
+TEST(EventLogForensics, StreamAndViewReadersAgreeAcrossChunks) {
+    constexpr std::size_t kChunk = std::size_t{1} << 16;
+    const obs::EventLog base = pca_log(5);
+    const std::string text = jsonl_of(base);
+    ASSERT_GT(text.size(), kChunk + 1000);
+
+    // Shift the first line by up to two line lengths, so the chunk
+    // boundary falls on every byte of the line that straddles it, the
+    // newline and the byte after it included.
+    for (std::size_t shift = 0; shift < 240; ++shift) {
+        const auto read = read_both(std::string(shift, ' ') + text);
+        ASSERT_TRUE(read);
+        EXPECT_TRUE(*read == base) << shift;
+    }
+
+    std::string no_final_newline = text;
+    no_final_newline.pop_back();
+    std::string blank_lines, crlf;
+    for (const char c : text) {
+        blank_lines += c;
+        crlf += c == '\n' ? std::string{"\r\n"} : std::string(1, c);
+        if (c == '\n') blank_lines += "\n\n";
+    }
+    for (const std::string* t : {&no_final_newline, &blank_lines, &crlf}) {
+        const auto read = read_both(*t);
+        ASSERT_TRUE(read);
+        EXPECT_TRUE(*read == base);
+    }
+
+    // A line longer than one chunk, valid (its unknown key is skipped)
+    // and then broken, between ordinary lines.
+    const std::string first = text.substr(0, text.find('\n') + 1);
+    std::string huge = first;
+    huge.insert(huge.size() - 2,
+                ",\"pad\":\"" + std::string(3 * kChunk, 'x') + "\"");
+    const auto read = read_both(first + huge + first);
+    ASSERT_TRUE(read);
+    EXPECT_EQ(read->size(), 3u);
+    std::string broken = huge;
+    broken[2 * kChunk] = '\x01';
+    EXPECT_FALSE(read_both(first + first + broken + first));
+    try {
+        std::istringstream in{first + first + broken};
+        (void)obs::read_jsonl(in);
+        ADD_FAILURE() << "a raw control byte was read";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string{e.what()}.rfind("jsonl line 3: ", 0), 0u)
+            << e.what();
+    }
+
+    // A damaged line on each side of a chunk boundary.
+    for (const std::size_t at : {kChunk - 1, kChunk, kChunk + 1}) {
+        std::string damaged = text;
+        damaged[at] = damaged[at] == '\n' ? '{' : '\n';
+        EXPECT_FALSE(read_both(damaged)) << at;
+    }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/net.hpp"
 #include "sim/simulation.hpp"
 
@@ -269,6 +271,55 @@ TEST(Bus, UnsubscribeStopsDeliveryIncludingInFlight) {
     EXPECT_FALSE(bus.unsubscribe(id));  // second time: gone
     s.run_all();
     EXPECT_EQ(got, 0);  // in-flight delivery cancelled by detach
+}
+
+/// A handler that subscribes (growing the subscription list) and then
+/// unsubscribes itself and a peer must keep running from intact state:
+/// its capture is one pointer, small enough to live inside the
+/// std::function, so a handler stored in the list itself would read
+/// freed memory (ASan reports it). Order and cancellation are as for
+/// calls made from outside a handler.
+TEST(Bus, HandlerMaySubscribeAndUnsubscribeWhileRunning) {
+    sim::Simulation s;
+    net::ChannelParameters delayed;
+    delayed.base_latency = 10_ms;
+    delayed.jitter_sd = sim::SimDuration::zero();
+    net::Bus bus{s, delayed};
+    struct State {
+        net::Bus* bus = nullptr;
+        net::SubscriptionId self, peer;
+        int calls = 0, peer_got = 0, added_got = 0;
+        std::vector<int> order;
+    } st;
+    st.bus = &bus;
+    st.self = bus.subscribe("a", "t", [p = &st](const net::Message&) {
+        p->order.push_back(0);
+        for (int i = 0; i < 64; ++i) {
+            p->bus->subscribe("b", "t", [p](const net::Message&) {
+                ++p->added_got;
+            });
+        }
+        ++p->calls;  // reads the capture after the list grew
+        EXPECT_TRUE(p->bus->unsubscribe(p->peer));  // its delivery is due
+        EXPECT_TRUE(p->bus->unsubscribe(p->self));
+        p->order.push_back(p->calls);  // and after it was erased
+    });
+    st.peer = bus.subscribe("c", "t", [p = &st](const net::Message&) {
+        ++p->peer_got;
+    });
+    bus.publish("p", "t", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(st.calls, 1);
+    EXPECT_EQ(st.order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(st.peer_got, 0);   // in flight, cancelled from the handler
+    EXPECT_EQ(st.added_got, 0);  // subscribed after the publish
+    EXPECT_EQ(bus.subscription_count(), 64u);
+
+    bus.publish("p", "t", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(st.calls, 1);
+    EXPECT_EQ(st.added_got, 64);
+    EXPECT_EQ(bus.stats().delivered, 65u);
 }
 
 TEST(Bus, SubscriberAddedAfterPublishMissesMessage) {
