@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
             ch.base_latency = 5_ms;
             ch.jitter_sd = 1_ms;
             net::Bus bus{sim, ch};
-            devices::DeviceContext ctx{sim, bus, trace};
+            mcps::obs::EventLog events;
+            devices::DeviceContext ctx{sim, bus, trace, events};
             physio::Patient patient{
                 physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
             ice::DeviceRegistry registry;
@@ -111,7 +112,8 @@ int main(int argc, char** argv) {
             sim::Simulation sim{11};
             sim::TraceRecorder trace;
             net::Bus bus{sim, net::ChannelParameters::ideal()};
-            devices::DeviceContext ctx{sim, bus, trace};
+            mcps::obs::EventLog events;
+            devices::DeviceContext ctx{sim, bus, trace, events};
             physio::Patient patient{
                 physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
             ice::DeviceRegistry registry;

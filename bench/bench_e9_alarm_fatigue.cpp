@@ -66,7 +66,7 @@ CellResult run_cell(bool use_smart_alarm, double artifact_prob) {
         ncfg.alarm_topic =
             use_smart_alarm ? "alarm/smart1" : "alarm/monitor1";
         devices::DeviceContext ctx{scenario.simulation(), scenario.bus(),
-                                   scenario.trace()};
+                                   scenario.trace(), scenario.events()};
         core::NurseResponder nurse{ctx, "nurse1", scenario.patient(), ncfg};
         nurse.start();
 

@@ -20,7 +20,8 @@ int main() {
     net::Bus bus{sim, net::ChannelParameters{}};
     physio::Patient patient{
         physio::nominal_parameters(physio::Archetype::kOpioidSensitive)};
-    devices::DeviceContext ctx{sim, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{sim, bus, trace, events};
 
     // The devices that happen to be at this bedside.
     devices::GpcaPump pump{ctx, "pump1", patient, devices::Prescription{}};

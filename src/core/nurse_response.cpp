@@ -5,6 +5,7 @@
 
 namespace mcps::core {
 
+using mcps::obs::EventKind;
 using mcps::sim::SimDuration;
 using mcps::sim::SimTime;
 
@@ -67,7 +68,7 @@ void NurseResponder::on_alarm(const mcps::net::Message& m) {
     if (dispatched_) return;  // already on the way / at the bedside
     if (rng_.bernoulli(p_ignore)) {
         ++stats_.ignored;
-        ctx_.trace.mark(ctx_.sim.now(), "nurse/" + name_ + "/ignored");
+        ctx_.emit(EventKind::kClinician, name_, "ignored");
         return;
     }
     dispatched_ = true;
@@ -77,7 +78,7 @@ void NurseResponder::on_alarm(const mcps::net::Message& m) {
     const double mu = std::log(cfg_.base_response.to_seconds() * factor);
     const double delay_s = rng_.lognormal(mu, cfg_.response_sigma);
     const SimTime alarm_at = ctx_.sim.now();
-    ctx_.trace.mark(alarm_at, "nurse/" + name_ + "/dispatch");
+    ctx_.emit(EventKind::kClinician, name_, "dispatch", delay_s);
     ctx_.sim.schedule_after(SimDuration::from_seconds(delay_s),
                             [this, alarm_at] { arrive_at_bedside(alarm_at); });
 }
@@ -85,7 +86,8 @@ void NurseResponder::on_alarm(const mcps::net::Message& m) {
 void NurseResponder::arrive_at_bedside(SimTime alarm_at) {
     stats_.response_times_s.push_back(
         (ctx_.sim.now() - alarm_at).to_seconds());
-    ctx_.trace.mark(ctx_.sim.now(), "nurse/" + name_ + "/arrive");
+    ctx_.emit(EventKind::kClinician, name_, "arrive",
+              stats_.response_times_s.back());
 
     ctx_.sim.schedule_after(cfg_.assessment, [this] {
         dispatched_ = false;
@@ -96,7 +98,7 @@ void NurseResponder::arrive_at_bedside(SimTime alarm_at) {
             patient_.etco2().as_mmhg() > cfg_.rescue_etco2;
         if (!depressed) {
             ++stats_.false_trips;
-            ctx_.trace.mark(ctx_.sim.now(), "nurse/" + name_ + "/false_trip");
+            ctx_.emit(EventKind::kClinician, name_, "false_trip");
             return;
         }
         const bool lockout_active =
@@ -118,7 +120,7 @@ void NurseResponder::arrive_at_bedside(SimTime alarm_at) {
         }
         ever_rescued_ = true;
         ++stats_.rescues;
-        ctx_.trace.mark(ctx_.sim.now(), "nurse/" + name_ + "/rescue");
+        ctx_.emit(EventKind::kClinician, name_, "rescue");
         ctx_.bus.publish(name_, "nurse/" + name_ + "/rescue",
                          mcps::net::StatusPayload{"rescue", "antagonist"});
     });

@@ -4,6 +4,7 @@
 
 namespace mcps::core {
 
+using mcps::obs::EventKind;
 using mcps::sim::SimDuration;
 using mcps::sim::SimTime;
 
@@ -95,8 +96,7 @@ void PcaInterlock::on_app_stop() {
 }
 
 void PcaInterlock::on_device_lost(const std::string& device_name) {
-    ctx_.trace.mark(ctx_.sim.now(), "interlock/" + name() + "/device_lost/" +
-                                        device_name);
+    ctx_.emit(EventKind::kAppState, name(), "device_lost/" + device_name);
     if (device_name == pump_name_) {
         // Cannot command a dead pump; nothing actionable (its own
         // fail-safe hardware is the last line of defense).
@@ -111,8 +111,7 @@ void PcaInterlock::on_device_lost(const std::string& device_name) {
 }
 
 void PcaInterlock::on_device_recovered(const std::string& device_name) {
-    ctx_.trace.mark(ctx_.sim.now(), "interlock/" + name() + "/device_recovered/" +
-                                        device_name);
+    ctx_.emit(EventKind::kAppState, name(), "device_recovered/" + device_name);
     device_lost_active_ = false;
 }
 
@@ -135,10 +134,11 @@ void PcaInterlock::on_ack(const mcps::net::Message& m) {
             stats_.last_stop_latency_ms =
                 (ctx_.sim.now() - trigger_onset_).to_millis();
         }
-        ctx_.trace.mark(ctx_.sim.now(), "interlock/" + name() + "/stop_acked");
+        ctx_.emit(EventKind::kAppState, name(), "stop_acked",
+                  static_cast<double>(ack->command_seq));
     } else if (pending_cmd_ == PendingCmd::kResume) {
-        ctx_.trace.mark(ctx_.sim.now(),
-                        "interlock/" + name() + "/resume_acked");
+        ctx_.emit(EventKind::kAppState, name(), "resume_acked",
+                  static_cast<double>(ack->command_seq));
     }
     pending_cmd_ = PendingCmd::kNone;
     retry_handle_.cancel();
@@ -223,11 +223,8 @@ void PcaInterlock::issue_stop(const std::string& why) {
     pending_command_seq_ = next_command_seq_++;
     trigger_onset_ =
         condition_since_.is_never() ? ctx_.sim.now() : condition_since_;
-    ctx_.trace.mark(ctx_.sim.now(), "interlock/" + name() + "/stop/" + why);
-    if (auto* log = ctx_.events) {
-        log->emit(mcps::obs::EventKind::kInterlockTrip, ctx_.sim.now(), name(),
-                  "stop/" + why, static_cast<double>(stats_.stops_issued));
-    }
+    ctx_.emit(EventKind::kInterlockTrip, name(), "stop/" + why,
+              static_cast<double>(stats_.stops_issued));
     send_pending_command();
     // Retries ride until the ack lands — the command channel is lossy too.
     retry_handle_.cancel();
@@ -241,11 +238,8 @@ void PcaInterlock::issue_resume() {
     ++stats_.resumes_issued;
     pending_cmd_ = PendingCmd::kResume;
     pending_command_seq_ = next_command_seq_++;
-    ctx_.trace.mark(ctx_.sim.now(), "interlock/" + name() + "/resume");
-    if (auto* log = ctx_.events) {
-        log->emit(mcps::obs::EventKind::kInterlockTrip, ctx_.sim.now(), name(),
-                  "resume", static_cast<double>(stats_.resumes_issued));
-    }
+    ctx_.emit(EventKind::kInterlockTrip, name(), "resume",
+              static_cast<double>(stats_.resumes_issued));
     send_pending_command();
     // Resume rides the same lossy network: retry until acknowledged.
     retry_handle_.cancel();

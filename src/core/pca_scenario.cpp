@@ -14,6 +14,11 @@ struct PcaScenario::Impl {
 
     mcps::sim::Simulation sim;
     mcps::sim::TraceRecorder trace;
+    /// Records the run when the caller gives no log.
+    mcps::obs::EventLog own_events;
+    mcps::obs::EventLog& events;
+    /// events' size before this run: a shared log holds earlier runs.
+    std::size_t first_event;
     net::Bus bus;
     physio::Patient patient;
     physio::DemandModel demand;
@@ -46,10 +51,12 @@ struct PcaScenario::Impl {
     explicit Impl(PcaScenarioConfig c)
         : cfg{std::move(c)},
           sim{cfg.seed},
+          events{cfg.events != nullptr ? *cfg.events : own_events},
+          first_event{events.size()},
           bus{sim, cfg.channel},
           patient{cfg.patient},
           demand{make_demand(cfg), sim.rng("demand")},
-          ctx{sim, bus, trace, cfg.events},
+          ctx{sim, bus, trace, events},
           pump{ctx, "pump1", patient, cfg.prescription},
           oximeter{ctx, "oxi1", patient, cfg.oximeter},
           capnometer{ctx, "cap1", patient, cfg.capnometer} {
@@ -72,11 +79,9 @@ PcaScenario::PcaScenario(PcaScenarioConfig cfg)
     auto& im = *impl_;
     const auto& c = im.cfg;
 
-    if (auto* log = c.events) {
-        log->emit(mcps::obs::EventKind::kScenarioStart, im.sim.now(), "pca",
-                  c.interlock ? "closed-loop" : "open-loop",
-                  static_cast<double>(c.seed));
-    }
+    im.events.emit(mcps::obs::EventKind::kScenarioStart, im.sim.now(), "pca",
+                   c.interlock ? "closed-loop" : "open-loop",
+                   static_cast<double>(c.seed));
 
     // Heartbeats for supervisor liveness monitoring.
     im.pump.set_heartbeat_period(SimDuration::seconds(2));
@@ -166,6 +171,8 @@ devices::PulseOximeter& PcaScenario::oximeter() { return impl_->oximeter; }
 devices::Capnometer& PcaScenario::capnometer() { return impl_->capnometer; }
 net::Bus& PcaScenario::bus() { return impl_->bus; }
 mcps::sim::TraceRecorder& PcaScenario::trace() { return impl_->trace; }
+mcps::obs::EventLog& PcaScenario::events() { return impl_->events; }
+std::size_t PcaScenario::first_event() const { return impl_->first_event; }
 PcaInterlock* PcaScenario::interlock() {
     return impl_->interlock ? &*impl_->interlock : nullptr;
 }
@@ -223,11 +230,9 @@ PcaScenarioResult PcaScenario::run() {
         }
     }
     r.events_dispatched = im.sim.events_dispatched();
-    if (auto* log = im.cfg.events) {
-        log->emit(mcps::obs::EventKind::kScenarioEnd, im.sim.now(), "pca",
-                  r.severe_hypoxemia ? "severe-hypoxemia" : "ok",
-                  static_cast<double>(r.events_dispatched));
-    }
+    im.events.emit(mcps::obs::EventKind::kScenarioEnd, im.sim.now(), "pca",
+                   r.severe_hypoxemia ? "severe-hypoxemia" : "ok",
+                   static_cast<double>(r.events_dispatched));
     return r;
 }
 

@@ -62,9 +62,10 @@ struct PcaScenarioConfig {
     std::function<void(class PcaScenario&)> mid_run_hook;
     mcps::sim::SimTime hook_at = mcps::sim::SimTime::never();
 
-    /// Optional structured event log shared by the bus, devices,
-    /// supervisor and interlock. nullptr (default) disables tracing;
-    /// must outlive the scenario when set.
+    /// Optional caller-owned event log; must outlive the scenario when
+    /// set. The devices, supervisor and interlock record into it, and so
+    /// does the bus (publish/deliver/drop). When null, the scenario
+    /// records into a log of its own and the bus records nothing.
     mcps::obs::EventLog* events = nullptr;
 };
 
@@ -117,6 +118,11 @@ public:
     [[nodiscard]] devices::Capnometer& capnometer();
     [[nodiscard]] net::Bus& bus();
     [[nodiscard]] mcps::sim::TraceRecorder& trace();
+    /// The log this run records into (the config's, or the scenario's
+    /// own). Its events from first_event() on are this run's; a shared
+    /// log (ward shards) holds earlier runs before them.
+    [[nodiscard]] mcps::obs::EventLog& events();
+    [[nodiscard]] std::size_t first_event() const;
     [[nodiscard]] PcaInterlock* interlock();  ///< nullptr in open loop
     [[nodiscard]] SmartAlarm* smart_alarm();  ///< nullptr if disabled
     [[nodiscard]] devices::BedsideMonitor* monitor();  ///< nullptr if disabled

@@ -101,7 +101,7 @@ void SmartAlarm::evaluate() {
         last = now;
         const std::string name{to_string(metric)};
         tech_alerts_.push_back(TechnicalAlert{now, name});
-        ctx_.trace.mark(now, "smart_alarm/" + name_ + "/tech/" + name);
+        ctx_.emit(mcps::obs::EventKind::kAlarm, name_, "tech/" + name);
     }
 
     // Fused risk score with corroboration weighting.
@@ -142,7 +142,7 @@ void SmartAlarm::evaluate() {
                     last_fired_[key] = now;
                     const std::string dominant{to_string(dominant_)};
                     alarms_.push_back(AlarmEvent{now, sev, score, dominant});
-                    ctx_.trace.mark(now, "smart_alarm/" + name_ + "/" + key);
+                    ctx_.emit(mcps::obs::EventKind::kAlarm, name_, key, score);
                     ctx_.bus.publish(name_, "alarm/" + name_,
                                      mcps::net::StatusPayload{key, dominant});
                 }

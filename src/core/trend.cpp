@@ -134,7 +134,8 @@ void EarlyWarning::evaluate() {
         last_fired_[rule.metric] = now;
         alerts_.push_back(PredictiveAlert{now, rule.metric, *value, *slope,
                                           cross->to_seconds()});
-        ctx_.trace.mark(now, "predict/" + name_ + "/" + rule.metric);
+        ctx_.emit(mcps::obs::EventKind::kAlarm, name_,
+                  "predict/" + rule.metric, cross->to_seconds());
         ctx_.bus.publish(
             name_, "predict/" + name_,
             mcps::net::StatusPayload{

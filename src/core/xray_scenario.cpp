@@ -23,13 +23,14 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
     mcps::sim::TraceRecorder trace;
     net::Bus bus{sim, cfg.channel};
     bus.set_event_log(cfg.events);
+    mcps::obs::EventLog own_events;
+    mcps::obs::EventLog& events =
+        cfg.events != nullptr ? *cfg.events : own_events;
     physio::Patient patient{cfg.patient};
-    devices::DeviceContext ctx{sim, bus, trace, cfg.events};
+    devices::DeviceContext ctx{sim, bus, trace, events};
 
-    if (auto* log = cfg.events) {
-        log->emit(mcps::obs::EventKind::kScenarioStart, sim.now(), "xray",
-                  to_string(cfg.mode), static_cast<double>(cfg.seed));
-    }
+    events.emit(mcps::obs::EventKind::kScenarioStart, sim.now(), "xray",
+                to_string(cfg.mode), static_cast<double>(cfg.seed));
 
     devices::Ventilator vent{ctx, "vent1", patient, cfg.ventilator};
     // The motion probe is scenario wiring: chest moves when the
@@ -115,12 +116,10 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
     if (supervisor) supervisor->stop();
     vent.stop();
     xray.stop();
-    if (auto* log = cfg.events) {
-        log->emit(mcps::obs::EventKind::kScenarioEnd, sim.now(), "xray",
-                  std::to_string(r.completed) + "/" +
-                      std::to_string(r.procedures) + "-completed",
-                  static_cast<double>(sim.events_dispatched()));
-    }
+    events.emit(mcps::obs::EventKind::kScenarioEnd, sim.now(), "xray",
+                std::to_string(r.completed) + "/" +
+                    std::to_string(r.procedures) + "-completed",
+                static_cast<double>(sim.events_dispatched()));
     return r;
 }
 

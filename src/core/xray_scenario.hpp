@@ -35,8 +35,10 @@ struct XrayScenarioConfig {
     ManualCoordinatorConfig manual{};
     net::ChannelParameters channel{};
 
-    /// Optional structured event log (bus + supervisor + devices).
-    /// nullptr (default) disables tracing; must outlive the run when set.
+    /// Optional caller-owned event log; must outlive the run when set.
+    /// The devices, supervisor and app record into it, and so does the
+    /// bus. When null, the run records into a log of its own and the
+    /// bus records nothing.
     mcps::obs::EventLog* events = nullptr;
 };
 

@@ -68,8 +68,7 @@ void XrayVentSync::on_app_stop() {
 void XrayVentSync::advance_to(SyncPhase p) {
     phase_ = p;
     phase_entered_ = ctx_.sim.now();
-    ctx_.trace.mark(ctx_.sim.now(),
-                    "xray_sync/" + name() + "/" + std::string{to_string(p)});
+    ctx_.emit(mcps::obs::EventKind::kAppState, name(), to_string(p));
 }
 
 void XrayVentSync::send_command(const std::string& device,
@@ -114,7 +113,7 @@ void XrayVentSync::on_retry_timer() {
     }
     if (++retries_ > cfg_.max_retries) {
         // Give up; command a resume best-effort and record the abort.
-        ctx_.trace.mark(ctx_.sim.now(), "xray_sync/" + name() + "/abort");
+        ctx_.emit(mcps::obs::EventKind::kAppState, name(), "abort");
         pending_seq_ = next_seq_++;
         send_command(vent_name_, "resume");
         finish(/*completed=*/false, /*sharp=*/false);

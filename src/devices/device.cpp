@@ -61,7 +61,7 @@ void Device::crash() {
     if (!running_) return;
     crashed_ = true;
     heartbeat_handle_.cancel();
-    ctx_.trace.mark(ctx_.sim.now(), "crash/" + name_);
+    emit(mcps::obs::EventKind::kDeviceState, "crash");
 }
 
 void Device::publish(const std::string& topic, mcps::net::Payload payload) {

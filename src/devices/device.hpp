@@ -12,9 +12,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/bus.hpp"
+#include "obs/event_log.hpp"
 #include "sim/simulation.hpp"
 #include "sim/trace.hpp"
 
@@ -33,15 +35,21 @@ enum class DeviceKind {
 
 [[nodiscard]] std::string_view to_string(DeviceKind k) noexcept;
 
-/// Shared wiring for a device: the simulation kernel, the data bus and
-/// the trace recorder. All references must outlive the device. The
-/// optional structured event log is shared by every component of a
-/// scenario; nullptr (the default) disables event emission.
+/// Shared wiring for a device: the simulation kernel, the data bus, the
+/// trace recorder (sampled signals) and the event log every component
+/// of a scenario records its semantic facts into. All references must
+/// outlive the device.
 struct DeviceContext {
     mcps::sim::Simulation& sim;
     mcps::net::Bus& bus;
     mcps::sim::TraceRecorder& trace;
-    mcps::obs::EventLog* events = nullptr;
+    mcps::obs::EventLog& events;
+
+    /// Record one semantic fact at the current simulated time.
+    void emit(mcps::obs::EventKind kind, std::string_view source,
+              std::string_view detail, double value = 0.0) const {
+        events.emit(kind, sim.now(), source, detail, value);
+    }
 };
 
 /// Abstract device. Concrete devices implement on_start/on_stop and wire
@@ -98,8 +106,11 @@ protected:
     }
     [[nodiscard]] mcps::net::Bus& bus() noexcept { return ctx_.bus; }
     [[nodiscard]] mcps::sim::TraceRecorder& trace() noexcept { return ctx_.trace; }
-    /// Structured event log; nullptr when observability is disabled.
-    [[nodiscard]] mcps::obs::EventLog* events() noexcept { return ctx_.events; }
+    /// Record one semantic fact with this device as its source.
+    void emit(mcps::obs::EventKind kind, std::string_view detail,
+              double value = 0.0) {
+        ctx_.emit(kind, name_, detail, value);
+    }
 
     void add_capability(std::string cap) {
         capabilities_.push_back(std::move(cap));

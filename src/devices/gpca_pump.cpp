@@ -99,15 +99,13 @@ void GpcaPump::on_stop() {
 void GpcaPump::enter_state(PumpState s, const std::string& why) {
     if (state_ == s) return;
     state_ = s;
-    trace().mark(sim().now(),
-                 "pump/" + name() + "/" + std::string{to_string(s)});
+    emit(mcps::obs::EventKind::kDeviceState, to_string(s));
     publish_status(std::string{to_string(s)}, why);
 }
 
 void GpcaPump::raise_alarm(PumpAlarm a) {
     alarm_ = a;
-    trace().mark(sim().now(),
-                 "pump_alarm/" + name() + "/" + std::string{to_string(a)});
+    emit(mcps::obs::EventKind::kAlarm, to_string(a));
     if (a == PumpAlarm::kHourlyLimit) {
         // Advisory only: boluses are being denied but basal continues
         // (subject to the same cap check in tick()).
@@ -186,7 +184,7 @@ void GpcaPump::tick() {
 
 bool GpcaPump::press_button() {
     ++stats_.boluses_requested;
-    trace().mark(sim().now(), "pump/" + name() + "/button");
+    emit(mcps::obs::EventKind::kDeviceState, "button");
 
     if (state_ != PumpState::kInfusing && state_ != PumpState::kBolusActive) {
         ++stats_.denied_state;  // R6
@@ -280,11 +278,8 @@ void GpcaPump::handle_command(const mcps::net::Message& m) {
         ok = false;
         detail = "unknown-action:" + cmd->action;
     }
-    if (auto* log = events()) {
-        log->emit(mcps::obs::EventKind::kPumpCommand, sim().now(), name(),
-                  cmd->action + ":" + detail,
-                  static_cast<double>(cmd->command_seq));
-    }
+    emit(mcps::obs::EventKind::kPumpCommand, cmd->action + ":" + detail,
+         static_cast<double>(cmd->command_seq));
     publish("ack/" + name(),
             mcps::net::AckPayload{cmd->command_seq, ok, detail});
 }

@@ -51,7 +51,7 @@ void BedsideMonitor::fire(const std::string& metric, double value,
     }
     last_fired_[metric] = sim().now();
     alarms_.push_back(MonitorAlarm{sim().now(), metric, value, why});
-    trace().mark(sim().now(), "monitor_alarm/" + metric + "/" + why);
+    emit(mcps::obs::EventKind::kAlarm, metric + "/" + why, value);
     publish("alarm/" + name(),
             mcps::net::StatusPayload{"threshold", metric + ":" + why});
 }

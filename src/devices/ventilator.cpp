@@ -62,8 +62,7 @@ void Ventilator::enter_mode(VentMode m, const std::string& why) {
             patient_.set_mechanical_ventilation(std::nullopt);
             break;
     }
-    trace().mark(sim().now(),
-                 "vent/" + name() + "/" + std::string{to_string(m)});
+    emit(mcps::obs::EventKind::kDeviceState, to_string(m));
     publish_status(std::string{to_string(m)}, why);
 }
 
@@ -78,7 +77,7 @@ bool Ventilator::pause(SimDuration requested) {
     safety_timer_ = sim().schedule_after(granted, [this] {
         if (mode_ == VentMode::kPaused) {
             ++stats_.safety_auto_resumes;
-            trace().mark(sim().now(), "vent/" + name() + "/auto-resume");
+            emit(mcps::obs::EventKind::kDeviceState, "auto-resume");
             publish("alarm/" + name(),
                     mcps::net::StatusPayload{"advisory", "safety-auto-resume"});
             enter_mode(VentMode::kVentilating, "safety-timeout");

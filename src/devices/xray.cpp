@@ -35,7 +35,7 @@ void XRayMachine::on_stop() {
 bool XRayMachine::expose() {
     if (busy_ || !running()) return false;
     busy_ = true;
-    trace().mark(sim().now(), "xray/" + name() + "/prep");
+    emit(mcps::obs::EventKind::kDeviceState, "prep");
     publish_status("prep");
     sim().schedule_after(cfg_.prep_time, [this] { begin_window(); });
     return true;
@@ -48,7 +48,7 @@ void XRayMachine::begin_window() {
     }
     motion_hits_ = 0;
     motion_samples_ = 0;
-    trace().mark(sim().now(), "xray/" + name() + "/expose");
+    emit(mcps::obs::EventKind::kDeviceState, "expose");
     publish_status("exposing");
     sampler_ = sim().schedule_periodic(cfg_.motion_sample, [this] {
         ++motion_samples_;
@@ -73,8 +73,8 @@ void XRayMachine::finish_window() {
     r.sharp = r.motion_fraction <= cfg_.blur_fraction_threshold;
     results_.push_back(r);
     busy_ = false;
-    trace().mark(sim().now(), std::string{"xray/"} + name() + "/" +
-                                  (r.sharp ? "sharp" : "blurred"));
+    emit(mcps::obs::EventKind::kDeviceState, r.sharp ? "sharp" : "blurred",
+         r.motion_fraction);
     publish("image/" + name(),
             mcps::net::StatusPayload{r.sharp ? "sharp" : "blurred",
                                      "motion=" +

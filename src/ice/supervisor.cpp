@@ -59,11 +59,8 @@ DeployResult Supervisor::deploy(VmdApp& app) {
     auto resolved = registry_.resolve(app.requirements(), missing);
     if (resolved.empty() && !app.requirements().empty()) {
         result.error = "unsatisfied requirement: " + missing;
-        trace().mark(sim().now(), "deploy_fail/" + app.name());
-        if (auto* log = events()) {
-            log->emit(mcps::obs::EventKind::kSupervisorState, sim().now(),
-                      name(), "deploy_fail/" + app.name());
-        }
+        emit(mcps::obs::EventKind::kSupervisorState,
+             "deploy_fail/" + app.name());
         return result;
     }
 
@@ -79,12 +76,8 @@ DeployResult Supervisor::deploy(VmdApp& app) {
 
     result.ok = true;
     result.assembly_time = sim().now() - t0;
-    trace().mark(sim().now(), "deploy/" + app.name());
-    if (auto* log = events()) {
-        log->emit(mcps::obs::EventKind::kSupervisorState, sim().now(), name(),
-                  "deploy/" + app.name(),
-                  static_cast<double>(result.bound_devices.size()));
-    }
+    emit(mcps::obs::EventKind::kSupervisorState, "deploy/" + app.name(),
+         static_cast<double>(result.bound_devices.size()));
     publish_status("deployed", app.name());
     return result;
 }
@@ -97,10 +90,7 @@ bool Supervisor::undeploy(VmdApp& app) {
     app.on_app_stop();
     deployments_.erase(it);
     unwatch_unused();
-    if (auto* log = events()) {
-        log->emit(mcps::obs::EventKind::kSupervisorState, sim().now(), name(),
-                  "undeploy/" + app.name());
-    }
+    emit(mcps::obs::EventKind::kSupervisorState, "undeploy/" + app.name());
     publish_status("undeployed", app.name());
     return true;
 }
@@ -147,11 +137,8 @@ void Supervisor::on_heartbeat(const mcps::net::Message& m) {
     it->second.last_heartbeat = sim().now();
     if (it->second.lost) {
         it->second.lost = false;
-        trace().mark(sim().now(), "device_recovered/" + device);
-        if (auto* log = events()) {
-            log->emit(mcps::obs::EventKind::kSupervisorState, sim().now(),
-                      name(), "device_recovered/" + device);
-        }
+        emit(mcps::obs::EventKind::kSupervisorState,
+             "device_recovered/" + device);
         for (const auto& dep : deployments_) {
             if (std::find(dep.devices.begin(), dep.devices.end(), device) !=
                 dep.devices.end()) {
@@ -176,12 +163,8 @@ void Supervisor::on_status(const mcps::net::Message& m) {
 void Supervisor::mark_lost(const std::string& device, LivenessInfo& info) {
     info.lost = true;
     ++lost_events_;
-    trace().mark(sim().now(), "device_lost/" + device);
-    if (auto* log = events()) {
-        log->emit(mcps::obs::EventKind::kSupervisorState, sim().now(), name(),
-                  "device_lost/" + device,
-                  static_cast<double>(lost_events_));
-    }
+    emit(mcps::obs::EventKind::kSupervisorState, "device_lost/" + device,
+         static_cast<double>(lost_events_));
     publish("alarm/" + name(),
             mcps::net::StatusPayload{"device-lost", device});
     for (const auto& dep : deployments_) {

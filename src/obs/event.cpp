@@ -15,6 +15,10 @@ std::string_view to_string(EventKind k) noexcept {
         case EventKind::kFaultInject: return "fault_inject";
         case EventKind::kShardStart: return "shard_start";
         case EventKind::kShardEnd: return "shard_end";
+        case EventKind::kDeviceState: return "device_state";
+        case EventKind::kAlarm: return "alarm";
+        case EventKind::kClinician: return "clinician";
+        case EventKind::kAppState: return "app_state";
     }
     return "unknown";
 }
@@ -25,7 +29,9 @@ std::optional<EventKind> event_kind_from(std::string_view s) {
           EventKind::kBusPublish, EventKind::kBusDeliver, EventKind::kBusDrop,
           EventKind::kSupervisorState, EventKind::kPumpCommand,
           EventKind::kInterlockTrip, EventKind::kFaultInject,
-          EventKind::kShardStart, EventKind::kShardEnd}) {
+          EventKind::kShardStart, EventKind::kShardEnd,
+          EventKind::kDeviceState, EventKind::kAlarm, EventKind::kClinician,
+          EventKind::kAppState}) {
         if (to_string(k) == s) return k;
     }
     return std::nullopt;

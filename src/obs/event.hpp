@@ -1,15 +1,16 @@
 /// \file event.hpp
 /// \brief Typed, sim-time-stamped observability events.
 ///
-/// An Event is the structured counterpart of a TraceRecorder mark: it
-/// carries a closed kind taxonomy, the simulated instant, the emitting
-/// component, a kind-specific detail string (both interned by the owning
-/// EventLog) and one numeric value. The taxonomy deliberately mirrors
-/// the layers of the system — bus traffic, supervisor decisions, pump
-/// commands, interlock trips, fault injections, ward sharding — so a
-/// single log reconstructs "what the closed-loop system did and when"
-/// across every layer (the forensic accountability the MCPS vision
-/// requires).
+/// An Event is one semantic fact of a run: it carries a closed kind
+/// taxonomy, the simulated instant, the emitting component, a
+/// kind-specific detail string (both interned by the owning EventLog)
+/// and one numeric value. The taxonomy deliberately mirrors the layers
+/// of the system — bus traffic, supervisor decisions, pump commands,
+/// interlock trips, device states, alarms, clinician actions, app
+/// phases, fault injections, ward sharding — so a single log
+/// reconstructs "what the closed-loop system did and when" across every
+/// layer (the forensic accountability the MCPS vision requires). Each
+/// fact is recorded once, as an event; there is no second record.
 
 #pragma once
 
@@ -36,12 +37,24 @@ enum class EventKind : std::uint8_t {
     kFaultInject,        ///< testkit fault window armed (value: magnitude)
     kShardStart,         ///< ward shard began (value: shard index)
     kShardEnd,           ///< ward shard finished (value: shard index)
+    kDeviceState,        ///< device state, mode, button, image or crash
+    kAlarm,              ///< pump, monitor, smart or predictive alarm
+    kClinician,          ///< nurse responder action
+    kAppState,           ///< ICE app phase or device-loss handling
 };
 
 /// Stable wire name, e.g. "bus_publish".
 [[nodiscard]] std::string_view to_string(EventKind k) noexcept;
 /// Inverse of to_string; nullopt for unknown names.
 [[nodiscard]] std::optional<EventKind> event_kind_from(std::string_view s);
+
+/// Bus traffic (publish, deliver, drop): the kinds a log holds only when
+/// the bus is attached to it. `mcps trace --no-bus` drops them, and the
+/// run fingerprint skips them so it is the same with events on or off.
+[[nodiscard]] constexpr bool is_bus_kind(EventKind k) noexcept {
+    return k == EventKind::kBusPublish || k == EventKind::kBusDeliver ||
+           k == EventKind::kBusDrop;
+}
 
 /// Index of a string in the owning EventLog's symbol table.
 using SymbolId = std::uint32_t;

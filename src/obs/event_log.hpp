@@ -13,9 +13,9 @@
 /// one event), so they are as deterministic as the events themselves,
 /// and an emit copies no string once its symbols are known.
 ///
-/// Instrumentation sites hold a nullable `EventLog*`: a null pointer is
-/// the disabled fast path (one branch, no strings built), so scenarios
-/// that don't ask for observability pay nothing measurable.
+/// Every pca and x-ray run records into a log: the caller's when one is
+/// given, else one the scenario owns. Only the bus, whose traffic is
+/// most of a log's volume, records solely into a caller's log.
 
 #pragma once
 
@@ -97,14 +97,5 @@ private:
     /// The size is zero or a power of two, at most half full.
     std::vector<SymbolId> slots_;
 };
-
-/// Emit-if-enabled helper for instrumentation sites holding `EventLog*`.
-/// Arguments are only evaluated eagerly, so keep them cheap; sites that
-/// build strings should guard with `if (log)` themselves.
-inline void emit(EventLog* log, EventKind kind, mcps::sim::SimTime time,
-                 std::string_view source, std::string_view detail,
-                 double value = 0.0) {
-    if (log) log->emit(kind, time, source, detail, value);
-}
 
 }  // namespace mcps::obs

@@ -9,7 +9,10 @@ namespace mcps::pipeline {
 
 namespace {
 
-constexpr std::string_view kSnapshotHeader = "mcps-artifact-cache v2";
+/// Artifact keys carry no code version, so a payload whose content the
+/// code changes (run events and fingerprints in v3) needs a new header:
+/// a snapshot of another version then loads nothing.
+constexpr std::string_view kSnapshotHeader = "mcps-artifact-cache v3";
 constexpr std::size_t kDigestHexDigits = 16;
 
 std::string digest_field(std::string_view body) {

@@ -25,10 +25,11 @@
 namespace mcps::scenario {
 
 /// Optional observability sinks for a registry run. Both pointers may
-/// be null (the disabled fast path); when set they must outlive the
-/// run.
+/// be null; when set they must outlive the run.
 struct RunOptions {
-    /// Structured event log: bus, devices, supervisor, interlock.
+    /// Structured event log: bus, devices, supervisor, interlock. When
+    /// null, a pca or x-ray run records into a log of its own, without
+    /// the bus traffic, and drops it when the run ends.
     mcps::obs::EventLog* events = nullptr;
     /// Scenario-level metrics ("scenario/<name>/<metric>" gauges plus a
     /// "scenario/runs" counter), merged registry-style.

@@ -367,15 +367,16 @@ RunArtifacts run_pca_family(const ScenarioSpec& spec, const RunOptions& opts) {
     core::PcaScenarioConfig cfg = make_pca_config(spec);
     cfg.events = opts.events;
 
-    // Run through the live object (not run_pca_scenario) so the trace
-    // can be fingerprinted without perturbing the run: the fold is a
-    // read-only pass over the recorder after run() returns.
+    // Run through the live object (not run_pca_scenario) so the run can
+    // be fingerprinted without perturbing it: the fold is a read-only
+    // pass over the recorder and the run's events after run() returns.
     core::PcaScenario sc{cfg};
     const core::PcaScenarioResult result = sc.run();
 
     RunArtifacts art;
     art.spec = spec;
-    art.fingerprint = testkit::trace_fingerprint(sc.trace());
+    art.fingerprint = testkit::trace_fingerprint(sc.trace(), sc.events(),
+                                                 sc.first_event());
     art.outcome = pca_outcome(result);
     fill_metrics(spec, art, opts.metrics);
     return art;

@@ -73,34 +73,6 @@ const Signal* TraceRecorder::find(const std::string& name) const noexcept {
     return it == signals_.end() ? nullptr : &it->second;
 }
 
-void TraceRecorder::mark(SimTime t, std::string label) {
-    marks_.push_back(TraceMark{t, std::move(label)});
-}
-
-std::vector<TraceMark> TraceRecorder::marks_with(const std::string& label) const {
-    std::vector<TraceMark> out;
-    for (const auto& m : marks_) {
-        if (m.label == label) out.push_back(m);
-    }
-    return out;
-}
-
-std::optional<SimTime> TraceRecorder::first_mark(const std::string& label,
-                                                 SimTime from) const {
-    for (const auto& m : marks_) {
-        if (m.time >= from && m.label == label) return m.time;
-    }
-    return std::nullopt;
-}
-
-std::size_t TraceRecorder::count_marks(const std::string& label) const {
-    std::size_t n = 0;
-    for (const auto& m : marks_) {
-        if (m.label == label) ++n;
-    }
-    return n;
-}
-
 std::vector<std::string> TraceRecorder::signal_names() const {
     std::vector<std::string> names;
     names.reserve(signals_.size());

@@ -1,10 +1,12 @@
 /// \file trace.hpp
 /// \brief Timestamped signal recording for scenario runs.
 ///
-/// A TraceRecorder collects (time, value) samples for named scalar signals
-/// and (time, label) marks for discrete events. Experiments query traces
-/// after a run to compute safety metrics (time below an SpO2 threshold,
-/// detection latencies, ...) and can export CSV for offline plotting.
+/// A TraceRecorder collects (time, value) samples for named scalar
+/// signals. Experiments query traces after a run to compute safety
+/// metrics (time below an SpO2 threshold, detection latencies, ...) and
+/// can export CSV for offline plotting. Discrete facts (alarms, state
+/// changes, commands) are not samples: they go to the run's
+/// obs::EventLog.
 
 #pragma once
 
@@ -23,12 +25,6 @@ namespace mcps::sim {
 struct TraceSample {
     SimTime time;
     double value;
-};
-
-/// One discrete event mark.
-struct TraceMark {
-    SimTime time;
-    std::string label;
 };
 
 /// A recorded scalar signal: append-only, time-ordered samples.
@@ -104,7 +100,7 @@ private:
     std::vector<TraceSample> samples_;
 };
 
-/// Container of named signals and event marks for one scenario run.
+/// Container of named signals for one scenario run.
 class TraceRecorder {
 public:
     /// Get-or-create a signal by name. References remain valid for the
@@ -124,21 +120,6 @@ public:
         signal(name).record(t, value);
     }
 
-    /// Record a discrete event mark.
-    void mark(SimTime t, std::string label);
-
-    [[nodiscard]] const std::vector<TraceMark>& marks() const noexcept {
-        return marks_;
-    }
-    /// All marks whose label equals \p label.
-    [[nodiscard]] std::vector<TraceMark> marks_with(
-        const std::string& label) const;
-    /// First mark at/after \p from whose label equals \p label.
-    [[nodiscard]] std::optional<SimTime> first_mark(
-        const std::string& label, SimTime from = SimTime::origin()) const;
-    /// Number of marks with the given label.
-    [[nodiscard]] std::size_t count_marks(const std::string& label) const;
-
     [[nodiscard]] std::size_t signal_count() const noexcept {
         return signals_.size();
     }
@@ -149,7 +130,6 @@ public:
 
 private:
     std::map<std::string, Signal> signals_;
-    std::vector<TraceMark> marks_;
 };
 
 }  // namespace mcps::sim

@@ -40,8 +40,9 @@ FaultPlan FaultPlan::without(std::size_t index) const {
     return p;
 }
 
-FaultInjector::FaultInjector(mcps::sim::Simulation& sim, net::Bus& bus)
-    : sim_{sim}, bus_{bus} {}
+FaultInjector::FaultInjector(mcps::sim::Simulation& sim, net::Bus& bus,
+                             mcps::obs::EventLog& events)
+    : sim_{sim}, bus_{bus}, events_{events} {}
 
 void FaultInjector::arm(const FaultPlan& plan) {
     for (const auto& e : plan.events) apply(e);
@@ -129,12 +130,10 @@ void FaultInjector::apply(const FaultEvent& e) {
             break;
     }
     ++armed_;
-    if (events_) {
-        const std::string_view kind = to_string(e.kind);
-        events_->emit(mcps::obs::EventKind::kFaultInject, SimTime::at(e.at),
-                      e.target.empty() ? kind : std::string_view{e.target},
-                      kind, e.magnitude);
-    }
+    const std::string_view kind = to_string(e.kind);
+    events_.emit(mcps::obs::EventKind::kFaultInject, SimTime::at(e.at),
+                 e.target.empty() ? kind : std::string_view{e.target}, kind,
+                 e.magnitude);
 }
 
 }  // namespace mcps::testkit

@@ -74,16 +74,15 @@ struct FaultPlan {
 /// scenario variant lacks a device.
 class FaultInjector {
 public:
-    FaultInjector(mcps::sim::Simulation& sim, net::Bus& bus);
+    /// Every armed fault records a kFaultInject event at its window
+    /// start into \p events.
+    FaultInjector(mcps::sim::Simulation& sim, net::Bus& bus,
+                  mcps::obs::EventLog& events);
 
     void attach_oximeter(devices::PulseOximeter& d) { oximeter_ = &d; }
     void attach_capnometer(devices::Capnometer& d) { capnometer_ = &d; }
     /// Endpoint name of the pump (for kPumpCmdLoss).
     void set_pump_endpoint(std::string name) { pump_endpoint_ = std::move(name); }
-
-    /// Attach a structured event log: every armed fault emits a
-    /// kFaultInject event at its window start. nullptr disables.
-    void set_event_log(mcps::obs::EventLog* log) noexcept { events_ = log; }
 
     /// Schedule/apply every event. Call once, before the run begins.
     void arm(const FaultPlan& plan);
@@ -102,7 +101,7 @@ private:
     devices::PulseOximeter* oximeter_ = nullptr;
     devices::Capnometer* capnometer_ = nullptr;
     std::string pump_endpoint_ = "pump1";
-    mcps::obs::EventLog* events_ = nullptr;
+    mcps::obs::EventLog& events_;
     std::size_t armed_ = 0;
     std::size_t skipped_ = 0;
 };

@@ -1,15 +1,21 @@
 #include "replay.hpp"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace mcps::testkit {
 
 namespace {
-constexpr std::string_view kHeader = "mcps-repro v1";
+/// v2: the fingerprint folds the run's events, so a v1 file's pinned
+/// fingerprint can never match a replay.
+constexpr std::string_view kHeader = "mcps-repro v2";
+constexpr std::string_view kHeaderStem = "mcps-repro ";
 }
 
 std::string to_text(const Repro& r) {
@@ -48,20 +54,38 @@ bool split_kv(std::string_view tok, std::string_view& key,
     return true;
 }
 
-std::uint64_t parse_u64(std::string_view v, const std::string& what) {
-    try {
-        return std::stoull(std::string{v}, nullptr, 0);
-    } catch (const std::exception&) {
-        malformed("bad integer for " + what);
+/// The whole of \p v as an unsigned number in \p base: no sign, no
+/// prefix, no trailing bytes, no overflow.
+std::uint64_t parse_u64(std::string_view v, const std::string& what,
+                        int base = 10) {
+    std::uint64_t out = 0;
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out, base);
+    if (v.empty() || ec != std::errc{} || ptr != end) {
+        malformed("bad integer for " + what + " '" + std::string{v} + "'");
     }
+    return out;
 }
 
-std::int64_t parse_i64(std::string_view v, const std::string& what) {
-    try {
-        return std::stoll(std::string{v}, nullptr, 0);
-    } catch (const std::exception&) {
-        malformed("bad integer for " + what);
+/// A non-negative microsecond count that fits SimDuration.
+mcps::sim::SimDuration parse_micros(std::string_view v,
+                                    const std::string& what) {
+    const std::uint64_t us = parse_u64(v, what);
+    if (us > static_cast<std::uint64_t>(
+                 std::numeric_limits<std::int64_t>::max())) {
+        malformed(what + " out of range '" + std::string{v} + "'");
     }
+    return mcps::sim::SimDuration::micros(static_cast<std::int64_t>(us));
+}
+
+double parse_finite(std::string_view v, const std::string& what) {
+    double out = 0.0;
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (v.empty() || ec != std::errc{} || ptr != end || !std::isfinite(out)) {
+        malformed("bad number for " + what + " '" + std::string{v} + "'");
+    }
+    return out;
 }
 
 FaultEvent parse_fault_line(std::istringstream& line) {
@@ -77,12 +101,11 @@ FaultEvent parse_fault_line(std::istringstream& line) {
             e.kind = *k;
             have_kind = true;
         } else if (key == "at_us") {
-            e.at = mcps::sim::SimDuration::micros(parse_i64(value, "at_us"));
+            e.at = parse_micros(value, "at_us");
         } else if (key == "dur_us") {
-            e.duration =
-                mcps::sim::SimDuration::micros(parse_i64(value, "dur_us"));
+            e.duration = parse_micros(value, "dur_us");
         } else if (key == "mag") {
-            e.magnitude = std::stod(std::string{value});
+            e.magnitude = parse_finite(value, "mag");
         } else if (key == "target") {
             e.target = std::string{value};
         } else {
@@ -90,6 +113,11 @@ FaultEvent parse_fault_line(std::istringstream& line) {
         }
     }
     if (!have_kind) malformed("fault line without kind");
+    // The injector schedules the window's end at at + dur.
+    if (e.at.ticks() > std::numeric_limits<std::int64_t>::max() -
+                           e.duration.ticks()) {
+        malformed("fault window end overflows (at_us + dur_us)");
+    }
     return e;
 }
 
@@ -99,6 +127,13 @@ Repro repro_from_text(const std::string& text) {
     std::istringstream is{text};
     std::string line;
     if (!std::getline(is, line) || line != kHeader) {
+        if (line.rfind(kHeaderStem, 0) == 0) {
+            throw std::runtime_error(
+                "repro: unsupported version '" +
+                line.substr(kHeaderStem.size()) + "' (this build reads '" +
+                std::string{kHeader.substr(kHeaderStem.size())} +
+                "'; re-run the fuzzer to regenerate the file)");
+        }
         malformed("missing '" + std::string{kHeader} + "' header");
     }
     Repro r;
@@ -124,9 +159,17 @@ Repro repro_from_text(const std::string& text) {
         } else if (key == "index") {
             r.index = parse_u64(value, "index");
         } else if (key == "weakened") {
+            if (value != "0" && value != "1") {
+                malformed("weakened must be 0 or 1, not '" +
+                          std::string{value} + "'");
+            }
             r.weakened = value == "1";
         } else if (key == "fingerprint") {
-            r.fingerprint = parse_u64(value, "fingerprint");
+            if (value.substr(0, 2) != "0x") {
+                malformed("fingerprint must be 0x-prefixed hex, not '" +
+                          std::string{value} + "'");
+            }
+            r.fingerprint = parse_u64(value.substr(2), "fingerprint", 16);
         } else {
             malformed("unknown field '" + std::string{key} + "'");
         }

@@ -11,7 +11,9 @@ using mcps::sim::kFnvOffset;
 using mcps::sim::mix;
 using mcps::sim::mix_string;
 
-std::uint64_t trace_fingerprint(const mcps::sim::TraceRecorder& trace) {
+std::uint64_t trace_fingerprint(const mcps::sim::TraceRecorder& trace,
+                                const mcps::obs::EventLog& log,
+                                std::size_t first_event) {
     std::uint64_t h = kFnvOffset;
     for (const auto& name : trace.signal_names()) {
         const auto* sig = trace.find(name);
@@ -21,9 +23,15 @@ std::uint64_t trace_fingerprint(const mcps::sim::TraceRecorder& trace) {
             h = mix(h, std::bit_cast<std::uint64_t>(s.value));
         }
     }
-    for (const auto& m : trace.marks()) {
-        h = mix(h, static_cast<std::uint64_t>(m.time.ticks()));
-        h = mix_string(h, m.label);
+    const auto& events = log.events();
+    for (std::size_t i = first_event; i < events.size(); ++i) {
+        const mcps::obs::Event& e = events[i];
+        if (mcps::obs::is_bus_kind(e.kind)) continue;
+        h = mix(h, static_cast<std::uint64_t>(e.kind));
+        h = mix(h, static_cast<std::uint64_t>(e.time.ticks()));
+        h = mix_string(h, log.symbol(e.source));
+        h = mix_string(h, log.symbol(e.detail));
+        h = mix(h, std::bit_cast<std::uint64_t>(e.value));
     }
     return h;
 }
@@ -61,10 +69,10 @@ PcaRunOutcome run_instrumented_pca(const core::PcaScenarioConfig& cfg,
         },
         mcps::sim::EventPriority::kLate);
 
-    FaultInjector injector{scenario.simulation(), scenario.bus()};
+    FaultInjector injector{scenario.simulation(), scenario.bus(),
+                           scenario.events()};
     injector.attach_oximeter(scenario.oximeter());
     injector.attach_capnometer(scenario.capnometer());
-    injector.set_event_log(cfg.events);
     injector.arm(faults);
 
     out.result = scenario.run();
@@ -74,7 +82,8 @@ PcaRunOutcome run_instrumented_pca(const core::PcaScenarioConfig& cfg,
     const PcaCheckContext ctx{cfg, out.result, scenario.trace(), probe_smart,
                               probe_monitor};
     out.violations = checker.check_pca(ctx);
-    out.fingerprint = trace_fingerprint(scenario.trace());
+    out.fingerprint = trace_fingerprint(scenario.trace(), scenario.events(),
+                                        scenario.first_event());
     return out;
 }
 

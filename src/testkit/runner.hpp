@@ -7,9 +7,10 @@
 /// lossy links under test), extra 1 Hz ground-truth recorders
 /// (testkit/pump_hourly_mg, testkit/pump_reservoir_mg,
 /// testkit/oxi_dropout), invariant checking, and a 64-bit fingerprint of
-/// the full trace. Two runs are byte-identical iff their fingerprints
-/// match: the fingerprint folds every signal sample and event mark, so it
-/// is the replay facility's definition of "the same run".
+/// the run. Two runs are byte-identical iff their fingerprints match:
+/// the fingerprint folds every signal sample and every event the run
+/// recorded apart from bus traffic, so it is the replay facility's
+/// definition of "the same run".
 
 #pragma once
 
@@ -34,9 +35,15 @@ struct XrayRunOutcome {
     std::uint64_t fingerprint = 0;  ///< folded from the result fields
 };
 
-/// Fold a full trace into 64 bits (order- and value-exact).
+/// Fold a run into 64 bits (order- and value-exact): every sample of
+/// every signal in \p trace, then the events of \p log from index
+/// \p first_event on (the run's own; see PcaScenario::first_event),
+/// skipping the bus kinds. Bus events are recorded only into a
+/// caller's log, so skipping them makes the fingerprint the same with
+/// events on or off.
 [[nodiscard]] std::uint64_t trace_fingerprint(
-    const mcps::sim::TraceRecorder& trace);
+    const mcps::sim::TraceRecorder& trace, const mcps::obs::EventLog& log,
+    std::size_t first_event);
 
 /// Fold an x-ray result into 64 bits (the x-ray harness doesn't expose
 /// its trace, so the result fields ARE the byte-identity surface).

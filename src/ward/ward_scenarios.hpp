@@ -60,7 +60,7 @@ public:
 
     /// Run scenario \p index to completion on the calling thread. When
     /// \p events is non-null the scenario's structured events (bus,
-    /// supervisor, interlock, faults) are appended to it.
+    /// devices, supervisor, interlock, faults) are appended to it.
     [[nodiscard]] ScenarioOutcome run(std::uint64_t index,
                                       const testkit::InvariantChecker& checker,
                                       mcps::obs::EventLog* events =

@@ -113,7 +113,8 @@ TEST(AnalysisICE1, AdapterDerivesSlotsFromLiveRegistry) {
     net::Bus bus{simulation, net::ChannelParameters{}};
     physio::Patient patient{
         physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
-    devices::DeviceContext ctx{simulation, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{simulation, bus, trace, events};
 
     devices::GpcaPump pump{ctx, "pump1", patient, devices::Prescription{}};
     devices::PulseOximeter oxi{ctx, "oxi1", patient};

@@ -227,7 +227,7 @@ TEST(ArtifactCache, LoadSkipsMalformedLines) {
     bad_digest[0] = bad_digest[0] == '0' ? '1' : '0';
     {
         std::ofstream out{path, std::ios::binary};
-        out << "mcps-artifact-cache v2\n"
+        out << "mcps-artifact-cache v3\n"
             << snapshot_line("good", "spec", "payload")
             << "missing-fields\n"
             << "no-tab-in-this-line\n"
@@ -255,7 +255,7 @@ TEST(ArtifactCache, LoadRejectsWrongHeader) {
     const std::string line = snapshot_line("k", "spec", "p");
     for (const char* header :
          {"some-other-format v9\n", "mcps-artifact-cache v1\n",
-          "mcps-artifact-cache v2", "mcps-artifact-cache v2 \n", ""}) {
+          "mcps-artifact-cache v3", "mcps-artifact-cache v3 \n", ""}) {
         SCOPED_TRACE(header);
         {
             std::ofstream out{path, std::ios::binary};
@@ -265,6 +265,30 @@ TEST(ArtifactCache, LoadRejectsWrongHeader) {
         EXPECT_EQ(cache.load(path), 0u);
         EXPECT_EQ(cache.size(), 0u);
     }
+    std::remove(path.c_str());
+}
+
+/// v2 snapshots hold run events and fingerprints from before device
+/// states, alarms and clinician actions were events: a well-formed v2
+/// file loads nothing, and save writes v3.
+TEST(ArtifactCache, VersionTwoSnapshotLoadsNothing) {
+    const std::string path = temp_path("snap_v2");
+    {
+        std::ofstream out{path, std::ios::binary};
+        out << "mcps-artifact-cache v2\n"
+            << snapshot_line("run/pca/fingerprint", "text", "0x1\n");
+    }
+    pipeline::ArtifactCache cache;
+    EXPECT_EQ(cache.load(path), 0u);
+
+    cache.insert("k", pipeline::Artifact{"spec", "p"});
+    ASSERT_TRUE(cache.save(path));
+    std::ifstream in{path, std::ios::binary};
+    std::string header;
+    std::getline(in, header);
+    EXPECT_EQ(header, "mcps-artifact-cache v3");
+    pipeline::ArtifactCache back;
+    EXPECT_EQ(back.load(path), 1u);
     std::remove(path.c_str());
 }
 

@@ -1,7 +1,9 @@
 /// \file test_event_log_forensics.cpp
 /// \brief The incident record's exporters against real scenario logs:
 /// the Chrome bytes of the x-ray golden trace are pinned by digest, the
-/// JSONL goldens round-trip byte for byte, a mutation sweep over a
+/// JSONL goldens round-trip byte for byte and, without the lines that
+/// were trace-recorder marks before, are the files they were then, a
+/// mutation sweep over a
 /// real pca log shows read_jsonl either rejects a damaged log or reads
 /// one whose JSONL is a fixed point, and the stream and in-memory
 /// read_jsonl agree on every input, chunk boundaries included.
@@ -58,17 +60,62 @@ TEST(EventLogForensics, GoldenJsonlRoundTripsByteForByte) {
     }
 }
 
+/// The kinds of the facts that were trace-recorder marks before they
+/// were events: device states, alarms, clinician actions, app states.
+bool is_former_mark_kind(obs::EventKind k) {
+    return k == obs::EventKind::kDeviceState || k == obs::EventKind::kAlarm ||
+           k == obs::EventKind::kClinician || k == obs::EventKind::kAppState;
+}
+
+/// \p log without the former-mark kinds: the log as it was recorded
+/// before those facts became events.
+obs::EventLog without_former_marks(const obs::EventLog& log) {
+    obs::EventLog out;
+    for (const obs::Event& e : log.events()) {
+        if (!is_former_mark_kind(e.kind)) {
+            out.emit(e.kind, e.time, log.symbol(e.source),
+                     log.symbol(e.detail), e.value);
+        }
+    }
+    return out;
+}
+
+/// The goldens gained one line per former mark and nothing else: with
+/// those lines removed, each is byte for byte the file it was before.
+TEST(EventLogForensics, GoldensWithoutFormerMarksAreTheOldFiles) {
+    const struct {
+        const char* name;
+        std::size_t bytes;
+        std::uint64_t fnv;
+    } kOld[] = {
+        {"pca_interlock.jsonl", 663, 0xb1fc1e6dba2209d4ULL},
+        {"xray_vent.jsonl", 143896, 0xbe2e14342d4dfa17ULL},
+    };
+    for (const auto& old : kOld) {
+        const obs::EventLog golden = obs::read_jsonl(read_golden(old.name));
+        const std::string filtered = jsonl_of(without_former_marks(golden));
+        EXPECT_EQ(filtered.size(), old.bytes) << old.name;
+        EXPECT_EQ(sim::fnv1a64(filtered), old.fnv) << old.name;
+    }
+}
+
 /// The Chrome trace_event bytes of the x-ray/vent golden log, pinned by
 /// size and FNV-1a digest: no test diffs the Chrome export otherwise, so
-/// a change here is a format change and must be deliberate.
+/// a change here is a format change and must be deliberate. The export
+/// of the golden without its former-mark lines keeps the pin it had
+/// before they were added.
 TEST(EventLogForensics, GoldenChromeBytesArePinned) {
     const obs::EventLog log = obs::read_jsonl(read_golden("xray_vent.jsonl"));
     const std::string chrome = chrome_of(log);
-    EXPECT_EQ(chrome.size(), 194388u);
-    EXPECT_EQ(sim::fnv1a64(chrome), 0x560c32814db60747ULL);
+    EXPECT_EQ(chrome.size(), 197800u);
+    EXPECT_EQ(sim::fnv1a64(chrome), 0x0c183fd123041a7aULL);
     std::ostringstream streamed;
     obs::write_chrome_trace(log, streamed);
     EXPECT_EQ(streamed.str(), chrome);
+
+    const std::string old = chrome_of(without_former_marks(log));
+    EXPECT_EQ(old.size(), 194388u);
+    EXPECT_EQ(sim::fnv1a64(old), 0x560c32814db60747ULL);
 }
 
 /// read_jsonl over \p text as one view and as a stream: both must read

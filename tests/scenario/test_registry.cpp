@@ -147,6 +147,49 @@ TEST(ScenarioRegistry, XrayEventStreamMatchesExplicitAssembly) {
     EXPECT_EQ(jsonl(via_registry), jsonl(direct));
 }
 
+/// The fingerprint folds the run's own events, not the log around
+/// them: for every pca- and x-ray-family preset it is the same with no
+/// log, with an empty log (which also receives the bus traffic), and
+/// with a log that already holds another run's events, as a ward
+/// shard's log does.
+TEST(ScenarioRegistry, FingerprintIsTheSameWithEventsOffOnAndShared) {
+    for (const auto& name : scenario::registry().names()) {
+        if (scenario::registry().info(name).family ==
+            scenario::ScenarioFamily::kHospital) {
+            continue;
+        }
+        SCOPED_TRACE(name);
+        ScenarioSpec spec = scenario::registry().default_spec(name);
+        spec.minutes = 5;
+
+        const auto off = scenario::registry().run(spec);
+
+        obs::EventLog own;
+        const auto on = scenario::registry().run(spec, {.events = &own});
+        EXPECT_EQ(on.fingerprint, off.fingerprint);
+        EXPECT_GT(own.count(obs::EventKind::kBusPublish), 0u);
+
+        ScenarioSpec other = spec;
+        other.seed = spec.seed + 1;
+        obs::EventLog shared;
+        (void)scenario::registry().run(other, {.events = &shared});
+        const std::size_t before = shared.size();
+        ASSERT_GT(before, 0u);
+        const auto after = scenario::registry().run(spec, {.events = &shared});
+        EXPECT_EQ(after.fingerprint, off.fingerprint);
+
+        // The second run's slice of the shared log is the first log.
+        ASSERT_EQ(shared.size(), before + own.size());
+        obs::EventLog slice;
+        for (std::size_t i = before; i < shared.size(); ++i) {
+            const obs::Event& e = shared.events()[i];
+            slice.emit(e.kind, e.time, shared.symbol(e.source),
+                       shared.symbol(e.detail), e.value);
+        }
+        EXPECT_TRUE(slice == own);
+    }
+}
+
 // ------------------------------------------------- smoke & artifacts ----
 
 TEST(ScenarioRegistry, OneMinuteSmokeRunsAreDeterministic) {

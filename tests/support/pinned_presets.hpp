@@ -50,9 +50,9 @@ struct Pin {
 };
 
 inline constexpr Pin kPins[] = {
-    {"pca", 0x2d602a2bf10b25c0ULL, 0x86d5d17cd90541abULL},
-    {"pca-open", 0x93b457f6f6524cbfULL, 0x24d2b8aee55928e8ULL},
-    {"smart-alarm", 0xff9f292c6d94cc68ULL, 0x7ade0f1c9a8e84b1ULL},
+    {"pca", 0x7ae9b7b65dc2ee76ULL, 0x86d5d17cd90541abULL},
+    {"pca-open", 0x7d22d03c3ce6cd48ULL, 0x24d2b8aee55928e8ULL},
+    {"smart-alarm", 0x9a26798dfa313e59ULL, 0x7ade0f1c9a8e84b1ULL},
     {"xray", 0x3e75b22c6ecccd12ULL, 0x33debf63349bf1c1ULL},
     {"xray-manual", 0xf3962074d1bfb982ULL, 0x68a7c3d7110ec94dULL},
     {"hospital", 0xd00c39128976a2f1ULL, 0xfd897a696c4e1dbdULL},

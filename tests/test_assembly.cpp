@@ -33,7 +33,7 @@ protected:
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
           patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
-          ctx_{sim_, bus_, trace_},
+          ctx_{sim_, bus_, trace_, events_},
           pump_{ctx_, "pump1", patient_, devices::Prescription{}},
           oxi_a_{ctx_, "oxiA", patient_},
           oxi_b_{ctx_, "oxiB", patient_} {}
@@ -42,6 +42,7 @@ protected:
     net::Bus bus_;
     sim::TraceRecorder trace_;
     physio::Patient patient_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     devices::GpcaPump pump_;
     devices::PulseOximeter oxi_a_;

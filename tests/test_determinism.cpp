@@ -52,7 +52,8 @@ TEST(Determinism, SensorStreamsIndependentOfEachOther) {
         net::Bus bus{sim, net::ChannelParameters::ideal()};
         physio::Patient patient{
             physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
-        devices::DeviceContext ctx{sim, bus, trace};
+        mcps::obs::EventLog events;
+        devices::DeviceContext ctx{sim, bus, trace, events};
         devices::PulseOximeterConfig cfg;
         cfg.spo2_noise_sd = 1.0;
         devices::PulseOximeter oxi{ctx, "oxi1", patient, cfg};

@@ -34,11 +34,12 @@ protected:
     DeviceBaseTest()
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
-          ctx_{sim_, bus_, trace_} {}
+          ctx_{sim_, bus_, trace_, events_} {}
 
     sim::Simulation sim_;
     net::Bus bus_;
     sim::TraceRecorder trace_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
 };
 
@@ -106,7 +107,11 @@ TEST_F(DeviceBaseTest, CrashIsSilentAndMarked) {
     sim_.run_for(10_s);
     EXPECT_EQ(heartbeats, before);  // silence, no offline status
     EXPECT_TRUE(d.crashed());
-    EXPECT_EQ(trace_.count_marks("crash/d1"), 1u);
+    ASSERT_EQ(events_.size(), 1u);
+    const obs::Event& crash = events_.events()[0];
+    EXPECT_EQ(crash.kind, obs::EventKind::kDeviceState);
+    EXPECT_EQ(events_.symbol(crash.source), "d1");
+    EXPECT_EQ(events_.symbol(crash.detail), "crash");
     // Restart clears the crash flag.
     d.stop();
     d.start();

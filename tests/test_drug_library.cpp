@@ -135,7 +135,7 @@ protected:
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
           patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
-          ctx_{sim_, bus_, trace_},
+          ctx_{sim_, bus_, trace_, events_},
           pump_{ctx_, "pump1", patient_, within_soft()},
           library_{devices::build_default_opioid_library()},
           session_{library_, sim_} {}
@@ -144,6 +144,7 @@ protected:
     net::Bus bus_;
     sim::TraceRecorder trace_;
     physio::Patient patient_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     devices::GpcaPump pump_;
     DrugLibrary library_;

@@ -155,7 +155,8 @@ TEST(FlowBurstTest, BurstyTrafficUnderInjectedFaults) {
     // Hard outage swallowing the bursts sent in [95 s, 110 s).
     plan.events.push_back(
         {testkit::FaultKind::kOutage, 95_s, 15_s, "flow_monitor", 0.0});
-    testkit::FaultInjector injector{sim, bus};
+    mcps::obs::EventLog events;
+    testkit::FaultInjector injector{sim, bus, events};
     injector.arm(plan);
     EXPECT_EQ(injector.armed(), 2u);
 
@@ -193,7 +194,8 @@ TEST(FlowScenarioTest, SensorDropoutSurfacesAsDeadlineMiss) {
     net::Bus bus{sim, net::ChannelParameters::ideal()};
     physio::Patient patient{
         physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
-    devices::DeviceContext ctx{sim, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{sim, bus, trace, events};
     devices::PulseOximeter oxi{ctx, "oxi1", patient};
     oxi.start();
 

@@ -30,7 +30,7 @@ protected:
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
           patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
-          ctx_{sim_, bus_, trace_} {}
+          ctx_{sim_, bus_, trace_, events_} {}
 
     GpcaPump& make_pump(Prescription rx = {}, PumpConfig cfg = {}) {
         pump_ = std::make_unique<GpcaPump>(ctx_, "pump1", patient_, rx, cfg);
@@ -43,6 +43,7 @@ protected:
     net::Bus bus_;
     sim::TraceRecorder trace_;
     physio::Patient patient_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     std::unique_ptr<GpcaPump> pump_;
 };
@@ -293,7 +294,8 @@ TEST_P(PumpCapProperty, WindowCapHolds) {
     sim::TraceRecorder trace;
     physio::Patient patient{
         physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
-    devices::DeviceContext ctx{sim, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{sim, bus, trace, events};
 
     Prescription rx;
     rx.basal = physio::InfusionRate::mg_per_hour(cap_mg);  // aggressive

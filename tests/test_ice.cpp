@@ -46,7 +46,7 @@ protected:
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
           patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
-          ctx_{sim_, bus_, trace_},
+          ctx_{sim_, bus_, trace_, events_},
           pump_{ctx_, "pump1", patient_, devices::Prescription{}},
           oxi_{ctx_, "oxi1", patient_},
           cap_{ctx_, "cap1", patient_} {}
@@ -64,6 +64,7 @@ protected:
     net::Bus bus_;
     sim::TraceRecorder trace_;
     physio::Patient patient_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     devices::GpcaPump pump_;
     devices::PulseOximeter oxi_;

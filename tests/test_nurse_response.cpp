@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/nurse_response.hpp"
 #include "core/pca_scenario.hpp"
 #include "devices/devices.hpp"
@@ -56,7 +59,7 @@ protected:
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
           patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
-          ctx_{sim_, bus_, trace_} {}
+          ctx_{sim_, bus_, trace_, events_} {}
 
     NurseResponder& make(NurseConfig cfg = {}) {
         cfg.pump_name = "";  // no pump in these unit tests
@@ -76,6 +79,7 @@ protected:
     net::Bus bus_;
     sim::TraceRecorder trace_;
     physio::Patient patient_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     std::optional<NurseResponder> nurse_;
 };
@@ -101,6 +105,17 @@ TEST_F(NurseTest, DispatchesAndFalseTripsOnHealthyPatient) {
     EXPECT_EQ(n.stats().rescues, 0u);
     ASSERT_EQ(n.stats().response_times_s.size(), 1u);
     EXPECT_GT(n.stats().response_times_s[0], 0.0);
+
+    // Each action is one clinician event; arrive carries the delay.
+    std::vector<std::string> actions;
+    for (const auto& e : events_.events()) {
+        ASSERT_EQ(e.kind, obs::EventKind::kClinician);
+        EXPECT_EQ(events_.symbol(e.source), "n1");
+        actions.emplace_back(events_.symbol(e.detail));
+    }
+    EXPECT_EQ(actions, (std::vector<std::string>{"dispatch", "arrive",
+                                                 "false_trip"}));
+    EXPECT_EQ(events_.events()[1].value, n.stats().response_times_s[0]);
 }
 
 TEST_F(NurseTest, RescuesDepressedPatient) {
@@ -194,7 +209,7 @@ TEST(NurseIntegration, RescueStopsPumpAndPreventsSevereHypoxemia) {
 
     core::PcaScenario scenario{cfg};
     devices::DeviceContext ctx{scenario.simulation(), scenario.bus(),
-                               scenario.trace()};
+                               scenario.trace(), scenario.events()};
     NurseConfig ncfg;
     ncfg.alarm_topic = "alarm/smart1";
     NurseResponder nurse{ctx, "n1", scenario.patient(), ncfg};

@@ -20,7 +20,7 @@ protected:
     SmartAlarmTest()
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
-          ctx_{sim_, bus_, trace_} {}
+          ctx_{sim_, bus_, trace_, events_} {}
 
     SmartAlarm& make(SmartAlarmConfig cfg = {}) {
         alarm_.emplace(ctx_, "smart", std::move(cfg));
@@ -44,6 +44,7 @@ protected:
     sim::Simulation sim_;
     net::Bus bus_;
     sim::TraceRecorder trace_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     std::optional<SmartAlarm> alarm_;
 };
@@ -223,7 +224,8 @@ TEST_P(SmartAlarmThresholdSweep, MonotoneInThreshold) {
     sim::Simulation sim{7};
     net::Bus bus{sim, net::ChannelParameters::ideal()};
     sim::TraceRecorder trace;
-    devices::DeviceContext ctx{sim, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{sim, bus, trace, events};
     SmartAlarmConfig cfg;
     cfg.critical_threshold = threshold;
     cfg.warning_threshold = std::min(threshold, 2.5);

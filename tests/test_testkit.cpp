@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "net/net.hpp"
 #include "sim/simulation.hpp"
 #include "testkit/testkit.hpp"
@@ -48,10 +56,14 @@ TEST(FaultInjector, LossBurstConfinedToWindow) {
 
     FaultPlan plan;
     plan.events.push_back({FaultKind::kLossBurst, 10_s, 10_s, "sub", 1.0});
-    FaultInjector injector{s, bus};
+    obs::EventLog events;
+    FaultInjector injector{s, bus, events};
     injector.arm(plan);
     EXPECT_EQ(injector.armed(), 1u);
     EXPECT_EQ(injector.skipped(), 0u);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events.events()[0].kind, obs::EventKind::kFaultInject);
+    EXPECT_EQ(events.symbol(events.events()[0].detail), "loss_burst");
 
     // One message per second for 30 s: only the burst window is lost.
     for (int i = 0; i < 30; ++i) {
@@ -69,10 +81,12 @@ TEST(FaultInjector, DeviceFaultsSkippedWithoutDevices) {
     plan.events.push_back({FaultKind::kOxiDropout, 10_s, 5_s, "", 0.0});
     plan.events.push_back({FaultKind::kCapDropout, 20_s, 5_s, "", 0.0});
     plan.events.push_back({FaultKind::kOutage, 30_s, 5_s, "x", 0.0});
-    FaultInjector injector{s, bus};
+    obs::EventLog events;
+    FaultInjector injector{s, bus, events};
     injector.arm(plan);
     EXPECT_EQ(injector.armed(), 1u);
     EXPECT_EQ(injector.skipped(), 2u);
+    EXPECT_EQ(events.size(), 1u);  // a skipped fault records nothing
 }
 
 TEST(Repro, TextRoundTripPreservesEverything) {
@@ -106,15 +120,143 @@ TEST(Repro, TextRoundTripPreservesEverything) {
 TEST(Repro, MalformedTextThrows) {
     EXPECT_THROW(repro_from_text(""), std::runtime_error);
     EXPECT_THROW(repro_from_text("not a repro\n"), std::runtime_error);
-    EXPECT_THROW(repro_from_text("mcps-repro v1\nkind=laser\n"),
+    EXPECT_THROW(repro_from_text("mcps-repro v2\nkind=laser\n"),
                  std::runtime_error);
-    EXPECT_THROW(repro_from_text("mcps-repro v1\nseed=banana\n"),
+    EXPECT_THROW(repro_from_text("mcps-repro v2\nseed=banana\n"),
                  std::runtime_error);
     EXPECT_THROW(
-        repro_from_text("mcps-repro v1\nfault kind=warp at_us=1 dur_us=1\n"),
+        repro_from_text("mcps-repro v2\nfault kind=warp at_us=1 dur_us=1\n"),
         std::runtime_error);
-    EXPECT_THROW(repro_from_text("mcps-repro v1\nfault at_us=1\n"),
+    EXPECT_THROW(repro_from_text("mcps-repro v2\nfault at_us=1\n"),
                  std::runtime_error);
+}
+
+/// The error text of repro_from_text(\p text), or "" when it parses.
+std::string repro_error(const std::string& text) {
+    try {
+        (void)repro_from_text(text);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// A v1 file's fingerprint predates the event-stream fold, so it could
+/// only replay as a mismatch: it is refused, by version.
+TEST(Repro, VersionOneIsRejectedByName) {
+    const std::string error = repro_error("mcps-repro v1\nkind=pca\nseed=1\n");
+    EXPECT_EQ(error.rfind("repro: unsupported version 'v1'", 0), 0u) << error;
+    EXPECT_NE(error.find("'v2'"), std::string::npos) << error;
+    EXPECT_EQ(to_text(Repro{}).rfind("mcps-repro v2\n", 0), 0u);
+}
+
+TEST(Repro, StrictFieldsRejectWhatTheyCannotRoundTrip) {
+    const std::string head = "mcps-repro v2\n";
+    const std::string fault = "fault kind=outage target=pump1 ";
+    for (const std::string& body : std::vector<std::string>{
+             "weakened=true\n", "weakened=2\n", "weakened=\n",
+             "seed=-1\n", "seed=12abc\n", "seed=+5\n", "seed=0x10\n",
+             "seed=18446744073709551616\n", "index= 3\n",
+             "fingerprint=12\n", "fingerprint=0x\n",
+             "fingerprint=0x10000000000000000\n", "fingerprint=0xfg\n",
+             fault + "at_us=-1 dur_us=1 mag=0\n",
+             fault + "at_us=1 dur_us=-5 mag=0\n",
+             fault + "at_us=9223372036854775808 dur_us=0 mag=0\n",
+             fault + "at_us=9223372036854775807 dur_us=1 mag=0\n",
+             fault + "at_us=1 dur_us=1 mag=x\n",
+             fault + "at_us=1 dur_us=1 mag=nan\n",
+             fault + "at_us=1 dur_us=1 mag=inf\n",
+             fault + "at_us=1 dur_us=1 mag=-inf\n",
+             fault + "at_us=1 dur_us=1 mag=1e999\n",
+             fault + "at_us=1 dur_us=1 mag=\n",
+         }) {
+        const std::string error = repro_error(head + body);
+        EXPECT_EQ(error.rfind("repro: malformed file: ", 0), 0u)
+            << body << " -> '" << error << "'";
+    }
+    // The largest window that still ends inside SimTime parses.
+    const Repro edge = repro_from_text(
+        head + fault + "at_us=9223372036854775806 dur_us=1 mag=0.5\n");
+    ASSERT_EQ(edge.faults.size(), 1u);
+    EXPECT_EQ(edge.faults.events[0].duration.ticks(), 1);
+}
+
+/// ROADMAP's repro mutation sweep: 2000 seeded byte mutants of a real
+/// shrunk repro each either throw a "repro:" error or parse to a
+/// Repro whose text is a fixed point of parse -> to_text.
+TEST(Repro, MutationSweepRejectsOrReachesAFixedPoint) {
+    // A generated plan holding an oximeter dropout, shrunk against an
+    // invariant that only the dropout violates: the other faults go,
+    // the dropout stays.
+    InvariantChecker dropout_free;
+    dropout_free.add_pca(
+        "test/oximeter-never-drops-out",
+        [](const PcaCheckContext& ctx, std::vector<Violation>& out) {
+            const auto* dropout = ctx.trace.find("testkit/oxi_dropout");
+            if (dropout != nullptr && dropout->stats().max() > 0.5) {
+                out.push_back({"test/oximeter-never-drops-out", 0.0, ""});
+            }
+        });
+    const ScenarioGenerator gen{42};
+    const auto worth_shrinking = [](const FaultPlan& plan) {
+        return plan.size() > 1 &&
+               std::any_of(plan.events.begin(), plan.events.end(),
+                           [](const FaultEvent& e) {
+                               return e.kind == FaultKind::kOxiDropout;
+                           });
+    };
+    Repro found;
+    found.seed = 42;
+    while (found.index < 200 &&
+           !worth_shrinking(gen.pca(found.index).faults)) {
+        ++found.index;
+    }
+    found.faults = gen.pca(found.index).faults;
+    const Repro minimal = shrink(found, dropout_free);
+    ASSERT_FALSE(minimal.faults.empty());
+    ASSERT_LT(minimal.faults.size(), found.faults.size());
+    const std::string text = to_text(minimal);
+
+    constexpr char kInteresting[] = "=-+0123456789xXabcdef \n.eEinfa\t\r";
+    std::mt19937_64 rng{20261017};
+    std::size_t rejected = 0, parsed = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::string doc = text;
+        const int mutations = 1 + static_cast<int>(rng() % 3);
+        for (int m = 0; m < mutations && !doc.empty(); ++m) {
+            const std::size_t at = rng() % doc.size();
+            const char pick = kInteresting[rng() % (sizeof kInteresting - 1)];
+            switch (rng() % 5) {
+                case 0: doc[at] = static_cast<char>(rng() & 0xFF); break;
+                case 1: doc[at] = pick; break;
+                case 2: doc.insert(at, 1, pick); break;
+                case 3: doc.erase(at, 1 + rng() % 4); break;
+                default: doc.insert(at, doc.substr(rng() % doc.size(), 8));
+            }
+        }
+        std::optional<Repro> r;
+        try {
+            r = repro_from_text(doc);
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string_view{e.what()}.substr(0, 7), "repro: ")
+                << e.what();
+            ++rejected;
+            continue;
+        }
+        ++parsed;
+        const std::string once = to_text(*r);
+        std::string twice;
+        try {
+            twice = to_text(repro_from_text(once));
+        } catch (const std::runtime_error& e) {
+            ADD_FAILURE() << "to_text output rejected: " << e.what() << "\n"
+                          << once;
+            continue;
+        }
+        EXPECT_EQ(twice, once) << "mutant:\n" << doc;
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(parsed, 0u);
 }
 
 TEST(Generator, SameSeedAndIndexIsIdentical) {

@@ -135,23 +135,6 @@ TEST(TraceRecorder, GetOrCreateSignalIsStable) {
     EXPECT_EQ(tr.find("missing"), nullptr);
 }
 
-TEST(TraceRecorder, MarksQueries) {
-    TraceRecorder tr;
-    tr.mark(at(1_s), "alarm");
-    tr.mark(at(2_s), "stop");
-    tr.mark(at(3_s), "alarm");
-    EXPECT_EQ(tr.marks().size(), 3u);
-    EXPECT_EQ(tr.count_marks("alarm"), 2u);
-    EXPECT_EQ(tr.marks_with("alarm").size(), 2u);
-    auto first = tr.first_mark("alarm");
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(*first, at(1_s));
-    auto later = tr.first_mark("alarm", at(1500_ms));
-    ASSERT_TRUE(later.has_value());
-    EXPECT_EQ(*later, at(3_s));
-    EXPECT_FALSE(tr.first_mark("nothing").has_value());
-}
-
 TEST(TraceRecorder, SignalNamesSorted) {
     TraceRecorder tr;
     tr.record("b", at(1_s), 1.0);

@@ -93,7 +93,7 @@ protected:
     EarlyWarningTest()
         : sim_{42},
           bus_{sim_, net::ChannelParameters::ideal()},
-          ctx_{sim_, bus_, trace_} {}
+          ctx_{sim_, bus_, trace_, events_} {}
 
     EarlyWarning& make(EarlyWarningConfig cfg = {}) {
         ew_.emplace(ctx_, "ew1", std::move(cfg));
@@ -109,6 +109,7 @@ protected:
     sim::Simulation sim_;
     net::Bus bus_;
     sim::TraceRecorder trace_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     std::optional<EarlyWarning> ew_;
 };
@@ -217,7 +218,7 @@ TEST(EarlyWarningIntegration, WarnsAheadOfOverdoseThreshold) {
 
     core::PcaScenario scenario{cfg};
     devices::DeviceContext ctx{scenario.simulation(), scenario.bus(),
-                               scenario.trace()};
+                               scenario.trace(), scenario.events()};
     EarlyWarning ew{ctx, "ew1", EarlyWarningConfig{}};
     ew.start();
     const auto r = scenario.run();

@@ -24,7 +24,7 @@ protected:
         : sim_{42},
           bus_{sim_, ch},
           patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
-          ctx_{sim_, bus_, trace_},
+          ctx_{sim_, bus_, trace_, events_},
           vent_{ctx_, "vent1", patient_},
           xray_{ctx_, "xray1", [this] { return vent_.chest_moving(); }} {}
 
@@ -50,6 +50,7 @@ protected:
     net::Bus bus_;
     sim::TraceRecorder trace_;
     physio::Patient patient_;
+    mcps::obs::EventLog events_;
     devices::DeviceContext ctx_;
     devices::Ventilator vent_;
     devices::XRayMachine xray_;
@@ -165,7 +166,8 @@ TEST(ManualCoordinatorTest, CompletesProcedureEventually) {
     sim::TraceRecorder trace;
     physio::Patient patient{
         physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
-    devices::DeviceContext ctx{sim, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{sim, bus, trace, events};
     devices::Ventilator vent{ctx, "v", patient};
     devices::XRayMachine xray{ctx, "x", [&] { return vent.chest_moving(); }};
     vent.start();
@@ -190,7 +192,8 @@ TEST(ManualCoordinatorTest, DistractionLeansOnSafetyTimeout) {
     sim::TraceRecorder trace;
     physio::Patient patient{
         physio::nominal_parameters(physio::Archetype::kTypicalAdult)};
-    devices::DeviceContext ctx{sim, bus, trace};
+    mcps::obs::EventLog events;
+    devices::DeviceContext ctx{sim, bus, trace, events};
     devices::VentilatorConfig vcfg;
     vcfg.max_pause = 20_s;
     devices::Ventilator vent{ctx, "v", patient, vcfg};

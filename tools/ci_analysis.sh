@@ -8,7 +8,8 @@
 #                            + TA5 deadline slack table with the
 #                            static-vs-observed cross-check, then a SARIF
 #                            export validated by the built-in checker
-#   3. analysis/scenario/kernel/serve/obs/hospital/pipeline: per-rule
+#   3. the whole ctest suite, every label and the unlabeled
+#                            mcps_tests binary, among them: per-rule
 #                            seeded-defect fixtures (incl. CONC1/TA5/
 #                            SARIF + the CFG1 missing-root exit code),
 #                            the scenario registry/spec suite, the
@@ -21,8 +22,9 @@
 #                            alarm storm, hospital fuzz smoke) and the
 #                            pipeline suite (artifact cache, graph
 #                            scheduling, cold/warm/parallel determinism,
-#                            knob-edit invalidation), and the CLI
-#                            usage-error exit codes
+#                            knob-edit invalidation), the golden
+#                            traces, ward determinism, the fuzz smokes,
+#                            and the CLI usage-error exit codes
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
 #   5. bench smoke:          tools/bench_baseline.sh --quick (validates
 #                            the --json flow; numbers are not checked),
@@ -82,9 +84,8 @@ stage "2/7 model linter (mcps analyze)"
 "${repo_root}/build-ci-werror/tools/mcps" analyze \
     --check-sarif "${repo_root}/build-ci-werror/analysis.sarif"
 
-stage "3/7 analysis + scenario + kernel + serve + obs + hospital + pipeline test labels"
-ctest --test-dir "${repo_root}/build-ci-werror" \
-    -L "analysis|scenario|kernel|serve|obs|hospital|pipeline" \
+stage "3/7 full ctest suite"
+ctest --test-dir "${repo_root}/build-ci-werror" -j "${jobs}" \
     --output-on-failure
 
 stage "4/7 clang-tidy"

@@ -89,16 +89,11 @@ obs::EventLog run_traced_scenario(const TraceOptions& opt) {
     return log;
 }
 
-[[nodiscard]] bool is_bus_kind(obs::EventKind k) noexcept {
-    return k == obs::EventKind::kBusPublish ||
-           k == obs::EventKind::kBusDeliver || k == obs::EventKind::kBusDrop;
-}
-
 obs::EventLog drop_bus_events(const obs::EventLog& in) {
     obs::EventLog out;
     out.reserve(in.size());
     for (const auto& e : in.events()) {
-        if (!is_bus_kind(e.kind)) {
+        if (!obs::is_bus_kind(e.kind)) {
             out.emit(e.kind, e.time, in.symbol(e.source), in.symbol(e.detail),
                      e.value);
         }
