@@ -26,7 +26,6 @@ set(benches
   bench_e8_fault_injection
   bench_e9_alarm_fatigue
   bench_e10_ward_scale
-  bench_micro_kernel
 )
 
 foreach(bench IN LISTS benches)

@@ -95,8 +95,8 @@ public:
         return subs_.size();
     }
 
-    /// Message-slot recycling counters (bench --json hooks): steady-state
-    /// publishing must serve slots from the free list, not the heap.
+    /// Message-slot recycling counters: steady-state publishing must
+    /// serve slots from the free list, not the heap.
     [[nodiscard]] const MessagePoolStats& pool_stats() const noexcept {
         return pool_.stats();
     }

@@ -16,8 +16,9 @@
 ///    deliveries still in the kernel's queue stay valid even if the Bus
 ///    is destroyed before the Simulation drains.
 ///
-/// MessagePoolStats mirrors the kernel's ArenaStats: benches assert
-/// that steady-state publishing recycles slots instead of allocating.
+/// MessagePoolStats mirrors the kernel's ArenaStats: the bus tests
+/// assert that steady-state publishing recycles slots instead of
+/// allocating.
 
 #pragma once
 
@@ -29,7 +30,7 @@
 
 namespace mcps::net {
 
-/// Allocation counters for bench --json reports.
+/// Slot allocation and recycling counters.
 struct MessagePoolStats {
     std::uint64_t acquired = 0;     ///< total acquire() calls
     std::uint64_t recycled = 0;     ///< acquires served by the free list

@@ -10,7 +10,7 @@
 /// inside the node (EventCallback), so steady-state scheduling performs
 /// zero heap allocations. reset() returns every node to the free list
 /// while keeping the slab memory, so a warm arena can be reused across
-/// runs (bench steady-state, future campaign loops).
+/// runs (ward campaigns, repeated runs).
 ///
 /// Lifetime & determinism contract:
 ///  - Node memory never moves: slabs grow by whole chunks, and the
@@ -56,8 +56,8 @@ enum class EventPriority : std::int8_t {
 /// reference, a subscription id and the bus pointer — so nearly every
 /// scheduled event used to heap-allocate. EventCallback inlines up to
 /// kInlineBytes of capture state directly in the event node; larger
-/// callables fall back to the heap (tracked by ArenaStats so benches
-/// can assert the hot paths stay inline).
+/// callables fall back to the heap (tracked by ArenaStats so tests can
+/// assert the hot paths stay inline).
 class EventCallback {
 public:
     static constexpr std::size_t kInlineBytes = 48;
@@ -283,8 +283,8 @@ private:
     EventSlab* slab_ = nullptr;
 };
 
-/// Allocation counters surfaced in bench --json reports (the ROADMAP's
-/// "no per-event new" target is asserted against these).
+/// Allocation counters; the kernel tests assert that a warm rerun
+/// leaves heap_allocs() unchanged ("no per-event new").
 struct ArenaStats {
     std::uint64_t nodes_acquired = 0;   ///< total acquire() calls
     std::uint64_t nodes_recycled = 0;   ///< acquires served by the free list

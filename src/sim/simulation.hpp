@@ -179,7 +179,7 @@ public:
     /// compaction sweep (amortizes the O(population) pass).
     static constexpr std::uint64_t kCompactMinTombstones = 1024;
 
-    /// Allocation counters of the backing arena (bench --json hooks).
+    /// Allocation counters of the backing arena.
     [[nodiscard]] const ArenaStats& arena_stats() const noexcept {
         return arena_->stats();
     }

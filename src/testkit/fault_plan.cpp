@@ -1,5 +1,9 @@
 #include "fault_plan.hpp"
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 namespace mcps::testkit {
 
 using mcps::sim::SimTime;
@@ -31,6 +35,32 @@ std::optional<FaultKind> fault_kind_from(std::string_view s) {
     return std::nullopt;
 }
 
+bool magnitude_in_domain(FaultKind kind, double magnitude) noexcept {
+    switch (kind) {
+        case FaultKind::kLossBurst:
+        case FaultKind::kDupBurst:
+        case FaultKind::kReorderBurst:
+        case FaultKind::kCorruptBurst:
+            return magnitude >= 0.0 && magnitude <= 1.0;
+        case FaultKind::kDelaySpike:
+            // apply() truncates to whole ms and scales by 1000, which fits
+            // int64 iff magnitude < INT64_MAX / 1000 + 1 (an even number
+            // below 2^54, so the double holds it exactly).
+            return magnitude >= 0.0 &&
+                   magnitude < static_cast<double>(
+                                   std::numeric_limits<std::int64_t>::max() /
+                                       1000 +
+                                   1);
+        case FaultKind::kOutage:
+        case FaultKind::kPartition:
+        case FaultKind::kOxiDropout:
+        case FaultKind::kCapDropout:
+        case FaultKind::kPumpCmdLoss:
+            break;
+    }
+    return std::isfinite(magnitude);
+}
+
 FaultPlan FaultPlan::without(std::size_t index) const {
     FaultPlan p;
     p.events.reserve(events.size() - 1);
@@ -45,6 +75,13 @@ FaultInjector::FaultInjector(mcps::sim::Simulation& sim, net::Bus& bus,
     : sim_{sim}, bus_{bus}, events_{events} {}
 
 void FaultInjector::arm(const FaultPlan& plan) {
+    for (const auto& e : plan.events) {
+        if (!magnitude_in_domain(e.kind, e.magnitude)) {
+            throw std::invalid_argument(
+                "fault plan: magnitude " + std::to_string(e.magnitude) +
+                " is outside the domain of " + std::string{to_string(e.kind)});
+        }
+    }
     for (const auto& e : plan.events) apply(e);
 }
 

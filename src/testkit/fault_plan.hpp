@@ -54,6 +54,13 @@ struct FaultEvent {
     double magnitude = 0.0;
 };
 
+/// Whether \p magnitude lies in \p kind's domain: [0, 1] for the loss,
+/// dup, reorder and corrupt bursts; for a delay spike, a non-negative
+/// millisecond count whose microseconds fit int64. Kinds that ignore
+/// the magnitude accept any finite value.
+[[nodiscard]] bool magnitude_in_domain(FaultKind kind,
+                                       double magnitude) noexcept;
+
 /// An ordered collection of fault events. Order is not semantically
 /// meaningful (all windows are absolute) but is preserved for stable
 /// serialization and shrinking.
@@ -85,6 +92,8 @@ public:
     void set_pump_endpoint(std::string name) { pump_endpoint_ = std::move(name); }
 
     /// Schedule/apply every event. Call once, before the run begins.
+    /// \throws std::invalid_argument, arming nothing, if any event's
+    ///   magnitude is outside its kind's domain (magnitude_in_domain).
     void arm(const FaultPlan& plan);
 
     [[nodiscard]] std::size_t armed() const noexcept { return armed_; }

@@ -113,6 +113,9 @@ FaultEvent parse_fault_line(std::istringstream& line) {
         }
     }
     if (!have_kind) malformed("fault line without kind");
+    if (!magnitude_in_domain(e.kind, e.magnitude)) {
+        malformed("mag out of domain for " + std::string{to_string(e.kind)});
+    }
     // The injector schedules the window's end at at + dur.
     if (e.at.ticks() > std::numeric_limits<std::int64_t>::max() -
                            e.duration.ticks()) {

@@ -1,8 +1,8 @@
 #include "ward/hospital_fuzz.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -20,6 +20,9 @@ using scenario::RunArtifacts;
 using scenario::ScenarioInfo;
 using scenario::ScenarioSpec;
 
+/// First line of every hospital repro file.
+constexpr std::string_view kReproHeader = "# mcps_fuzz --hospital repro";
+
 std::string fmt_double(double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.3f", v);
@@ -30,6 +33,15 @@ std::string fmt_fingerprint(std::uint64_t fp) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "0x%016" PRIx64, fp);
     return buf;
+}
+
+/// The inverse of fmt_fingerprint: the whole of \p v is "0x" and hex
+/// digits, with no sign, no trailing bytes and no overflow.
+bool parse_fingerprint(std::string_view v, std::uint64_t& out) {
+    if (v.size() <= 2 || v.substr(0, 2) != "0x") return false;
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data() + 2, end, out, 16);
+    return ec == std::errc{} && ptr == end;
 }
 
 /// Sample a knob uniformly from its claimed-safe envelope.
@@ -112,7 +124,7 @@ std::string write_repro(const std::string& dir, std::uint64_t seed,
     const std::string path = dir + "/hospital-" + std::to_string(seed) +
                              "-" + std::to_string(index) + ".repro";
     std::ofstream os{path};
-    os << "# mcps_fuzz --hospital repro\n"
+    os << kReproHeader << "\n"
        << "# invariant: " << invariant << ": " << detail << "\n"
        << "spec: " << spec.to_text() << "\n"
        << "fingerprint: " << fmt_fingerprint(fingerprint) << "\n";
@@ -228,30 +240,53 @@ HospitalFuzzOutcome run_hospital_fuzz(const HospitalFuzzOptions& opts) {
 HospitalReplayResult replay_hospital_repro(const std::string& path) {
     std::ifstream is{path};
     if (!is) throw std::runtime_error{"cannot open repro: " + path};
+    const auto malformed = [&path](const std::string& why) {
+        return std::runtime_error{"malformed hospital repro " + path + ": " +
+                                  why};
+    };
 
     HospitalReplayResult r;
-    bool have_spec = false, have_fp = false;
     std::string line;
+    if (!std::getline(is, line) || line != kReproHeader) {
+        throw malformed("missing '" + std::string{kReproHeader} + "' header");
+    }
+    bool have_spec = false, have_fp = false, have_inv = false;
+    // Every other line is "key: value", each key at most once.
+    const auto once = [&](bool& seen, std::string_view key) {
+        if (seen) throw malformed("repeated '" + std::string{key} + "' line");
+        seen = true;
+    };
     while (std::getline(is, line)) {
-        constexpr std::string_view kSpec = "spec: ";
-        constexpr std::string_view kFp = "fingerprint: ";
-        constexpr std::string_view kInv = "# invariant: ";
-        if (line.rfind(kSpec, 0) == 0) {
-            r.spec = scenario::parse_spec(line.substr(kSpec.size()));
-            have_spec = true;
-        } else if (line.rfind(kFp, 0) == 0) {
-            r.expected_fingerprint = std::strtoull(
-                line.c_str() + kFp.size(), nullptr, 16);
-            have_fp = true;
-        } else if (line.rfind(kInv, 0) == 0) {
-            r.invariant = line.substr(kInv.size());
+        if (line.empty()) continue;
+        const auto colon = line.find(": ");
+        if (colon == std::string::npos) {
+            throw malformed("unknown line '" + line + "'");
+        }
+        const std::string_view key = std::string_view{line}.substr(0, colon);
+        const std::string_view value =
+            std::string_view{line}.substr(colon + 2);
+        if (key == "spec") {
+            once(have_spec, key);
+            try {
+                r.spec = scenario::parse_spec(value);
+            } catch (const scenario::SpecError& e) {
+                throw malformed(e.what());
+            }
+        } else if (key == "fingerprint") {
+            once(have_fp, key);
+            if (!parse_fingerprint(value, r.expected_fingerprint)) {
+                throw malformed("fingerprint must be 0x-prefixed hex, not '" +
+                                std::string{value} + "'");
+            }
+        } else if (key == "# invariant") {
+            once(have_inv, key);
+            r.invariant = std::string{value};
+        } else {
+            throw malformed("unknown line '" + line + "'");
         }
     }
     if (!have_spec || !have_fp) {
-        throw std::runtime_error{
-            "malformed hospital repro (need 'spec: ' and 'fingerprint: ' "
-            "lines): " +
-            path};
+        throw malformed("need 'spec: ' and 'fingerprint: ' lines");
     }
 
     const RunArtifacts art = scenario::registry().run(r.spec);

@@ -87,8 +87,12 @@ struct HospitalReplayResult {
     double deadline_violations = 0.0;
 };
 
-/// Parse and re-run a repro file written by run_hospital_fuzz.
-/// \throws std::runtime_error when the file is missing or malformed.
+/// Parse and re-run a repro file written by run_hospital_fuzz. The
+/// parse is strict: the header line first, then each of `spec`,
+/// `fingerprint` (a whole 0x-prefixed hex token) and `# invariant` at
+/// most once, and no other line.
+/// \throws std::runtime_error when the file is missing, or
+///   "malformed hospital repro <path>: ..." when it is malformed.
 [[nodiscard]] HospitalReplayResult replay_hospital_repro(
     const std::string& path);
 

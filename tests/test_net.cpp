@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/net.hpp"
@@ -420,6 +422,33 @@ TEST(Bus, EmptyHandlerRejected) {
     sim::Simulation s;
     net::Bus bus{s};
     EXPECT_THROW(bus.subscribe("x", "t", nullptr), std::invalid_argument);
+}
+
+/// Steady-state publishing serves message slots from the pool's free
+/// list: once the first publish has been delivered, further publishes
+/// construct no new slots.
+TEST(Bus, WarmPublishesAllocateNoPoolSlots) {
+    sim::Simulation s;
+    net::Bus bus{s, net::ChannelParameters::ideal()};
+    std::uint64_t delivered = 0;
+    for (int i = 0; i < 8; ++i) {
+        bus.subscribe("sub" + std::to_string(i), "vitals/*",
+                      [&](const net::Message&) { ++delivered; });
+    }
+    bus.publish("pub", "vitals/bed1/spo2",
+                net::VitalSignPayload{"spo2", 97.0, true});
+    s.run_all();
+    const std::uint64_t slots_after_first = bus.pool_stats().slot_allocs;
+    EXPECT_GT(slots_after_first, 0u);
+    for (int i = 0; i < 1000; ++i) {
+        bus.publish("pub", "vitals/bed1/spo2",
+                    net::VitalSignPayload{"spo2", 97.0, true});
+        s.run_all();
+    }
+    EXPECT_EQ(delivered, 8u * 1001u);
+    EXPECT_EQ(bus.pool_stats().slot_allocs, slots_after_first)
+        << "warm publishes constructed new message slots";
+    EXPECT_GE(bus.pool_stats().recycled, 1000u);
 }
 
 TEST(Bus, OutageInjectionViaEndpointChannel) {

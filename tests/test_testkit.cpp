@@ -89,6 +89,30 @@ TEST(FaultInjector, DeviceFaultsSkippedWithoutDevices) {
     EXPECT_EQ(events.size(), 1u);  // a skipped fault records nothing
 }
 
+/// Plans built in code meet the repro file's magnitude domains: arm()
+/// refuses an out-of-domain event before arming anything.
+TEST(FaultInjector, ArmRefusesMagnitudesOutsideTheirKindsDomain) {
+    for (const FaultEvent& bad : std::vector<FaultEvent>{
+             {FaultKind::kLossBurst, 1_s, 1_s, "pump1", 5.0},
+             {FaultKind::kDupBurst, 1_s, 1_s, "pump1", -1.0},
+             {FaultKind::kDelaySpike, 1_s, 1_s, "pump1", 1e16},
+             {FaultKind::kDelaySpike, 1_s, 1_s, "pump1", -0.5},
+         }) {
+        sim::Simulation s;
+        net::Bus bus{s, net::ChannelParameters::ideal()};
+        FaultPlan plan;
+        plan.events.push_back({FaultKind::kLossBurst, 1_s, 1_s, "pump1", 1.0});
+        plan.events.push_back(bad);
+        obs::EventLog events;
+        FaultInjector injector{s, bus, events};
+        EXPECT_THROW(injector.arm(plan), std::invalid_argument)
+            << to_string(bad.kind) << " mag " << bad.magnitude;
+        EXPECT_EQ(injector.armed(), 0u);
+        EXPECT_EQ(s.events_pending(), 0u);
+        EXPECT_EQ(events.size(), 0u);
+    }
+}
+
 TEST(Repro, TextRoundTripPreservesEverything) {
     Repro r;
     r.kind = WorkloadKind::kPca;
@@ -169,6 +193,19 @@ TEST(Repro, StrictFieldsRejectWhatTheyCannotRoundTrip) {
              fault + "at_us=1 dur_us=1 mag=-inf\n",
              fault + "at_us=1 dur_us=1 mag=1e999\n",
              fault + "at_us=1 dur_us=1 mag=\n",
+             // Each kind's magnitude domain.
+             "fault kind=loss_burst at_us=1 dur_us=1 mag=5 target=pump1\n",
+             "fault kind=loss_burst at_us=1 dur_us=1 mag=-1 target=pump1\n",
+             "fault kind=dup_burst at_us=1 dur_us=1 mag=1.0000000000000002 "
+             "target=pump1\n",
+             "fault kind=reorder_burst at_us=1 dur_us=1 mag=-0.5 "
+             "target=pump1\n",
+             "fault kind=corrupt_burst at_us=1 dur_us=1 mag=2 target=pump1\n",
+             "fault kind=delay_spike at_us=1 dur_us=1 mag=-1 target=pump1\n",
+             "fault kind=delay_spike at_us=1 dur_us=1 mag=9223372036854776 "
+             "target=pump1\n",
+             "fault kind=delay_spike at_us=1 dur_us=1 mag=1e300 "
+             "target=pump1\n",
          }) {
         const std::string error = repro_error(head + body);
         EXPECT_EQ(error.rfind("repro: malformed file: ", 0), 0u)
@@ -179,6 +216,16 @@ TEST(Repro, StrictFieldsRejectWhatTheyCannotRoundTrip) {
         head + fault + "at_us=9223372036854775806 dur_us=1 mag=0.5\n");
     ASSERT_EQ(edge.faults.size(), 1u);
     EXPECT_EQ(edge.faults.events[0].duration.ticks(), 1);
+    // The edges of each magnitude domain parse: probabilities 0 and 1,
+    // and the largest delay spike whose microseconds fit int64.
+    const Repro domains = repro_from_text(
+        head +
+        "fault kind=loss_burst at_us=1 dur_us=1 mag=0 target=pump1\n"
+        "fault kind=corrupt_burst at_us=1 dur_us=1 mag=1 target=pump1\n"
+        "fault kind=delay_spike at_us=1 dur_us=1 mag=9223372036854774 "
+        "target=pump1\n");
+    ASSERT_EQ(domains.faults.size(), 3u);
+    EXPECT_EQ(domains.faults.events[2].magnitude, 9223372036854774.0);
 }
 
 /// ROADMAP's repro mutation sweep: 2000 seeded byte mutants of a real

@@ -26,10 +26,10 @@
 #                            traces, ward determinism, the fuzz smokes,
 #                            and the CLI usage-error exit codes
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
-#   5. bench smoke:          tools/bench_baseline.sh --quick (validates
-#                            the --json flow; numbers are not checked),
-#                            hospital and pipeline smokes, plus a 2 s
-#                            perfbench bedside run that must report
+#   5. end-to-end smokes:    the hospital preset and the pipeline
+#                            determinism gate, plus a 2 s perfbench
+#                            bedside run (perfbench is the one
+#                            performance record) that must report
 #                            "correct": true
 #   6. ASan+UBSan:           full test suite under address+undefined
 #   7. TSan:                 `mcps` and the test binaries: ward-engine
@@ -91,10 +91,7 @@ ctest --test-dir "${repo_root}/build-ci-werror" -j "${jobs}" \
 stage "4/7 clang-tidy"
 "${repo_root}/tools/run_tidy.sh" "${repo_root}/build-ci-werror"
 
-stage "5/7 bench baseline smoke (--quick)"
-"${repo_root}/tools/bench_baseline.sh" --quick \
-    --out "${repo_root}/build-ci-werror/BENCH_smoke.json" >/dev/null
-echo "bench baseline smoke: OK"
+stage "5/7 end-to-end smokes (hospital, pipeline, perfbench)"
 # Hospital-population smoke: the preset must run end-to-end on the
 # `mcps run` surface (96 patients / 4 wards, 2 simulated minutes).
 "${repo_root}/build-ci-werror/tools/mcps" run run \

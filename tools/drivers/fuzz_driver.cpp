@@ -41,7 +41,9 @@ void usage(std::ostream& os, std::string_view prog) {
           "                       cohorts/knobs over the claimed-safe\n"
           "                       envelope (with --expect-violation:\n"
           "                       interlock-off storm hazards that must\n"
-          "                       violate and replay byte-identically)\n"
+          "                       violate and replay byte-identically);\n"
+          "                       --jobs, --intensity, --xray-fraction,\n"
+          "                       --weakened and --no-shrink are refused\n"
           "  --expect-violation   succeed only if a violation is found,\n"
           "                       replays byte-identically, and shrinks to\n"
           "                       a small fault plan\n"
@@ -139,6 +141,8 @@ int fuzz_main(std::string_view prog,
     bool hospital = false;
     bool quiet = false;
     std::string replay_path;
+    // The last flag given that only the pca/xray campaign honours.
+    std::string_view pca_only_flag;
 
     return cli::tool_main(
         prog, [&](std::ostream& os) { usage(os, prog); },
@@ -153,12 +157,16 @@ int fuzz_main(std::string_view prog,
                 opts.seed = parse_u64(arg, value());
             } else if (arg == "--intensity") {
                 opts.fault_intensity = parse_double(arg, value());
+                pca_only_flag = arg;
             } else if (arg == "--jobs") {
                 jobs = static_cast<unsigned>(parse_u64(arg, value()));
+                pca_only_flag = arg;
             } else if (arg == "--xray-fraction") {
                 opts.xray_fraction = parse_double(arg, value());
+                pca_only_flag = arg;
             } else if (arg == "--weakened") {
                 opts.weakened = true;
+                pca_only_flag = arg;
             } else if (arg == "--hospital") {
                 hospital = true;
             } else if (arg == "--expect-violation") {
@@ -169,6 +177,7 @@ int fuzz_main(std::string_view prog,
                 opts.repro_dir = std::string{value()};
             } else if (arg == "--no-shrink") {
                 opts.shrink = false;
+                pca_only_flag = arg;
             } else if (arg == "--quiet") {
                 quiet = true;
             } else if (arg == "--help" || arg == "-h") {
@@ -179,6 +188,10 @@ int fuzz_main(std::string_view prog,
             }
         }
 
+        if (hospital && !pca_only_flag.empty()) {
+            throw CliError{std::string{pca_only_flag} +
+                           ": not supported with --hospital"};
+        }
         if (!replay_path.empty()) {
             return hospital ? hospital_replay_mode(replay_path)
                             : replay_mode(replay_path);
