@@ -49,6 +49,9 @@ void HospitalConfig::validate() const {
     }
     if (storm_bolus_mg < 0.0) fail("storm_bolus_mg < 0");
     if (storm_at_s < 0.0) fail("storm_at_s < 0");
+    if (storm_fraction > 0.0 && storm_at_s >= duration.to_seconds()) {
+        fail("storm_at_s at or after the end of the run");
+    }
     if (jobs == 0) fail("jobs == 0");
 }
 

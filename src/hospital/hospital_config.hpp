@@ -89,7 +89,8 @@ struct HospitalConfig {
 
     /// Synchronized overdose disturbance ("PCA by proxy at scale"):
     /// at storm_at_s, this fraction of patients receives storm_bolus_mg
-    /// bypassing the lockout. 0 disables.
+    /// bypassing the lockout. 0 disables; a storm must start before the
+    /// run ends.
     double storm_fraction = 0.0;
     double storm_bolus_mg = 3.0;
     double storm_at_s = 600.0;

@@ -160,6 +160,8 @@ HospitalReport HospitalEngine::run() const {
         0, std::llround(cfg_.lockout_s / tick_s));
     const auto service_ticks = std::max<std::int64_t>(
         1, std::llround(cfg_.nurse_service_s / tick_s));
+    // validate() keeps storm_at_s inside the run, so the clamp only
+    // absorbs rounding to the nearest tick in the run's last tick.
     const std::int64_t storm_tick =
         cfg_.storm_fraction > 0.0
             ? std::clamp<std::int64_t>(std::llround(cfg_.storm_at_s / tick_s),

@@ -56,13 +56,6 @@ void PatientParameters::validate() const {
     cardio.validate();
 }
 
-double severinghaus_spo2(double pao2_mmhg) noexcept {
-    if (pao2_mmhg <= 0) return 0.0;
-    const double p = pao2_mmhg;
-    const double s = 100.0 / (1.0 + 23400.0 / (p * p * p + 150.0 * p));
-    return std::clamp(s, 0.0, 100.0);
-}
-
 Patient::Patient(PatientParameters params)
     : params_{std::move(params)},
       pk_{params_.pk},

@@ -23,6 +23,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -185,7 +186,13 @@ private:
 };
 
 /// Severinghaus (1979) oxyhemoglobin dissociation approximation:
-/// SpO2(PaO2) = 100 / (1 + 23400 / (p^3 + 150 p)).
-[[nodiscard]] double severinghaus_spo2(double pao2_mmhg) noexcept;
+/// SpO2(PaO2) = 100 / (1 + 23400 / (p^3 + 150 p)). Inline so the batched
+/// gas-exchange pass makes no call per lane.
+[[nodiscard]] inline double severinghaus_spo2(double pao2_mmhg) noexcept {
+    if (pao2_mmhg <= 0) return 0.0;
+    const double p = pao2_mmhg;
+    const double s = 100.0 / (1.0 + 23400.0 / (p * p * p + 150.0 * p));
+    return std::clamp(s, 0.0, 100.0);
+}
 
 }  // namespace mcps::physio

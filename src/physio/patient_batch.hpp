@@ -10,21 +10,34 @@
 /// lane is bit-identical to a scalar `Patient` fed the same inputs — a
 /// property the differential suite in tests/hospital pins.
 ///
-/// What the batch buys is locality, not different math: stepping
-/// thousands of scalar `Patient` objects walks heap-scattered objects
-/// (each carrying a `std::string` label and an optional ventilator
-/// block); the batch streams dense `double` arrays. Mechanical
+/// What the batch buys is locality and fewer transcendental calls, not
+/// different math. Stepping thousands of scalar `Patient` objects walks
+/// heap-scattered objects (each carrying a `std::string` label and an
+/// optional ventilator block); the batch streams dense `double` arrays.
+/// It also keeps, per lane, the factors that depend only on the lane's
+/// parameters and `dt`: `pow(ec50, gamma)` and the three
+/// `1 - exp(-dt/tau)` relaxation factors of PaCO2, PaO2 and heart rate.
+/// The scalar model recomputes them every step; the batch rebuilds a
+/// lane's dt factors only when the `dt` it is stepped with changes. A
+/// lane-step without an active antagonist therefore makes three `pow`
+/// calls (`pow(ce, gamma)`, `pow(drive, 0.7)`, `pow(drive, 0.3)`) and no
+/// `exp` call, where the scalar step makes four and four. Each step walks
+/// the range in three passes (PK; antagonist, drive and breathing
+/// pattern; gas exchange and cardio) so that those calls sit in one
+/// short loop and the other two make no call at all. Mechanical
 /// ventilation is intentionally NOT supported here — it is an E4
 /// single-patient scenario feature, and hospital-scale cohorts are
 /// spontaneously breathing PCA patients. `add()` rejects nothing, but
 /// there is simply no ventilator input on this API.
 ///
 /// Thread-safety: disjoint lane ranges may be stepped from different
-/// threads concurrently (no shared mutable state across lanes); the
-/// hospital engine exploits this by giving each ward a contiguous range.
+/// threads concurrently (no shared mutable state across lanes; the
+/// factor caches are per lane too); the hospital engine exploits this by
+/// giving each ward a contiguous range.
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -66,7 +79,7 @@ public:
 
     /// Observables (same value types and clamps as `Patient`).
     [[nodiscard]] SpO2 spo2(std::size_t i) const noexcept {
-        return SpO2::percent_clamped(spo2_[i]);
+        return SpO2::percent_clamped(spo2_raw(i));
     }
     [[nodiscard]] RespRate resp_rate(std::size_t i) const noexcept {
         return RespRate::per_minute_clamped(rr_[i]);
@@ -92,7 +105,7 @@ public:
     }
     /// Raw (unclamped) SpO2 percent, for aggregation without quantization.
     [[nodiscard]] double spo2_raw(std::size_t i) const noexcept {
-        return spo2_[i];
+        return severinghaus_spo2(pao2_[i]);
     }
     [[nodiscard]] Vitals vitals(std::size_t i) const {
         return Vitals{spo2(i),      resp_rate(i),  etco2(i),
@@ -131,21 +144,54 @@ public:
 private:
     std::size_t n_ = 0;
 
-    // Parameters, hot (one entry per lane).
-    std::vector<double> v1_, k10_, k12_, k21_, ke0_;
-    std::vector<double> ec50_, gamma_, emax_;
-    std::vector<double> base_rr_, base_vt_, deadspace_, base_paco2_, fio2_,
-        aa_grad_, tau_co2_, tau_o2_, apnea_thresh_, co2_gain_, apnea_rise_;
-    std::vector<double> base_hr_, hypox_gain_, severe_spo2_, tau_hr_;
+    /// Recompute lane \p i's dt-keyed factors for \p dt.
+    void refresh_factors(std::size_t i, double dt) noexcept;
 
-    // State (one entry per lane).
+    /// Every per-lane array, listed once: `add`, `reserve` and
+    /// `state_bytes` walk this list, so none of them can miss an array.
+    template <typename Self>
+    static auto lane_arrays(Self& self) {
+        return std::array{
+            &self.v1_, &self.k10_, &self.k12_, &self.k21_, &self.ke0_,
+            &self.gamma_, &self.emax_, &self.ec50_pow_,
+            &self.base_rr_, &self.base_vt_, &self.deadspace_,
+            &self.base_paco2_, &self.fio2_, &self.aa_grad_,
+            &self.apnea_thresh_, &self.co2_gain_, &self.apnea_rise_,
+            &self.base_hr_, &self.hypox_gain_, &self.severe_spo2_,
+            &self.factor_dt_, &self.co2_alpha_, &self.o2_alpha_,
+            &self.hr_alpha_,
+            &self.a1_, &self.a2_, &self.ce_, &self.delivered_,
+            &self.eliminated_, &self.rate_mg_h_,
+            &self.antag_level_, &self.antag_potency_, &self.antag_hl_,
+            &self.drive_, &self.rr_, &self.tidal_, &self.paco2_,
+            &self.pao2_, &self.hr_, &self.elapsed_};
+    }
+
+    // Parameters read every step (one entry per lane). Those read only
+    // to build a factor, or only while an antagonist is active, stay in
+    // the cold copy `params_`.
+    std::vector<double> v1_, k10_, k12_, k21_, ke0_;
+    // ec50_pow_ is pow(ec50, gamma): the Hill denominator while no
+    // antagonist scales the EC50.
+    std::vector<double> gamma_, emax_, ec50_pow_;
+    std::vector<double> base_rr_, base_vt_, deadspace_, base_paco2_, fio2_,
+        aa_grad_, apnea_thresh_, co2_gain_, apnea_rise_;
+    std::vector<double> base_hr_, hypox_gain_, severe_spo2_;
+
+    // Factors keyed on dt: 1 - exp(-dt/tau) for PaCO2, PaO2 and heart
+    // rate. factor_dt_ is the dt they were built for; 0 means not yet
+    // built, since every valid dt is > 0.
+    std::vector<double> factor_dt_, co2_alpha_, o2_alpha_, hr_alpha_;
+
+    // State (one entry per lane). SpO2 is not stored: it is the
+    // Severinghaus curve of PaO2, derived on read.
     std::vector<double> a1_, a2_, ce_, delivered_, eliminated_;
     std::vector<double> rate_mg_h_;
     std::vector<double> antag_level_, antag_potency_, antag_hl_;
-    std::vector<double> drive_, rr_, tidal_, paco2_, pao2_, spo2_, hr_,
-        elapsed_;
+    std::vector<double> drive_, rr_, tidal_, paco2_, pao2_, hr_, elapsed_;
 
-    // Cold copy, only touched by parameters(i).
+    // Cold copy, read by parameters(i), factor rebuilds and the
+    // antagonist path.
     std::vector<PatientParameters> params_;
 };
 

@@ -113,4 +113,25 @@ TEST(AlarmStorm, StormMembershipDoesNotPerturbQuietPatients) {
     EXPECT_GE(quiet.boluses, with_storm.boluses);
 }
 
+TEST(AlarmStorm, StormAfterTheRunEndsIsRejected) {
+    // A storm at or after the end of the run cannot fire. The config
+    // refuses it instead of moving it onto the last tick.
+    HospitalConfig cfg = storm_config();  // 30 simulated minutes
+    cfg.storm_at_s = 1800.0;
+    EXPECT_THROW(HospitalEngine{cfg}, hospital::HospitalConfigError);
+    cfg.storm_at_s = 7200.0;
+    EXPECT_THROW(HospitalEngine{cfg}, hospital::HospitalConfigError);
+
+    // Without a storm the time is unused, so any value stays valid.
+    cfg.storm_fraction = 0.0;
+    EXPECT_NO_THROW(cfg.validate());
+
+    // The last second of the run is inside it: the same members get
+    // their storm bolus there as at t=300 s.
+    cfg = storm_config();
+    cfg.storm_at_s = 1799.0;
+    EXPECT_EQ(HospitalEngine{cfg}.run().storm_boluses,
+              HospitalEngine{storm_config()}.run().storm_boluses);
+}
+
 }  // namespace

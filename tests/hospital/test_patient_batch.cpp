@@ -155,6 +155,131 @@ TEST(PatientBatchDifferential, EquilibriumInitializationMatchesScalarCtor) {
     }
 }
 
+// ------------------------------------------------- cached factors ----
+//
+// The batch keeps each lane's dt-keyed relaxation factors and
+// pow(ec50, gamma) instead of recomputing them every step. These suites
+// drive the cache's edges: a dt that changes between calls, an
+// antagonist given after the factors were built, and a copied batch.
+
+/// A cohort with drug on board, so the effect-site path (and with it the
+/// cached Hill term) is live in every lane.
+struct DosedCohort {
+    std::vector<Patient> scalars;
+    PatientBatch batch;
+
+    DosedCohort(std::uint64_t seed, std::size_t n) {
+        for (const auto& p : cohort(seed, n)) {
+            scalars.emplace_back(p);
+            (void)batch.add(p);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const Dose d = Dose::mg(0.5 + 0.25 * static_cast<double>(i % 5));
+            const InfusionRate r = InfusionRate::mg_per_hour(0.5);
+            scalars[i].bolus(d);
+            batch.bolus(i, d);
+            scalars[i].set_infusion_rate(r);
+            batch.set_infusion_rate(i, r);
+        }
+    }
+
+    void step(double dt, int ticks) {
+        for (int t = 0; t < ticks; ++t) {
+            batch.step_all(dt);
+            for (auto& p : scalars) p.step(dt);
+        }
+    }
+
+    void expect_identical(const char* when) const {
+        for (std::size_t i = 0; i < scalars.size(); ++i) {
+            expect_bit_identical(scalars[i], batch, i, when);
+        }
+    }
+};
+
+TEST(PatientBatchDifferential, DtChangeMidRunRebuildsFactors) {
+    DosedCohort c{41, 12};
+    c.step(1.0, 200);
+    c.expect_identical("dt=1.0");
+    c.step(0.25, 400);
+    c.expect_identical("dt=1.0 -> 0.25");
+    c.step(1.0, 150);
+    c.expect_identical("dt=0.25 -> 1.0");
+    c.step(0.5, 300);
+    c.expect_identical("dt=1.0 -> 0.5");
+}
+
+TEST(PatientBatchDifferential, DtChangeBetweenRangesStaysPerLane) {
+    // Two ranges stepped with different dt in the same tick: each lane's
+    // cache follows its own dt, as disjoint ward ranges on different
+    // threads would.
+    DosedCohort c{43, 10};
+    for (int t = 0; t < 240; ++t) {
+        const double dt_low = (t / 60) % 2 == 0 ? 1.0 : 0.5;
+        c.batch.step_range(0, 5, dt_low);
+        c.batch.step_range(5, 10, 0.25);
+        for (std::size_t i = 0; i < 5; ++i) c.scalars[i].step(dt_low);
+        for (std::size_t i = 5; i < 10; ++i) c.scalars[i].step(0.25);
+    }
+    c.expect_identical("per-range dt");
+}
+
+TEST(PatientBatchDifferential, AntagonistAfterFactorsAreCachedAndAgain) {
+    DosedCohort c{47, 8};
+    c.step(1.0, 120);  // factors built, antagonist-free Hill term cached
+    for (std::size_t i = 0; i < 8; ++i) {
+        c.scalars[i].give_antagonist(10.0, 30.0);
+        c.batch.give_antagonist(i, 10.0, 30.0);
+    }
+    c.step(1.0, 60);
+    c.expect_identical("antagonist active");
+    ASSERT_GT(c.batch.antagonist_level(0), 0.0);
+
+    // 30 s half-life: the level falls below the 1e-4 cut-off within
+    // ~400 s and snaps to exactly 0, which brings the cached term back.
+    c.step(1.0, 400);
+    c.expect_identical("antagonist decayed");
+    for (std::size_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(c.batch.antagonist_level(i), 0.0) << i;
+    }
+
+    // A second dose with another half-life, on a sub-second step.
+    for (std::size_t i = 0; i < 8; ++i) {
+        c.scalars[i].give_antagonist(6.0, 90.0);
+        c.batch.give_antagonist(i, 6.0, 90.0);
+    }
+    c.step(0.5, 300);
+    c.expect_identical("second antagonist");
+    ASSERT_GT(c.batch.antagonist_level(0), 0.0);
+    c.step(1.0, 1500);
+    c.expect_identical("second antagonist decayed");
+    EXPECT_EQ(c.batch.antagonist_level(0), 0.0);
+}
+
+TEST(PatientBatchDifferential, CopiedBatchStepsLikeItsSource) {
+    // A copy taken after the factors were built (perfbench's layer probe
+    // copies a prepared batch) carries its caches along and stays
+    // bit-identical to the source and to the scalar model.
+    DosedCohort c{53, 12};
+    c.step(1.0, 90);
+    PatientBatch copy = c.batch;
+    for (int t = 0; t < 300; ++t) {
+        const double dt = t < 150 ? 1.0 : 0.25;
+        if (t == 100) {
+            c.scalars[3].give_antagonist(8.0, 120.0);
+            c.batch.give_antagonist(3, 8.0, 120.0);
+            copy.give_antagonist(3, 8.0, 120.0);
+        }
+        c.batch.step_all(dt);
+        copy.step_all(dt);
+        for (auto& p : c.scalars) p.step(dt);
+    }
+    c.expect_identical("source");
+    for (std::size_t i = 0; i < c.scalars.size(); ++i) {
+        expect_bit_identical(c.scalars[i], copy, i, "copy");
+    }
+}
+
 // ------------------------------------------- lane-range independence ----
 
 TEST(PatientBatch, StepRangeOrderDoesNotChangeLanes) {

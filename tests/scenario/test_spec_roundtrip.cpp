@@ -2,16 +2,20 @@
 /// \brief ScenarioSpec serialization: the round-trip property
 /// (`parse_spec(s.to_text()) == s`, `parse_spec_json(s.to_json()) == s`)
 /// over randomized knob assignments sampled from the registry's own
-/// knob domains, plus the exact parse-error contract.
+/// knob domains, a mutation sweep over both serialized forms of every
+/// preset, plus the exact parse-error contract.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <random>
 #include <string>
 #include <utility>
 
 #include "scenario/scenario.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -115,16 +119,20 @@ TEST(SpecRoundTrip, RandomizedSpecsRoundTripAndResolve) {
 
         // Knobs apply in declaration order; "policy" is only legal when
         // an interlock is engaged, which the sampler tracks the same way
-        // the registry validates it. The hospital family's one
-        // cross-field constraint (wards <= patients) is tracked the same
-        // way: the sampled ward count is clamped under the effective
-        // patient count (preset default or sampled override).
+        // the registry validates it. The hospital family's two
+        // cross-field constraints are tracked the same way: the sampled
+        // ward count is clamped under the effective patient count
+        // (preset default or sampled override), and a storm must start
+        // before the run ends.
         bool interlock_engaged = (name == "pca");
         std::uint64_t patients = 0;
+        bool storm = false;
+        double storm_at_s = 0.0;
         if (info.family == scenario::ScenarioFamily::kHospital) {
-            patients = static_cast<std::uint64_t>(
-                scenario::make_hospital_config(reg.default_spec(name))
-                    .patients);
+            const auto preset =
+                scenario::make_hospital_config(reg.default_spec(name));
+            patients = static_cast<std::uint64_t>(preset.patients);
+            storm_at_s = preset.storm_at_s;
         }
         for (const KnobInfo& k : info.knobs) {
             if (!rng.bernoulli(0.5)) continue;
@@ -135,7 +143,12 @@ TEST(SpecRoundTrip, RandomizedSpecsRoundTripAndResolve) {
             if (k.name == "wards" && std::stoull(v) > patients) {
                 v = std::to_string(patients);
             }
+            if (k.name == "storm-fraction") storm = std::stod(v) > 0.0;
+            if (k.name == "storm-at-s") storm_at_s = std::stod(v);
             spec.set(k.name, std::move(v));
+        }
+        if (storm && storm_at_s >= static_cast<double>(spec.minutes) * 60.0) {
+            spec.set("storm-at-s", std::to_string(spec.minutes * 30));
         }
 
         // Both serializations reproduce the spec exactly...
@@ -157,6 +170,143 @@ TEST(SpecRoundTrip, RandomizedSpecsRoundTripAndResolve) {
                 << spec.to_text();
         }
     }
+}
+
+// ------------------------------------------------------ mutation sweep ----
+
+/// One mutant of \p doc: one to three byte flips, byte inserts, deletes
+/// or duplicated whitespace-separated tokens.
+std::string mutate(std::string doc, std::mt19937_64& rng) {
+    constexpr char kInteresting[] = "=-_.0123456789 \"{}:,\\ex";
+    const int mutations = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < mutations && !doc.empty(); ++m) {
+        const std::size_t at = rng() % doc.size();
+        const char pick = kInteresting[rng() % (sizeof kInteresting - 1)];
+        switch (rng() % 5) {
+            case 0:
+                doc[at] = static_cast<char>(doc[at] ^ (1 << (rng() % 8)));
+                break;
+            case 1: doc[at] = pick; break;
+            case 2: doc.insert(at, 1, pick); break;
+            case 3: doc.erase(at, 1 + rng() % 4); break;
+            default: {
+                std::size_t first = doc.rfind(' ', at);
+                first = first == std::string::npos ? 0 : first + 1;
+                std::size_t last = doc.find(' ', at);
+                if (last == std::string::npos) last = doc.size();
+                const std::string token = doc.substr(first, last - first);
+                doc.insert(last, token);
+                doc.insert(last, 1, ' ');
+            }
+        }
+    }
+    return doc;
+}
+
+/// Runs \p fn: true when it returns, false when it throws SpecError.
+/// Any other exception is a test failure naming \p mutant.
+template <typename Fn>
+bool spec_ok(Fn&& fn, const std::string& mutant) {
+    try {
+        fn();
+        return true;
+    } catch (const SpecError&) {
+        return false;
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a SpecError: " << e.what()
+                      << "\nmutant: " << mutant;
+        return false;
+    }
+}
+
+/// Resolve \p spec through the registry into its family's config.
+/// \throws SpecError as the registry does.
+void resolve(const ScenarioSpec& spec) {
+    switch (scenario::registry().info(spec.name).family) {
+        case scenario::ScenarioFamily::kPca:
+            (void)scenario::make_pca_config(spec);
+            return;
+        case scenario::ScenarioFamily::kXray:
+            (void)scenario::make_xray_config(spec);
+            return;
+        case scenario::ScenarioFamily::kHospital:
+            (void)scenario::make_hospital_config(spec);
+            return;
+    }
+}
+
+/// \p preset with every knob set, in declaration order, to a value at
+/// the edge of its domain: the last choice, the low end of a number
+/// range, a count of 1. The result resolves (the sweep asserts it).
+ScenarioSpec with_every_knob(const std::string& preset) {
+    ScenarioSpec spec = scenario::registry().default_spec(preset);
+    for (const KnobInfo& k : scenario::registry().info(preset).knobs) {
+        switch (k.kind) {
+            case KnobInfo::Kind::kChoice:
+                spec.set(k.name, k.choices.back());
+                break;
+            case KnobInfo::Kind::kNumber: {
+                char buf[32];
+                std::snprintf(buf, sizeof buf, "%g", k.lo);
+                spec.set(k.name, buf);
+                break;
+            }
+            case KnobInfo::Kind::kCount: spec.set(k.name, "1"); break;
+        }
+    }
+    return spec;
+}
+
+/// ROADMAP's spec mutation sweep: 2000 mutants each of every preset's
+/// text and JSON forms, bare and with every knob set. A mutant either
+/// throws SpecError and nothing else, or parses to a spec whose text is
+/// a fixed point of parse -> to_text (and whose JSON round-trips); that
+/// spec then resolves through the registry or throws SpecError. The
+/// outcome of every mutant, with the canonical text of each parsed one,
+/// folds into a digest pinned here, so a change in what the parsers
+/// accept or the registry resolves shows up as a digest change.
+TEST(SpecMutation, SweepRejectsOrReachesAFixedPointThatResolves) {
+    enum Outcome : std::uint64_t { kRejected = 1, kResolved, kUnresolved };
+    std::mt19937_64 rng{20261017};
+    std::uint64_t digest = sim::kFnvOffset;
+    std::size_t counts[4] = {};
+
+    for (const std::string& preset : scenario::registry().names()) {
+        const ScenarioSpec bare = scenario::registry().default_spec(preset);
+        const ScenarioSpec full = with_every_knob(preset);
+        ASSERT_NO_THROW(resolve(full)) << full.to_text();
+        for (const std::string& doc :
+             {bare.to_text(), bare.to_json(), full.to_text(), full.to_json()}) {
+            const bool json = doc.front() == '{';
+            for (int iter = 0; iter < 2000; ++iter) {
+                const std::string mutant = mutate(doc, rng);
+                ScenarioSpec spec;
+                Outcome outcome = kRejected;
+                if (spec_ok([&] {
+                        spec = json ? scenario::parse_spec_json(mutant)
+                                    : scenario::parse_spec(mutant);
+                    }, mutant)) {
+                    const std::string text = spec.to_text();
+                    EXPECT_EQ(scenario::parse_spec(text).to_text(), text)
+                        << "mutant: " << mutant;
+                    EXPECT_EQ(scenario::parse_spec_json(spec.to_json()), spec)
+                        << "mutant: " << mutant;
+                    digest = sim::mix_string(digest, text);
+                    outcome = spec_ok([&] { resolve(spec); }, mutant)
+                                  ? kResolved
+                                  : kUnresolved;
+                }
+                digest = sim::mix(digest, outcome);
+                ++counts[outcome];
+            }
+        }
+    }
+    EXPECT_GT(counts[kRejected], 0u);
+    EXPECT_GT(counts[kResolved], 0u);
+    EXPECT_GT(counts[kUnresolved], 0u);
+    EXPECT_EQ(digest, 0x2007b5f1a3020bafULL)
+        << counts[kRejected] << " rejected, " << counts[kResolved]
+        << " resolved, " << counts[kUnresolved] << " unresolved";
 }
 
 // ----------------------------------------------------- error contract ----

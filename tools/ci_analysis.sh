@@ -27,10 +27,13 @@
 #                            and the CLI usage-error exit codes
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
 #   5. end-to-end smokes:    the hospital preset and the pipeline
-#                            determinism gate, plus a 2 s perfbench
-#                            bedside run (perfbench is the one
-#                            performance record) that must report
-#                            "correct": true
+#                            determinism gate, plus 2 s perfbench
+#                            bedside and hospital runs (perfbench is the
+#                            one performance record) that must each
+#                            report "correct": true; the hospital run
+#                            checks jobs=1 against jobs=2 fingerprints
+#                            and every preset pin on the Release-built
+#                            batch physio kernel
 #   6. ASan+UBSan:           full test suite under address+undefined
 #   7. TSan:                 `mcps` and the test binaries: ward-engine
 #                            + kernel + serve + obs +
@@ -110,16 +113,22 @@ echo "hospital preset smoke: OK"
 "${repo_root}/build-ci-werror/tools/mcps" trace check-bench \
     "${repo_root}/build-ci-werror/BENCH_pipeline_smoke.json" >/dev/null
 echo "pipeline smoke: OK"
-# Repository benchmark smoke: a short bedside run of perfbench (its own
-# Release build under .bench_build/) must check every pin and invariant.
-# The last stdout line is the result; its "correct" flag is the verdict.
-perfbench_result="$(cd "${repo_root}" && python3 perfbench/run.py \
-    --workload bedside --seed 1 --seconds 2 --trace 0 2>/dev/null | tail -n 1 || true)"
-if ! printf '%s\n' "${perfbench_result}" | grep -qF '"correct": true'; then
-    echo "perfbench bedside smoke FAILED: ${perfbench_result}" >&2
-    exit 1
-fi
-echo "perfbench bedside smoke: OK"
+# Repository benchmark smokes: short bedside and hospital runs of
+# perfbench (its own Release build under .bench_build/) must check every
+# pin and invariant. The hospital run also compares each engine's jobs=1
+# and jobs=2 fingerprints, so the optimized batch physio kernel is
+# checked at Release flags, not only at the test tree's. The last stdout
+# line is the result; its "correct" flag is the verdict.
+for workload in bedside hospital; do
+    perfbench_result="$(cd "${repo_root}" && python3 perfbench/run.py \
+        --workload "${workload}" --seed 1 --seconds 2 --trace 0 \
+        2>/dev/null | tail -n 1 || true)"
+    if ! printf '%s\n' "${perfbench_result}" | grep -qF '"correct": true'; then
+        echo "perfbench ${workload} smoke FAILED: ${perfbench_result}" >&2
+        exit 1
+    fi
+    echo "perfbench ${workload} smoke: OK"
+done
 
 run_coverage() {
     stage "coverage report (MCPS_COVERAGE=ON)"
