@@ -1,6 +1,8 @@
 #include "pca_scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "ice/ice.hpp"
 
@@ -8,6 +10,18 @@ namespace mcps::core {
 
 using mcps::sim::SimDuration;
 using mcps::sim::SimTime;
+
+namespace {
+/// Samples a 1 Hz truth signal takes over a run of \p duration: one per
+/// whole second, capped (about 73 h) so that a long horizon reserves at
+/// most 4 MiB per signal up front and grows from there as before.
+std::size_t truth_samples(SimDuration duration) {
+    constexpr std::int64_t kMaxReserved = std::int64_t{1} << 18;
+    const std::int64_t seconds = duration.ticks() / 1'000'000;
+    return static_cast<std::size_t>(
+        std::clamp<std::int64_t>(seconds + 1, 0, kMaxReserved));
+}
+}  // namespace
 
 struct PcaScenario::Impl {
     PcaScenarioConfig cfg;
@@ -38,7 +52,7 @@ struct PcaScenario::Impl {
     bool hook_fired = false;
 
     /// The 1 Hz ground-truth recorder's signals, resolved on its first
-    /// tick (see TraceRecorder::signal).
+    /// tick (see TraceRecorder::signal) and sized for the whole run.
     struct TruthSignals {
         mcps::sim::Signal* spo2 = nullptr;
         mcps::sim::Signal* resp_rate = nullptr;
@@ -141,6 +155,11 @@ PcaScenario::PcaScenario(PcaScenarioConfig cfg)
                 t.apneic = &im2.trace.signal("truth/apneic");
                 t.effect_site = &im2.trace.signal("truth/effect_site");
                 t.delivering = &im2.trace.signal("pump/delivering");
+                const std::size_t n = truth_samples(im2.cfg.duration);
+                for (auto* s : {t.spo2, t.resp_rate, t.etco2, t.apneic,
+                                t.effect_site, t.delivering}) {
+                    s->reserve(n);
+                }
             }
             const SimTime now = im2.sim.now();
             t.spo2->record(now, im2.patient.spo2().as_percent());

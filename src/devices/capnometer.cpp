@@ -31,6 +31,8 @@ Capnometer::Capnometer(DeviceContext ctx, std::string name,
     rr_ = std::make_unique<SensorChannel>(
         rr_cfg, [this] { return patient_.resp_rate().as_per_minute(); },
         "vitals/" + cfg_.bed + "/resp_rate", sim().rng(this->name() + ".rr"));
+    etco2_pub_ = advertise(etco2_->topic());
+    rr_pub_ = advertise(rr_->topic());
 }
 
 void Capnometer::on_start() {
@@ -42,13 +44,13 @@ void Capnometer::on_stop() { tick_.cancel(); }
 void Capnometer::sample_tick() {
     auto et = etco2_->sample(sim().now());
     if (!et) return;  // cannula displaced silences both channels
-    publish(etco2_->topic(), *et);
+    publish(etco2_pub_, *et);
     if (etco2_signal_ == nullptr) {
         etco2_signal_ = &trace().signal("sensor/" + name() + "/etco2");
     }
     etco2_signal_->record(sim().now(), et->value);
     if (auto rr = rr_->sample(sim().now())) {
-        publish(rr_->topic(), *rr);
+        publish(rr_pub_, *rr);
         if (rr_signal_ == nullptr) {
             rr_signal_ = &trace().signal("sensor/" + name() + "/resp_rate");
         }

@@ -44,6 +44,9 @@ private:
     CapnometerConfig cfg_;
     std::unique_ptr<SensorChannel> etco2_;
     std::unique_ptr<SensorChannel> rr_;
+    /// The two channels' topics, advertised once.
+    mcps::net::Publisher etco2_pub_;
+    mcps::net::Publisher rr_pub_;
     /// "sensor/<name>/etco2" and ".../resp_rate", each resolved on its
     /// first sample (see TraceRecorder::signal).
     mcps::sim::Signal* etco2_signal_ = nullptr;

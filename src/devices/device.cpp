@@ -18,6 +18,8 @@ std::string_view to_string(DeviceKind k) noexcept {
 Device::Device(DeviceContext ctx, std::string name, DeviceKind kind)
     : ctx_{ctx}, name_{std::move(name)}, kind_{kind} {
     if (name_.empty()) throw std::invalid_argument("Device: empty name");
+    heartbeat_pub_ = advertise("heartbeat/" + name_);
+    status_pub_ = advertise("status/" + name_);
 }
 
 Device::~Device() {
@@ -42,7 +44,7 @@ void Device::start() {
     if (heartbeat_period_ > mcps::sim::SimDuration::zero()) {
         heartbeat_handle_ = ctx_.sim.schedule_periodic(
             heartbeat_period_, [this] {
-                publish("heartbeat/" + name_,
+                publish(heartbeat_pub_,
                         mcps::net::HeartbeatPayload{heartbeat_count_++});
             });
     }
@@ -64,14 +66,19 @@ void Device::crash() {
     emit(mcps::obs::EventKind::kDeviceState, "crash");
 }
 
-void Device::publish(const std::string& topic, mcps::net::Payload payload) {
+void Device::publish(mcps::net::Publisher pub, mcps::net::Payload payload) {
+    if (crashed_ || !running_) return;
+    ctx_.bus.publish(pub, std::move(payload));
+}
+
+void Device::publish(std::string_view topic, mcps::net::Payload payload) {
     if (crashed_ || !running_) return;
     ctx_.bus.publish(name_, topic, std::move(payload));
 }
 
 void Device::publish_status(const std::string& state,
                             const std::string& detail) {
-    publish("status/" + name_, mcps::net::StatusPayload{state, detail});
+    publish(status_pub_, mcps::net::StatusPayload{state, detail});
 }
 
 }  // namespace mcps::devices

@@ -95,8 +95,15 @@ protected:
     virtual void on_start() = 0;
     virtual void on_stop() = 0;
 
-    /// Publish helper; silently swallowed when crashed.
-    void publish(const std::string& topic, mcps::net::Payload payload);
+    /// Publish helpers; silently swallowed when crashed or stopped. A
+    /// topic published every period is advertised once (advertise())
+    /// and published through its handle.
+    void publish(mcps::net::Publisher pub, mcps::net::Payload payload);
+    void publish(std::string_view topic, mcps::net::Payload payload);
+    /// Advertise \p topic with this device as sender.
+    [[nodiscard]] mcps::net::Publisher advertise(std::string_view topic) {
+        return ctx_.bus.advertise(name_, topic);
+    }
     /// Publish "status/<name>" with the given state/detail.
     void publish_status(const std::string& state, const std::string& detail = "");
 
@@ -120,6 +127,8 @@ private:
     DeviceContext ctx_;
     std::string name_;
     DeviceKind kind_;
+    mcps::net::Publisher heartbeat_pub_;  ///< "heartbeat/<name>"
+    mcps::net::Publisher status_pub_;     ///< "status/<name>"
     std::vector<std::string> capabilities_;
     bool running_ = false;
     bool crashed_ = false;

@@ -37,6 +37,8 @@ PulseOximeter::PulseOximeter(DeviceContext ctx, std::string name,
     pulse_ = std::make_unique<SensorChannel>(
         pr_cfg, [this] { return patient_.heart_rate().as_bpm(); },
         "vitals/" + cfg_.bed + "/pulse_rate", sim().rng(this->name() + ".pulse"));
+    spo2_pub_ = advertise(spo2_->topic());
+    pulse_pub_ = advertise(pulse_->topic());
 }
 
 void PulseOximeter::on_start() {
@@ -48,13 +50,13 @@ void PulseOximeter::on_stop() { tick_.cancel(); }
 void PulseOximeter::sample_tick() {
     auto spo2_sample = spo2_->sample(sim().now());
     if (!spo2_sample) return;  // probe-off silences both channels
-    publish(spo2_->topic(), *spo2_sample);
+    publish(spo2_pub_, *spo2_sample);
     if (spo2_signal_ == nullptr) {
         spo2_signal_ = &trace().signal("sensor/" + name() + "/spo2");
     }
     spo2_signal_->record(sim().now(), spo2_sample->value);
     if (auto pr = pulse_->sample(sim().now())) {
-        publish(pulse_->topic(), *pr);
+        publish(pulse_pub_, *pr);
     }
 }
 

@@ -52,6 +52,9 @@ private:
     PulseOximeterConfig cfg_;
     std::unique_ptr<SensorChannel> spo2_;
     std::unique_ptr<SensorChannel> pulse_;
+    /// The two channels' topics, advertised once.
+    mcps::net::Publisher spo2_pub_;
+    mcps::net::Publisher pulse_pub_;
     /// "sensor/<name>/spo2", resolved on the first sample (see
     /// TraceRecorder::signal).
     mcps::sim::Signal* spo2_signal_ = nullptr;

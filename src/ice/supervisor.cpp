@@ -131,9 +131,9 @@ void Supervisor::on_heartbeat(const mcps::net::Message& m) {
     // Topic is "heartbeat/<device>".
     const auto pos = m.topic.find('/');
     if (pos == std::string::npos) return;
-    const std::string device = m.topic.substr(pos + 1);
-    auto it = liveness_.find(device);
+    const auto it = liveness_.find(std::string_view{m.topic}.substr(pos + 1));
     if (it == liveness_.end()) return;
+    const std::string& device = it->first;
     it->second.last_heartbeat = sim().now();
     if (it->second.lost) {
         it->second.lost = false;
@@ -153,11 +153,10 @@ void Supervisor::on_status(const mcps::net::Message& m) {
     if (!st || st->state != "offline") return;
     const auto pos = m.topic.find('/');
     if (pos == std::string::npos) return;
-    const std::string device = m.topic.substr(pos + 1);
-    auto it = liveness_.find(device);
+    const auto it = liveness_.find(std::string_view{m.topic}.substr(pos + 1));
     if (it == liveness_.end() || it->second.lost) return;
     // Explicit offline: immediate loss, no need to wait for the timeout.
-    mark_lost(device, it->second);
+    mark_lost(it->first, it->second);
 }
 
 void Supervisor::mark_lost(const std::string& device, LivenessInfo& info) {

@@ -89,7 +89,9 @@ private:
     DeviceRegistry& registry_;
     SupervisorConfig cfg_;
     std::vector<Deployment> deployments_;
-    std::map<std::string, LivenessInfo> liveness_;
+    /// Transparent comparator: the bus handlers look a device up by a
+    /// view of the message topic, without building a string.
+    std::map<std::string, LivenessInfo, std::less<>> liveness_;
     std::uint64_t lost_events_ = 0;
     mcps::sim::EventHandle check_handle_;
     mcps::net::SubscriptionId hb_sub_;

@@ -1,6 +1,7 @@
 #include "bus.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace mcps::net {
 
@@ -28,6 +29,7 @@ SubscriptionId Bus::subscribe(const std::string& endpoint,
                               const std::string& pattern, Handler handler) {
     if (!handler) throw std::invalid_argument("subscribe: empty handler");
     const SubscriptionId id{next_sub_++};
+    ++epoch_;
     subs_.push_back(std::make_unique<Subscription>(Subscription{
         id, endpoint, pattern, std::move(handler), &channel_for(endpoint)}));
     return id;
@@ -40,6 +42,7 @@ bool Bus::unsubscribe(SubscriptionId id) {
                                  });
     if (it == subs_.end()) return false;
     (*it)->live = false;
+    ++epoch_;
     retired_.push_back(std::move(*it));
     subs_.erase(it);
     return true;
@@ -80,11 +83,51 @@ void Bus::set_endpoint_channel(const std::string& endpoint,
     channel_for(endpoint).set_parameters(params);
 }
 
-std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
-                           Payload payload) {
+std::size_t Bus::RouteKeyHash::operator()(const RouteKey& k) const noexcept {
+    // The topic alone: a topic nearly always has one sender, and the
+    // key's equality still compares both.
+    return std::hash<std::string_view>{}(k.topic);
+}
+
+Publisher Bus::advertise(std::string_view sender, std::string_view topic) {
+    if (const auto it = route_ids_.find(RouteKey{sender, topic});
+        it != route_ids_.end()) {
+        return Publisher{it->second};
+    }
+    const auto id = static_cast<std::uint32_t>(routes_.size());
+    Route& r = *routes_.emplace_back(std::make_unique<Route>());
+    r.sender.assign(sender);
+    r.topic.assign(topic);
+    route_ids_.emplace(RouteKey{r.sender, r.topic}, id);
+    return Publisher{id};
+}
+
+void Bus::resolve(Route& r) {
+    r.subs.clear();
+    for (const auto& slot : subs_) {
+        if (topic_matches(slot->pattern, r.topic)) r.subs.push_back(slot.get());
+    }
+    r.epoch = epoch_;
+}
+
+std::uint64_t Bus::publish(Publisher pub, Payload payload) {
+    if (pub.route >= routes_.size()) {
+        throw std::invalid_argument("publish: unknown publisher handle");
+    }
+    Route& route = *routes_[pub.route];
     const std::uint64_t seq = next_seq_++;
     ++stats_.published;
     const SimTime now = sim_.now();
+    if (events_) {
+        events_->emit(mcps::obs::EventKind::kBusPublish, now, route.sender,
+                      route.topic, static_cast<double>(seq));
+    }
+
+    // The route's list is the live subscriptions at this instant (the
+    // epoch moves on every subscribe/unsubscribe), so a subscriber added
+    // after publication never receives an in-flight message.
+    if (route.epoch != epoch_) resolve(route);
+    if (route.subs.empty()) return seq;
 
     // Pooled slot: strings reuse the recycled slot's capacity, and the
     // refs handed to delivery events are non-atomic increments.
@@ -92,27 +135,20 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
     {
         Message& m = *msg;
         m.seq = seq;
-        m.topic.assign(topic);
-        m.sender.assign(sender);
+        m.topic.assign(route.topic);
+        m.sender.assign(route.sender);
         m.sent_at = now;
         m.payload = std::move(payload);
     }
-    if (events_) {
-        events_->emit(mcps::obs::EventKind::kBusPublish, now, sender, topic,
-                      static_cast<double>(seq));
-    }
 
-    // Snapshot matching subscriptions now; a subscriber added after
-    // publication must not receive an in-flight message.
-    for (const auto& slot : subs_) {
-        const Subscription& sub = *slot;
-        if (!topic_matches(sub.pattern, topic)) continue;
-        DeliveryPlan plan = sub.channel->plan_delivery(now);
+    for (Subscription* sub : route.subs) {
+        DeliveryPlan plan = sub->channel->plan_delivery(now);
         if (plan.dropped) {
             ++stats_.dropped;
             if (events_) {
                 events_->emit(mcps::obs::EventKind::kBusDrop, now,
-                              sub.endpoint, topic, static_cast<double>(seq));
+                              sub->endpoint, route.topic,
+                              static_cast<double>(seq));
             }
             continue;
         }
@@ -130,7 +166,7 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
                                              garbled_vital(msg->seq), false};
             }
         }
-        auto deliver = [this, msg = std::move(out), to = slot.get()]() {
+        auto deliver = [this, msg = std::move(out), to = sub]() {
             // Re-check liveness at delivery time: unsubscribing cancels
             // in-flight deliveries, as a real middleware detach would.
             if (!to->live) return;
@@ -144,10 +180,12 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
             }
             to->handler(*msg);
         };
-        sim_.schedule_after(plan.delay, deliver);
         if (plan.duplicated) {
             ++stats_.duplicated;
-            sim_.schedule_after(plan.dup_delay, deliver);
+            sim_.schedule_after(plan.delay, deliver);
+            sim_.schedule_after(plan.dup_delay, std::move(deliver));
+        } else {
+            sim_.schedule_after(plan.delay, std::move(deliver));
         }
     }
     return seq;

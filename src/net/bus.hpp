@@ -11,6 +11,12 @@
 /// Ordering note: messages on one (publisher, subscriber) pair can
 /// reorder if jitter exceeds the publish spacing — exactly like UDP-based
 /// medical device protocols; consumers needing order use Message::seq.
+///
+/// Routing is resolved once per (sender, topic), not per message: an
+/// endpoint advertises what it publishes and gets a Publisher handle;
+/// the bus keeps that route's matched subscriptions and re-resolves
+/// them only after a subscribe or unsubscribe (see DESIGN.md, "Publish
+/// routes").
 
 #pragma once
 
@@ -19,6 +25,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "channel.hpp"
@@ -35,6 +43,15 @@ namespace mcps::net {
 struct SubscriptionId {
     std::uint64_t value = 0;
     [[nodiscard]] bool valid() const noexcept { return value != 0; }
+};
+
+/// Publish handle from Bus::advertise: an index into that bus's route
+/// table. Cheap to copy; valid for the lifetime of the bus that issued
+/// it and meaningless on any other bus.
+struct Publisher {
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    std::uint32_t route = kNone;
+    [[nodiscard]] bool valid() const noexcept { return route != kNone; }
 };
 
 /// Aggregate traffic counters (benchmark E6 output).
@@ -72,10 +89,26 @@ public:
     /// Remove a subscription; returns false if the id was already gone.
     bool unsubscribe(SubscriptionId id);
 
-    /// Publish a message from \p sender on \p topic at the current
-    /// simulation instant. Returns the assigned sequence number.
-    std::uint64_t publish(const std::string& sender, const std::string& topic,
-                          Payload payload);
+    /// Declare that \p sender publishes on \p topic. Advertising the
+    /// same pair again returns the same handle. Subscriptions are
+    /// matched when the handle is first published through, and again
+    /// only after the set of subscriptions changes.
+    [[nodiscard]] Publisher advertise(std::string_view sender,
+                                      std::string_view topic);
+
+    /// Publish a message on an advertised route at the current simulation
+    /// instant. Returns the assigned sequence number. A route no
+    /// subscription matches still takes a sequence number, counts as
+    /// published and records bus_publish, but builds no message.
+    /// \throws std::invalid_argument for a handle this bus did not issue.
+    std::uint64_t publish(Publisher pub, Payload payload);
+
+    /// Shorthand for publish(advertise(sender, topic), payload): one
+    /// hashed lookup, so an occasional publisher needs no handle.
+    std::uint64_t publish(std::string_view sender, std::string_view topic,
+                          Payload payload) {
+        return publish(advertise(sender, topic), std::move(payload));
+    }
 
     /// Give \p endpoint a dedicated link model (otherwise the default
     /// channel parameters apply). Returns a reference usable to inject
@@ -122,12 +155,36 @@ private:
         bool live = true;
     };
 
+    /// One advertised (sender, topic) pair and the live subscriptions
+    /// matching it, in subscribe order, as of bus epoch `epoch`.
+    struct Route {
+        std::string sender;
+        std::string topic;
+        std::vector<Subscription*> subs;
+        std::uint64_t epoch = 0;  ///< 0: never resolved
+    };
+    /// Lookup key viewing a Route's own strings (routes never move).
+    struct RouteKey {
+        std::string_view sender;
+        std::string_view topic;
+        bool operator==(const RouteKey&) const = default;
+    };
+    struct RouteKeyHash {
+        std::size_t operator()(const RouteKey& k) const noexcept;
+    };
+
     Channel& channel_for(const std::string& endpoint);
+    /// Rebuild \p r's subscription list from subs_ (publish calls this
+    /// when the route is older than the current epoch).
+    void resolve(Route& r);
 
     mcps::sim::Simulation& sim_;
     ChannelParameters default_params_;
     std::uint64_t next_seq_{1};
     std::uint64_t next_sub_{1};
+    /// Bumped by every subscribe and unsubscribe; a route resolved at an
+    /// older epoch is stale.
+    std::uint64_t epoch_{1};
     /// Live subscriptions in subscribe order. Each sits at a fixed heap
     /// address, which scheduled deliveries hold and a running handler
     /// executes from, so subscribing or unsubscribing moves nothing.
@@ -135,6 +192,11 @@ private:
     /// Unsubscribed slots, kept until the bus dies: a scheduled delivery
     /// or a handler still running may point at one.
     std::vector<std::unique_ptr<Subscription>> retired_;
+    /// Advertised routes, indexed by Publisher::route. Each sits at a
+    /// fixed heap address, so the keys of route_ids_ (views of each
+    /// route's strings) stay valid as the table grows.
+    std::vector<std::unique_ptr<Route>> routes_;
+    std::unordered_map<RouteKey, std::uint32_t, RouteKeyHash> route_ids_;
     std::map<std::string, std::unique_ptr<Channel>> channels_;
     std::vector<std::pair<mcps::sim::SimTime, mcps::sim::SimTime>> partitions_;
     MessagePool pool_;

@@ -69,6 +69,15 @@ Patient::Patient(PatientParameters params)
                            paco2_ / 0.8 - params_.resp.aa_gradient_mmhg;
     pao2_ = pao2_eq;
     spo2_ = severinghaus_spo2(pao2_);
+    ec50_pow_ = std::pow(params_.pd.ec50_ng_ml, params_.pd.gamma);
+}
+
+void Patient::refresh_factors(double dt) noexcept {
+    factor_dt_ = dt;
+    pattern_alpha_ = 1.0 - std::exp(-dt / 15.0);
+    co2_alpha_ = 1.0 - std::exp(-dt / params_.resp.tau_co2_s);
+    o2_alpha_ = 1.0 - std::exp(-dt / params_.resp.tau_o2_s);
+    hr_alpha_ = 1.0 - std::exp(-dt / params_.cardio.tau_hr_s);
 }
 
 void Patient::set_infusion_rate(InfusionRate r) {
@@ -89,19 +98,20 @@ void Patient::give_antagonist(double potency, double half_life_s) {
 
 void Patient::step(double dt_seconds) {
     if (dt_seconds <= 0) throw std::invalid_argument("Patient::step: dt <= 0");
+    if (dt_seconds != factor_dt_) refresh_factors(dt_seconds);
     pk_.step(dt_seconds, rate_);
     if (antagonist_level_ > 0) {
         antagonist_level_ *=
             std::exp(-dt_seconds * 0.6931471805599453 / antagonist_half_life_s_);
         if (antagonist_level_ < 1e-4) antagonist_level_ = 0.0;
     }
-    step_respiration(dt_seconds);
+    step_respiration();
     step_gas_exchange(dt_seconds);
-    step_cardio(dt_seconds);
+    step_cardio();
     elapsed_s_ += dt_seconds;
 }
 
-void Patient::step_respiration(double dt) {
+void Patient::step_respiration() {
     const auto& rp = params_.resp;
 
     if (mech_vent_) {
@@ -112,11 +122,18 @@ void Patient::step_respiration(double dt) {
         return;
     }
 
-    // Drug suppression of central respiratory drive; an active
-    // antagonist competitively raises the effective EC50.
-    PdParameters pd = params_.pd;
-    pd.ec50_ng_ml *= 1.0 + antagonist_potency_ * antagonist_level_;
-    const double effect = hill_effect(pd, pk_.effect_site());
+    // Drug suppression of central respiratory drive (hill_effect); an
+    // active antagonist competitively raises the effective EC50.
+    const auto& pd = params_.pd;
+    const double antag = antagonist_potency_ * antagonist_level_;
+    double effect = 0.0;
+    if (const double c = pk_.effect_site().as_ng_per_ml(); c > 0) {
+        const double num = std::pow(c, pd.gamma);
+        const double ec50_pow =
+            antag == 0.0 ? ec50_pow_
+                         : std::pow(pd.ec50_ng_ml * (1.0 + antag), pd.gamma);
+        effect = pd.emax * num / (num + ec50_pow);
+    }
     double drive = 1.0 - effect;
 
     // Hypercapnic ventilatory response partially fights the depression
@@ -141,9 +158,8 @@ void Patient::step_respiration(double dt) {
     const double target_rr = rp.baseline_rr_per_min * std::pow(drive, 0.7);
     const double target_vt = rp.baseline_tidal_ml * std::pow(drive, 0.3);
     // Breathing pattern adapts within a few breaths (~15 s time constant).
-    const double alpha = 1.0 - std::exp(-dt / 15.0);
-    rr_ += alpha * (target_rr - rr_);
-    tidal_ml_ += alpha * (target_vt - tidal_ml_);
+    rr_ += pattern_alpha_ * (target_rr - rr_);
+    tidal_ml_ += pattern_alpha_ * (target_vt - tidal_ml_);
 }
 
 void Patient::step_gas_exchange(double dt) {
@@ -164,7 +180,7 @@ void Patient::step_gas_exchange(double dt) {
         // ventilation (constant CO2 production); approach it first-order.
         const double paco2_eq = std::min(
             130.0, rp.baseline_paco2_mmhg * va_base / va);
-        paco2_ += (paco2_eq - paco2_) * (1.0 - std::exp(-dt / rp.tau_co2_s));
+        paco2_ += (paco2_eq - paco2_) * co2_alpha_;
     }
     paco2_ = std::clamp(paco2_, 15.0, 140.0);
 
@@ -178,12 +194,12 @@ void Patient::step_gas_exchange(double dt) {
         pao2_eq = 30.0;
     }
     pao2_eq = std::max(20.0, pao2_eq);
-    pao2_ += (pao2_eq - pao2_) * (1.0 - std::exp(-dt / rp.tau_o2_s));
+    pao2_ += (pao2_eq - pao2_) * o2_alpha_;
 
     spo2_ = severinghaus_spo2(pao2_);
 }
 
-void Patient::step_cardio(double dt) {
+void Patient::step_cardio() {
     const auto& cp = params_.cardio;
     double target = cp.baseline_hr_bpm;
     const double desat = std::max(0.0, 96.0 - spo2_);
@@ -194,7 +210,7 @@ void Patient::step_cardio(double dt) {
         // Severe hypoxia: decompensation into bradycardia.
         target = std::max(25.0, cp.baseline_hr_bpm - 1.5 * desat);
     }
-    hr_ += (target - hr_) * (1.0 - std::exp(-dt / cp.tau_hr_s));
+    hr_ += (target - hr_) * hr_alpha_;
 }
 
 EtCO2 Patient::etco2() const noexcept {

@@ -163,9 +163,11 @@ public:
     [[nodiscard]] double elapsed_seconds() const noexcept { return elapsed_s_; }
 
 private:
-    void step_respiration(double dt);
+    void step_respiration();
     void step_gas_exchange(double dt);
-    void step_cardio(double dt);
+    void step_cardio();
+    /// Rebuild the four 1 - exp(-dt/tau) factors for \p dt.
+    void refresh_factors(double dt) noexcept;
 
     PatientParameters params_;
     PkTwoCompartment pk_;
@@ -183,6 +185,19 @@ private:
     double spo2_;    ///< percent
     double hr_;      ///< bpm
     double elapsed_s_{0};
+
+    // Run-invariant factors, built once instead of every step (the
+    // technique of PatientBatch; each is the very expression it
+    // replaces, so trajectories stay bit-identical).
+    /// pow(ec50, gamma): the Hill EC50 term while potency * level is 0,
+    /// where the antagonist's EC50 scale is exactly 1.
+    double ec50_pow_;
+    /// The dt the alphas below were built for; 0 = not built yet.
+    double factor_dt_{0};
+    double pattern_alpha_{0};  ///< 1 - exp(-dt / 15 s), breathing pattern
+    double co2_alpha_{0};      ///< 1 - exp(-dt / tau_co2)
+    double o2_alpha_{0};       ///< 1 - exp(-dt / tau_o2)
+    double hr_alpha_{0};       ///< 1 - exp(-dt / tau_hr)
 };
 
 /// Severinghaus (1979) oxyhemoglobin dissociation approximation:

@@ -344,6 +344,7 @@ void check_choice(const ScenarioSpec& spec, const KnobInfo& knob,
 const ScenarioInfo& checked_info(const ScenarioSpec& spec,
                                  ScenarioFamily family) {
     const ScenarioInfo& info = registry().info(spec.name);
+    check_minutes(spec.minutes);  // specs built in code skip the parsers
     if (info.family != family) {
         throw SpecError{"spec: scenario '" + spec.name + "' is " +
                         std::string{to_string(info.family)} + "-family, not " +

@@ -69,6 +69,14 @@ std::vector<std::string_view> tokenize(std::string_view text) {
 
 }  // namespace
 
+void check_minutes(std::uint64_t minutes) {
+    if (minutes > kMaxSpecMinutes) {
+        throw SpecError{"spec: minutes: " + std::to_string(minutes) +
+                        " exceeds the largest horizon (" +
+                        std::to_string(kMaxSpecMinutes) + ")"};
+    }
+}
+
 const std::string* ScenarioSpec::find(std::string_view key) const {
     for (const auto& [k, v] : overrides) {
         if (k == key) return &v;
@@ -142,6 +150,7 @@ ScenarioSpec parse_spec(std::string_view text) {
             }
             seen_minutes = true;
             spec.minutes = parse_spec_u64(key, value);
+            check_minutes(spec.minutes);
         } else {
             if (spec.find(key) != nullptr) {
                 throw SpecError{"spec: duplicate key '" + std::string{key} +
@@ -192,6 +201,7 @@ ScenarioSpec read_spec_json(obs::JsonReader& r) {
         } else if (key == "minutes") {
             want(r, JsonKind::kNumber, key, "an integer");
             spec.minutes = parse_spec_u64(key, r.raw_value());
+            check_minutes(spec.minutes);
         } else if (key == "overrides") {
             want(r, JsonKind::kObject, key, "an object");
             r.begin_object();

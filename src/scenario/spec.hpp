@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -39,12 +40,23 @@ public:
     using std::runtime_error::runtime_error;
 };
 
+/// The largest `minutes` a spec may carry: its horizon, minutes x 60e6
+/// microseconds, must lie below SimTime::never(). (About 292,000
+/// simulated years; it bounds the arithmetic, not the cost of a run.)
+inline constexpr std::uint64_t kMaxSpecMinutes =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) /
+    60'000'000;
+
+/// \throws SpecError naming `minutes` when \p minutes exceeds
+/// kMaxSpecMinutes.
+void check_minutes(std::uint64_t minutes);
+
 /// One reproducible scenario run, as data.
 struct ScenarioSpec {
     /// Registered scenario name ([a-z0-9_-]+).
     std::string name;
     std::uint64_t seed = 42;
-    std::uint64_t minutes = 30;
+    std::uint64_t minutes = 30;  ///< at most kMaxSpecMinutes
     /// Flat knob overrides in declaration order (order is preserved by
     /// the serializations and is significant: knobs apply in order).
     std::vector<std::pair<std::string, std::string>> overrides;

@@ -34,6 +34,9 @@ public:
 
     /// Append a sample; times must be non-decreasing.
     void record(SimTime t, double value);
+    /// Make room for \p n samples, so a recorder that knows its run
+    /// length records without regrowing.
+    void reserve(std::size_t n) { samples_.reserve(n); }
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] const std::vector<TraceSample>& samples() const noexcept {

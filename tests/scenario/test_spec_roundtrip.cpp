@@ -374,6 +374,62 @@ TEST(SpecErrors, JsonEscapesDecodeBeforeValidation) {
               "spec: minutes: expected an integer, got '1.5'");
 }
 
+TEST(SpecErrors, MinutesMustFitBelowNever) {
+    // minutes x 60e6 us must stay below SimTime::never() (INT64_MAX).
+    constexpr std::uint64_t kMax = scenario::kMaxSpecMinutes;
+    static_assert(kMax == 153722867280ULL);
+    const std::string max = std::to_string(kMax);
+    const std::string over = std::to_string(kMax + 1);
+    const std::string rejected_over =
+        "spec: minutes: " + over + " exceeds the largest horizon (" + max + ")";
+
+    // Text form: the largest horizon parses, one more minute does not.
+    EXPECT_EQ(scenario::parse_spec("pca minutes=" + max).minutes, kMax);
+    EXPECT_EQ(spec_error_of([&] {
+                  (void)scenario::parse_spec("pca minutes=" + over);
+              }),
+              rejected_over);
+    // The value whose product wraps back to a plausible horizon, and
+    // the one that used to fail late in run_until.
+    for (const char* v : {"307445734561825861", "18446744073709551615"}) {
+        EXPECT_EQ(spec_error_of([&] {
+                      (void)scenario::parse_spec(std::string{"pca minutes="} + v);
+                  }),
+                  std::string{"spec: minutes: "} + v +
+                      " exceeds the largest horizon (" + max + ")")
+            << v;
+    }
+
+    // JSON form.
+    EXPECT_EQ(scenario::parse_spec_json(R"({"scenario": "xray", "minutes": )" +
+                                        max + "}")
+                  .minutes,
+              kMax);
+    EXPECT_EQ(spec_error_of([&] {
+                  (void)scenario::parse_spec_json(
+                      R"({"scenario": "xray", "minutes": )" + over + "}");
+              }),
+              rejected_over);
+
+    // A spec built in code (`mcps run --minutes`) is checked when the
+    // registry resolves it, for every family.
+    for (const char* name : {"pca", "xray", "hospital-small"}) {
+        ScenarioSpec spec = scenario::registry().default_spec(name);
+        spec.minutes = kMax + 1;
+        EXPECT_EQ(spec_error_of([&] { (void)scenario::registry().run(spec); }),
+                  rejected_over)
+            << name;
+        spec.minutes = 307445734561825861ULL;
+        EXPECT_NE(spec_error_of([&] { (void)scenario::registry().run(spec); }),
+                  "")
+            << name;
+    }
+    ScenarioSpec at_max = scenario::registry().default_spec("pca");
+    at_max.minutes = kMax;
+    EXPECT_EQ(scenario::make_pca_config(at_max).duration.ticks(),
+              static_cast<std::int64_t>(kMax) * 60'000'000);
+}
+
 TEST(SpecErrors, SetValidatesKeyAndValue) {
     ScenarioSpec s;
     s.name = "pca";

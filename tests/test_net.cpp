@@ -5,9 +5,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/net.hpp"
+#include "obs/event_log.hpp"
+#include "sim/hash.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -463,6 +467,232 @@ TEST(Bus, OutageInjectionViaEndpointChannel) {
     bus.publish("p", "t", net::StatusPayload{});
     s.run_all();
     EXPECT_EQ(got, 1);  // first publish fell in the outage
+}
+
+// ---------------------------------------------------------- publishers ----
+
+/// One delivery as its subscriber saw it.
+struct Delivery {
+    std::uint64_t seq = 0;
+    std::string endpoint;
+    std::int64_t at_us = 0;
+    bool operator==(const Delivery&) const = default;
+};
+
+/// One step of a random bus script. `arg` picks the endpoint, pattern,
+/// subscription or route; `arg2` the second choice or a delay.
+struct Step {
+    enum Kind { kSubscribe, kUnsubscribe, kPublish, kAdvance } kind;
+    std::uint64_t arg = 0;
+    std::uint64_t arg2 = 0;
+};
+
+constexpr const char* kEndpoints[] = {"sup", "interlock", "monitor", "rec"};
+constexpr const char* kPatterns[] = {"*",         "vitals/*", "vitals/bed1/spo2",
+                                     "cmd/pump1", "status/*", "heartbeat/oxi1"};
+/// (sender, topic) pairs; the last one matches no pattern but "*".
+constexpr const char* kRoutes[][2] = {
+    {"oxi1", "vitals/bed1/spo2"}, {"oxi1", "vitals/bed1/pulse_rate"},
+    {"oxi1", "heartbeat/oxi1"},   {"oxi1", "status/oxi1"},
+    {"sup", "cmd/pump1"},         {"x", "nobody/listens"}};
+
+std::vector<Step> random_script(std::uint64_t seed, int n) {
+    sim::RngStream rng{seed};
+    std::vector<Step> out;
+    for (int i = 0; i < n; ++i) {
+        const auto r = rng.uniform_int(0, 99);
+        Step st{r < 15   ? Step::kSubscribe
+                : r < 25 ? Step::kUnsubscribe
+                : r < 85 ? Step::kPublish
+                         : Step::kAdvance,
+                static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)),
+                static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20))};
+        out.push_back(st);
+    }
+    return out;
+}
+
+/// Plays \p script on a lossy, jittery, duplicating bus and returns
+/// every delivery in order. Publishes go through handles advertised
+/// before the first subscription (so every route goes stale and must
+/// re-resolve) or through the (sender, topic) strings. One subscriber
+/// in three mutates the bus from its handler: on odd sequence numbers
+/// it subscribes a new recorder, on even ones it unsubscribes the
+/// oldest live subscription (possibly itself).
+std::vector<Delivery> run_script(const std::vector<Step>& script,
+                                 bool handles) {
+    sim::Simulation s{2024};
+    net::ChannelParameters link;
+    link.base_latency = 20_ms;
+    link.jitter_sd = 15_ms;
+    link.loss_probability = 0.1;
+    link.duplicate_probability = 0.05;
+    link.reorder_probability = 0.1;
+    net::Bus bus{s, link};
+
+    struct State {
+        sim::Simulation* sim = nullptr;
+        net::Bus* bus = nullptr;
+        std::vector<Delivery> got;
+        std::vector<net::SubscriptionId> live;
+        net::Bus::Handler recorder(std::string endpoint) {
+            return [this, endpoint](const net::Message& m) {
+                got.push_back({m.seq, endpoint, sim->now().ticks()});
+            };
+        }
+        net::Bus::Handler mutator(std::string endpoint) {
+            return [this, endpoint](const net::Message& m) {
+                got.push_back({m.seq, endpoint, sim->now().ticks()});
+                if (m.seq % 2 == 1) {
+                    live.push_back(bus->subscribe(endpoint + "+", "vitals/*",
+                                                  recorder(endpoint + "+")));
+                } else if (!live.empty()) {
+                    bus->unsubscribe(live.front());
+                    live.erase(live.begin());
+                }
+            };
+        }
+    } st;
+    st.sim = &s;
+    st.bus = &bus;
+
+    std::vector<net::Publisher> pubs;
+    if (handles) {
+        for (const auto& r : kRoutes) pubs.push_back(bus.advertise(r[0], r[1]));
+    }
+    std::uint64_t subscribed = 0;
+    for (const Step& step : script) {
+        switch (step.kind) {
+            case Step::kSubscribe: {
+                const std::string ep = kEndpoints[step.arg % std::size(kEndpoints)];
+                const char* pattern = kPatterns[step.arg2 % std::size(kPatterns)];
+                st.live.push_back(bus.subscribe(
+                    ep, pattern,
+                    subscribed++ % 3 == 2 ? st.mutator(ep) : st.recorder(ep)));
+                break;
+            }
+            case Step::kUnsubscribe:
+                if (!st.live.empty()) {
+                    const auto i = step.arg % st.live.size();
+                    bus.unsubscribe(st.live[i]);
+                    st.live.erase(st.live.begin() +
+                                  static_cast<std::ptrdiff_t>(i));
+                }
+                break;
+            case Step::kPublish: {
+                const auto i = step.arg % std::size(kRoutes);
+                net::Payload p = net::VitalSignPayload{"spo2", 97.0, true};
+                if (handles) {
+                    bus.publish(pubs[i], std::move(p));
+                } else {
+                    bus.publish(kRoutes[i][0], kRoutes[i][1], std::move(p));
+                }
+                break;
+            }
+            case Step::kAdvance:
+                s.run_for(sim::SimDuration::millis(
+                    static_cast<std::int64_t>(step.arg2 % 60)));
+                break;
+        }
+    }
+    s.run_all();
+    return st.got;
+}
+
+/// Order-sensitive digest of a delivery sequence.
+std::uint64_t delivery_digest(const std::vector<Delivery>& d) {
+    std::uint64_t h = sim::kFnvOffset;
+    for (const auto& x : d) {
+        h = sim::mix(h, x.seq);
+        h = sim::mix_string(h, x.endpoint);
+        h = sim::mix(h, static_cast<std::uint64_t>(x.at_us));
+    }
+    return h;
+}
+
+TEST(Publisher, RandomScriptDeliversTheSameThroughHandlesAndStrings) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 4242ULL}) {
+        const auto script = random_script(seed, 3000);
+        const auto by_handle = run_script(script, true);
+        const auto by_string = run_script(script, false);
+        EXPECT_GT(by_handle.size(), 1000u) << "seed " << seed;
+        EXPECT_EQ(by_handle, by_string) << "seed " << seed;
+    }
+}
+
+TEST(Publisher, RandomScriptMatchesPerMessageMatching) {
+    // Digests of the scripts' deliveries, captured from the bus that
+    // matched every subscription against the topic on every publish
+    // (before routes existed): the route table changes no delivery, no
+    // delivery time and no channel RNG draw.
+    constexpr std::pair<std::uint64_t, std::uint64_t> kPinned[] = {
+        {1, 0xad87adbb06c4ad94ULL},
+        {7, 0xcaf35bce5860bd19ULL},
+        {4242, 0xff7b032f3e250cf3ULL}};
+    for (const auto& [seed, digest] : kPinned) {
+        EXPECT_EQ(delivery_digest(run_script(random_script(seed, 3000), true)),
+                  digest)
+            << "seed " << seed;
+    }
+}
+
+TEST(Publisher, AdvertiseIsIdempotentPerSenderAndTopic) {
+    sim::Simulation s;
+    net::Bus bus{s};
+    const auto a = bus.advertise("oxi1", "vitals/bed1/spo2");
+    const auto b = bus.advertise("oxi1", "vitals/bed1/pulse_rate");
+    const auto c = bus.advertise("oxi2", "vitals/bed1/spo2");
+    EXPECT_TRUE(a.valid());
+    EXPECT_EQ(bus.advertise("oxi1", "vitals/bed1/spo2").route, a.route);
+    EXPECT_NE(a.route, b.route);
+    EXPECT_NE(a.route, c.route);
+    EXPECT_FALSE(net::Publisher{}.valid());
+    EXPECT_THROW(bus.publish(net::Publisher{}, net::StatusPayload{}),
+                 std::invalid_argument);
+}
+
+TEST(Publisher, SubscriberAddedAfterPublishMissesInFlightMessage) {
+    sim::Simulation s;
+    net::ChannelParameters delayed;
+    delayed.base_latency = 50_ms;
+    net::Bus bus{s, delayed};
+    const auto pub = bus.advertise("p", "t");
+    int early = 0, late = 0;
+    bus.subscribe("early", "t", [&](const net::Message&) { ++early; });
+    bus.publish(pub, net::StatusPayload{});  // resolves the route: early
+    bus.subscribe("late", "t", [&](const net::Message&) { ++late; });
+    s.run_all();
+    EXPECT_EQ(early, 1);
+    EXPECT_EQ(late, 0);
+    bus.publish(pub, net::StatusPayload{});  // stale route re-resolves
+    s.run_all();
+    EXPECT_EQ(early, 2);
+    EXPECT_EQ(late, 1);
+}
+
+TEST(Publisher, UnmatchedPublishRecordsAndCountsButBuildsNoMessage) {
+    sim::Simulation s;
+    net::Bus bus{s};
+    obs::EventLog log;
+    bus.set_event_log(&log);
+    bus.subscribe("sup", "vitals/*", [](const net::Message&) {});
+    const auto pub = bus.advertise("oxi1", "heartbeat/oxi1");
+    const std::uint64_t first = bus.publish(pub, net::HeartbeatPayload{1});
+    const std::uint64_t second =
+        bus.publish("oxi1", "heartbeat/oxi1", net::HeartbeatPayload{2});
+    s.run_all();
+    EXPECT_EQ(second, first + 1);
+    EXPECT_EQ(bus.stats().published, 2u);
+    EXPECT_EQ(bus.stats().delivered, 0u);
+    EXPECT_EQ(bus.pool_stats().acquired, 0u);
+    ASSERT_EQ(log.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const obs::Event& e = log.events()[i];
+        EXPECT_EQ(e.kind, obs::EventKind::kBusPublish);
+        EXPECT_EQ(log.symbol(e.source), "oxi1");
+        EXPECT_EQ(log.symbol(e.detail), "heartbeat/oxi1");
+        EXPECT_EQ(e.value, static_cast<double>(first + i));
+    }
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "physio/physio.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -285,6 +290,192 @@ TEST(DemandModel, ProxyIgnoresSedation) {
                        : 0;
     }
     EXPECT_NEAR(presses / 10.0, params.proxy_rate_per_hour, 2.5);
+}
+
+// ------------------------------------------------ scalar factor cache ----
+
+/// The scalar model with every factor computed where it is used, as
+/// Patient::step did before it cached pow(ec50, gamma) and the four
+/// 1 - exp(-dt / tau) factors. The ventilator path is left out: the
+/// cache does not touch it.
+struct UncachedPatient {
+    explicit UncachedPatient(const PatientParameters& p)
+        : params{p},
+          pk{p.pk},
+          rr{p.resp.baseline_rr_per_min},
+          tidal{p.resp.baseline_tidal_ml},
+          paco2{p.resp.baseline_paco2_mmhg},
+          hr{p.cardio.baseline_hr_bpm} {
+        pao2 = p.resp.fio2 * (760.0 - 47.0) - paco2 / 0.8 -
+               p.resp.aa_gradient_mmhg;
+        spo2 = severinghaus_spo2(pao2);
+    }
+
+    void give_antagonist(double p, double hl) {
+        level = 1.0;
+        potency = p;
+        half_life = hl;
+    }
+
+    void step(double dt) {
+        const auto& rp = params.resp;
+        const auto& cp = params.cardio;
+        pk.step(dt, rate);
+        if (level > 0) {
+            level *= std::exp(-dt * 0.6931471805599453 / half_life);
+            if (level < 1e-4) level = 0.0;
+        }
+        // Respiration.
+        PdParameters pd = params.pd;
+        pd.ec50_ng_ml *= 1.0 + potency * level;
+        double d = 1.0 - hill_effect(pd, pk.effect_site());
+        const double co2_excess = std::max(
+            0.0, (paco2 - rp.baseline_paco2_mmhg) / rp.baseline_paco2_mmhg);
+        d *= 1.0 + rp.co2_gain * co2_excess;
+        d = std::clamp(d, 0.0, 1.5);
+        drive = d;
+        if (d < rp.apnea_drive_threshold) {
+            rr = 0.0;
+            tidal = 0.0;
+        } else {
+            const double target_rr = rp.baseline_rr_per_min * std::pow(d, 0.7);
+            const double target_vt = rp.baseline_tidal_ml * std::pow(d, 0.3);
+            const double alpha = 1.0 - std::exp(-dt / 15.0);
+            rr += alpha * (target_rr - rr);
+            tidal += alpha * (target_vt - tidal);
+        }
+        // Gas exchange.
+        const double va = rr * std::max(0.0, tidal - rp.deadspace_ml) / 1000.0;
+        const double va_base = rp.baseline_rr_per_min *
+                               (rp.baseline_tidal_ml - rp.deadspace_ml) / 1000.0;
+        if (va < 0.05 * va_base) {
+            paco2 += rp.apnea_paco2_rise_mmhg_per_s * dt;
+        } else {
+            const double eq = std::min(130.0, rp.baseline_paco2_mmhg * va_base / va);
+            paco2 += (eq - paco2) * (1.0 - std::exp(-dt / rp.tau_co2_s));
+        }
+        paco2 = std::clamp(paco2, 15.0, 140.0);
+        double pao2_eq = rp.fio2 * (760.0 - 47.0) - paco2 / 0.8 - rp.aa_gradient_mmhg;
+        if (va < 0.05 * va_base) pao2_eq = 30.0;
+        pao2_eq = std::max(20.0, pao2_eq);
+        pao2 += (pao2_eq - pao2) * (1.0 - std::exp(-dt / rp.tau_o2_s));
+        spo2 = severinghaus_spo2(pao2);
+        // Cardio.
+        double target = cp.baseline_hr_bpm;
+        const double desat = std::max(0.0, 96.0 - spo2);
+        if (spo2 > cp.severe_hypoxia_spo2) {
+            target += cp.hypoxia_tachycardia_gain * desat;
+        } else {
+            target = std::max(25.0, cp.baseline_hr_bpm - 1.5 * desat);
+        }
+        hr += (target - hr) * (1.0 - std::exp(-dt / cp.tau_hr_s));
+    }
+
+    PatientParameters params;
+    PkTwoCompartment pk;
+    InfusionRate rate{};
+    double level = 0.0, potency = 0.0, half_life = 1.0;
+    double drive = 1.0, rr, tidal, paco2, pao2 = 0.0, spo2 = 0.0, hr;
+};
+
+/// Every state-derived observable, compared bit for bit.
+void expect_same(const Patient& p, const UncachedPatient& r,
+                 const std::string& when) {
+    EXPECT_EQ(p.respiratory_drive(), r.drive) << when;
+    EXPECT_EQ(p.paco2_mmhg(), r.paco2) << when;
+    EXPECT_EQ(p.pao2_mmhg(), r.pao2) << when;
+    EXPECT_EQ(p.spo2().as_percent(), SpO2::percent_clamped(r.spo2).as_percent())
+        << when;
+    EXPECT_EQ(p.resp_rate().as_per_minute(),
+              RespRate::per_minute_clamped(r.rr).as_per_minute())
+        << when;
+    EXPECT_EQ(p.heart_rate().as_bpm(), HeartRate::bpm_clamped(r.hr).as_bpm())
+        << when;
+    EXPECT_EQ(p.antagonist_level(), r.level) << when;
+    EXPECT_EQ(p.pk().effect_site().as_ng_per_ml(),
+              r.pk.effect_site().as_ng_per_ml())
+        << when;
+}
+
+/// Steps both, comparing after every step; returns false at the first
+/// mismatch so a broken cache reports one failure, not thousands.
+bool step_both(Patient& p, UncachedPatient& r, double dt, int steps,
+               const std::string& when) {
+    for (int i = 0; i < steps; ++i) {
+        p.step(dt);
+        r.step(dt);
+        expect_same(p, r, when + ", step " + std::to_string(i));
+        if (::testing::Test::HasFailure()) return false;
+    }
+    return true;
+}
+
+/// Both models under the same opioid load.
+void dose_both(Patient& p, UncachedPatient& r, double bolus_mg,
+               double infusion_mg_h) {
+    p.bolus(Dose::mg(bolus_mg));
+    r.pk.bolus(Dose::mg(bolus_mg));
+    p.set_infusion_rate(InfusionRate::mg_per_hour(infusion_mg_h));
+    r.rate = InfusionRate::mg_per_hour(infusion_mg_h);
+}
+
+TEST(PatientFactorCache, DtChangeMidRunRebuildsFactors) {
+    for (const Archetype a : all_archetypes()) {
+        const std::string who{to_string(a)};
+        Patient p{nominal_parameters(a)};
+        UncachedPatient r{nominal_parameters(a)};
+        dose_both(p, r, 2.0, 1.0);
+        ASSERT_TRUE(step_both(p, r, 0.5, 600, who + " dt=0.5"));
+        ASSERT_TRUE(step_both(p, r, 0.25, 600, who + " dt=0.25"));
+        ASSERT_TRUE(step_both(p, r, 1.0, 300, who + " dt=1"));
+        ASSERT_TRUE(step_both(p, r, 0.5, 300, who + " dt=0.5 again"));
+        // Alternate every step: each one rebuilds the factors.
+        for (int i = 0; i < 200; ++i) {
+            ASSERT_TRUE(step_both(p, r, i % 2 == 0 ? 0.1 : 0.7, 1,
+                                  who + " alternating"));
+        }
+    }
+}
+
+TEST(PatientFactorCache, AntagonistAfterFactorsAreCachedAndAgain) {
+    Patient p{nominal_parameters(Archetype::kOpioidSensitive)};
+    UncachedPatient r{nominal_parameters(Archetype::kOpioidSensitive)};
+    dose_both(p, r, 4.0, 2.0);
+    ASSERT_TRUE(step_both(p, r, 0.5, 800, "before the antagonist"));
+    p.give_antagonist(3.0, 120.0);
+    r.give_antagonist(3.0, 120.0);
+    ASSERT_TRUE(step_both(p, r, 0.5, 200, "antagonist active"));
+    EXPECT_GT(p.antagonist_level(), 0.0);
+    // Wears off: the level reaches exactly 0 and the cached EC50 term
+    // is used again.
+    ASSERT_TRUE(step_both(p, r, 0.5, 4000, "antagonist wearing off"));
+    EXPECT_EQ(p.antagonist_level(), 0.0);
+    p.give_antagonist(1.5, 600.0);
+    r.give_antagonist(1.5, 600.0);
+    ASSERT_TRUE(step_both(p, r, 0.25, 2000, "second antagonist"));
+    EXPECT_GT(p.antagonist_level(), 0.0);
+}
+
+TEST(PatientFactorCache, CopiedPatientStepsLikeItsSource) {
+    Patient p{nominal_parameters(Archetype::kElderly)};
+    UncachedPatient r{nominal_parameters(Archetype::kElderly)};
+    dose_both(p, r, 2.5, 1.5);
+    ASSERT_TRUE(step_both(p, r, 0.5, 500, "source"));
+
+    Patient copy = p;  // carries the factors built for dt = 0.5
+    UncachedPatient copy_ref = r;
+    ASSERT_TRUE(step_both(copy, copy_ref, 0.5, 300, "copy, same dt"));
+    ASSERT_TRUE(step_both(copy, copy_ref, 0.2, 300, "copy, new dt"));
+    ASSERT_TRUE(step_both(p, r, 0.5, 600, "source after the copy"));
+
+    // Assigning over a patient with other parameters and another dt
+    // replaces its factors too.
+    Patient other{nominal_parameters(Archetype::kTypicalAdult)};
+    other.step(0.3);
+    other = p;
+    UncachedPatient other_ref = r;
+    ASSERT_TRUE(step_both(other, other_ref, 0.5, 300, "assigned, same dt"));
+    ASSERT_TRUE(step_both(other, other_ref, 0.3, 300, "assigned, dt=0.3"));
 }
 
 }  // namespace
