@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "sim/parallel.hpp"
+
 namespace mcps::hospital {
 
 std::string_view to_string(InterlockPlacement p) noexcept {
@@ -57,11 +59,8 @@ void HospitalConfig::validate() const {
 
 std::pair<std::size_t, std::size_t> HospitalConfig::ward_range(
     std::size_t w) const noexcept {
-    const std::size_t base = patients / wards;
-    const std::size_t extra = patients % wards;
-    const std::size_t first = w * base + std::min(w, extra);
-    const std::size_t size = base + (w < extra ? 1 : 0);
-    return {first, first + size};
+    const auto [first, last] = sim::shard_range(patients, wards, w);
+    return {first, last};
 }
 
 std::int64_t HospitalConfig::ticks() const noexcept {

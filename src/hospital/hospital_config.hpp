@@ -11,7 +11,7 @@
 ///
 /// Sharding is hierarchical and purely arithmetic: patients are split
 /// into contiguous ward ranges (remainders spread over leading wards,
-/// same rule as ward::shard_range), wards into the hospital. Wards are
+/// sim::shard_range), wards into the hospital. Wards are
 /// fully independent — each has its own bus, nurses, and per-patient
 /// RNG streams derived from (seed, patient index) — so the engine may
 /// execute wards on any number of threads and still produce
@@ -102,8 +102,8 @@ struct HospitalConfig {
     /// \throws HospitalConfigError on an inconsistent configuration.
     void validate() const;
 
-    /// Contiguous patient range [first, last) of ward \p w. Same
-    /// remainder-spreading arithmetic as ward::shard_range; pure.
+    /// Contiguous patient range [first, last) of ward \p w:
+    /// sim::shard_range over the patients; pure.
     [[nodiscard]] std::pair<std::size_t, std::size_t> ward_range(
         std::size_t w) const noexcept;
 

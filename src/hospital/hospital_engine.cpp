@@ -1,23 +1,18 @@
 #include "hospital_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <ostream>
-#include <thread>
 #include <vector>
 
 #include "physio/patient_batch.hpp"
 #include "physio/population.hpp"
-#include "sim/guarded.hpp"
 #include "sim/hash.hpp"
+#include "sim/parallel.hpp"
 #include "sim/rng.hpp"
 
 namespace mcps::hospital {
@@ -103,45 +98,6 @@ struct WardResult {
     std::uint64_t fp = kFnvOffset;
 };
 
-/// Run body(w) for every ward in [0, count) across min(jobs, count)
-/// threads. Wards are claimed from a shared atomic cursor: claim order
-/// is racy but irrelevant — every ward writes only its own slot, so the
-/// ward-order merge downstream is identical for any jobs value. The
-/// first exception any ward throws is rethrown after all threads join.
-void parallel_wards(std::size_t count, unsigned jobs,
-                    const std::function<void(std::size_t)>& body) {
-    if (jobs <= 1 || count <= 1) {
-        for (std::size_t w = 0; w < count; ++w) body(w);
-        return;
-    }
-    const unsigned workers =
-        std::min<unsigned>(jobs, static_cast<unsigned>(count));
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::exception_ptr first_err MCPS_GUARDED_BY(err_mu);
-
-    auto loop = [&]() {
-        for (;;) {
-            const std::size_t w = next.fetch_add(1);
-            if (w >= count) return;
-            try {
-                body(w);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lk{err_mu};
-                if (!first_err) first_err = std::current_exception();
-            }
-        }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) threads.emplace_back(loop);
-    for (auto& t : threads) t.join();
-    {
-        const std::lock_guard<std::mutex> lk{err_mu};
-        if (first_err) std::rethrow_exception(first_err);
-    }
-}
-
 }  // namespace
 
 HospitalEngine::HospitalEngine(HospitalConfig cfg) : cfg_{std::move(cfg)} {
@@ -204,16 +160,17 @@ HospitalReport HospitalEngine::run() const {
         min_spo2[i] = batch.spo2_raw(i);
     }
 
-    std::vector<WardResult> results(wards);
-
     // Wall clock measures engine throughput only; it never feeds
     // scenario state, outcomes, or fingerprints.
     // mcps-analyze: allow(SIM1): wall-clock perf metric only
     const auto t0 = std::chrono::steady_clock::now();
 
-    parallel_wards(wards, cfg_.jobs, [&](std::size_t w) {
+    // Each ward writes only its own patients' lanes and its own result;
+    // the merge below folds the results in ward order.
+    const std::vector<WardResult> results =
+        sim::parallel_map(wards, cfg_.jobs, [&](std::size_t w) {
         const auto [first, last] = cfg_.ward_range(w);
-        WardResult& R = results[w];
+        WardResult R;
         R.fp = mix64(kFnvOffset, static_cast<std::uint64_t>(w) + 1);
 
         std::deque<BusMsg> bus;
@@ -360,6 +317,7 @@ HospitalReport HospitalEngine::run() const {
             R.fp = mix64(R.fp, std::bit_cast<std::uint64_t>(min_spo2[i]));
             R.fp = mix64(R.fp, std::bit_cast<std::uint64_t>(mg));
         }
+        return R;
     });
 
     // mcps-analyze: allow(SIM1): wall-clock perf metric only (see above).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace mcps::physio {
@@ -152,9 +153,9 @@ void PatientBatch::step_range(std::size_t first, std::size_t last,
         a1_[i] += dt_min / 6.0 * (k1.da1 + 2 * k2.da1 + 2 * k3.da1 + k4.da1);
         a2_[i] += dt_min / 6.0 * (k1.da2 + 2 * k2.da2 + 2 * k3.da2 + k4.da2);
         ce_[i] += dt_min / 6.0 * (k1.dce + 2 * k2.dce + 2 * k3.dce + k4.dce);
-        if (a1_[i] < 0) a1_[i] = 0;
-        if (a2_[i] < 0) a2_[i] = 0;
-        if (ce_[i] < 0) ce_[i] = 0;
+        if (a1_[i] < std::numeric_limits<double>::min()) a1_[i] = 0;
+        if (a2_[i] < std::numeric_limits<double>::min()) a2_[i] = 0;
+        if (ce_[i] < std::numeric_limits<double>::min()) ce_[i] = 0;
 
         const double input_mg = u_mg_per_min * dt_min;
         delivered_[i] += input_mg;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 
 namespace mcps::physio {
 
@@ -68,9 +69,11 @@ void PkTwoCompartment::step(double dt_seconds, InfusionRate rate) {
     a1_mg_ += dt_min / 6.0 * (k1.da1 + 2 * k2.da1 + 2 * k3.da1 + k4.da1);
     a2_mg_ += dt_min / 6.0 * (k1.da2 + 2 * k2.da2 + 2 * k3.da2 + k4.da2);
     ce_ng_ml_ += dt_min / 6.0 * (k1.dce + 2 * k2.dce + 2 * k3.dce + k4.dce);
-    if (a1_mg_ < 0) a1_mg_ = 0;
-    if (a2_mg_ < 0) a2_mg_ = 0;
-    if (ce_ng_ml_ < 0) ce_ng_ml_ = 0;
+    // Below the smallest normal double an amount stops decaying and every
+    // step runs at subnormal speed, so it is zero from there on.
+    if (a1_mg_ < std::numeric_limits<double>::min()) a1_mg_ = 0;
+    if (a2_mg_ < std::numeric_limits<double>::min()) a2_mg_ = 0;
+    if (ce_ng_ml_ < std::numeric_limits<double>::min()) ce_ng_ml_ = 0;
 
     const double input_mg = u_mg_per_min * dt_min;
     delivered_mg_ += input_mg;

@@ -5,7 +5,7 @@
 #include <mutex>
 #include <utility>
 
-#include "ward/thread_pool.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace mcps::pipeline {
 
@@ -148,7 +148,7 @@ public:
                    const std::vector<std::vector<std::size_t>>& dependents,
                    const std::vector<std::size_t>& missing,
                    std::map<std::string, Artifact> sources,
-                   ArtifactCache* cache, ward::ThreadPool& pool)
+                   ArtifactCache* cache, sim::ThreadPool& pool)
         : passes_{passes},
           dependents_{dependents},
           pool_{pool},
@@ -232,7 +232,7 @@ private:
 
     const std::vector<Pass>& passes_;
     const std::vector<std::vector<std::size_t>>& dependents_;
-    ward::ThreadPool& pool_;
+    sim::ThreadPool& pool_;
     ArtifactCache* cache_;
 
     std::mutex mu_;
@@ -445,7 +445,7 @@ void PipelineGraph::run_parallel(const std::vector<Node>& nodes,
     const unsigned workers = std::min<unsigned>(
         opts.jobs, static_cast<unsigned>(std::max<std::size_t>(
                        1, nodes.size())));
-    ward::ThreadPool pool{workers};
+    sim::ThreadPool pool{workers};
     ParallelRunner runner{passes,        dependents, missing,
                           sources_,      opts.cache, pool};
     runner.start();

@@ -6,7 +6,7 @@
 /// run() validates the graph — unique outputs, every input produced by
 /// exactly one pass or provided, no cycles — and executes it either
 /// serially in deterministic topological order (jobs <= 1) or in
-/// parallel on a ward::ThreadPool with dependency counting: a pass is
+/// parallel on a sim::ThreadPool with dependency counting: a pass is
 /// submitted the moment its last input is ready, independent subgraphs
 /// overlap freely.
 ///

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "core/pca_interlock.hpp"
+#include "sim/parallel.hpp"
 #include "testkit/runner.hpp"
 
 namespace mcps::scenario {
@@ -169,7 +170,7 @@ std::vector<KnobInfo> hospital_knobs() {
         count("jobs",
               "worker threads (execution only; reports are identical for "
               "any value)",
-              256),
+              sim::kMaxJobs),
         choice("mix", "cohort archetype mix",
                {"typical", "mixed", "high-risk"}),
         choice_env("interlock", "SpO2 pump-stop placement",

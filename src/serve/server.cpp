@@ -49,7 +49,7 @@ Server::Server(ServerConfig cfg)
     }
     wake_read_ = Fd{fds[0]};
     wake_write_ = Fd{fds[1]};
-    pool_ = std::make_unique<ward::ThreadPool>(std::max(1u, cfg_.workers));
+    pool_ = std::make_unique<sim::ThreadPool>(std::max(1u, cfg_.workers));
     accept_thread_ = std::thread{[this] { accept_loop(); }};
 }
 

@@ -2,7 +2,7 @@
 /// \brief The `mcps serve` scenario-execution service.
 ///
 /// A Server owns one Listener, one accept thread, one reader thread per
-/// connection, and a ward::ThreadPool of scenario workers fed through
+/// connection, and a sim::ThreadPool of scenario workers fed through
 /// an AdmissionQueue. The data path for a run request:
 ///
 ///   reader thread: parse → cache lookup (hit answers inline) → offer
@@ -40,8 +40,8 @@
 #include "pipeline/cache.hpp"
 #include "protocol.hpp"
 #include "sim/guarded.hpp"
+#include "sim/thread_pool.hpp"
 #include "socket_io.hpp"
-#include "ward/thread_pool.hpp"
 
 namespace mcps::serve {
 
@@ -121,7 +121,7 @@ private:
     pipeline::ArtifactCache cache_;
     AdmissionQueue<Job> queue_;
     Listener listener_;
-    std::unique_ptr<ward::ThreadPool> pool_;
+    std::unique_ptr<sim::ThreadPool> pool_;
 
     Fd wake_read_, wake_write_;  ///< self-pipe to unblock accept_loop
     std::thread accept_thread_;

@@ -1,11 +1,10 @@
 #include "thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
-namespace mcps::ward {
+namespace mcps::sim {
 
 ThreadPool::ThreadPool(unsigned workers) {
     const unsigned n = std::max(1u, workers);
@@ -105,42 +104,4 @@ void ThreadPool::wait_idle() {
     idle_cv_.wait(lk, [this] { return unfinished_ == 0; });
 }
 
-void parallel_shards(std::size_t shard_count, unsigned jobs,
-                     const std::function<void(std::size_t)>& body) {
-    if (shard_count == 0) return;
-    if (jobs <= 1 || shard_count == 1) {
-        for (std::size_t s = 0; s < shard_count; ++s) body(s);
-        return;
-    }
-
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    {
-        ThreadPool pool{static_cast<unsigned>(
-            std::min<std::size_t>(jobs, shard_count))};
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            pool.submit([&, s] {
-                try {
-                    body(s);
-                } catch (...) {
-                    std::unique_lock lk{err_mu};
-                    if (!first_error) first_error = std::current_exception();
-                }
-            });
-        }
-        pool.wait_idle();
-    }
-    if (first_error) std::rethrow_exception(first_error);
-}
-
-ShardRange shard_range(std::size_t items, std::size_t shard_count,
-                       std::size_t s) noexcept {
-    if (shard_count == 0 || s >= shard_count) return {};
-    const std::size_t base = items / shard_count;
-    const std::size_t extra = items % shard_count;
-    const std::size_t first = s * base + std::min(s, extra);
-    const std::size_t len = base + (s < extra ? 1 : 0);
-    return {first, first + len};
-}
-
-}  // namespace mcps::ward
+}  // namespace mcps::sim

@@ -1,15 +1,15 @@
 /// \file thread_pool.hpp
-/// \brief Work-stealing thread pool for ward-scale scenario execution.
+/// \brief Work-stealing thread pool for tasks that arrive over time.
 ///
-/// The pool exists to run many *independent* scenario kernels at once:
-/// each task is a whole single-threaded simulation, so tasks are coarse
+/// The pool runs work whose count is not known up front: serve requests
+/// and pipeline passes released by their dependencies. Each task is a
+/// whole single-threaded simulation or pass, so tasks are coarse
 /// (milliseconds to seconds) and the pool optimizes for simplicity and
 /// clean shutdown rather than nanosecond dispatch. Every worker owns a
 /// deque; owners pop newest-first (cache-warm), idle workers steal
 /// oldest-first from a victim scanned in a fixed cyclic order. Scheduling
-/// order is *not* deterministic — determinism is the job of the ward
-/// engine's sharding, which makes every task a pure function of its index
-/// and reduces results in a canonical order.
+/// order is *not* deterministic. A fixed set of N indexed jobs goes
+/// through `parallel_map` (parallel.hpp) instead.
 
 #pragma once
 
@@ -23,9 +23,9 @@
 #include <thread>
 #include <vector>
 
-#include "sim/guarded.hpp"
+#include "guarded.hpp"
 
-namespace mcps::ward {
+namespace mcps::sim {
 
 /// try_pop's steal path counts the steal under state_mu_ while still
 /// holding the victim queue's lock — the one permitted nesting.
@@ -85,21 +85,4 @@ private:
     std::uint64_t steals_ MCPS_GUARDED_BY(state_mu_) = 0;
 };
 
-/// Run \p body(shard) for every shard in [0, shard_count), spread over
-/// \p jobs workers (inline when jobs <= 1 or there is a single shard).
-/// The first exception thrown by any shard is rethrown to the caller
-/// after all shards finish.
-void parallel_shards(std::size_t shard_count, unsigned jobs,
-                     const std::function<void(std::size_t)>& body);
-
-/// Deterministic contiguous shard bounds: shard \p s of \p shard_count
-/// covers indices [first, last) of \p items, with remainders spread over
-/// the leading shards. Pure arithmetic — never depends on the job count.
-struct ShardRange {
-    std::size_t first = 0;
-    std::size_t last = 0;
-};
-[[nodiscard]] ShardRange shard_range(std::size_t items, std::size_t shard_count,
-                                     std::size_t s) noexcept;
-
-}  // namespace mcps::ward
+}  // namespace mcps::sim

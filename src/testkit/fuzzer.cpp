@@ -1,17 +1,25 @@
 #include "fuzzer.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+
+#include "sim/parallel.hpp"
 
 namespace mcps::testkit {
 
 namespace {
 
+/// Scenario indices per window. A window's runs are in flight together
+/// and held until its failures are captured, so this bounds the sweep's
+/// memory; it never changes the outcome.
+constexpr std::uint64_t kWindow = 64;
+
 void emit(const FuzzOptions& opts, const std::string& line) {
     if (opts.log) opts.log(line);
 }
 
-}  // namespace
-
+/// "name @t: detail; ..." rendering for the per-failure log line.
 std::string describe_violations(const std::vector<Violation>& vs) {
     std::ostringstream os;
     for (std::size_t i = 0; i < vs.size(); ++i) {
@@ -21,12 +29,47 @@ std::string describe_violations(const std::vector<Violation>& vs) {
     return os.str();
 }
 
+/// One scenario index as the sweep ran it: a pure function of (options,
+/// index), so it may run on any thread.
+struct IndexedRun {
+    Repro repro;
+    std::vector<Violation> violations;
+};
+
+IndexedRun run_index(const FuzzOptions& opts, const ScenarioGenerator& gen,
+                     const InvariantChecker& checker, std::uint64_t i) {
+    IndexedRun r;
+    r.repro.seed = opts.seed;
+    r.repro.index = i;
+    r.repro.weakened = opts.weakened;
+    r.repro.kind = opts.weakened ? WorkloadKind::kPca
+                                 : gen.kind_of(i, opts.xray_fraction);
+    if (r.repro.kind == WorkloadKind::kXray) {
+        auto run = run_instrumented_xray(gen.xray(i).config);
+        r.violations = std::move(run.violations);
+        r.repro.fingerprint = run.fingerprint;
+    } else {
+        auto g = opts.weakened ? gen.weakened_pca(i) : gen.pca(i);
+        auto run = run_instrumented_pca(g.config, g.faults, checker);
+        r.violations = std::move(run.violations);
+        r.repro.faults = std::move(g.faults);
+        r.repro.fingerprint = run.fingerprint;
+    }
+    return r;
+}
+
+/// Turn one violating run into a finished FuzzFailure: log it, shrink
+/// (if enabled), pin the canonical violations, verify byte-identical
+/// replay, write the repro file and log the result.
 FuzzFailure capture_failure(const FuzzOptions& opts,
-                            const InvariantChecker& checker, Repro repro,
-                            std::vector<Violation> violations) {
+                            const InvariantChecker& checker, IndexedRun run) {
+    Repro& repro = run.repro;
+    emit(opts, "scenario " + std::to_string(repro.index) + " (" +
+                   std::string{to_string(repro.kind)} +
+                   ") violated: " + describe_violations(run.violations));
     FuzzFailure f;
     f.original_fault_events = repro.faults.size();
-    f.violations = std::move(violations);
+    f.violations = std::move(run.violations);
     if (opts.shrink) {
         repro = shrink(repro, checker, &f.shrink_runs);
         // The shrunk plan is the canonical counterexample; report its
@@ -44,61 +87,47 @@ FuzzFailure capture_failure(const FuzzOptions& opts,
         f.repro_path = name.str();
         save_repro(f.repro_path, f.repro);
     }
+
+    if (opts.shrink) {
+        emit(opts, "  shrunk " + std::to_string(f.original_fault_events) +
+                       " -> " + std::to_string(f.repro.faults.size()) +
+                       " fault events in " + std::to_string(f.shrink_runs) +
+                       " runs");
+    }
+    emit(opts, std::string{"  replay byte-identical: "} +
+                   (f.replay_byte_identical ? "yes" : "NO"));
+    if (!f.repro_path.empty()) emit(opts, "  repro saved: " + f.repro_path);
     return f;
 }
 
-FuzzOutcome run_fuzz(const FuzzOptions& opts, const InvariantChecker& checker) {
+}  // namespace
+
+FuzzOutcome run_fuzz(const FuzzOptions& opts, const InvariantChecker& checker,
+                     unsigned jobs) {
     const ScenarioGenerator gen{opts.seed, opts.fault_intensity};
     FuzzOutcome out;
 
-    for (std::uint64_t i = 0; i < opts.scenarios; ++i) {
-        ++out.scenarios_run;
-        const WorkloadKind kind =
-            opts.weakened ? WorkloadKind::kPca
-                          : gen.kind_of(i, opts.xray_fraction);
+    for (std::uint64_t base = 0; base < opts.scenarios; base += kWindow) {
+        // Phase 1: run the window's scenarios, results in index order.
+        std::vector<IndexedRun> runs = sim::parallel_map(
+            std::min(kWindow, opts.scenarios - base), jobs,
+            [&](std::size_t k) { return run_index(opts, gen, checker, base + k); });
 
-        Repro repro;
-        repro.seed = opts.seed;
-        repro.index = i;
-        repro.kind = kind;
-        repro.weakened = opts.weakened;
-
-        std::vector<Violation> violations;
-        if (kind == WorkloadKind::kXray) {
-            ++out.xray_runs;
-            const auto run = run_instrumented_xray(gen.xray(i).config);
-            violations = run.violations;
-            repro.fingerprint = run.fingerprint;
-        } else {
-            ++out.pca_runs;
-            const auto g =
-                opts.weakened ? gen.weakened_pca(i) : gen.pca(i);
-            const auto run = run_instrumented_pca(g.config, g.faults, checker);
-            violations = run.violations;
-            repro.faults = g.faults;
-            repro.fingerprint = run.fingerprint;
+        // Phase 2: capture in index order. Shrinking re-runs scenarios;
+        // it stays on this thread so repro files and log lines appear in
+        // the same order for any job count.
+        for (IndexedRun& r : runs) {
+            ++out.scenarios_run;
+            if (r.repro.kind == WorkloadKind::kXray) {
+                ++out.xray_runs;
+            } else {
+                ++out.pca_runs;
+            }
+            if (!r.violations.empty()) {
+                out.failures.push_back(
+                    capture_failure(opts, checker, std::move(r)));
+            }
         }
-
-        if (violations.empty()) continue;
-
-        emit(opts, "scenario " + std::to_string(i) + " (" +
-                       std::string{to_string(kind)} +
-                       ") violated: " + describe_violations(violations));
-        auto failure = capture_failure(opts, checker, std::move(repro),
-                                       std::move(violations));
-        if (opts.shrink) {
-            emit(opts, "  shrunk " +
-                           std::to_string(failure.original_fault_events) +
-                           " -> " + std::to_string(failure.repro.faults.size()) +
-                           " fault events in " +
-                           std::to_string(failure.shrink_runs) + " runs");
-        }
-        emit(opts, std::string{"  replay byte-identical: "} +
-                       (failure.replay_byte_identical ? "yes" : "NO"));
-        if (!failure.repro_path.empty()) {
-            emit(opts, "  repro saved: " + failure.repro_path);
-        }
-        out.failures.push_back(std::move(failure));
     }
     return out;
 }

@@ -5,8 +5,8 @@
 /// runners. Every scenario whose run violates an invariant is captured as
 /// a Repro, greedily shrunk to a minimal fault plan, verified to replay
 /// byte-identically, and written to the repro directory. The loop itself
-/// is deterministic: the same (seed, scenarios, options) always visits
-/// the same runs in the same order.
+/// is deterministic: the same (seed, scenarios, options) always yields
+/// the same outcome, files and log, for any worker count.
 
 #pragma once
 
@@ -53,26 +53,20 @@ struct FuzzOutcome {
     [[nodiscard]] bool clean() const noexcept { return failures.empty(); }
 };
 
-/// Run the fuzz loop. Never throws on invariant violations — they are
-/// data in the outcome; throws only on internal errors (e.g. an
-/// unwritable repro directory).
+/// Run the fuzz loop over \p jobs worker threads. Scenarios run in
+/// fixed windows of indices: each window's runs go through
+/// sim::parallel_map, then its failures are captured (shrunk, replayed,
+/// saved and logged) in index order on the calling thread. So the
+/// outcome, the repro files and the log lines are the same for any
+/// \p jobs, and memory stays bounded by one window.
+///
+/// Never throws on invariant violations — they are data in the outcome;
+/// throws only on internal errors (e.g. an unwritable repro directory).
 [[nodiscard]] FuzzOutcome run_fuzz(const FuzzOptions& opts,
-                                   const InvariantChecker& checker);
+                                   const InvariantChecker& checker,
+                                   unsigned jobs = 1);
 
-/// Convenience: run_fuzz with InvariantChecker::with_defaults().
+/// Convenience: run_fuzz with InvariantChecker::with_defaults(), serially.
 [[nodiscard]] FuzzOutcome run_fuzz(const FuzzOptions& opts);
-
-/// "name @t: detail; ..." rendering shared by the fuzz loop's log lines
-/// and external drivers (e.g. the ward engine's parallel fuzz).
-[[nodiscard]] std::string describe_violations(const std::vector<Violation>& vs);
-
-/// Turn one violating run into a finished FuzzFailure: shrink (if
-/// enabled), pin the canonical violations, verify byte-identical replay,
-/// and write the repro file. Factored out so parallel drivers can run
-/// scenarios concurrently yet capture failures in canonical index order.
-[[nodiscard]] FuzzFailure capture_failure(const FuzzOptions& opts,
-                                          const InvariantChecker& checker,
-                                          Repro repro,
-                                          std::vector<Violation> violations);
 
 }  // namespace mcps::testkit

@@ -180,10 +180,15 @@ Repro repro_from_text(const std::string& text) {
     return r;
 }
 
-void save_repro(const std::string& path, const Repro& r) {
+void write_text_file(const std::string& path, std::string_view text) {
     std::ofstream os{path, std::ios::binary};
-    if (!os) throw std::runtime_error("repro: cannot write " + path);
-    os << to_text(r);
+    os << text;
+    os.close();
+    if (!os) throw std::runtime_error("cannot write " + path);
+}
+
+void save_repro(const std::string& path, const Repro& r) {
+    write_text_file(path, to_text(r));
 }
 
 Repro load_repro(const std::string& path) {

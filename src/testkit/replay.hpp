@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "runner.hpp"
 #include "scenario_gen.hpp"
@@ -35,6 +36,12 @@ struct Repro {
 /// \throws std::runtime_error on a malformed or wrong-version file.
 [[nodiscard]] Repro repro_from_text(const std::string& text);
 
+/// Write \p text to \p path, then close the file and check it, so a
+/// full disk throws instead of leaving a truncated file behind.
+/// \throws std::runtime_error naming \p path.
+void write_text_file(const std::string& path, std::string_view text);
+
+/// write_text_file of to_text(\p r).
 void save_repro(const std::string& path, const Repro& r);
 /// \throws std::runtime_error if the file is unreadable or malformed.
 [[nodiscard]] Repro load_repro(const std::string& path);

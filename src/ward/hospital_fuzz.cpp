@@ -11,6 +11,7 @@
 
 #include "scenario/registry.hpp"
 #include "sim/rng.hpp"
+#include "testkit/replay.hpp"
 
 namespace mcps::ward {
 namespace {
@@ -123,12 +124,10 @@ std::string write_repro(const std::string& dir, std::uint64_t seed,
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/hospital-" + std::to_string(seed) +
                              "-" + std::to_string(index) + ".repro";
-    std::ofstream os{path};
-    os << kReproHeader << "\n"
-       << "# invariant: " << invariant << ": " << detail << "\n"
-       << "spec: " << spec.to_text() << "\n"
-       << "fingerprint: " << fmt_fingerprint(fingerprint) << "\n";
-    if (!os) throw std::runtime_error{"cannot write repro: " + path};
+    testkit::write_text_file(
+        path, std::string{kReproHeader} + "\n# invariant: " + invariant +
+                  ": " + detail + "\nspec: " + spec.to_text() +
+                  "\nfingerprint: " + fmt_fingerprint(fingerprint) + "\n");
     return path;
 }
 

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "sim/hash.hpp"
+#include "sim/parallel.hpp"
 #include "sim/table.hpp"
-#include "thread_pool.hpp"
 
 namespace mcps::ward {
 
@@ -18,8 +18,8 @@ namespace {
 using sim::kFnvOffset;
 using sim::mix;
 
-/// Per-shard reduction state. Filled by exactly one worker at a time;
-/// merged in shard order on the coordinating thread.
+/// Per-shard reduction state. Filled by exactly one worker; merged in
+/// shard order on the coordinating thread.
 struct ShardAccumulator {
     sim::RunningStats drug_mg, min_spo2, mean_pain, detection_latency_s;
     sim::Histogram dose_hist{0.0, 40.0, 40};
@@ -31,6 +31,9 @@ struct ShardAccumulator {
     std::uint64_t violations = 0, events_dispatched = 0;
     /// Scenario fingerprints in ascending index order within the shard.
     std::vector<std::uint64_t> fingerprints;
+    /// Observability sinks, filled only when the run collects them.
+    obs::EventLog events;
+    obs::MetricsRegistry metrics;
 
     void add(const ScenarioOutcome& o) {
         switch (o.kind) {
@@ -107,35 +110,34 @@ WardReport WardEngine::run(const testkit::InvariantChecker& checker,
     const std::size_t shards = std::min(cfg_.shards, n);
     const WardScenarioFactory factory{cfg_};
 
-    std::vector<ShardAccumulator> accs(shards);
-    // Shard-local observability sinks: each shard appends its scenarios'
-    // events in ascending index order; the calling thread concatenates
-    // and merges in shard order, so the result is job-count independent.
-    std::vector<obs::EventLog> shard_events(obs ? shards : 0);
-    std::vector<obs::MetricsRegistry> shard_metrics(obs ? shards : 0);
     // Wall clock measures the engine itself (throughput metric); it never
     // feeds scenario state or fingerprints.
     // mcps-analyze: allow(SIM1): wall-clock perf metric only
     const auto t0 = std::chrono::steady_clock::now();
-    parallel_shards(shards, cfg_.jobs, [&](std::size_t s) {
-        const ShardRange r = shard_range(n, shards, s);
-        auto& acc = accs[s];
-        acc.fingerprints.reserve(r.last - r.first);
-        obs::EventLog* log = obs ? &shard_events[s] : nullptr;
-        if (log) {
-            log->emit(obs::EventKind::kShardStart, sim::SimTime::origin(),
-                      "ward", "shard", static_cast<double>(s));
-        }
-        for (std::size_t i = r.first; i < r.last; ++i) {
-            const ScenarioOutcome o = factory.run(i, checker, log);
-            acc.add(o);
-            if (obs) record_outcome(shard_metrics[s], o);
-        }
-        if (log) {
-            log->emit(obs::EventKind::kShardEnd, sim::SimTime::origin(),
-                      "ward", "shard", static_cast<double>(s));
-        }
-    });
+    // Each shard runs its scenarios in ascending index order into its own
+    // accumulator (and, with obs, its own event log and metrics); the
+    // calling thread merges them in shard order below.
+    const std::vector<ShardAccumulator> accs =
+        sim::parallel_map(shards, cfg_.jobs, [&](std::size_t s) {
+            const sim::ShardRange r = sim::shard_range(n, shards, s);
+            ShardAccumulator acc;
+            acc.fingerprints.reserve(r.last - r.first);
+            obs::EventLog* log = obs ? &acc.events : nullptr;
+            if (log) {
+                log->emit(obs::EventKind::kShardStart, sim::SimTime::origin(),
+                          "ward", "shard", static_cast<double>(s));
+            }
+            for (std::size_t i = r.first; i < r.last; ++i) {
+                const ScenarioOutcome o = factory.run(i, checker, log);
+                acc.add(o);
+                if (obs) record_outcome(acc.metrics, o);
+            }
+            if (log) {
+                log->emit(obs::EventKind::kShardEnd, sim::SimTime::origin(),
+                          "ward", "shard", static_cast<double>(s));
+            }
+            return acc;
+        });
     // mcps-analyze: allow(SIM1): wall-clock perf metric only (see above).
     const auto t1 = std::chrono::steady_clock::now();
 
@@ -177,10 +179,10 @@ WardReport WardEngine::run(const testkit::InvariantChecker& checker,
         obs->events.clear();
         obs->metrics = obs::MetricsRegistry{};
         std::size_t total_events = 0;
-        for (const auto& log : shard_events) total_events += log.size();
+        for (const auto& acc : accs) total_events += acc.events.size();
         obs->events.reserve(total_events);
-        for (const auto& log : shard_events) obs->events.append(log);
-        for (const auto& reg : shard_metrics) obs->metrics.merge(reg);
+        for (const auto& acc : accs) obs->events.append(acc.events);
+        for (const auto& acc : accs) obs->metrics.merge(acc.metrics);
         // Campaign-shape gauges (job count deliberately excluded: the
         // observation must not vary with --jobs).
         obs->metrics.gauge("ward.fault_intensity").set(cfg_.fault_intensity);

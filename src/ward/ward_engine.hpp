@@ -1,8 +1,8 @@
 /// \file ward_engine.hpp
 /// \brief Parallel ward campaign execution with deterministic reduction.
 ///
-/// The engine runs N independent patient scenarios over a work-stealing
-/// thread pool and aggregates them into one WardReport. Determinism
+/// The engine runs N independent patient scenarios through
+/// `sim::parallel_map` and aggregates them into one WardReport. Determinism
 /// contract: for a fixed WardConfig (seed, patients, shards, mix,
 /// fault_intensity), the report's fingerprint and every merged statistic
 /// are bit-identical for ANY job count, because
@@ -10,7 +10,7 @@
 ///   1. each scenario is a pure function of (seed, index) — workers never
 ///      share simulation state;
 ///   2. scenarios are assigned to `shards` fixed contiguous index ranges
-///      (`shard_range`), and each shard accumulates its scenarios in
+///      (`sim::shard_range`), and each shard accumulates its scenarios in
 ///      ascending index order, whichever worker happens to execute it;
 ///   3. shard accumulators are merged on the calling thread in shard
 ///      order, so the floating-point reduction tree is frozen by the

@@ -224,6 +224,36 @@ TEST(PatientBatchDifferential, DtChangeBetweenRangesStaysPerLane) {
     c.expect_identical("per-range dt");
 }
 
+TEST(PatientBatchDifferential, DrugFreeDecayToZeroStaysBitIdentical) {
+    // After a 30 mg bolus and no further drug, every lane's PK amounts
+    // fall below the smallest normal double and are clamped to exactly
+    // zero (the slowest archetype after about 1400 h). Both
+    // implementations clamp the same way over the whole span.
+    DosedCohort c{53, physio::all_archetypes().size()};
+    for (std::size_t i = 0; i < c.scalars.size(); ++i) {
+        c.scalars[i].set_infusion_rate(InfusionRate::zero());
+        c.batch.set_infusion_rate(i, InfusionRate::zero());
+        c.scalars[i].bolus(Dose::mg(30.0));
+        c.batch.bolus(i, Dose::mg(30.0));
+    }
+    const auto all_zero = [&c] {
+        for (std::size_t i = 0; i < c.scalars.size(); ++i) {
+            if (c.batch.body_burden(i) != Dose::zero() ||
+                c.batch.effect_site(i).as_ng_per_ml() != 0.0) {
+                return false;
+            }
+        }
+        return true;
+    };
+    constexpr int kTicksPer50h = 50 * 360;  // 10 s ticks
+    for (int hours = 0; hours < 1500 && !all_zero(); hours += 50) {
+        c.step(10.0, kTicksPer50h);
+        c.expect_identical("drug-free decay");
+        if (HasFailure()) return;
+    }
+    EXPECT_TRUE(all_zero()) << "PK amounts still nonzero after 1500 h";
+}
+
 TEST(PatientBatchDifferential, AntagonistAfterFactorsAreCachedAndAgain) {
     DosedCohort c{47, 8};
     c.step(1.0, 120);  // factors built, antagonist-free Hill term cached

@@ -61,6 +61,26 @@ TEST(CliParse, UnsignedListRejectsEmptyEntries) {
         "--jobs: expected an integer, got 'x'");
 }
 
+TEST(CliParse, JobsAndListsRefuseValuesAboveTheirMaximum) {
+    EXPECT_EQ(mcps::cli::parse_jobs("--jobs", "256"), 256u);
+    EXPECT_EQ(cli_error_of([] { mcps::cli::parse_jobs("--jobs", "257"); }),
+              "--jobs: 257 is above the maximum 256");
+    // 2^32 + 1 would wrap to 1 in an unsigned cast.
+    EXPECT_EQ(
+        cli_error_of([] { mcps::cli::parse_jobs("--jobs", "4294967297"); }),
+        "--jobs: 4294967297 is above the maximum 256");
+    EXPECT_EQ(cli_error_of([] {
+                  mcps::cli::parse_unsigned_list("--clients-list",
+                                                 "1,4294967297");
+              }),
+              "--clients-list: 4294967297 is above the maximum 4294967295");
+    EXPECT_EQ(cli_error_of([] {
+                  mcps::cli::parse_unsigned_list("--verify-obs-jobs", "1,257",
+                                                 256);
+              }),
+              "--verify-obs-jobs: 257 is above the maximum 256");
+}
+
 TEST(CliArgs, CursorWalksTokensInOrder) {
     Args args{{"run", "--seed", "7", "trailing"}};
     EXPECT_FALSE(args.done());

@@ -131,6 +131,26 @@ TEST(PkModel, CopyBranchesTrajectory) {
     EXPECT_LT(a.plasma().as_ng_per_ml(), b.plasma().as_ng_per_ml());
 }
 
+/// Once no drug enters, the amounts reach exactly zero (after about
+/// 550 h here) instead of stalling in subnormal doubles, where every
+/// further step runs many times slower and the amount no longer decays.
+TEST(PkModel, DrugFreeAmountsReachExactZero) {
+    PkTwoCompartment pk{PkParameters{}};
+    pk.bolus(Dose::mg(30.0));
+    constexpr int kMaxSteps = 600 * 3600;  // 600 h at 1 s steps
+    int steps = 0;
+    while (steps < kMaxSteps &&
+           (pk.body_burden() != Dose::zero() ||
+            pk.effect_site() != Concentration::zero())) {
+        pk.step(1.0, InfusionRate::zero());
+        ++steps;
+    }
+    EXPECT_LT(steps, kMaxSteps);
+    EXPECT_EQ(pk.body_burden(), Dose::zero());
+    EXPECT_EQ(pk.plasma(), Concentration::zero());
+    EXPECT_EQ(pk.effect_site(), Concentration::zero());
+}
+
 /// Property sweep: concentrations never go negative and decay is
 /// monotone after input stops, across a parameter grid.
 class PkDecayProperty

@@ -368,6 +368,21 @@ TEST(Invariants, XrayApneaBound) {
     EXPECT_EQ(violations[0].invariant, "xray/vent-pause-bounded");
 }
 
+TEST(Repro, SaveToFullDiskThrowsNamingThePath) {
+    Repro r;
+    r.seed = 42;
+    r.index = 3;
+    std::string what;
+    try {
+        save_repro("/dev/full", r);
+    } catch (const std::runtime_error& e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("/dev/full"), std::string::npos)
+        << "a repro write that hit a full disk must throw, got '" << what
+        << "'";
+}
+
 TEST(Replay, ReplayIsByteIdentical) {
     const ScenarioGenerator gen{42};
     const auto g = gen.pca(2);
@@ -430,6 +445,52 @@ TEST(Fuzzer, WeakenedModeReportsShrunkFailures) {
     EXPECT_LE(f.repro.faults.size(), 5u);
     EXPECT_FALSE(f.violations.empty());
     EXPECT_TRUE(f.repro_path.empty());  // no repro_dir configured
+}
+
+/// The one fuzz loop at jobs 4 against jobs 1, over more scenarios than
+/// one window holds: the same outcome, the same repros and a
+/// byte-identical log stream.
+TEST(Fuzzer, JobsFourMatchesJobsOneAcrossWindows) {
+    FuzzOptions opts;
+    opts.seed = 2026;
+    opts.scenarios = 70;
+    opts.shrink = false;  // keep the test fast; capture is still canonical
+    // A cheap invariant that about one pca scenario in four violates,
+    // so both windows have failures to capture and log.
+    auto checker = InvariantChecker::with_defaults();
+    checker.add_pca("test/seed-not-multiple-of-4",
+                    [](const PcaCheckContext& ctx, std::vector<Violation>& out) {
+                        if (ctx.cfg.seed % 4 == 0) {
+                            out.push_back({"test/seed-not-multiple-of-4", 0.0,
+                                           std::to_string(ctx.cfg.seed)});
+                        }
+                    });
+    std::vector<std::string> serial_log, parallel_log;
+    opts.log = [&serial_log](const std::string& l) {
+        serial_log.push_back(l);
+    };
+    const auto serial = run_fuzz(opts, checker, /*jobs=*/1);
+    opts.log = [&parallel_log](const std::string& l) {
+        parallel_log.push_back(l);
+    };
+    const auto parallel = run_fuzz(opts, checker, /*jobs=*/4);
+
+    EXPECT_EQ(serial.scenarios_run, 70u);
+    EXPECT_EQ(serial.scenarios_run, parallel.scenarios_run);
+    EXPECT_EQ(serial.pca_runs, parallel.pca_runs);
+    EXPECT_EQ(serial.xray_runs, parallel.xray_runs);
+    ASSERT_EQ(serial.failures.size(), parallel.failures.size());
+    ASSERT_FALSE(serial.failures.empty());
+    EXPECT_LT(serial.failures.front().repro.index, 64u);
+    EXPECT_GE(serial.failures.back().repro.index, 64u);  // past one window
+    for (std::size_t i = 0; i < serial.failures.size(); ++i) {
+        EXPECT_EQ(to_text(serial.failures[i].repro),
+                  to_text(parallel.failures[i].repro));
+        EXPECT_EQ(serial.failures[i].violations.size(),
+                  parallel.failures[i].violations.size());
+    }
+    EXPECT_FALSE(serial_log.empty());
+    EXPECT_EQ(serial_log, parallel_log);  // byte-identical log stream
 }
 
 }  // namespace

@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,61 +20,6 @@ namespace {
 
 using namespace mcps;
 using namespace mcps::ward;
-
-// ---- thread pool -----------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-    ThreadPool pool{4};
-    EXPECT_EQ(pool.worker_count(), 4u);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&ran] { ++ran; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-    ThreadPool pool{2};
-    pool.wait_idle();  // must not hang
-    std::atomic<int> ran{0};
-    pool.submit([&ran] { ++ran; });
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ParallelShards, CoversEveryShardExactlyOnce) {
-    for (const unsigned jobs : {1u, 3u, 8u}) {
-        std::vector<std::atomic<int>> hits(17);
-        parallel_shards(hits.size(), jobs,
-                        [&hits](std::size_t s) { ++hits[s]; });
-        for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    }
-}
-
-TEST(ParallelShards, PropagatesFirstException) {
-    EXPECT_THROW(
-        parallel_shards(8, 4,
-                        [](std::size_t s) {
-                            if (s == 5) throw std::runtime_error{"boom"};
-                        }),
-        std::runtime_error);
-}
-
-TEST(ShardRange, PartitionsContiguouslyAndCompletely) {
-    for (const std::size_t items : {0u, 1u, 7u, 64u, 65u}) {
-        for (const std::size_t shards : {1u, 3u, 8u, 64u}) {
-            std::size_t expect_first = 0;
-            for (std::size_t s = 0; s < shards; ++s) {
-                const auto r = shard_range(items, shards, s);
-                EXPECT_EQ(r.first, expect_first);
-                EXPECT_LE(r.first, r.last);
-                expect_first = r.last;
-            }
-            EXPECT_EQ(expect_first, items);
-        }
-    }
-}
 
 // ---- config / mix ----------------------------------------------------
 
@@ -348,37 +291,6 @@ TEST(WardEngine, ReportSerializesBothWays) {
     EXPECT_NE(text.str().find("fingerprint"), std::string::npos);
     EXPECT_NE(jsn.str().find("\"fingerprint\""), std::string::npos);
     EXPECT_NE(jsn.str().find("\"scenarios_per_sec\""), std::string::npos);
-}
-
-// ---- parallel fuzz driver --------------------------------------------
-
-TEST(WardFuzzDriver, MatchesSequentialTestkitOutcome) {
-    testkit::FuzzOptions opts;
-    opts.seed = 2026;
-    opts.scenarios = 12;
-    opts.fault_intensity = 1.0;
-    opts.shrink = false;  // keep the test fast; capture is still canonical
-    std::vector<std::string> serial_log, parallel_log;
-    opts.log = [&serial_log](const std::string& l) {
-        serial_log.push_back(l);
-    };
-    const auto serial = testkit::run_fuzz(opts);
-    opts.log = [&parallel_log](const std::string& l) {
-        parallel_log.push_back(l);
-    };
-    const auto parallel = ward::run_fuzz(opts, /*jobs=*/4);
-
-    EXPECT_EQ(serial.scenarios_run, parallel.scenarios_run);
-    EXPECT_EQ(serial.pca_runs, parallel.pca_runs);
-    EXPECT_EQ(serial.xray_runs, parallel.xray_runs);
-    ASSERT_EQ(serial.failures.size(), parallel.failures.size());
-    for (std::size_t i = 0; i < serial.failures.size(); ++i) {
-        EXPECT_EQ(serial.failures[i].repro.fingerprint,
-                  parallel.failures[i].repro.fingerprint);
-        EXPECT_EQ(serial.failures[i].violations.size(),
-                  parallel.failures[i].violations.size());
-    }
-    EXPECT_EQ(serial_log, parallel_log);  // byte-identical log stream
 }
 
 // ---- hospital repro files --------------------------------------------

@@ -37,12 +37,14 @@
 #                            jobs=2 fingerprints and every preset pin on
 #                            the Release-built batch physio kernel
 #   6. ASan+UBSan:           full test suite under address+undefined
-#   7. TSan:                 `mcps` and the test binaries: ward-engine
-#                            + kernel + serve + obs +
-#                            hospital suites under thread sanitizer (the
-#                            obs stress test is the dynamic complement
-#                            of CONC1; the hospital suite drives the
-#                            parallel-over-wards stepping)
+#   7. TSan:                 `mcps` and the test binaries under thread
+#                            sanitizer: the ward-engine and fuzz
+#                            jobs-invariance tests, the kernel suite
+#                            (parallel_map, shard_range, ThreadPool),
+#                            and the serve, obs, hospital and pipeline
+#                            suites (the obs stress test is the dynamic
+#                            complement of CONC1; the hospital suite
+#                            drives the parallel-over-wards stepping)
 #
 #   tools/ci_analysis.sh [--fast] [--coverage]
 #
@@ -165,18 +167,24 @@ cmake --build "${repo_root}/build-ci-asan" -j "${jobs}" >/dev/null
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir "${repo_root}/build-ci-asan" --output-on-failure
 
-stage "7/7 TSan ward + kernel + serve + obs + hospital + pipeline suites"
+stage "7/7 TSan ward + fuzz + kernel + serve + obs + hospital + pipeline suites"
 cmake -S "${repo_root}" -B "${repo_root}/build-ci-tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMCPS_SANITIZE=thread >/dev/null
 cmake --build "${repo_root}/build-ci-tsan" -j "${jobs}" \
     --target mcps mcps_tests mcps_kernel_tests mcps_serve_tests \
     mcps_obs_tests mcps_hospital_tests mcps_pipeline_tests >/dev/null
+# Campaign jobs-invariance: the WardEngine suite, the fuzz loop at jobs 4
+# against jobs 1, and the ward_determinism CLI run. mcps_tests' gtests
+# carry no ctest label, so they are selected by name.
 ctest --test-dir "${repo_root}/build-ci-tsan" \
-    -L ward -R 'Ward|ward' --output-on-failure
-# The kernel is single-threaded by contract, but its tests still run
-# under TSan so the non-atomic refcounts (SlabRef, MessageRef) are
-# exercised with instrumentation: any future cross-thread use of a
-# slab/pool shows up here as a data race, not as silent corruption.
+    -R '^(WardEngine\.|Fuzzer\.JobsFourMatchesJobsOneAcrossWindows$|ward_determinism$)' \
+    --output-on-failure
+# The kernel suite holds the threaded building blocks (parallel_map,
+# ThreadPool). The event kernel itself is single-threaded by contract,
+# but its tests still run under TSan so the non-atomic refcounts
+# (SlabRef, MessageRef) are exercised with instrumentation: any future
+# cross-thread use of a slab/pool shows up here as a data race, not as
+# silent corruption.
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L kernel --output-on-failure
 # The serve layer is the most thread-dense code in the repo (reader

@@ -8,6 +8,7 @@
 /// Error contract (exact strings, asserted by tests/scenario):
 ///   "<flag>: expected an integer, got '<v>'"
 ///   "<flag>: expected a number, got '<v>'"
+///   "<flag>: <v> is above the maximum <max>"
 ///   "<flag>: empty entry in '<v>'"
 ///   "<flag>: missing value"
 ///   "<flag>: cannot open '<path>'"
@@ -19,10 +20,13 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "sim/parallel.hpp"
 
 namespace mcps::cli {
 
@@ -87,6 +91,22 @@ inline std::uint64_t parse_u64(std::string_view flag, std::string_view v) {
     return out;
 }
 
+/// parse_u64, refusing values above \p max.
+inline std::uint64_t parse_u64(std::string_view flag, std::string_view v,
+                               std::uint64_t max) {
+    const std::uint64_t out = parse_u64(flag, v);
+    if (out > max) {
+        throw CliError{std::string{flag} + ": " + std::string{v} +
+                       " is above the maximum " + std::to_string(max)};
+    }
+    return out;
+}
+
+/// A worker-thread count (`--jobs`): at most sim::kMaxJobs.
+inline unsigned parse_jobs(std::string_view flag, std::string_view v) {
+    return static_cast<unsigned>(parse_u64(flag, v, sim::kMaxJobs));
+}
+
 /// Strict decimal parse of a flag value (whole token must be consumed).
 inline double parse_double(std::string_view flag, std::string_view v) {
     try {
@@ -100,10 +120,12 @@ inline double parse_double(std::string_view flag, std::string_view v) {
     }
 }
 
-/// Comma-separated unsigned list ("1,4,8"). Rejects empty entries;
-/// callers enforce their own minimum-length policy.
-inline std::vector<unsigned> parse_unsigned_list(std::string_view flag,
-                                                 std::string_view v) {
+/// Comma-separated unsigned list ("1,4,8"). Rejects empty entries and
+/// values above \p max (default: the range of unsigned); callers
+/// enforce their own minimum-length policy.
+inline std::vector<unsigned> parse_unsigned_list(
+    std::string_view flag, std::string_view v,
+    std::uint64_t max = std::numeric_limits<unsigned>::max()) {
     std::vector<unsigned> out;
     std::size_t start = 0;
     while (start <= v.size()) {
@@ -115,7 +137,7 @@ inline std::vector<unsigned> parse_unsigned_list(std::string_view flag,
             throw CliError{std::string{flag} + ": empty entry in '" +
                            std::string{v} + "'"};
         }
-        out.push_back(static_cast<unsigned>(parse_u64(flag, item)));
+        out.push_back(static_cast<unsigned>(parse_u64(flag, item, max)));
         if (comma == std::string_view::npos) break;
         start = comma + 1;
     }

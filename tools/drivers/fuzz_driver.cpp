@@ -17,7 +17,6 @@
 #include "../cli.hpp"
 #include "../drivers.hpp"
 #include "testkit/testkit.hpp"
-#include "ward/fuzz_driver.hpp"
 #include "ward/hospital_fuzz.hpp"
 
 namespace tk = mcps::testkit;
@@ -33,8 +32,9 @@ void usage(std::ostream& os, std::string_view prog) {
           "  --scenarios N        scenarios to run (default 200)\n"
           "  --seed N             master seed (default 42)\n"
           "  --intensity X        fault-plan intensity scale (default 1.0)\n"
-          "  --jobs N             run scenarios over N ward workers; the\n"
-          "                       outcome is identical to --jobs 1\n"
+          "  --jobs N             run scenarios over N worker threads (at\n"
+          "                       most 256); the outcome is identical to\n"
+          "                       --jobs 1\n"
           "  --xray-fraction X    fraction of x-ray workloads (default 0.15)\n"
           "  --weakened           fuzz the weakened-interlock fixture\n"
           "  --hospital           fuzz the hospital family instead: random\n"
@@ -159,7 +159,7 @@ int fuzz_main(std::string_view prog,
                 opts.fault_intensity = parse_double(arg, value());
                 pca_only_flag = arg;
             } else if (arg == "--jobs") {
-                jobs = static_cast<unsigned>(parse_u64(arg, value()));
+                jobs = cli::parse_jobs(arg, value());
                 pca_only_flag = arg;
             } else if (arg == "--xray-fraction") {
                 opts.xray_fraction = parse_double(arg, value());
@@ -223,7 +223,8 @@ int fuzz_main(std::string_view prog,
             };
         }
 
-        const auto outcome = mcps::ward::run_fuzz(opts, jobs);
+        const auto outcome =
+            tk::run_fuzz(opts, tk::InvariantChecker::with_defaults(), jobs);
         std::cout << "fuzz: " << outcome.scenarios_run << " scenarios ("
                   << outcome.pca_runs << " pca, " << outcome.xray_runs
                   << " xray), seed " << opts.seed << ", "

@@ -57,7 +57,8 @@ void usage(std::ostream& os, std::string_view prog) {
           "                     any subset of keys; one merge pass\n"
           "                     covers all campaigns)\n"
           "  --jobs N           worker threads for independent passes\n"
-          "                     (default 1 = serial topological order)\n"
+          "                     (default 1 = serial topological order;\n"
+          "                     at most 256)\n"
           "  --cache PATH       artifact-cache snapshot: loaded before\n"
           "                     the run if present, saved after\n"
           "  --out-dir DIR      write every artifact under DIR (artifact\n"
@@ -293,7 +294,7 @@ int pipeline_main(std::string_view prog,
             } else if (arg == "--analysis") {
                 cli.analysis = true;
             } else if (arg == "--jobs") {
-                cli.jobs = static_cast<unsigned>(parse_u64(arg, value()));
+                cli.jobs = mcps::cli::parse_jobs(arg, value());
             } else if (arg == "--cache") {
                 cli.cache_path = std::string{value()};
             } else if (arg == "--out-dir") {

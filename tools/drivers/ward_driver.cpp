@@ -31,7 +31,7 @@ void usage(std::ostream& os, std::string_view prog) {
     os << "usage: " << prog
        << " [options]\n"
           "  --patients N       scenarios to run (default 64)\n"
-          "  --jobs N           worker threads (default 1)\n"
+          "  --jobs N           worker threads (default 1, at most 256)\n"
           "  --shards N         reduction shards (default 64; fixes the\n"
           "                     merge order, so keep it constant when\n"
           "                     comparing runs)\n"
@@ -60,7 +60,8 @@ void usage(std::ostream& os, std::string_view prog) {
 
 std::vector<unsigned> parse_jobs_list(std::string_view flag,
                                       std::string_view v) {
-    std::vector<unsigned> jobs = mcps::cli::parse_unsigned_list(flag, v);
+    std::vector<unsigned> jobs =
+        mcps::cli::parse_unsigned_list(flag, v, mcps::sim::kMaxJobs);
     if (jobs.size() < 2) {
         throw CliError{std::string{flag} +
                        ": need at least two job counts to compare"};
@@ -93,7 +94,7 @@ int ward_main(std::string_view prog,
                 cfg.patients =
                     static_cast<std::size_t>(parse_u64(arg, value()));
             } else if (arg == "--jobs") {
-                cfg.jobs = static_cast<unsigned>(parse_u64(arg, value()));
+                cfg.jobs = cli::parse_jobs(arg, value());
             } else if (arg == "--shards") {
                 cfg.shards =
                     static_cast<std::size_t>(parse_u64(arg, value()));
