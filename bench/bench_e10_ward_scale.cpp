@@ -14,11 +14,11 @@
 /// curve flattens at the core count (run on >= 8 cores to reproduce the
 /// headline 8-worker figure).
 
-#include <cstdio>
 #include <iostream>
 #include <vector>
 
 #include "bench_io.hpp"
+#include "sim/hash.hpp"
 #include "sim/table.hpp"
 #include "ward/ward.hpp"
 
@@ -63,9 +63,6 @@ int main(int argc, char** argv) {
             serial_fp = rep.fingerprint;
         }
         fingerprints_agree = fingerprints_agree && rep.fingerprint == serial_fp;
-        char fp[32];
-        std::snprintf(fp, sizeof fp, "0x%016llx",
-                      static_cast<unsigned long long>(rep.fingerprint));
         const double speedup =
             serial_rate > 0 ? rep.scenarios_per_sec / serial_rate : 0.0;
         t.row()
@@ -73,7 +70,7 @@ int main(int argc, char** argv) {
             .cell(rep.scenarios_per_sec, 2)
             .cell(rep.wall_seconds, 2)
             .cell(speedup, 2)
-            .cell(std::string{fp});
+            .cell(sim::hex64(rep.fingerprint));
         json.metric("scenarios_per_sec_jobs" + std::to_string(jobs),
                     rep.scenarios_per_sec, "scenarios/sec");
         json.metric("speedup_jobs" + std::to_string(jobs), speedup, "x");
@@ -100,6 +97,5 @@ int main(int argc, char** argv) {
            "single-threaded kernel; >= 3x at 8 workers on >= 4 real\n"
            "cores), with the fingerprint column constant — the parallel\n"
            "campaign is bit-identical to the serial one.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -158,6 +158,5 @@ int main(int argc, char** argv) {
            "eliminate it, with the dual-sensor variant acting earlier; under\n"
            "normal demand all configurations are equally safe and deliver\n"
            "comparable analgesia (the interlock does not fight therapy).\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -142,6 +142,5 @@ int main(int argc, char** argv) {
            "fail-safe, the same loss leaves SpO2 untouched but starves\n"
            "therapy (drug_mg falls, staleness stops rise) — availability is\n"
            "traded, never safety.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -167,6 +167,5 @@ int main(int argc, char** argv) {
            "flood of E3a); the fused alarm confirms via corroboration +\n"
            "persistence and still fires well before the SpO2-90 crossing\n"
            "(negative latency), via capnometry.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -120,6 +120,5 @@ int main(int argc, char** argv) {
            "(blurred repeats, long apneas rescued only by the ventilator's\n"
            "auto-resume). Under loss the app retries: completion stays high,\n"
            "apnea stays bounded by the device-local max-pause.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -170,6 +170,5 @@ int main(int argc, char** argv) {
            "where detect+command+react crosses the deadline; composition\n"
            "grows the explored state space exponentially (the motivation for\n"
            "compositional certification the paper raises).\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -174,6 +174,5 @@ int main(int argc, char** argv) {
            "count (topic filtering keeps delivery targeted); crash-detection\n"
            "latency tracks ~timeout (3x heartbeat period), making the\n"
            "bandwidth/latency trade explicit.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -138,6 +138,5 @@ int main(int argc, char** argv) {
            "desaturation over minutes); sensitive/high-risk archetypes reach\n"
            "apnea earliest with wide biological spread — the reason\n"
            "population-level in-silico validation is required.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

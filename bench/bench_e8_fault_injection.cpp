@@ -138,6 +138,5 @@ int main(int argc, char** argv) {
            "instead); under fail-operational the dropout/crash faults open a\n"
            "blind window in which the overdose can progress unchecked —\n"
            "the quantitative argument for the fail-safe default.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

@@ -147,6 +147,5 @@ int main(int argc, char** argv) {
            "arrive later, and severe-hypoxemia rate / min SpO2 worsen,\n"
            "while the smart-alarm nurse stays fast — alarm specificity is\n"
            "a *patient-outcome* property, not a comfort feature.\n";
-    json.write();
-    return 0;
+    return json.write() ? 0 : 1;
 }

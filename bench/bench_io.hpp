@@ -67,30 +67,33 @@ public:
     }
 
     /// Write the report if --json was given. Returns false (and prints
-    /// to stderr) if the file cannot be written.
-    bool write() const {
+    /// to stderr) if the file cannot be opened, written or closed.
+    [[nodiscard]] bool write() const {
         if (path_.empty()) return true;
         std::ofstream out{path_};
+        if (out) {
+            out << "{\n  \"bench\": \"" << bench_name_ << "\",\n"
+                << "  \"seed\": " << seed_ << ",\n  \"metrics\": [\n";
+            for (std::size_t i = 0; i < metrics_.size(); ++i) {
+                const auto& m = metrics_[i];
+                // NaN/inf are not valid JSON numbers; emit null instead.
+                out << "    {\"name\": \"" << m.name << "\", \"value\": ";
+                if (std::isfinite(m.value)) {
+                    out << m.value;
+                } else {
+                    out << "null";
+                }
+                out << ", \"unit\": \"" << m.unit << "\"}"
+                    << (i + 1 < metrics_.size() ? "," : "") << "\n";
+            }
+            out << "  ]\n}\n";
+            out.close();
+        }
         if (!out) {
-            std::cerr << bench_name_ << ": --json: cannot open '" << path_
-                      << "' for writing\n";
+            std::cerr << bench_name_ << ": --json: cannot write '" << path_
+                      << "'\n";
             return false;
         }
-        out << "{\n  \"bench\": \"" << bench_name_ << "\",\n"
-            << "  \"seed\": " << seed_ << ",\n  \"metrics\": [\n";
-        for (std::size_t i = 0; i < metrics_.size(); ++i) {
-            const auto& m = metrics_[i];
-            // NaN/inf are not valid JSON numbers; emit null instead.
-            out << "    {\"name\": \"" << m.name << "\", \"value\": ";
-            if (std::isfinite(m.value)) {
-                out << m.value;
-            } else {
-                out << "null";
-            }
-            out << ", \"unit\": \"" << m.unit << "\"}"
-                << (i + 1 < metrics_.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
         std::cout << "json report: " << path_ << "\n";
         return true;
     }

@@ -1,7 +1,5 @@
 #include "artifact.hpp"
 
-#include <cstdio>
-
 #include "sim/hash.hpp"
 
 namespace mcps::pipeline {
@@ -37,14 +35,7 @@ std::uint64_t Artifact::digest() const noexcept {
     return h;
 }
 
-std::string Artifact::digest_hex() const { return hex64(digest()); }
-
-std::string hex64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
+std::string Artifact::digest_hex() const { return sim::hex64(digest()); }
 
 std::string artifact_key(std::string_view pass_name, std::string_view params,
                          const std::vector<std::uint64_t>& input_digests,
@@ -54,7 +45,7 @@ std::string artifact_key(std::string_view pass_name, std::string_view params,
     h = fnv1a_step(h, params);
     for (const std::uint64_t d : input_digests) h = fnv1a_step(h, d);
     h = fnv1a_step(h, output);
-    return std::string{output} + "@" + hex64(h);
+    return std::string{output} + "@" + sim::hex64(h);
 }
 
 }  // namespace mcps::pipeline

@@ -32,9 +32,6 @@ struct Artifact {
     [[nodiscard]] std::string digest_hex() const;
 };
 
-/// "0x%016llx" rendering helper shared by the pipeline layer.
-[[nodiscard]] std::string hex64(std::uint64_t v);
-
 /// The cache key of one pass output: a content hash of everything that
 /// determines the output's bytes. \p pass_name and \p params identify
 /// the computation (params is the pass's canonical parameter string);

@@ -2,38 +2,37 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <mutex>
+#include <set>
 #include <utility>
 
-#include "sim/thread_pool.hpp"
+#include "sim/guarded.hpp"
+#include "sim/parallel.hpp"
 
 namespace mcps::pipeline {
 
 namespace {
 
-/// PassContext over an in-memory input map; collects outputs locally so
-/// pass bodies never touch shared state.
+/// PassContext over a pass's resolved inputs; collects outputs locally
+/// so pass bodies never touch shared state.
 class LocalContext final : public PassContext {
 public:
-    LocalContext(const Pass& pass,
-                 const std::map<std::string, Artifact>& inputs)
+    /// \p inputs holds one artifact per declared input, in declaration
+    /// order.
+    LocalContext(const Pass& pass, const std::vector<const Artifact*>& inputs)
         : pass_{pass}, inputs_{inputs} {}
 
     [[nodiscard]] const Artifact& input(
         const std::string& name) const override {
-        const bool declared =
-            std::find(pass_.inputs.begin(), pass_.inputs.end(), name) !=
-            pass_.inputs.end();
-        if (!declared) {
+        const auto it =
+            std::find(pass_.inputs.begin(), pass_.inputs.end(), name);
+        if (it == pass_.inputs.end()) {
             throw PipelineError{"pass '" + pass_.name +
                                 "' reads undeclared input '" + name + "'"};
         }
-        const auto it = inputs_.find(name);
-        if (it == inputs_.end()) {
-            throw PipelineError{"pass '" + pass_.name + "': input '" + name +
-                                "' was not materialized"};
-        }
-        return it->second;
+        return *inputs_[static_cast<std::size_t>(it - pass_.inputs.begin())];
     }
 
     void emit(const std::string& name, Artifact artifact) override {
@@ -64,7 +63,7 @@ public:
 
 private:
     const Pass& pass_;
-    const std::map<std::string, Artifact>& inputs_;
+    const std::vector<const Artifact*>& inputs_;
     std::map<std::string, Artifact> outputs_;
 };
 
@@ -78,22 +77,20 @@ struct ExecOutcome {
     double wall_us = 0.0;
 };
 
-/// Run one pass as a pure function of \p inputs. Against a cache, tries
-/// a full replay first (all outputs present under their content keys);
-/// on any miss executes the body and stores the outputs. Without one,
-/// no input is digested and no key is built: keys exist only to address
-/// the cache.
+/// Run one pass as a pure function of \p inputs (one per declared
+/// input, in declaration order). Against a cache, tries a full replay
+/// first (all outputs present under their content keys); on any miss
+/// executes the body and stores the outputs. Without one, no input is
+/// digested and no key is built: keys exist only to address the cache.
 ExecOutcome execute_pass(const Pass& pass,
-                         const std::map<std::string, Artifact>& inputs,
+                         const std::vector<const Artifact*>& inputs,
                          ArtifactCache* cache) {
     ExecOutcome out;
     const bool cached_run = cache != nullptr && pass.cacheable;
     if (cached_run) {
         std::vector<std::uint64_t> digests;
-        digests.reserve(pass.inputs.size());
-        for (const auto& name : pass.inputs) {
-            digests.push_back(inputs.at(name).digest());
-        }
+        digests.reserve(inputs.size());
+        for (const Artifact* in : inputs) digests.push_back(in->digest());
         for (const auto& name : pass.outputs) {
             out.keys.emplace(
                 name, artifact_key(pass.name, pass.params, digests, name));
@@ -140,42 +137,47 @@ ExecOutcome execute_pass(const Pass& pass,
     return out;
 }
 
-/// Dependency-counting parallel executor. Guarded state is confined to
-/// this class; pass bodies run lock-free on copies of their inputs.
-class ParallelRunner {
+/// Dependency-counting executor. Worker loops take the lowest-index
+/// ready pass, run its body outside the lock on pointers into the
+/// artifact map (std::map nodes never move), then publish its outputs
+/// and release its dependents. With one worker the ready set therefore
+/// drains in exactly topo_order(). The first pass failure stops every
+/// worker from taking more work.
+class Executor {
 public:
-    ParallelRunner(const std::vector<Pass>& passes,
-                   const std::vector<std::vector<std::size_t>>& dependents,
-                   const std::vector<std::size_t>& missing,
-                   std::map<std::string, Artifact> sources,
-                   ArtifactCache* cache, sim::ThreadPool& pool)
+    Executor(const std::vector<Pass>& passes,
+             std::vector<std::vector<std::size_t>> dependents,
+             std::map<std::string, Artifact> sources, ArtifactCache* cache)
         : passes_{passes},
-          dependents_{dependents},
-          pool_{pool},
-          cache_{cache},
-          artifacts_{std::move(sources)},
-          missing_{missing} {
+          dependents_{std::move(dependents)},
+          cache_{cache} {
         std::lock_guard lk{mu_};
+        artifacts_ = std::move(sources);
         outcomes_.resize(passes.size());
-    }
-
-    void start() {
-        std::vector<std::size_t> ready;
-        {
-            std::lock_guard lk{mu_};
-            for (std::size_t i = 0; i < missing_.size(); ++i) {
-                if (missing_[i] == 0) ready.push_back(i);
-            }
+        remaining_ = passes.size();
+        missing_.assign(passes.size(), 0);
+        for (const auto& ds : dependents_) {
+            for (const std::size_t d : ds) ++missing_[d];
         }
-        submit(ready);
+        for (std::size_t i = 0; i < passes.size(); ++i) {
+            if (missing_[i] == 0) ready_.insert(i);
+        }
     }
 
-    /// Move the accumulated state into \p result (pass outcomes in
-    /// \p order). Rethrows the first pass failure.
-    void finish(const std::vector<std::size_t>& order,
-                PipelineResult& result) {
+    /// Run every pass on \p workers threads (the caller's among them).
+    void run(unsigned workers) {
+        (void)sim::parallel_map(workers, workers, [this](std::size_t) {
+            work();
+            return 0;
+        });
+    }
+
+    /// The accumulated state, pass outcomes in \p order. Rethrows the
+    /// first pass failure.
+    PipelineResult finish(const std::vector<std::size_t>& order) {
         std::lock_guard lk{mu_};
         if (error_) std::rethrow_exception(error_);
+        PipelineResult result;
         result.artifacts = std::move(artifacts_);
         result.keys = std::move(keys_);
         result.cache_hits = hits_;
@@ -184,29 +186,36 @@ public:
         for (const std::size_t i : order) {
             result.passes.push_back(std::move(outcomes_[i]));
         }
+        return result;
     }
 
 private:
-    void submit(const std::vector<std::size_t>& ready) {
-        for (const std::size_t i : ready) {
-            pool_.submit([this, i] { run_node(i); });
-        }
-    }
-
-    void run_node(std::size_t i) {
-        const Pass& pass = passes_[i];
-        std::map<std::string, Artifact> inputs;
-        {
-            std::lock_guard lk{mu_};
-            if (error_) return;  // fail fast: stop expanding the frontier
+    void work() {
+        std::unique_lock lk{mu_};
+        for (;;) {
+            cv_.wait(lk, [this] {
+                return error_ || remaining_ == 0 || !ready_.empty();
+            });
+            if (error_ || remaining_ == 0) return;
+            const std::size_t i = *ready_.begin();
+            ready_.erase(ready_.begin());
+            const Pass& pass = passes_[i];
+            std::vector<const Artifact*> inputs;
+            inputs.reserve(pass.inputs.size());
             for (const auto& name : pass.inputs) {
-                inputs.emplace(name, artifacts_.at(name));
+                inputs.push_back(&artifacts_.at(name));
             }
-        }
-        std::vector<std::size_t> ready;
-        try {
-            ExecOutcome exec = execute_pass(pass, inputs, cache_);
-            std::lock_guard lk{mu_};
+            lk.unlock();
+            ExecOutcome exec;
+            try {
+                exec = execute_pass(pass, inputs, cache_);
+            } catch (...) {
+                lk.lock();
+                if (!error_) error_ = std::current_exception();
+                cv_.notify_all();
+                return;
+            }
+            lk.lock();
             outcomes_[i] = PassOutcome{pass.name, exec.from_cache,
                                        exec.wall_us};
             hits_ += exec.hits;
@@ -218,26 +227,24 @@ private:
                 artifacts_.emplace(name, std::move(art));
             }
             for (const std::size_t dep : dependents_[i]) {
-                if (--missing_[dep] == 0) ready.push_back(dep);
+                if (--missing_[dep] == 0) ready_.insert(dep);
             }
-        } catch (...) {
-            std::lock_guard lk{mu_};
-            if (!error_) error_ = std::current_exception();
-            return;
+            --remaining_;
+            cv_.notify_all();
         }
-        // Submit outside mu_: ThreadPool::submit takes its own lock and
-        // the DAG stays free of a pipeline->pool lock-order edge.
-        submit(ready);
     }
 
     const std::vector<Pass>& passes_;
-    const std::vector<std::vector<std::size_t>>& dependents_;
-    sim::ThreadPool& pool_;
-    ArtifactCache* cache_;
+    const std::vector<std::vector<std::size_t>> dependents_;
+    ArtifactCache* const cache_;
 
     std::mutex mu_;
+    std::condition_variable cv_;  ///< a pass finished or failed
     std::map<std::string, Artifact> artifacts_ MCPS_GUARDED_BY(mu_);
     std::vector<std::size_t> missing_ MCPS_GUARDED_BY(mu_);
+    /// Passes whose inputs all exist, lowest registration index first.
+    std::set<std::size_t> ready_ MCPS_GUARDED_BY(mu_);
+    std::size_t remaining_ MCPS_GUARDED_BY(mu_) = 0;  ///< not yet finished
     std::vector<PassOutcome> outcomes_ MCPS_GUARDED_BY(mu_);
     std::map<std::string, std::string> keys_ MCPS_GUARDED_BY(mu_);
     std::uint64_t hits_ MCPS_GUARDED_BY(mu_) = 0;
@@ -312,22 +319,20 @@ void PipelineGraph::add(Pass pass) {
 std::vector<std::size_t> PipelineGraph::plan(std::vector<Node>& nodes) const {
     // Map each artifact to its producing pass.
     std::map<std::string, std::size_t> producer;
-    nodes.clear();
-    nodes.reserve(passes_.size());
+    nodes.assign(passes_.size(), Node{});
     for (std::size_t i = 0; i < passes_.size(); ++i) {
-        nodes.push_back(Node{passes_[i], {}, {}});
         for (const auto& out : passes_[i].outputs) {
             producer.emplace(out, i);
         }
     }
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-        for (const auto& in : nodes[i].pass.inputs) {
+        for (const auto& in : passes_[i].inputs) {
             const auto p = producer.find(in);
             if (p != producer.end()) {
                 nodes[i].deps.push_back(p->second);
                 nodes[p->second].dependents.push_back(i);
             } else if (sources_.find(in) == sources_.end()) {
-                throw PipelineError{"pass '" + nodes[i].pass.name +
+                throw PipelineError{"pass '" + passes_[i].name +
                                     "' input '" + in +
                                     "' is neither a source nor any "
                                     "pass's output"};
@@ -357,7 +362,7 @@ std::vector<std::size_t> PipelineGraph::plan(std::vector<Node>& nodes) const {
             for (std::size_t i = 0; i < nodes.size(); ++i) {
                 if (!done[i]) {
                     if (!cycle.empty()) cycle += ", ";
-                    cycle += nodes[i].pass.name;
+                    cycle += passes_[i].name;
                 }
             }
             throw PipelineError{"dependency cycle among passes: " + cycle};
@@ -376,7 +381,7 @@ std::vector<std::string> PipelineGraph::topo_order() const {
     const auto order = plan(nodes);
     std::vector<std::string> names;
     names.reserve(order.size());
-    for (const std::size_t i : order) names.push_back(nodes[i].pass.name);
+    for (const std::size_t i : order) names.push_back(passes_[i].name);
     return names;
 }
 
@@ -388,7 +393,7 @@ std::vector<std::string> PipelineGraph::dependents_of(
     std::vector<bool> hit(nodes.size(), false);
     // Seed: passes that consume the artifact directly.
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-        for (const auto& in : nodes[i].pass.inputs) {
+        for (const auto& in : passes_[i].inputs) {
             if (in == name) hit[i] = true;
         }
     }
@@ -399,70 +404,24 @@ std::vector<std::string> PipelineGraph::dependents_of(
     }
     std::vector<std::string> out;
     for (const std::size_t i : order) {
-        if (hit[i]) out.push_back(nodes[i].pass.name);
+        if (hit[i]) out.push_back(passes_[i].name);
     }
     return out;
-}
-
-void PipelineGraph::run_serial(const std::vector<Node>& nodes,
-                               const std::vector<std::size_t>& order,
-                               const PipelineOptions& opts,
-                               PipelineResult& result) const {
-    result.artifacts = sources_;
-    result.passes.reserve(order.size());
-    for (const std::size_t i : order) {
-        const Pass& pass = nodes[i].pass;
-        ExecOutcome exec = execute_pass(pass, result.artifacts, opts.cache);
-        result.passes.push_back(
-            PassOutcome{pass.name, exec.from_cache, exec.wall_us});
-        result.cache_hits += exec.hits;
-        result.cache_misses += exec.misses;
-        for (auto& [name, key] : exec.keys) {
-            result.keys.emplace(name, std::move(key));
-        }
-        for (auto& [name, art] : exec.outputs) {
-            result.artifacts.emplace(name, std::move(art));
-        }
-    }
-}
-
-void PipelineGraph::run_parallel(const std::vector<Node>& nodes,
-                                 const std::vector<std::size_t>& order,
-                                 const PipelineOptions& opts,
-                                 PipelineResult& result) const {
-    std::vector<Pass> passes;
-    std::vector<std::vector<std::size_t>> dependents;
-    std::vector<std::size_t> missing;
-    passes.reserve(nodes.size());
-    dependents.reserve(nodes.size());
-    missing.reserve(nodes.size());
-    for (const Node& n : nodes) {
-        passes.push_back(n.pass);
-        dependents.push_back(n.dependents);
-        missing.push_back(n.deps.size());
-    }
-
-    const unsigned workers = std::min<unsigned>(
-        opts.jobs, static_cast<unsigned>(std::max<std::size_t>(
-                       1, nodes.size())));
-    sim::ThreadPool pool{workers};
-    ParallelRunner runner{passes,        dependents, missing,
-                          sources_,      opts.cache, pool};
-    runner.start();
-    pool.wait_idle();
-    runner.finish(order, result);
 }
 
 PipelineResult PipelineGraph::run(const PipelineOptions& opts) const {
     std::vector<Node> nodes;
     const auto order = plan(nodes);
 
-    PipelineResult result;
-    if (opts.jobs <= 1 || nodes.size() <= 1) {
-        run_serial(nodes, order, opts, result);
-    } else {
-        run_parallel(nodes, order, opts, result);
-    }
+    std::vector<std::vector<std::size_t>> dependents;
+    dependents.reserve(nodes.size());
+    for (Node& n : nodes) dependents.push_back(std::move(n.dependents));
+    const unsigned workers = static_cast<unsigned>(std::clamp<std::size_t>(
+        nodes.size(), 1, std::max(1u, opts.jobs)));
+    Executor executor{passes_, std::move(dependents), sources_, opts.cache};
+    executor.run(workers);
+
+    PipelineResult result = executor.finish(order);
     if (opts.metrics != nullptr) record_metrics(result, *opts.metrics);
     return result;
 }

@@ -4,20 +4,19 @@
 ///
 /// A graph holds source artifacts (provide()) and passes (add());
 /// run() validates the graph — unique outputs, every input produced by
-/// exactly one pass or provided, no cycles — and executes it either
-/// serially in deterministic topological order (jobs <= 1) or in
-/// parallel on a sim::ThreadPool with dependency counting: a pass is
-/// submitted the moment its last input is ready, independent subgraphs
-/// overlap freely.
+/// exactly one pass or provided, no cycles — and executes it with one
+/// dependency-counting executor for every job count: worker loops
+/// (sim::parallel_map) take the lowest-index ready pass the moment its
+/// last input exists, so independent subgraphs overlap freely, and a
+/// single worker runs the passes inline in exactly topo_order().
 ///
 /// Determinism contract: the produced artifacts are byte-identical
-/// whether the run is serial, parallel (any job count), cold, or
-/// replayed from an ArtifactCache — because each pass is a pure
-/// function of its declared inputs + params, the cache is keyed by a
-/// content hash of exactly those, and the result's pass list is
-/// reported in topological order regardless of execution order. Only
-/// wall-time fields vary run to run, and they are never folded into an
-/// artifact.
+/// whether the run uses one job or many, is cold, or is replayed from
+/// an ArtifactCache — because each pass is a pure function of its
+/// declared inputs + params, the cache is keyed by a content hash of
+/// exactly those, and the result's pass list is reported in
+/// topological order regardless of execution order. Only wall-time
+/// fields vary run to run, and they are never folded into an artifact.
 
 #pragma once
 
@@ -34,7 +33,7 @@
 namespace mcps::pipeline {
 
 struct PipelineOptions {
-    /// Worker threads; <= 1 runs serially in topological order.
+    /// Worker threads; <= 1 runs every pass inline in topo_order().
     unsigned jobs = 1;
     /// Artifact cache; null = always cold (every pass executes).
     ArtifactCache* cache = nullptr;
@@ -111,8 +110,8 @@ public:
     [[nodiscard]] PipelineResult run(const PipelineOptions& opts = {}) const;
 
 private:
+    /// Edges of passes_[i], by pass index.
     struct Node {
-        Pass pass;
         std::vector<std::size_t> deps;        ///< pass indices
         std::vector<std::size_t> dependents;  ///< pass indices
     };
@@ -120,14 +119,6 @@ private:
     /// Resolve edges and topo-sort. \throws PipelineError.
     [[nodiscard]] std::vector<std::size_t> plan(
         std::vector<Node>& nodes) const;
-
-    void run_serial(const std::vector<Node>& nodes,
-                    const std::vector<std::size_t>& order,
-                    const PipelineOptions& opts, PipelineResult& result) const;
-    void run_parallel(const std::vector<Node>& nodes,
-                      const std::vector<std::size_t>& order,
-                      const PipelineOptions& opts,
-                      PipelineResult& result) const;
 
     std::map<std::string, Artifact> sources_;
     std::vector<Pass> passes_;

@@ -8,7 +8,7 @@
 ///   Artifact       a named (kind, payload) blob; digest = fnv1a64
 ///   ArtifactCache  key -> artifact, in-memory + optional disk snapshot
 ///   Pass           declared inputs/outputs + a pure body
-///   PipelineGraph  validation, topo scheduling (serial or ThreadPool),
+///   PipelineGraph  validation, dependency-counting topo scheduling,
 ///                  cache lookup/insert around every cacheable pass
 ///   std_passes     the built-in stage registry (run/trace/analyze/ward)
 ///

@@ -332,7 +332,7 @@ void add_ward_pass(PipelineGraph& g, const std::string& id,
         report.write_json(os);
         ctx.emit("ward/" + id + "/report", Artifact{"ward-json", os.str()});
         ctx.emit("ward/" + id + "/fingerprint",
-                 Artifact{"fingerprint", hex64(report.fingerprint) + "\n"});
+                 Artifact{"fingerprint", sim::hex64(report.fingerprint) + "\n"});
     };
     g.add(std::move(p));
 }
@@ -357,7 +357,7 @@ void add_ward_merge_pass(PipelineGraph& g,
             out += '\n';
             combined = sim::fnv1a64(combined, fp);
         }
-        out += "combined\t" + hex64(combined) + "\n";
+        out += "combined\t" + sim::hex64(combined) + "\n";
         ctx.emit("ward/summary", Artifact{"ward-summary", std::move(out)});
     };
     g.add(std::move(p));

@@ -1,9 +1,9 @@
 #include "artifacts.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
+#include "sim/hash.hpp"
 #include "sim/table.hpp"
 
 namespace mcps::scenario {
@@ -22,10 +22,7 @@ double RunArtifacts::at(std::string_view name) const {
 }
 
 std::string RunArtifacts::fingerprint_hex() const {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    return buf;
+    return sim::hex64(fingerprint);
 }
 
 void RunArtifacts::print(std::ostream& os) const {

@@ -20,13 +20,15 @@
 /// the system degrades *visibly* and in priority order, instead of
 /// letting safety-relevant traffic queue behind bulk work.
 ///
-/// close() flips the queue into draining mode: offers are refused with
-/// kClosed (the server maps this to a "draining" rejection) while
-/// try_pop keeps serving what was already admitted.
+/// Workers block in pop() until a job is admitted. close() flips the
+/// queue into draining mode: offers are refused with kClosed (the server
+/// maps this to a "draining" rejection) while pop() keeps serving what
+/// was already admitted, then returns nullopt to every worker.
 
 #pragma once
 
 #include <array>
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -42,8 +44,8 @@ template <typename T>
 class AdmissionQueue {
 public:
     enum class Outcome : std::uint8_t {
-        kAdmitted,  ///< queued; a worker ticket should be issued
-        kShed,      ///< queued by displacing `victim` (no new ticket)
+        kAdmitted,  ///< queued; wakes one waiting pop()
+        kShed,      ///< queued in place of `victim`; size unchanged
         kRejected,  ///< refused: queue full of equal-or-higher traffic
         kClosed,    ///< refused: draining
     };
@@ -58,7 +60,7 @@ public:
     explicit AdmissionQueue(std::size_t capacity) : capacity_{capacity} {}
 
     Offer offer(T item, QosClass c) {
-        const std::lock_guard<std::mutex> lock{mu_};
+        std::unique_lock<std::mutex> lock{mu_};
         Offer result;
         if (closed_) {
             result.outcome = Outcome::kClosed;
@@ -68,6 +70,8 @@ public:
             classes_[index(c)].push_back(std::move(item));
             ++size_;
             result.outcome = Outcome::kAdmitted;
+            lock.unlock();
+            ready_.notify_one();
             return result;
         }
         // Full: shed the newest job of the lowest class strictly below
@@ -87,9 +91,11 @@ public:
         return result;
     }
 
-    /// Highest-priority pending job, FIFO within a class.
-    std::optional<std::pair<T, QosClass>> try_pop() {
-        const std::lock_guard<std::mutex> lock{mu_};
+    /// Highest-priority pending job, FIFO within a class. Blocks while
+    /// the queue is open and empty; nullopt once it is closed and empty.
+    std::optional<std::pair<T, QosClass>> pop() {
+        std::unique_lock<std::mutex> lock{mu_};
+        ready_.wait(lock, [this] { return size_ > 0 || closed_; });
         for (std::size_t c = 0; c < kQosClassCount; ++c) {
             auto& q = classes_[c];
             if (!q.empty()) {
@@ -103,10 +109,14 @@ public:
         return std::nullopt;
     }
 
-    /// Stop admitting; already-admitted jobs still drain via try_pop.
+    /// Stop admitting; already-admitted jobs still drain via pop(), and
+    /// every pop() blocked on an empty queue returns nullopt.
     void close() {
-        const std::lock_guard<std::mutex> lock{mu_};
-        closed_ = true;
+        {
+            const std::lock_guard<std::mutex> lock{mu_};
+            closed_ = true;
+        }
+        ready_.notify_all();
     }
 
     [[nodiscard]] bool closed() const {
@@ -133,6 +143,7 @@ private:
 
     const std::size_t capacity_;
     mutable std::mutex mu_;
+    std::condition_variable ready_;  ///< a job was admitted or closed
     std::array<std::deque<T>, kQosClassCount> classes_ MCPS_GUARDED_BY(mu_);
     std::size_t size_ MCPS_GUARDED_BY(mu_) = 0;  ///< total across classes
     bool closed_ MCPS_GUARDED_BY(mu_) = false;

@@ -49,8 +49,18 @@ Server::Server(ServerConfig cfg)
     }
     wake_read_ = Fd{fds[0]};
     wake_write_ = Fd{fds[1]};
-    pool_ = std::make_unique<sim::ThreadPool>(std::max(1u, cfg_.workers));
-    accept_thread_ = std::thread{[this] { accept_loop(); }};
+    try {
+        const unsigned n = std::max(1u, cfg_.workers);
+        workers_.reserve(n);
+        for (unsigned i = 0; i < n; ++i) {
+            workers_.emplace_back([this] { worker_loop(); });
+        }
+        accept_thread_ = std::thread{[this] { accept_loop(); }};
+    } catch (...) {
+        queue_.close();
+        for (std::thread& t : workers_) t.join();
+        throw;
+    }
 }
 
 Server::~Server() {
@@ -160,11 +170,10 @@ void Server::handle_run(const std::shared_ptr<Conn>& conn, Request req) {
     auto offer = queue_.offer(std::move(job), req.qos);
     switch (offer.outcome) {
         case AdmissionQueue<Job>::Outcome::kAdmitted:
-            pool_->submit([this] { worker_tick(); });
             return;
         case AdmissionQueue<Job>::Outcome::kShed: {
-            // The displaced lower-priority job's ticket now serves this
-            // request, so no new submit; its client hears immediately.
+            // This request took the displaced lower-priority job's
+            // place; the victim's client hears immediately.
             metrics_.add("serve/shed");
             metrics_.add("serve/rejected/overloaded");
             const Job& victim = *offer.victim;
@@ -188,10 +197,11 @@ void Server::handle_run(const std::shared_ptr<Conn>& conn, Request req) {
     }
 }
 
-void Server::worker_tick() {
-    auto popped = queue_.try_pop();
-    if (!popped) return;  // a shed raced the ledger; nothing to do
-    Job job = std::move(popped->first);
+void Server::worker_loop() {
+    while (auto popped = queue_.pop()) run_job(std::move(popped->first));
+}
+
+void Server::run_job(Job job) {
     const auto t0 = Clock::now();
     const std::uint64_t queue_us = micros_since(job.enqueued, t0);
     std::string artifacts;
@@ -284,8 +294,9 @@ void Server::wait() {
     }
     if (stopped_.exchange(true)) return;  // someone else tore down
     if (accept_thread_.joinable()) accept_thread_.join();
-    // Every admitted job finishes and answers before we disconnect.
-    pool_->wait_idle();
+    // Every admitted job finishes and answers before we disconnect: the
+    // queue is closed, so each worker returns once it is drained.
+    for (std::thread& t : workers_) t.join();
     std::vector<std::thread> readers;
     {
         const std::lock_guard<std::mutex> lock{conns_mu_};

@@ -2,26 +2,21 @@
 /// \brief The `mcps serve` scenario-execution service.
 ///
 /// A Server owns one Listener, one accept thread, one reader thread per
-/// connection, and a sim::ThreadPool of scenario workers fed through
-/// an AdmissionQueue. The data path for a run request:
+/// connection, and `max(1, workers)` scenario worker threads that block
+/// on one AdmissionQueue. The data path for a run request:
 ///
 ///   reader thread: parse → cache lookup (hit answers inline) → offer
-///     to the admission queue → on admission, submit one pool ticket
+///     to the admission queue (a shed victim's client hears at once)
 ///   worker: pop the highest-priority pending job, run it through the
 ///     scenario registry, fill the cache, write the response under the
 ///     connection's write mutex
 ///
-/// Shedding keeps the ticket/job ledger balanced: a shed displaces an
-/// already-ticketed victim (whose client gets an immediate structured
-/// rejection from the reader thread) and reuses its ticket, so workers
-/// never block on an empty queue.
-///
 /// Graceful drain: request_drain() (from the `drain` command, a signal
 /// handler, or the embedding test) closes the admission queue — new run
 /// requests get a "draining" rejection — and wakes wait(), which stops
-/// accepting, lets the pool finish every admitted job, disconnects the
-/// remaining clients, joins all threads and finally writes the cache
-/// snapshot when configured.
+/// accepting, joins the workers once they have answered every admitted
+/// job, disconnects the remaining clients, joins the readers and finally
+/// writes the cache snapshot when configured.
 
 #pragma once
 
@@ -40,7 +35,6 @@
 #include "pipeline/cache.hpp"
 #include "protocol.hpp"
 #include "sim/guarded.hpp"
-#include "sim/thread_pool.hpp"
 #include "socket_io.hpp"
 
 namespace mcps::serve {
@@ -112,7 +106,8 @@ private:
     void handle_line(const std::shared_ptr<Conn>& conn,
                      const std::string& line);
     void handle_run(const std::shared_ptr<Conn>& conn, Request req);
-    void worker_tick();
+    void worker_loop();
+    void run_job(Job job);
     void send(const std::shared_ptr<Conn>& conn, std::string_view line);
     [[nodiscard]] std::string stats_line() const;
 
@@ -121,7 +116,7 @@ private:
     pipeline::ArtifactCache cache_;
     AdmissionQueue<Job> queue_;
     Listener listener_;
-    std::unique_ptr<sim::ThreadPool> pool_;
+    std::vector<std::thread> workers_;
 
     Fd wake_read_, wake_write_;  ///< self-pipe to unblock accept_loop
     std::thread accept_thread_;

@@ -1,11 +1,14 @@
 /// \file hash.hpp
 /// \brief The one 64-bit hash family: FNV-1a over bytes, and the
-/// FNV-xorshift fold fingerprints are built from. Pinned fingerprints
-/// depend on these exact recipes.
+/// FNV-xorshift fold fingerprints are built from, plus the one rendering
+/// of a fingerprint or digest. Pinned fingerprints depend on these exact
+/// recipes.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace mcps::sim {
@@ -42,6 +45,15 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
     h = mix(h, s.size());
     for (char c : s) h = mix(h, static_cast<std::uint8_t>(c));
     return h;
+}
+
+/// "0x%016llx" rendering of \p v: every printed fingerprint and digest.
+[[nodiscard]] inline std::string hex64(std::uint64_t v) {
+    std::string out = "0x0000000000000000";
+    for (std::size_t i = out.size(); v != 0; v >>= 4) {
+        out[--i] = "0123456789abcdef"[v & 0xF];
+    }
+    return out;
 }
 
 }  // namespace mcps::sim

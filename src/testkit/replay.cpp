@@ -1,13 +1,14 @@
 #include "replay.hpp"
 
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/hash.hpp"
 
 namespace mcps::testkit {
 
@@ -25,9 +26,7 @@ std::string to_text(const Repro& r) {
     os << "seed=" << r.seed << "\n";
     os << "index=" << r.index << "\n";
     os << "weakened=" << (r.weakened ? 1 : 0) << "\n";
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016" PRIx64, r.fingerprint);
-    os << "fingerprint=" << fp << "\n";
+    os << "fingerprint=" << sim::hex64(r.fingerprint) << "\n";
     for (const auto& e : r.faults.events) {
         char mag[64];
         std::snprintf(mag, sizeof mag, "%.17g", e.magnitude);

@@ -1,7 +1,6 @@
 #include "ward/hospital_fuzz.hpp"
 
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "scenario/registry.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 #include "testkit/replay.hpp"
 
@@ -30,13 +30,7 @@ std::string fmt_double(double v) {
     return buf;
 }
 
-std::string fmt_fingerprint(std::uint64_t fp) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, fp);
-    return buf;
-}
-
-/// The inverse of fmt_fingerprint: the whole of \p v is "0x" and hex
+/// The inverse of sim::hex64: the whole of \p v is "0x" and hex
 /// digits, with no sign, no trailing bytes and no overflow.
 bool parse_fingerprint(std::string_view v, std::uint64_t& out) {
     if (v.size() <= 2 || v.substr(0, 2) != "0x") return false;
@@ -127,7 +121,7 @@ std::string write_repro(const std::string& dir, std::uint64_t seed,
     testkit::write_text_file(
         path, std::string{kReproHeader} + "\n# invariant: " + invariant +
                   ": " + detail + "\nspec: " + spec.to_text() +
-                  "\nfingerprint: " + fmt_fingerprint(fingerprint) + "\n");
+                  "\nfingerprint: " + sim::hex64(fingerprint) + "\n");
     return path;
 }
 
@@ -213,9 +207,9 @@ HospitalFuzzOutcome run_hospital_fuzz(const HospitalFuzzOptions& opts) {
                 f.spec = spec;
                 f.invariant = "replay-byte-identical";
                 f.detail = "repro " + path + " replayed to " +
-                           fmt_fingerprint(replayed.fingerprint) +
+                           sim::hex64(replayed.fingerprint) +
                            ", expected " +
-                           fmt_fingerprint(replayed.expected_fingerprint);
+                           sim::hex64(replayed.expected_fingerprint);
                 f.repro_path = path;
                 f.replay_byte_identical = false;
                 if (opts.log) {

@@ -197,13 +197,10 @@ WardReport WardEngine::run(const testkit::InvariantChecker& checker,
 }
 
 void WardReport::print(std::ostream& os) const {
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(fingerprint));
     os << "ward: " << patients << " patients, jobs " << jobs << ", shards "
        << shards << ", seed " << seed << ", mix " << mix << ", intensity "
        << fault_intensity << "\n"
-       << "  fingerprint " << fp << "\n";
+       << "  fingerprint " << sim::hex64(fingerprint) << "\n";
 
     sim::Table workload{{"workload", "runs"}};
     workload.row().cell("pca_closed_loop").cell(pca_runs);
@@ -262,9 +259,6 @@ void WardReport::print(std::ostream& os) const {
 }
 
 void WardReport::write_json(std::ostream& os) const {
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(fingerprint));
     const auto stats_obj = [&os](const char* name, const sim::RunningStats& s) {
         os << "    \"" << name << "\": {\"count\": " << s.count()
            << ", \"mean\": " << s.mean() << ", \"stddev\": " << s.stddev()
@@ -278,7 +272,7 @@ void WardReport::write_json(std::ostream& os) const {
        << "  \"shards\": " << shards << ",\n"
        << "  \"mix\": \"" << mix << "\",\n"
        << "  \"fault_intensity\": " << fault_intensity << ",\n"
-       << "  \"fingerprint\": \"" << fp << "\",\n"
+       << "  \"fingerprint\": \"" << sim::hex64(fingerprint) << "\",\n"
        << "  \"runs\": {\"pca\": " << pca_runs << ", \"xray\": " << xray_runs
        << ", \"alarm_ward\": " << alarm_ward_runs
        << ", \"hospital\": " << hospital_runs << "},\n"

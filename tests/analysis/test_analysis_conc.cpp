@@ -93,9 +93,8 @@ TEST(AnalysisConc, InlineWaiverSuppresses) {
 }
 
 TEST(AnalysisConc, ShippedTreeIsClean) {
-    // The annotated production tree (satellite 1) must hold its own
-    // discipline: src + tools scan clean, with the one audited waiver
-    // (ThreadPool::steals) counted as suppressed.
+    // The annotated production tree must hold its own discipline:
+    // src + tools scan clean, and no CONC1 waiver is needed anywhere.
     const auto root = std::filesystem::weakly_canonical(kFixtures)
                           .parent_path()
                           .parent_path();
@@ -104,7 +103,7 @@ TEST(AnalysisConc, ShippedTreeIsClean) {
     EXPECT_GT(res.files_scanned, 50u);
     EXPECT_TRUE(res.findings.empty())
         << (res.findings.empty() ? "" : res.findings[0].message);
-    EXPECT_GE(res.suppressed, 1u);
+    EXPECT_EQ(res.suppressed, 0u);
 }
 
 TEST(AnalysisConc, AnalyzerTurnsMissingRootIntoCfg1) {

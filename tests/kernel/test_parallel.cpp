@@ -1,7 +1,7 @@
 /// \file test_parallel.cpp
 /// \brief The campaign loop's building blocks: `parallel_map` returns the
 /// same results, and rethrows the same error, for any job count;
-/// `shard_range` partitions contiguously; `ThreadPool` runs every task.
+/// `shard_range` partitions contiguously.
 /// These tests also run under TSan (tools/ci_analysis.sh stage 7).
 
 #include <gtest/gtest.h>
@@ -18,13 +18,11 @@
 #include <vector>
 
 #include "sim/parallel.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace {
 
 using mcps::sim::parallel_map;
 using mcps::sim::shard_range;
-using mcps::sim::ThreadPool;
 
 // ---- parallel_map ------------------------------------------------------
 
@@ -111,28 +109,6 @@ TEST(ShardRange, PartitionsContiguouslyAndCompletely) {
             EXPECT_EQ(expect_first, items);
         }
     }
-}
-
-// ---- thread pool -------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-    ThreadPool pool{4};
-    EXPECT_EQ(pool.worker_count(), 4u);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&ran] { ++ran; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-    ThreadPool pool{2};
-    pool.wait_idle();  // must not hang
-    std::atomic<int> ran{0};
-    pool.submit([&ran] { ++ran; });
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 1);
 }
 
 }  // namespace

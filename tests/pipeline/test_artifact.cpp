@@ -60,7 +60,7 @@ TEST(Artifact, DigestHexFormat) {
     const std::string hex = a.digest_hex();
     ASSERT_EQ(hex.size(), 18u);
     EXPECT_EQ(hex.substr(0, 2), "0x");
-    EXPECT_EQ(hex, pipeline::hex64(a.digest()));
+    EXPECT_EQ(hex, mcps::sim::hex64(a.digest()));
 }
 
 TEST(ArtifactKey, ChangesWithEveryComponent) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -114,6 +115,11 @@ TEST(PipelineGraph, DependentsOfIsTransitive) {
 TEST(PipelineGraph, FailingPassNamesThePass) {
     pipeline::PipelineGraph g;
     g.provide("src", {"text", "x"});
+    // Independent siblings give jobs = 8 more than one worker.
+    for (int i = 0; i < 6; ++i) {
+        const std::string name = "ok" + std::to_string(i);
+        g.add(concat_pass(name, {"src"}, "out/" + name));
+    }
     pipeline::Pass bad;
     bad.name = "explodes";
     bad.inputs = {"src"};
@@ -122,12 +128,53 @@ TEST(PipelineGraph, FailingPassNamesThePass) {
         throw std::runtime_error{"boom"};
     };
     g.add(bad);
-    try {
-        (void)g.run();
-        FAIL() << "expected PipelineError";
-    } catch (const pipeline::PipelineError& e) {
-        EXPECT_NE(std::string{e.what()}.find("explodes"), std::string::npos);
-        EXPECT_NE(std::string{e.what()}.find("boom"), std::string::npos);
+    g.add(concat_pass("after", {"out/bad"}, "out/after"));
+    for (const unsigned jobs : {1u, 8u}) {
+        try {
+            (void)g.run({.jobs = jobs});
+            FAIL() << "expected PipelineError at jobs " << jobs;
+        } catch (const pipeline::PipelineError& e) {
+            EXPECT_NE(std::string{e.what()}.find("explodes"),
+                      std::string::npos)
+                << "jobs " << jobs;
+            EXPECT_NE(std::string{e.what()}.find("boom"), std::string::npos)
+                << "jobs " << jobs;
+        }
+    }
+}
+
+TEST(PipelineGraph, JobsOneRunsBodiesInTopoOrderOnTheCaller) {
+    // "tail" is registered first but reads "x"'s output, so execution
+    // order differs from registration order.
+    std::vector<std::string> ran;
+    std::vector<std::thread::id> threads;
+    const auto recording = [&](std::string name, std::vector<std::string> in,
+                               std::string out) {
+        pipeline::Pass p = concat_pass(name, in, out);
+        p.run = [&ran, &threads, name, out](pipeline::PassContext& ctx) {
+            ran.push_back(name);
+            threads.push_back(std::this_thread::get_id());
+            ctx.emit(out, {"text", name});
+        };
+        return p;
+    };
+    pipeline::PipelineGraph g;
+    g.provide("src", {"text", "seed"});
+    g.add(recording("tail", {"out/x"}, "out/tail"));
+    g.add(recording("x", {"src"}, "out/x"));
+    g.add(recording("y", {"src"}, "out/y"));
+    g.add(recording("z", {"out/tail", "out/y"}, "out/z"));
+
+    const pipeline::PipelineResult r = g.run({.jobs = 1});
+    const std::vector<std::string> expect{"x", "tail", "y", "z"};
+    EXPECT_EQ(g.topo_order(), expect);
+    EXPECT_EQ(ran, expect);
+    for (const std::thread::id id : threads) {
+        EXPECT_EQ(id, std::this_thread::get_id());
+    }
+    ASSERT_EQ(r.passes.size(), 4u);
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(r.passes[i].name, expect[i]);
     }
 }
 
@@ -260,7 +307,7 @@ TEST(PipelineGraph, RecordMetricsPublishesCountersAndGauges) {
 }
 
 TEST(PipelineGraph, ParallelRunWithManyIndependentPasses) {
-    // Wide fan-out exercises the pool's dependency counting: 24
+    // Wide fan-out exercises the executor's dependency counting: 24
     // independent passes feeding one join must produce the serial bytes.
     pipeline::PipelineGraph g;
     g.provide("src", {"text", "seed"});

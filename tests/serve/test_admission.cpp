@@ -1,10 +1,17 @@
 /// \file test_admission.cpp
 /// \brief AdmissionQueue unit tests: priority order, FIFO within class,
-/// shed-the-lowest policy, rejection, and drain-close semantics.
+/// shed-the-lowest policy, rejection, drain-close semantics, and the
+/// blocking pop() the server's workers wait in.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "serve/admission.hpp"
 
@@ -25,14 +32,15 @@ TEST(Admission, PopsHighestClassFifoWithinClass) {
               Outcome::kAdmitted);
     EXPECT_EQ(q.size(), 4u);
 
-    EXPECT_EQ(q.try_pop()->first, "c1");
-    EXPECT_EQ(q.try_pop()->first, "c2");
-    EXPECT_EQ(q.try_pop()->first, "i1");
-    auto last = q.try_pop();
+    q.close();  // pop() on an empty closed queue returns instead of blocking
+    EXPECT_EQ(q.pop()->first, "c1");
+    EXPECT_EQ(q.pop()->first, "c2");
+    EXPECT_EQ(q.pop()->first, "i1");
+    auto last = q.pop();
     ASSERT_TRUE(last.has_value());
     EXPECT_EQ(last->first, "b1");
     EXPECT_EQ(last->second, QosClass::kBatch);
-    EXPECT_FALSE(q.try_pop().has_value());
+    EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(Admission, ShedsNewestOfLowestClassBelowArrival) {
@@ -64,9 +72,11 @@ TEST(Admission, ShedsNewestOfLowestClassBelowArrival) {
     EXPECT_EQ(q.offer("c4", QosClass::kClinical).outcome,
               Outcome::kRejected);
 
-    EXPECT_EQ(q.try_pop()->first, "c1");
-    EXPECT_EQ(q.try_pop()->first, "c2");
-    EXPECT_EQ(q.try_pop()->first, "c3");
+    q.close();
+    EXPECT_EQ(q.pop()->first, "c1");
+    EXPECT_EQ(q.pop()->first, "c2");
+    EXPECT_EQ(q.pop()->first, "c3");
+    EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(Admission, EqualOrLowerClassNeverSheds) {
@@ -87,10 +97,10 @@ TEST(Admission, CloseRefusesNewButDrainsExisting) {
     EXPECT_EQ(q.offer("i2", QosClass::kInteractive).outcome,
               Outcome::kClosed);
     EXPECT_EQ(q.offer("c1", QosClass::kClinical).outcome, Outcome::kClosed);
-    auto drained = q.try_pop();
+    auto drained = q.pop();
     ASSERT_TRUE(drained.has_value());
     EXPECT_EQ(drained->first, "i1");
-    EXPECT_FALSE(q.try_pop().has_value());
+    EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(Admission, DepthTracksPerClass) {
@@ -101,9 +111,54 @@ TEST(Admission, DepthTracksPerClass) {
     EXPECT_EQ(q.depth(QosClass::kClinical), 1u);
     EXPECT_EQ(q.depth(QosClass::kInteractive), 0u);
     EXPECT_EQ(q.depth(QosClass::kBatch), 2u);
-    (void)q.try_pop();
+    q.close();
+    (void)q.pop();
     EXPECT_EQ(q.depth(QosClass::kClinical), 0u);
     EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(Admission, PopBlocksUntilAnOfferArrives) {
+    Queue q{4};
+    std::atomic<bool> returned{false};
+    std::optional<std::pair<std::string, QosClass>> got;
+    std::thread worker{[&] {
+        got = q.pop();
+        returned = true;
+    }};
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load()) << "pop() returned on an empty open queue";
+    EXPECT_EQ(q.offer("c1", QosClass::kClinical).outcome, Outcome::kAdmitted);
+    worker.join();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->first, "c1");
+    EXPECT_EQ(got->second, QosClass::kClinical);
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(Admission, PopReturnsNulloptAfterCloseOnceDrained) {
+    Queue q{4};
+    // Workers blocked on an empty queue all wake on close().
+    std::vector<std::thread> idle;
+    std::atomic<int> ended{0};
+    for (int i = 0; i < 3; ++i) {
+        idle.emplace_back([&] {
+            if (!q.pop().has_value()) ++ended;
+        });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.close();
+    for (std::thread& t : idle) t.join();
+    EXPECT_EQ(ended.load(), 3);
+
+    // Admitted jobs drain first; only then does pop() report the end.
+    Queue r{4};
+    (void)r.offer("b1", QosClass::kBatch);
+    (void)r.offer("i1", QosClass::kInteractive);
+    r.close();
+    EXPECT_EQ(r.pop()->first, "i1");
+    EXPECT_EQ(r.pop()->first, "b1");
+    EXPECT_FALSE(r.pop().has_value());
+    EXPECT_FALSE(r.pop().has_value());
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 /// concurrent workload whose every response must match the pinned
 /// per-preset fingerprints, cache byte-identity (hit and recompute),
 /// admission-control rejection under a saturated queue, draining
-/// rejections, graceful drain, cache snapshot across a restart, and the
-/// socket options of accepted connections.
+/// rejections, graceful drain (answering every queued job), cache
+/// snapshot across a restart, and the socket options of accepted
+/// connections.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -246,6 +247,61 @@ TEST(ServeE2E, DrainRejectsNewWorkAndShutsDownGracefully) {
     server.wait();  // must return: graceful drain completes
     EXPECT_GE(server.metrics().counter_value("serve/rejected/draining"), 1u);
     EXPECT_EQ(server.metrics().counter_value("serve/completed"), 1u);
+}
+
+/// Jobs admitted before a drain are still run: with one busy worker,
+/// every job queued behind it is answered after request_drain(), and
+/// only then does wait() return.
+TEST(ServeE2E, DrainAnswersJobsQueuedBehindABusyWorker) {
+    ServerConfig cfg = base_config();
+    cfg.workers = 1;
+    cfg.queue_capacity = 8;
+    cfg.cache_entries = 0;  // every run computes
+    Server server{cfg};
+
+    Fd conn = connect_to(server.endpoint());
+    constexpr int kJobs = 4;
+    for (int i = 0; i < kJobs; ++i) {
+        Request r;
+        r.kind = Request::Kind::kRun;
+        r.id = "q" + std::to_string(i);
+        r.spec = scenario::parse_spec("pca seed=" + std::to_string(20 + i) +
+                                      " minutes=120");
+        r.qos = QosClass::kBatch;
+        r.no_cache = true;
+        ASSERT_TRUE(write_line(conn.get(), r.to_line()));
+    }
+    // The reader handles lines in order, so the pong proves every run
+    // line above was offered (and admitted) before the drain.
+    Request ping;
+    ping.kind = Request::Kind::kPing;
+    ping.id = "p";
+    ASSERT_TRUE(write_line(conn.get(), ping.to_line()));
+
+    LineReader reader{conn.get(), 1 << 20};
+    std::map<std::string, Response> responses;
+    std::string raw;
+    bool drained = false;
+    while (responses.size() < kJobs + 1) {
+        ASSERT_EQ(reader.next(raw), LineReader::Status::kLine);
+        Response r = parse_response(raw);
+        if (r.pong && !drained) {
+            server.request_drain();
+            drained = true;
+        }
+        responses.emplace(r.id, std::move(r));
+    }
+    ASSERT_TRUE(drained);
+    for (int i = 0; i < kJobs; ++i) {
+        const std::string id = "q" + std::to_string(i);
+        ASSERT_EQ(responses.count(id), 1u) << id;
+        EXPECT_TRUE(responses.at(id).ok()) << id << ": "
+                                           << responses.at(id).status;
+    }
+    server.wait();
+    EXPECT_EQ(server.metrics().counter_value("serve/completed"),
+              static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(server.metrics().counter_value("serve/rejected/draining"), 0u);
 }
 
 TEST(ServeE2E, CacheSnapshotSurvivesRestart) {

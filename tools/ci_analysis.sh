@@ -40,7 +40,7 @@
 #   7. TSan:                 `mcps` and the test binaries under thread
 #                            sanitizer: the ward-engine and fuzz
 #                            jobs-invariance tests, the kernel suite
-#                            (parallel_map, shard_range, ThreadPool),
+#                            (parallel_map, shard_range),
 #                            and the serve, obs, hospital and pipeline
 #                            suites (the obs stress test is the dynamic
 #                            complement of CONC1; the hospital suite
@@ -179,17 +179,18 @@ cmake --build "${repo_root}/build-ci-tsan" -j "${jobs}" \
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -R '^(WardEngine\.|Fuzzer\.JobsFourMatchesJobsOneAcrossWindows$|ward_determinism$)' \
     --output-on-failure
-# The kernel suite holds the threaded building blocks (parallel_map,
-# ThreadPool). The event kernel itself is single-threaded by contract,
-# but its tests still run under TSan so the non-atomic refcounts
+# The kernel suite holds the threaded building block (parallel_map,
+# shared by the ward, hospital, fuzz and pipeline loops). The event
+# kernel itself is single-threaded by contract, but its tests still run
+# under TSan so the non-atomic refcounts
 # (SlabRef, MessageRef) are exercised with instrumentation: any future
 # cross-thread use of a slab/pool shows up here as a data race, not as
 # silent corruption.
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L kernel --output-on-failure
 # The serve layer is the most thread-dense code in the repo (reader
-# threads, worker pool, shared cache/metrics, drain handshake): the
-# whole suite runs under TSan.
+# threads, workers blocked on the admission queue, shared cache/metrics,
+# drain handshake): the whole suite runs under TSan.
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L serve --output-on-failure
 # SharedMetrics stress: the dynamic complement of the CONC1 lint —
@@ -203,10 +204,10 @@ ctest --test-dir "${repo_root}/build-ci-tsan" \
 # stepping or the mergeable-histogram reduction surfaces here.
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L hospital --output-on-failure
-# Pipeline scheduler under TSan: the parallel runner's dependency
-# counting, the shared ArtifactCache and the fan-out/join graphs all
-# run instrumented — the dynamic complement of the CONC1 annotations on
-# ArtifactCache::mu_ and ParallelRunner::mu_.
+# Pipeline scheduler under TSan: the executor's dependency counting,
+# the shared ArtifactCache and the fan-out/join graphs all run
+# instrumented — the dynamic complement of the CONC1 annotations on
+# ArtifactCache::mu_ and Executor::mu_.
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L pipeline --output-on-failure
 

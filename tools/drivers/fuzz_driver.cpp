@@ -7,7 +7,6 @@
 /// did not meet its expectation, 2 = usage or I/O error.
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -16,6 +15,7 @@
 
 #include "../cli.hpp"
 #include "../drivers.hpp"
+#include "sim/hash.hpp"
 #include "testkit/testkit.hpp"
 #include "ward/hospital_fuzz.hpp"
 
@@ -63,10 +63,8 @@ int replay_mode(const std::string& path) {
               << (repro.weakened ? " (weakened fixture)" : "") << "\n"
               << "  seed/index: " << repro.seed << "/" << repro.index << "\n"
               << "  faults:     " << repro.faults.size() << "\n";
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(result.fingerprint));
-    std::cout << "  fingerprint " << fp << " ("
+    std::cout << "  fingerprint " << mcps::sim::hex64(result.fingerprint)
+              << " ("
               << (result.byte_identical ? "byte-identical" : "MISMATCH")
               << ")\n";
     for (const auto& v : result.violations) {
@@ -82,14 +80,11 @@ int replay_mode(const std::string& path) {
 
 int hospital_replay_mode(const std::string& path) {
     const auto r = mcps::ward::replay_hospital_repro(path);
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(r.fingerprint));
     std::cout << "repro: " << path << "\n"
               << "  workload:   hospital\n"
               << "  spec:       " << r.spec.to_text() << "\n"
               << "  invariant:  " << r.invariant << "\n"
-              << "  fingerprint " << fp << " ("
+              << "  fingerprint " << mcps::sim::hex64(r.fingerprint) << " ("
               << (r.byte_identical ? "byte-identical" : "MISMATCH") << ")\n"
               << "  deadline_violations: "
               << static_cast<std::uint64_t>(r.deadline_violations) << "\n";

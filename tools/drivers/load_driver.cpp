@@ -135,15 +135,18 @@ void usage(std::ostream& os, std::string_view prog) {
           "TCP port)\n"
           "  --port N / --host A    target an external TCP server\n"
           "  --unix PATH            target an external Unix-socket server\n"
-          "  --clients N            concurrent clients (default 4)\n"
-          "  --clients-list 1,4,16  sweep several concurrency levels\n"
+          "  --clients N            concurrent clients (default 4, at most "
+          "256)\n"
+          "  --clients-list 1,4,16  sweep several concurrency levels (each "
+          "at most 256)\n"
           "  --requests N           requests per client (default 50)\n"
           "  --seed N               master workload seed (default 42)\n"
           "  --minutes N            scenario minutes per request "
           "(default 1)\n"
           "  --seed-pool N          distinct seeds per preset (default 12;"
           " smaller = more cache hits)\n"
-          "  --workers N            embedded server workers (default 4)\n"
+          "  --workers N            embedded server workers (default 4, at "
+          "most 256)\n"
           "  --queue N              embedded admission capacity "
           "(default 64)\n"
           "  --cache N              embedded cache entries (default 256)\n"
@@ -266,10 +269,10 @@ int load_main(std::string_view prog,
             } else if (arg == "--unix") {
                 lc.unix_sock = std::string{value()};
             } else if (arg == "--clients") {
-                lc.client_list = {
-                    static_cast<unsigned>(cli::parse_u64(arg, value()))};
+                lc.client_list = {cli::parse_jobs(arg, value())};
             } else if (arg == "--clients-list") {
-                lc.client_list = cli::parse_unsigned_list(arg, value());
+                lc.client_list =
+                    cli::parse_unsigned_list(arg, value(), mcps::sim::kMaxJobs);
             } else if (arg == "--requests") {
                 lc.requests = cli::parse_u64(arg, value());
             } else if (arg == "--seed") {
@@ -282,8 +285,7 @@ int load_main(std::string_view prog,
                     throw CliError{"--seed-pool: must be >= 1"};
                 }
             } else if (arg == "--workers") {
-                lc.embed_cfg.workers =
-                    static_cast<unsigned>(cli::parse_u64(arg, value()));
+                lc.embed_cfg.workers = cli::parse_jobs(arg, value());
             } else if (arg == "--queue") {
                 lc.embed_cfg.queue_capacity = cli::parse_u64(arg, value());
             } else if (arg == "--cache") {

@@ -31,6 +31,7 @@
 #include "obs/obs.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/hash.hpp"
 
 namespace pipeline = mcps::pipeline;
 namespace scenario = mcps::scenario;
@@ -219,7 +220,7 @@ void print_summary(const pipeline::PipelineResult& result, unsigned jobs) {
                   << (p.from_cache ? "cached" : "ran") << "  " << p.wall_us
                   << " us\n";
     }
-    std::cout << "manifest digest: " << pipeline::hex64(result.digest())
+    std::cout << "manifest digest: " << mcps::sim::hex64(result.digest())
               << "\n";
 }
 
@@ -246,10 +247,10 @@ int cmd_verify(const pipeline::PipelineGraph& g, unsigned jobs, bool quiet) {
     const auto c = g.run(warm);
 
     if (!quiet) {
-        std::cout << "serial-cold:   " << pipeline::hex64(a.digest()) << "\n"
-                  << "parallel-cold: " << pipeline::hex64(b.digest())
+        std::cout << "serial-cold:   " << mcps::sim::hex64(a.digest()) << "\n"
+                  << "parallel-cold: " << mcps::sim::hex64(b.digest())
                   << " (jobs " << parallel_cold.jobs << ")\n"
-                  << "serial-warm:   " << pipeline::hex64(c.digest()) << " ("
+                  << "serial-warm:   " << mcps::sim::hex64(c.digest()) << " ("
                   << c.cache_hits << " hits)\n";
     }
     if (a.manifest() != b.manifest() || a.manifest() != c.manifest()) {

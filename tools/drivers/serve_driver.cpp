@@ -3,7 +3,7 @@
 /// src/serve and drivers.hpp).
 ///
 /// Binds a JSONL endpoint (TCP or Unix-domain), executes run requests
-/// on a worker pool with spec-keyed result caching and QoS admission
+/// on worker threads with spec-keyed result caching and QoS admission
 /// control, and drains gracefully on SIGINT/SIGTERM or a `drain`
 /// command.
 ///
@@ -46,7 +46,8 @@ void usage(std::ostream& os, std::string_view prog) {
           ", default 0)\n"
           "  --host ADDR            TCP bind address (default 127.0.0.1)\n"
           "  --unix PATH            listen on a Unix-domain socket instead\n"
-          "  --workers N            scenario worker threads (default 2)\n"
+          "  --workers N            scenario worker threads (default 2, at "
+          "most 256)\n"
           "  --queue N              admission queue capacity (default 64)\n"
           "  --cache N              result-cache entries, 0 disables "
           "(default 256)\n"
@@ -122,8 +123,7 @@ int serve_main(std::string_view prog,
             } else if (arg == "--unix") {
                 unix_sock = std::string{value()};
             } else if (arg == "--workers") {
-                cfg.workers =
-                    static_cast<unsigned>(cli::parse_u64(arg, value()));
+                cfg.workers = cli::parse_jobs(arg, value());
             } else if (arg == "--queue") {
                 cfg.queue_capacity = cli::parse_u64(arg, value());
             } else if (arg == "--cache") {

@@ -31,6 +31,7 @@
 #include "../drivers.hpp"
 #include "obs/obs.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/hash.hpp"
 #include "sim/table.hpp"
 
 namespace obs = mcps::obs;
@@ -236,10 +237,8 @@ int cmd_inspect(const std::vector<std::string_view>& args) {
         std::cout << ", t = [" << log.events().front().time.ticks() << " us, "
                   << log.events().back().time.ticks() << " us]";
     }
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(log.fingerprint()));
-    std::cout << ", fingerprint " << fp << "\n";
+    std::cout << ", fingerprint " << mcps::sim::hex64(log.fingerprint())
+              << "\n";
 
     mcps::sim::Table kinds{{"kind", "count"}};
     for (const auto& [kind, count] : by_kind) {

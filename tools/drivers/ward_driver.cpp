@@ -1,15 +1,15 @@
 /// \file ward_driver.cpp
 /// \brief Ward campaign driver (see drivers.hpp).
 ///
-/// Runs N patient scenarios over a work-stealing pool and prints (or
-/// emits as JSON) the ward-level aggregate report. `--verify-serial`
+/// Runs N patient scenarios over `--jobs` worker threads (shards mapped
+/// through sim::parallel_map) and prints (or emits as JSON) the
+/// ward-level aggregate report. `--verify-serial`
 /// re-runs the campaign single-threaded and requires the deterministic
 /// ward fingerprint to match — the engine's core promise.
 ///
 /// Exit codes: 0 = success, 1 = --verify-serial fingerprint mismatch,
 /// 2 = usage or I/O error.
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -18,6 +18,7 @@
 #include "../cli.hpp"
 #include "../drivers.hpp"
 #include "obs/obs.hpp"
+#include "sim/hash.hpp"
 #include "ward/ward.hpp"
 
 namespace ward = mcps::ward;
@@ -159,11 +160,8 @@ int ward_main(std::string_view prog,
             ward::WardConfig serial = cfg;
             serial.jobs = 1;
             const auto check = ward::WardEngine{serial}.run();
-            char a[32], b[32];
-            std::snprintf(a, sizeof a, "0x%016llx",
-                          static_cast<unsigned long long>(report.fingerprint));
-            std::snprintf(b, sizeof b, "0x%016llx",
-                          static_cast<unsigned long long>(check.fingerprint));
+            const std::string a = sim::hex64(report.fingerprint);
+            const std::string b = sim::hex64(check.fingerprint);
             if (report.fingerprint != check.fingerprint) {
                 std::cout << "FAIL: jobs=" << cfg.jobs << " fingerprint " << a
                           << " != serial fingerprint " << b << "\n";
