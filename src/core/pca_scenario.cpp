@@ -1,10 +1,12 @@
 #include "pca_scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "ice/ice.hpp"
+#include "sim/hash.hpp"
 
 namespace mcps::core {
 
@@ -192,6 +194,33 @@ net::Bus& PcaScenario::bus() { return impl_->bus; }
 mcps::sim::TraceRecorder& PcaScenario::trace() { return impl_->trace; }
 mcps::obs::EventLog& PcaScenario::events() { return impl_->events; }
 std::size_t PcaScenario::first_event() const { return impl_->first_event; }
+
+std::uint64_t PcaScenario::fingerprint() const {
+    using mcps::sim::mix;
+    using mcps::sim::mix_string;
+    std::uint64_t h = mcps::sim::kFnvOffset;
+    const auto& trace = impl_->trace;
+    for (const auto& name : trace.signal_names()) {
+        h = mix_string(h, name);
+        for (const auto& s : trace.find(name)->samples()) {
+            h = mix(h, static_cast<std::uint64_t>(s.time.ticks()));
+            h = mix(h, std::bit_cast<std::uint64_t>(s.value));
+        }
+    }
+    const auto& log = impl_->events;
+    const auto& events = log.events();
+    for (std::size_t i = impl_->first_event; i < events.size(); ++i) {
+        const mcps::obs::Event& e = events[i];
+        if (mcps::obs::is_bus_kind(e.kind)) continue;
+        h = mix(h, static_cast<std::uint64_t>(e.kind));
+        h = mix(h, static_cast<std::uint64_t>(e.time.ticks()));
+        h = mix_string(h, log.symbol(e.source));
+        h = mix_string(h, log.symbol(e.detail));
+        h = mix(h, std::bit_cast<std::uint64_t>(e.value));
+    }
+    return h;
+}
+
 PcaInterlock* PcaScenario::interlock() {
     return impl_->interlock ? &*impl_->interlock : nullptr;
 }

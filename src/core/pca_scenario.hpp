@@ -123,6 +123,13 @@ public:
     /// log (ward shards) holds earlier runs before them.
     [[nodiscard]] mcps::obs::EventLog& events();
     [[nodiscard]] std::size_t first_event() const;
+    /// Fold the run into 64 bits (order- and value-exact): every sample
+    /// of every signal in trace(), then this run's events from
+    /// first_event() on, skipping the bus kinds. Bus events are recorded
+    /// only into a caller's log, so skipping them makes the fingerprint
+    /// the same with events on or off. Two runs are byte-identical iff
+    /// their fingerprints match.
+    [[nodiscard]] std::uint64_t fingerprint() const;
     [[nodiscard]] PcaInterlock* interlock();  ///< nullptr in open loop
     [[nodiscard]] SmartAlarm* smart_alarm();  ///< nullptr if disabled
     [[nodiscard]] devices::BedsideMonitor* monitor();  ///< nullptr if disabled

@@ -1,8 +1,10 @@
 #include "xray_scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "ice/ice.hpp"
+#include "sim/hash.hpp"
 #include "sim/trace.hpp"
 
 namespace mcps::core {
@@ -121,6 +123,20 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
                     std::to_string(r.procedures) + "-completed",
                 static_cast<double>(sim.events_dispatched()));
     return r;
+}
+
+std::uint64_t fingerprint(const XrayScenarioResult& r) {
+    using mcps::sim::mix;
+    std::uint64_t h = mcps::sim::kFnvOffset;
+    h = mix(h, r.procedures);
+    h = mix(h, r.completed);
+    h = mix(h, r.sharp_images);
+    h = mix(h, r.total_retries);
+    h = mix(h, r.safety_auto_resumes);
+    h = mix(h, std::bit_cast<std::uint64_t>(r.mean_apnea_s));
+    h = mix(h, std::bit_cast<std::uint64_t>(r.max_apnea_s));
+    h = mix(h, std::bit_cast<std::uint64_t>(r.min_spo2));
+    return h;
 }
 
 }  // namespace mcps::core

@@ -58,4 +58,8 @@ struct XrayScenarioResult {
 [[nodiscard]] XrayScenarioResult run_xray_scenario(
     const XrayScenarioConfig& cfg);
 
+/// Fold an x-ray result into 64 bits (the x-ray harness doesn't expose
+/// its trace, so the result fields ARE the byte-identity surface).
+[[nodiscard]] std::uint64_t fingerprint(const XrayScenarioResult& result);
+
 }  // namespace mcps::core

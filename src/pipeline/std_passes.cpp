@@ -11,6 +11,7 @@
 #include "findings_io.hpp"
 #include "obs/exporters.hpp"
 #include "sim/hash.hpp"
+#include "sim/parallel.hpp"
 #include "ward/ward_engine.hpp"
 
 namespace mcps::pipeline {
@@ -293,7 +294,13 @@ ward::WardConfig parse_ward_config(std::string_view text) {
             cfg.patients =
                 static_cast<std::size_t>(parse_ward_u64(key, value));
         } else if (key == "jobs") {
-            cfg.jobs = static_cast<unsigned>(parse_ward_u64(key, value));
+            const std::uint64_t jobs = parse_ward_u64(key, value);
+            if (jobs > sim::kMaxJobs) {
+                bad_ward_config("jobs " + std::string{value} +
+                                " is above the maximum " +
+                                std::to_string(sim::kMaxJobs));
+            }
+            cfg.jobs = static_cast<unsigned>(jobs);
         } else if (key == "shards") {
             cfg.shards = static_cast<std::size_t>(parse_ward_u64(key, value));
         } else if (key == "mix") {

@@ -79,7 +79,8 @@ void add_analysis_passes(PipelineGraph& g, const AnalysisPassOptions& opts);
 [[nodiscard]] std::string ward_config_to_text(const ward::WardConfig& cfg);
 
 /// Parse ward_config_to_text() / `mcps pipeline --ward` specs. Unknown
-/// keys or malformed values \throw ward::WardConfigError.
+/// keys, malformed values and `jobs` above sim::kMaxJobs \throw
+/// ward::WardConfigError.
 [[nodiscard]] ward::WardConfig parse_ward_config(std::string_view text);
 
 /// Provide source artifact "ward/<id>/config" and register pass

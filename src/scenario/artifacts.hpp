@@ -2,7 +2,7 @@
 /// \brief RunArtifacts: the unified result of one registry-run scenario.
 ///
 /// Every scenario the registry runs yields the same artifact shape —
-/// the normalized spec echo, a 64-bit fingerprint (the testkit's
+/// the normalized spec echo, a 64-bit fingerprint (the harnesses'
 /// byte-identity definition of "the same run"), and a flat outcome
 /// digest in a deterministic key order — replacing the per-consumer
 /// metric structs the benches, CLIs and examples used to carry around.
@@ -41,8 +41,8 @@ struct RunArtifacts {
     /// The spec that produced this run (normalized: defaulted seed and
     /// minutes made explicit). `spec.to_text()` reproduces the run.
     ScenarioSpec spec;
-    /// Order- and value-exact digest of the run (testkit trace
-    /// fingerprint for PCA-family scenarios, result fingerprint for
+    /// Order- and value-exact digest of the run (PcaScenario::fingerprint
+    /// for PCA-family scenarios, core::fingerprint of the result for
     /// x-ray). Two runs are "the same" iff fingerprints match.
     std::uint64_t fingerprint = 0;
     /// Flat outcome metrics in a fixed, documented order.

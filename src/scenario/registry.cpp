@@ -6,7 +6,6 @@
 
 #include "core/pca_interlock.hpp"
 #include "sim/parallel.hpp"
-#include "testkit/runner.hpp"
 
 namespace mcps::scenario {
 
@@ -377,8 +376,7 @@ RunArtifacts run_pca_family(const ScenarioSpec& spec, const RunOptions& opts) {
 
     RunArtifacts art;
     art.spec = spec;
-    art.fingerprint = testkit::trace_fingerprint(sc.trace(), sc.events(),
-                                                 sc.first_event());
+    art.fingerprint = sc.fingerprint();
     art.outcome = pca_outcome(result);
     fill_metrics(spec, art, opts.metrics);
     return art;
@@ -393,7 +391,7 @@ RunArtifacts run_xray_family(const ScenarioSpec& spec,
 
     RunArtifacts art;
     art.spec = spec;
-    art.fingerprint = testkit::xray_result_fingerprint(result);
+    art.fingerprint = core::fingerprint(result);
     art.outcome = xray_outcome(result);
     fill_metrics(spec, art, opts.metrics);
     return art;

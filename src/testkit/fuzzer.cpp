@@ -1,7 +1,10 @@
 #include "fuzzer.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/parallel.hpp"
@@ -42,19 +45,20 @@ IndexedRun run_index(const FuzzOptions& opts, const ScenarioGenerator& gen,
     r.repro.seed = opts.seed;
     r.repro.index = i;
     r.repro.weakened = opts.weakened;
-    r.repro.kind = opts.weakened ? WorkloadKind::kPca
-                                 : gen.kind_of(i, opts.xray_fraction);
-    if (r.repro.kind == WorkloadKind::kXray) {
-        auto run = run_instrumented_xray(gen.xray(i).config);
-        r.violations = std::move(run.violations);
-        r.repro.fingerprint = run.fingerprint;
+    if (opts.hospital) {
+        r.repro.kind = WorkloadKind::kHospital;
+    } else if (opts.weakened) {
+        r.repro.kind = WorkloadKind::kPca;
     } else {
-        auto g = opts.weakened ? gen.weakened_pca(i) : gen.pca(i);
-        auto run = run_instrumented_pca(g.config, g.faults, checker);
-        r.violations = std::move(run.violations);
-        r.repro.faults = std::move(g.faults);
-        r.repro.fingerprint = run.fingerprint;
+        r.repro.kind = gen.kind_of(i, opts.xray_fraction);
     }
+    if (r.repro.kind == WorkloadKind::kPca) {
+        r.repro.faults =
+            (opts.weakened ? gen.weakened_pca(i) : gen.pca(i)).faults;
+    }
+    ReplayResult run = replay(r.repro, checker);
+    r.violations = std::move(run.violations);
+    r.repro.fingerprint = run.fingerprint;
     return r;
 }
 
@@ -82,8 +86,10 @@ FuzzFailure capture_failure(const FuzzOptions& opts,
     f.repro = std::move(repro);
     if (!opts.repro_dir.empty()) {
         std::ostringstream name;
-        name << opts.repro_dir << "/repro-" << f.repro.seed << "-"
-             << f.repro.index << ".txt";
+        name << opts.repro_dir
+             << (f.repro.kind == WorkloadKind::kHospital ? "/hospital-"
+                                                         : "/repro-")
+             << f.repro.seed << "-" << f.repro.index << ".txt";
         f.repro_path = name.str();
         save_repro(f.repro_path, f.repro);
     }
@@ -104,7 +110,16 @@ FuzzFailure capture_failure(const FuzzOptions& opts,
 
 FuzzOutcome run_fuzz(const FuzzOptions& opts, const InvariantChecker& checker,
                      unsigned jobs) {
+    if (!(opts.xray_fraction >= 0.0 && opts.xray_fraction <= 1.0)) {
+        char msg[64];
+        std::snprintf(msg, sizeof msg, "x-ray fraction %g is outside [0, 1]",
+                      opts.xray_fraction);
+        throw std::invalid_argument{msg};
+    }
     const ScenarioGenerator gen{opts.seed, opts.fault_intensity};
+    if (!opts.repro_dir.empty()) {
+        std::filesystem::create_directories(opts.repro_dir);
+    }
     FuzzOutcome out;
 
     for (std::uint64_t base = 0; base < opts.scenarios; base += kWindow) {
@@ -118,10 +133,10 @@ FuzzOutcome run_fuzz(const FuzzOptions& opts, const InvariantChecker& checker,
         // the same order for any job count.
         for (IndexedRun& r : runs) {
             ++out.scenarios_run;
-            if (r.repro.kind == WorkloadKind::kXray) {
-                ++out.xray_runs;
-            } else {
-                ++out.pca_runs;
+            switch (r.repro.kind) {
+                case WorkloadKind::kPca: ++out.pca_runs; break;
+                case WorkloadKind::kXray: ++out.xray_runs; break;
+                case WorkloadKind::kHospital: ++out.hospital_runs; break;
             }
             if (!r.violations.empty()) {
                 out.failures.push_back(

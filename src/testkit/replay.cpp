@@ -153,6 +153,8 @@ Repro repro_from_text(const std::string& text) {
                 r.kind = WorkloadKind::kPca;
             } else if (value == "xray") {
                 r.kind = WorkloadKind::kXray;
+            } else if (value == "hospital") {
+                r.kind = WorkloadKind::kHospital;
             } else {
                 malformed("unknown workload '" + std::string{value} + "'");
             }
@@ -201,15 +203,23 @@ Repro load_repro(const std::string& path) {
 ReplayResult replay(const Repro& r, const InvariantChecker& checker) {
     const ScenarioGenerator gen{r.seed};
     ReplayResult out;
-    if (r.kind == WorkloadKind::kXray) {
-        const auto run = run_instrumented_xray(gen.xray(r.index).config);
-        out.violations = run.violations;
+    if (r.kind == WorkloadKind::kHospital) {
+        auto run = check_hospital(gen.hospital(r.index, r.weakened),
+                                  r.weakened);
+        out.violations = std::move(run.violations);
+        out.fingerprint = run.fingerprint;
+    } else if (r.kind == WorkloadKind::kXray) {
+        auto run = run_instrumented_xray(gen.xray(r.index).config);
+        out.violations = std::move(run.violations);
         out.fingerprint = run.fingerprint;
     } else {
+        // The generated config never depends on the fault intensity (the
+        // plan is drawn last), so a default generator rebuilds it; the
+        // repro's own plan is re-armed.
         const auto cfg = r.weakened ? gen.weakened_pca(r.index).config
                                     : gen.pca(r.index).config;
-        const auto run = run_instrumented_pca(cfg, r.faults, checker);
-        out.violations = run.violations;
+        auto run = run_instrumented_pca(cfg, r.faults, checker);
+        out.violations = std::move(run.violations);
         out.fingerprint = run.fingerprint;
     }
     out.byte_identical =

@@ -1,13 +1,16 @@
 /// \file replay.hpp
 /// \brief Compact repro files, byte-identical replay, greedy shrinking.
 ///
-/// A failing fuzz run is fully described by (master seed, scenario index,
-/// fault plan): the ScenarioGenerator deterministically rebuilds the
-/// scenario from the first two and the injector re-applies the third, so
-/// the repro file stays a few hundred bytes no matter how large the run
-/// was. Replaying verifies byte-identity through the trace fingerprint.
-/// Shrinking greedily removes fault events while the violation persists,
-/// leaving a minimal counterexample.
+/// A failing fuzz run is fully described by (workload, master seed,
+/// scenario index, weakened flag, fault plan): the ScenarioGenerator
+/// deterministically rebuilds the scenario from the first four and the
+/// injector re-applies the fifth, so the repro file stays a few hundred
+/// bytes no matter how large the run was. A hospital repro has no fault
+/// plan: its spec is a pure function of (seed, index, weakened), where
+/// weakened selects the interlock-off storm hazard. Replaying verifies
+/// byte-identity through the run fingerprint. Shrinking greedily removes
+/// fault events while the violation persists, leaving a minimal
+/// counterexample.
 
 #pragma once
 
@@ -25,8 +28,10 @@ struct Repro {
     WorkloadKind kind = WorkloadKind::kPca;
     std::uint64_t seed = 0;
     std::uint64_t index = 0;
-    bool weakened = false;  ///< came from the weakened-interlock fixture
-    FaultPlan faults;       ///< explicit so shrinking can edit it
+    /// Came from the weakened-interlock fixture (pca) or the
+    /// interlock-off storm hazard (hospital).
+    bool weakened = false;
+    FaultPlan faults;  ///< explicit so shrinking can edit it (pca only)
     /// Fingerprint of the canonical violating run (0 = unknown).
     std::uint64_t fingerprint = 0;
 };

@@ -1,40 +1,13 @@
 #include "runner.hpp"
 
-#include <bit>
+#include <exception>
+#include <string>
 
-#include "sim/hash.hpp"
+#include "scenario/registry.hpp"
 
 namespace mcps::testkit {
 
 using mcps::sim::SimDuration;
-using mcps::sim::kFnvOffset;
-using mcps::sim::mix;
-using mcps::sim::mix_string;
-
-std::uint64_t trace_fingerprint(const mcps::sim::TraceRecorder& trace,
-                                const mcps::obs::EventLog& log,
-                                std::size_t first_event) {
-    std::uint64_t h = kFnvOffset;
-    for (const auto& name : trace.signal_names()) {
-        const auto* sig = trace.find(name);
-        h = mix_string(h, name);
-        for (const auto& s : sig->samples()) {
-            h = mix(h, static_cast<std::uint64_t>(s.time.ticks()));
-            h = mix(h, std::bit_cast<std::uint64_t>(s.value));
-        }
-    }
-    const auto& events = log.events();
-    for (std::size_t i = first_event; i < events.size(); ++i) {
-        const mcps::obs::Event& e = events[i];
-        if (mcps::obs::is_bus_kind(e.kind)) continue;
-        h = mix(h, static_cast<std::uint64_t>(e.kind));
-        h = mix(h, static_cast<std::uint64_t>(e.time.ticks()));
-        h = mix_string(h, log.symbol(e.source));
-        h = mix_string(h, log.symbol(e.detail));
-        h = mix(h, std::bit_cast<std::uint64_t>(e.value));
-    }
-    return h;
-}
 
 PcaRunOutcome run_instrumented_pca(const core::PcaScenarioConfig& cfg,
                                    const FaultPlan& faults,
@@ -82,22 +55,8 @@ PcaRunOutcome run_instrumented_pca(const core::PcaScenarioConfig& cfg,
     const PcaCheckContext ctx{cfg, out.result, scenario.trace(), probe_smart,
                               probe_monitor};
     out.violations = checker.check_pca(ctx);
-    out.fingerprint = trace_fingerprint(scenario.trace(), scenario.events(),
-                                        scenario.first_event());
+    out.fingerprint = scenario.fingerprint();
     return out;
-}
-
-std::uint64_t xray_result_fingerprint(const core::XrayScenarioResult& r) {
-    std::uint64_t h = kFnvOffset;
-    h = mix(h, r.procedures);
-    h = mix(h, r.completed);
-    h = mix(h, r.sharp_images);
-    h = mix(h, r.total_retries);
-    h = mix(h, r.safety_auto_resumes);
-    h = mix(h, std::bit_cast<std::uint64_t>(r.mean_apnea_s));
-    h = mix(h, std::bit_cast<std::uint64_t>(r.max_apnea_s));
-    h = mix(h, std::bit_cast<std::uint64_t>(r.min_spo2));
-    return h;
 }
 
 XrayRunOutcome run_instrumented_xray(const core::XrayScenarioConfig& cfg,
@@ -105,7 +64,49 @@ XrayRunOutcome run_instrumented_xray(const core::XrayScenarioConfig& cfg,
     XrayRunOutcome out;
     out.result = core::run_xray_scenario(cfg);
     out.violations = InvariantChecker::check_xray(cfg, out.result, tol);
-    out.fingerprint = xray_result_fingerprint(out.result);
+    out.fingerprint = core::fingerprint(out.result);
+    return out;
+}
+
+HospitalRunOutcome check_hospital(const scenario::ScenarioSpec& spec,
+                                  bool hazard) {
+    HospitalRunOutcome out;
+    scenario::RunArtifacts art;
+    try {
+        art = scenario::registry().run(spec);
+    } catch (const std::exception& e) {
+        out.violations.push_back({"resolves-and-runs", 0.0, e.what()});
+        return out;
+    }
+    out.fingerprint = art.fingerprint;
+
+    // Determinism + jobs invariance: the identical spec with jobs=1 must
+    // reproduce the fingerprint and every outcome metric bit-exactly
+    // (wall-clock never enters the outcome).
+    scenario::ScenarioSpec serial = spec;
+    serial.set("jobs", "1");
+    const scenario::RunArtifacts again = scenario::registry().run(serial);
+    if (again.fingerprint != art.fingerprint || again.outcome != art.outcome) {
+        out.violations.push_back(
+            {"jobs-invariant-report", 0.0,
+             "jobs=" + *spec.find("jobs") + " report differs from jobs=1 "
+             "(fingerprints " + art.fingerprint_hex() + " vs " +
+                 again.fingerprint_hex() + ")"});
+        return out;
+    }
+
+    const double violations = art.at("deadline_violations");
+    if (violations > 0) {
+        const std::string n =
+            std::to_string(static_cast<std::uint64_t>(violations));
+        out.violations.push_back(
+            hazard ? Violation{std::string{kHospitalHazard}, 0.0,
+                               n + " deadline violations (interlock off, "
+                                   "storm)"}
+                   : Violation{"deadline-safe-envelope", 0.0,
+                               n + " deadline violations inside the "
+                                   "claimed-safe envelope"});
+    }
     return out;
 }
 

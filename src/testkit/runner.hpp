@@ -10,12 +10,16 @@
 /// the run. Two runs are byte-identical iff their fingerprints match:
 /// the fingerprint folds every signal sample and every event the run
 /// recorded apart from bus traffic, so it is the replay facility's
-/// definition of "the same run".
+/// definition of "the same run". The hospital family runs through the
+/// scenario registry instead; its fingerprint is the report's.
 
 #pragma once
 
+#include <string_view>
+
 #include "fault_plan.hpp"
 #include "invariants.hpp"
+#include "scenario/spec.hpp"
 
 namespace mcps::testkit {
 
@@ -35,20 +39,14 @@ struct XrayRunOutcome {
     std::uint64_t fingerprint = 0;  ///< folded from the result fields
 };
 
-/// Fold a run into 64 bits (order- and value-exact): every sample of
-/// every signal in \p trace, then the events of \p log from index
-/// \p first_event on (the run's own; see PcaScenario::first_event),
-/// skipping the bus kinds. Bus events are recorded only into a
-/// caller's log, so skipping them makes the fingerprint the same with
-/// events on or off.
-[[nodiscard]] std::uint64_t trace_fingerprint(
-    const mcps::sim::TraceRecorder& trace, const mcps::obs::EventLog& log,
-    std::size_t first_event);
+/// Outcome of one checked hospital-family run.
+struct HospitalRunOutcome {
+    std::vector<Violation> violations;
+    std::uint64_t fingerprint = 0;  ///< the report's; 0 if it did not run
+};
 
-/// Fold an x-ray result into 64 bits (the x-ray harness doesn't expose
-/// its trace, so the result fields ARE the byte-identity surface).
-[[nodiscard]] std::uint64_t xray_result_fingerprint(
-    const core::XrayScenarioResult& result);
+/// The violation an interlock-off storm hazard is expected to raise.
+inline constexpr std::string_view kHospitalHazard = "deadline-hazard-expected";
 
 /// Run one PCA scenario with faults injected and invariants checked.
 [[nodiscard]] PcaRunOutcome run_instrumented_pca(
@@ -58,5 +56,18 @@ struct XrayRunOutcome {
 /// Run one x-ray scenario and check its result-level invariants.
 [[nodiscard]] XrayRunOutcome run_instrumented_xray(
     const core::XrayScenarioConfig& cfg, InvariantTolerances tol = {});
+
+/// Run one hospital spec through the scenario registry and check it:
+///   resolves-and-runs       the spec resolves and runs;
+///   jobs-invariant-report   the same spec at jobs=1 reproduces the
+///                           fingerprint and every outcome metric;
+///   deadline-safe-envelope  no deadline violations — or, with
+///                           \p hazard (interlock off plus a storm,
+///                           outside the envelope), the violations are
+///                           reported as the expected kHospitalHazard.
+/// The hospital report counts deadline violations but not their times,
+/// so every Violation's at_s is 0.
+[[nodiscard]] HospitalRunOutcome check_hospital(
+    const scenario::ScenarioSpec& spec, bool hazard);
 
 }  // namespace mcps::testkit

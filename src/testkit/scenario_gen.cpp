@@ -1,7 +1,10 @@
 #include "scenario_gen.hpp"
 
-#include <algorithm>
+#include <cstdio>
+#include <stdexcept>
 #include <string>
+
+#include "scenario/registry.hpp"
 
 namespace mcps::testkit {
 
@@ -12,13 +15,27 @@ std::string_view to_string(WorkloadKind k) noexcept {
     switch (k) {
         case WorkloadKind::kPca: return "pca";
         case WorkloadKind::kXray: return "xray";
+        case WorkloadKind::kHospital: return "hospital";
     }
     return "unknown";
 }
 
+bool fault_intensity_in_domain(double intensity) noexcept {
+    // NaN fails both comparisons, and the bounds exclude the infinities.
+    return intensity >= 0.0 && intensity <= kMaxFaultIntensity;
+}
+
 ScenarioGenerator::ScenarioGenerator(std::uint64_t master_seed,
                                      double fault_intensity)
-    : seed_{master_seed}, fault_intensity_{std::max(0.0, fault_intensity)} {}
+    : seed_{master_seed}, fault_intensity_{fault_intensity} {
+    if (!fault_intensity_in_domain(fault_intensity)) {
+        char msg[96];
+        std::snprintf(msg, sizeof msg,
+                      "fault intensity %g is outside [0, %g]",
+                      fault_intensity, kMaxFaultIntensity);
+        throw std::invalid_argument{msg};
+    }
+}
 
 WorkloadKind ScenarioGenerator::kind_of(std::uint64_t index,
                                         double xray_fraction) const {
@@ -31,6 +48,24 @@ namespace {
 
 SimDuration uniform_duration(RngStream& rng, SimDuration lo, SimDuration hi) {
     return SimDuration::micros(rng.uniform_int(lo.ticks(), hi.ticks()));
+}
+
+std::string fmt_double(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3f", v);
+    return buf;
+}
+
+/// Sample a knob uniformly from its claimed-safe envelope.
+double safe_number(RngStream& rng, const scenario::ScenarioInfo& info,
+                   const char* knob) {
+    const scenario::KnobInfo* k = info.find_knob(knob);
+    if (k == nullptr) {
+        throw std::logic_error{std::string{"hospital fuzz: registry lost "
+                                           "knob '"} +
+                               knob + "'"};
+    }
+    return rng.uniform(k->safe_lo, k->safe_hi);
 }
 
 }  // namespace
@@ -249,6 +284,61 @@ GeneratedXray ScenarioGenerator::xray(std::uint64_t index) const {
     c.channel.duplicate_probability = rng.uniform(0.0, 0.05);
     c.channel.reorder_probability = rng.uniform(0.0, 0.1);
     return g;
+}
+
+scenario::ScenarioSpec ScenarioGenerator::hospital(std::uint64_t index,
+                                                   bool hazard) const {
+    const scenario::ScenarioInfo& info =
+        scenario::registry().info("hospital-small");
+    RngStream rng{seed_, "fuzz.hospital." + std::to_string(index)};
+
+    scenario::ScenarioSpec spec = scenario::registry().default_spec(info.name);
+    spec.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1000000));
+
+    const std::int64_t patients =
+        hazard ? rng.uniform_int(16, 48) : rng.uniform_int(8, 96);
+    const std::int64_t max_wards = patients < 4 ? patients : 4;
+    spec.minutes = static_cast<std::uint64_t>(
+        hazard ? rng.uniform_int(6, 8) : rng.uniform_int(2, 5));
+    spec.set("patients", std::to_string(patients));
+    spec.set("wards", std::to_string(rng.uniform_int(1, max_wards)));
+    spec.set("nurses", std::to_string(rng.uniform_int(1, 4)));
+    spec.set("bus-capacity", std::to_string(rng.uniform_int(4, 64)));
+    const char* jobs_choices[] = {"1", "2", "4"};
+    spec.set("jobs", jobs_choices[rng.uniform_int(0, 2)]);
+    const char* mixes[] = {"typical", "mixed", "high-risk"};
+    spec.set("mix", mixes[rng.uniform_int(0, 2)]);
+    spec.set("monitor-period-s",
+             fmt_double(safe_number(rng, info, "monitor-period-s")));
+    spec.set("alarm-threshold", fmt_double(rng.uniform(80.0, 95.0)));
+
+    if (hazard) {
+        // Tightest claimed-safe deadline: with deadlines near the 600 s
+        // envelope top a 6-8 minute run cannot violate by construction,
+        // which would make the expected-hazard check vacuous.
+        spec.set("deadline-s",
+                 fmt_double(info.find_knob("deadline-s")->safe_lo));
+        spec.set("interlock", "off");
+        spec.set("demand-per-hour", fmt_double(rng.uniform(0.0, 20.0)));
+        spec.set("bolus-mg", fmt_double(rng.uniform(0.5, 2.0)));
+        spec.set("storm-fraction", fmt_double(rng.uniform(0.6, 1.0)));
+        spec.set("storm-bolus-mg", fmt_double(rng.uniform(6.0, 10.0)));
+        spec.set("storm-at-s", fmt_double(rng.uniform(30.0, 120.0)));
+    } else {
+        spec.set("deadline-s",
+                 fmt_double(safe_number(rng, info, "deadline-s")));
+        spec.set("interlock", "local");
+        spec.set("demand-per-hour", fmt_double(rng.uniform(0.0, 60.0)));
+        spec.set("bolus-mg", fmt_double(rng.uniform(0.0, 10.0)));
+        if (rng.bernoulli(0.5)) {
+            spec.set("storm-fraction", fmt_double(rng.uniform(0.0, 1.0)));
+            spec.set("storm-bolus-mg", fmt_double(rng.uniform(0.0, 10.0)));
+            spec.set("storm-at-s",
+                     fmt_double(rng.uniform(
+                         0.0, static_cast<double>(spec.minutes) * 60.0)));
+        }
+    }
+    return spec;
 }
 
 }  // namespace mcps::testkit

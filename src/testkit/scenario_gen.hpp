@@ -12,7 +12,9 @@
 /// data-loss policy, stop thresholds in the clinical band, bounded fault
 /// windows). The weakened_pca() fixture deliberately steps outside that
 /// envelope to prove the invariants can fail — the fuzzer's own
-/// regression test.
+/// regression test. The hospital family has no fault plan: its hazard
+/// surface is the knob space itself, so hospital() samples a whole
+/// hospital-small ScenarioSpec instead.
 
 #pragma once
 
@@ -21,13 +23,21 @@
 #include "core/pca_scenario.hpp"
 #include "core/xray_scenario.hpp"
 #include "fault_plan.hpp"
+#include "scenario/spec.hpp"
 
 namespace mcps::testkit {
 
 /// Which end-to-end workload a scenario index runs.
-enum class WorkloadKind { kPca, kXray };
+enum class WorkloadKind { kPca, kXray, kHospital };
 
 [[nodiscard]] std::string_view to_string(WorkloadKind k) noexcept;
+
+/// Largest fault intensity a generator accepts: up to 600 fault events
+/// per plan, a hundred times the default mix.
+inline constexpr double kMaxFaultIntensity = 100.0;
+
+/// True iff \p intensity is a finite number in [0, kMaxFaultIntensity].
+[[nodiscard]] bool fault_intensity_in_domain(double intensity) noexcept;
 
 /// A generated PCA scenario plus its adversarial fault plan.
 struct GeneratedPca {
@@ -45,6 +55,8 @@ class ScenarioGenerator {
 public:
     /// \param fault_intensity scales the expected number of fault events
     ///        per plan (0 disables injection, 1 is the default mix).
+    /// \throws std::invalid_argument naming \p fault_intensity when it
+    ///         is outside fault_intensity_in_domain.
     explicit ScenarioGenerator(std::uint64_t master_seed,
                                double fault_intensity = 1.0);
 
@@ -60,6 +72,15 @@ public:
     /// retries) on a high-risk patient with PCA-by-proxy demand. A correct
     /// fuzzer MUST find invariant violations here.
     [[nodiscard]] GeneratedPca weakened_pca(std::uint64_t index) const;
+
+    /// A hospital-small spec. Safe mode stays inside the claimed-safe
+    /// envelope (interlock=local; monitor period and deadline within
+    /// their TA5 envelopes; storms allowed, since the pump-local
+    /// interlock is bus-independent). \p hazard removes the interlock
+    /// and synchronizes a large storm, which reliably blows the deadline
+    /// within a few simulated minutes.
+    [[nodiscard]] scenario::ScenarioSpec hospital(std::uint64_t index,
+                                                  bool hazard) const;
 
     [[nodiscard]] std::uint64_t master_seed() const noexcept { return seed_; }
 

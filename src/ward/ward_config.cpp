@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "testkit/scenario_gen.hpp"
+
 namespace mcps::ward {
 
 ScenarioMix ScenarioMix::normalized() const {
@@ -81,8 +83,12 @@ std::string to_string(const ScenarioMix& mix) {
 void WardConfig::validate() const {
     if (patients == 0) throw WardConfigError{"WardConfig: patients must be > 0"};
     if (shards == 0) throw WardConfigError{"WardConfig: shards must be > 0"};
-    if (fault_intensity < 0) {
-        throw WardConfigError{"WardConfig: fault_intensity must be >= 0"};
+    if (!testkit::fault_intensity_in_domain(fault_intensity)) {
+        char msg[96];
+        std::snprintf(msg, sizeof msg,
+                      "WardConfig: fault_intensity %g is outside [0, %g]",
+                      fault_intensity, testkit::kMaxFaultIntensity);
+        throw WardConfigError{msg};
     }
     (void)mix.normalized();
 }

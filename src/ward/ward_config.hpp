@@ -55,10 +55,13 @@ struct WardConfig {
     std::size_t shards = 64;     ///< deterministic reduction shards
     ScenarioMix mix{};
     /// Scales the adversarial fault plans injected into PCA-family
-    /// scenarios (0 = none, 1 = the fuzzer's default mix).
+    /// scenarios (0 = none, 1 = the fuzzer's default mix; at most
+    /// testkit::kMaxFaultIntensity).
     double fault_intensity = 0.0;
 
-    /// \throws WardConfigError on zero patients/shards or a bad mix.
+    /// \throws WardConfigError on zero patients/shards, a fault
+    /// intensity that is not a finite number in [0,
+    /// testkit::kMaxFaultIntensity], or a bad mix.
     void validate() const;
 };
 

@@ -277,6 +277,18 @@ TEST(WardConfigText, RejectsMalformedSpecs) {
                  ward::WardConfigError);
     EXPECT_THROW((void)pipeline::parse_ward_config("no-equals-sign"),
                  ward::WardConfigError);
+    // jobs is bounded like --jobs: no silent wrap of 2^32 + 1 to 1.
+    for (const char* jobs : {"257", "1000", "4294967297"}) {
+        try {
+            (void)pipeline::parse_ward_config(std::string{"jobs="} + jobs);
+            ADD_FAILURE() << "accepted jobs=" << jobs;
+        } catch (const ward::WardConfigError& e) {
+            EXPECT_EQ(std::string{e.what()},
+                      std::string{"ward config: jobs "} + jobs +
+                          " is above the maximum 256");
+        }
+    }
+    EXPECT_EQ(pipeline::parse_ward_config("jobs=256").jobs, 256u);
 }
 
 }  // namespace

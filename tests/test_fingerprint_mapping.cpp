@@ -22,7 +22,6 @@
 #include "core/pca_scenario.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/hash.hpp"
-#include "testkit/runner.hpp"
 #include "tests/support/pinned_presets.hpp"
 
 namespace {
@@ -112,8 +111,7 @@ Folds run_both_folds(const scenario::ScenarioSpec& spec) {
     core::PcaScenario sc{scenario::make_pca_config(spec)};
     (void)sc.run();
     Folds f;
-    f.production =
-        testkit::trace_fingerprint(sc.trace(), sc.events(), sc.first_event());
+    f.production = sc.fingerprint();
     f.legacy = legacy_fingerprint(sc.trace(), sc.events(), sc.first_event());
     for (const obs::Event& e : sc.events().events()) {
         if (e.kind == EventKind::kAlarm &&

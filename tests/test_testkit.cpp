@@ -1,12 +1,17 @@
 /// \file test_testkit.cpp
 /// \brief Tests for the fuzzing testkit: fault plans and injection,
-/// invariants, repro serialization, deterministic replay, and shrinking.
+/// invariants, repro serialization, deterministic replay, and shrinking,
+/// for the pca, x-ray and hospital workloads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -139,6 +144,25 @@ TEST(Repro, TextRoundTripPreservesEverything) {
     EXPECT_DOUBLE_EQ(back.faults.events[0].magnitude, 1234.5);
     // %.17g round-trips doubles exactly, ulp included.
     EXPECT_EQ(back.faults.events[1].magnitude, 0.30000000000000004);
+
+    // A hospital repro: no spec line and no fault plan, since the spec
+    // is a pure function of (seed, index, weakened).
+    Repro h;
+    h.kind = WorkloadKind::kHospital;
+    h.seed = 42;
+    h.index = 2;
+    h.weakened = true;
+    h.fingerprint = 0x2e3d61c6086b2ce4ULL;
+    EXPECT_EQ(to_text(h),
+              "mcps-repro v2\nkind=hospital\nseed=42\nindex=2\n"
+              "weakened=1\nfingerprint=0x2e3d61c6086b2ce4\n");
+    const Repro hback = repro_from_text(to_text(h));
+    EXPECT_EQ(hback.kind, WorkloadKind::kHospital);
+    EXPECT_EQ(hback.seed, h.seed);
+    EXPECT_EQ(hback.index, h.index);
+    EXPECT_EQ(hback.weakened, h.weakened);
+    EXPECT_EQ(hback.fingerprint, h.fingerprint);
+    EXPECT_TRUE(hback.faults.empty());
 }
 
 TEST(Repro, MalformedTextThrows) {
@@ -228,44 +252,12 @@ TEST(Repro, StrictFieldsRejectWhatTheyCannotRoundTrip) {
     EXPECT_EQ(domains.faults.events[2].magnitude, 9223372036854774.0);
 }
 
-/// ROADMAP's repro mutation sweep: 2000 seeded byte mutants of a real
-/// shrunk repro each either throw a "repro:" error or parse to a
-/// Repro whose text is a fixed point of parse -> to_text.
-TEST(Repro, MutationSweepRejectsOrReachesAFixedPoint) {
-    // A generated plan holding an oximeter dropout, shrunk against an
-    // invariant that only the dropout violates: the other faults go,
-    // the dropout stays.
-    InvariantChecker dropout_free;
-    dropout_free.add_pca(
-        "test/oximeter-never-drops-out",
-        [](const PcaCheckContext& ctx, std::vector<Violation>& out) {
-            const auto* dropout = ctx.trace.find("testkit/oxi_dropout");
-            if (dropout != nullptr && dropout->stats().max() > 0.5) {
-                out.push_back({"test/oximeter-never-drops-out", 0.0, ""});
-            }
-        });
-    const ScenarioGenerator gen{42};
-    const auto worth_shrinking = [](const FaultPlan& plan) {
-        return plan.size() > 1 &&
-               std::any_of(plan.events.begin(), plan.events.end(),
-                           [](const FaultEvent& e) {
-                               return e.kind == FaultKind::kOxiDropout;
-                           });
-    };
-    Repro found;
-    found.seed = 42;
-    while (found.index < 200 &&
-           !worth_shrinking(gen.pca(found.index).faults)) {
-        ++found.index;
-    }
-    found.faults = gen.pca(found.index).faults;
-    const Repro minimal = shrink(found, dropout_free);
-    ASSERT_FALSE(minimal.faults.empty());
-    ASSERT_LT(minimal.faults.size(), found.faults.size());
-    const std::string text = to_text(minimal);
-
+/// 2000 seeded byte mutants of \p text: each either throws a "repro:"
+/// error or parses to a Repro whose text is a fixed point of parse ->
+/// to_text.
+void expect_mutants_rejected_or_fixed(const std::string& text,
+                                      std::mt19937_64& rng) {
     constexpr char kInteresting[] = "=-+0123456789xXabcdef \n.eEinfa\t\r";
-    std::mt19937_64 rng{20261017};
     std::size_t rejected = 0, parsed = 0;
     for (int iter = 0; iter < 2000; ++iter) {
         std::string doc = text;
@@ -302,8 +294,56 @@ TEST(Repro, MutationSweepRejectsOrReachesAFixedPoint) {
         }
         EXPECT_EQ(twice, once) << "mutant:\n" << doc;
     }
-    EXPECT_GT(rejected, 0u);
-    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u) << text;
+    EXPECT_GT(parsed, 0u) << text;
+}
+
+/// ROADMAP's repro mutation sweep: 2000 seeded byte mutants of a real
+/// shrunk pca repro, and 2000 of a real hospital hazard repro, each
+/// either throw a "repro:" error or parse to a Repro whose text is a
+/// fixed point of parse -> to_text.
+TEST(Repro, MutationSweepRejectsOrReachesAFixedPoint) {
+    // A generated plan holding an oximeter dropout, shrunk against an
+    // invariant that only the dropout violates: the other faults go,
+    // the dropout stays.
+    InvariantChecker dropout_free;
+    dropout_free.add_pca(
+        "test/oximeter-never-drops-out",
+        [](const PcaCheckContext& ctx, std::vector<Violation>& out) {
+            const auto* dropout = ctx.trace.find("testkit/oxi_dropout");
+            if (dropout != nullptr && dropout->stats().max() > 0.5) {
+                out.push_back({"test/oximeter-never-drops-out", 0.0, ""});
+            }
+        });
+    const ScenarioGenerator gen{42};
+    const auto worth_shrinking = [](const FaultPlan& plan) {
+        return plan.size() > 1 &&
+               std::any_of(plan.events.begin(), plan.events.end(),
+                           [](const FaultEvent& e) {
+                               return e.kind == FaultKind::kOxiDropout;
+                           });
+    };
+    Repro found;
+    found.seed = 42;
+    while (found.index < 200 &&
+           !worth_shrinking(gen.pca(found.index).faults)) {
+        ++found.index;
+    }
+    found.faults = gen.pca(found.index).faults;
+    const Repro minimal = shrink(found, dropout_free);
+    ASSERT_FALSE(minimal.faults.empty());
+    ASSERT_LT(minimal.faults.size(), found.faults.size());
+
+    FuzzOptions hospital;
+    hospital.scenarios = 1;
+    hospital.hospital = true;
+    hospital.weakened = true;
+    const FuzzOutcome hazard = run_fuzz(hospital);
+    ASSERT_EQ(hazard.failures.size(), 1u);
+
+    std::mt19937_64 rng{20261017};
+    expect_mutants_rejected_or_fixed(to_text(minimal), rng);
+    expect_mutants_rejected_or_fixed(to_text(hazard.failures[0].repro), rng);
 }
 
 TEST(Generator, SameSeedAndIndexIsIdentical) {
@@ -315,6 +355,16 @@ TEST(Generator, SameSeedAndIndexIsIdentical) {
     EXPECT_EQ(ga.faults.size(), gb.faults.size());
     // Different indices draw from different streams.
     EXPECT_NE(ga.config.seed, a.pca(6).config.seed);
+    // A hospital spec is a pure function of (seed, index, hazard), which
+    // is what lets a hospital repro carry no spec line; the fault
+    // intensity does not enter it.
+    const ScenarioGenerator no_faults{42, 0.0};
+    for (const bool hazard : {false, true}) {
+        EXPECT_EQ(a.hospital(5, hazard).to_text(),
+                  no_faults.hospital(5, hazard).to_text());
+        EXPECT_NE(a.hospital(5, hazard).to_text(),
+                  a.hospital(6, hazard).to_text());
+    }
 }
 
 TEST(Generator, SafeEnvelopeIsFailSafe) {
@@ -324,6 +374,35 @@ TEST(Generator, SafeEnvelopeIsFailSafe) {
         ASSERT_TRUE(g.config.interlock.has_value());
         EXPECT_EQ(g.config.interlock->data_loss,
                   core::DataLossPolicy::kFailSafe);
+        // The hospital envelope keeps the pump-local interlock; only the
+        // hazard removes it.
+        EXPECT_EQ(*gen.hospital(i, false).find("interlock"), "local");
+        EXPECT_EQ(*gen.hospital(i, true).find("interlock"), "off");
+    }
+}
+
+/// The fault intensity scales the number of fault events per plan, so
+/// a value outside [0, kMaxFaultIntensity] is refused by name before
+/// anything is sampled: NaN would run fault-free, and an infinite event
+/// count cannot be cast.
+TEST(Generator, FaultIntensityOutsideItsDomainIsRefused) {
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0, 1e9,
+                             std::nextafter(kMaxFaultIntensity, HUGE_VAL)}) {
+        EXPECT_FALSE(fault_intensity_in_domain(bad)) << bad;
+        try {
+            (void)ScenarioGenerator{42, bad};
+            ADD_FAILURE() << "accepted fault intensity " << bad;
+        } catch (const std::invalid_argument& e) {
+            char value[32];
+            std::snprintf(value, sizeof value, "%g", bad);
+            EXPECT_EQ(std::string{e.what()},
+                      std::string{"fault intensity "} + value +
+                          " is outside [0, 100]");
+        }
+    }
+    for (const double good : {0.0, 1.0, kMaxFaultIntensity}) {
+        EXPECT_TRUE(fault_intensity_in_domain(good)) << good;
+        EXPECT_NO_THROW((void)ScenarioGenerator(42, good)) << good;
     }
 }
 
@@ -447,9 +526,40 @@ TEST(Fuzzer, WeakenedModeReportsShrunkFailures) {
     EXPECT_TRUE(f.repro_path.empty());  // no repro_dir configured
 }
 
+/// Run \p opts at jobs 1 and at jobs 4 and expect the same outcome,
+/// the same repros and a byte-identical log stream.
+void expect_jobs_invariant(FuzzOptions opts, const InvariantChecker& checker) {
+    std::vector<std::string> serial_log, parallel_log;
+    opts.log = [&serial_log](const std::string& l) {
+        serial_log.push_back(l);
+    };
+    const auto serial = run_fuzz(opts, checker, /*jobs=*/1);
+    opts.log = [&parallel_log](const std::string& l) {
+        parallel_log.push_back(l);
+    };
+    const auto parallel = run_fuzz(opts, checker, /*jobs=*/4);
+
+    EXPECT_EQ(serial.scenarios_run, opts.scenarios);
+    EXPECT_EQ(serial.scenarios_run, parallel.scenarios_run);
+    EXPECT_EQ(serial.pca_runs, parallel.pca_runs);
+    EXPECT_EQ(serial.xray_runs, parallel.xray_runs);
+    EXPECT_EQ(serial.hospital_runs, parallel.hospital_runs);
+    ASSERT_EQ(serial.failures.size(), parallel.failures.size());
+    ASSERT_FALSE(serial.failures.empty());
+    EXPECT_LT(serial.failures.front().repro.index, 64u);
+    EXPECT_GE(serial.failures.back().repro.index, 64u);  // past one window
+    for (std::size_t i = 0; i < serial.failures.size(); ++i) {
+        EXPECT_EQ(to_text(serial.failures[i].repro),
+                  to_text(parallel.failures[i].repro));
+        EXPECT_EQ(serial.failures[i].violations,
+                  parallel.failures[i].violations);
+    }
+    EXPECT_FALSE(serial_log.empty());
+    EXPECT_EQ(serial_log, parallel_log);  // byte-identical log stream
+}
+
 /// The one fuzz loop at jobs 4 against jobs 1, over more scenarios than
-/// one window holds: the same outcome, the same repros and a
-/// byte-identical log stream.
+/// one window holds, for the pca/xray mix and for the hospital family.
 TEST(Fuzzer, JobsFourMatchesJobsOneAcrossWindows) {
     FuzzOptions opts;
     opts.seed = 2026;
@@ -465,32 +575,85 @@ TEST(Fuzzer, JobsFourMatchesJobsOneAcrossWindows) {
                                            std::to_string(ctx.cfg.seed)});
                         }
                     });
-    std::vector<std::string> serial_log, parallel_log;
-    opts.log = [&serial_log](const std::string& l) {
-        serial_log.push_back(l);
-    };
-    const auto serial = run_fuzz(opts, checker, /*jobs=*/1);
-    opts.log = [&parallel_log](const std::string& l) {
-        parallel_log.push_back(l);
-    };
-    const auto parallel = run_fuzz(opts, checker, /*jobs=*/4);
+    expect_jobs_invariant(opts, checker);
 
-    EXPECT_EQ(serial.scenarios_run, 70u);
-    EXPECT_EQ(serial.scenarios_run, parallel.scenarios_run);
-    EXPECT_EQ(serial.pca_runs, parallel.pca_runs);
-    EXPECT_EQ(serial.xray_runs, parallel.xray_runs);
-    ASSERT_EQ(serial.failures.size(), parallel.failures.size());
-    ASSERT_FALSE(serial.failures.empty());
-    EXPECT_LT(serial.failures.front().repro.index, 64u);
-    EXPECT_GE(serial.failures.back().repro.index, 64u);  // past one window
-    for (std::size_t i = 0; i < serial.failures.size(); ++i) {
-        EXPECT_EQ(to_text(serial.failures[i].repro),
-                  to_text(parallel.failures[i].repro));
-        EXPECT_EQ(serial.failures[i].violations.size(),
-                  parallel.failures[i].violations.size());
+    // Hospital hazards violate at most indices; each hospital run also
+    // spreads its wards over the spec's own jobs knob.
+    FuzzOptions hospital;
+    hospital.seed = 2026;
+    hospital.scenarios = 66;
+    hospital.hospital = true;
+    hospital.weakened = true;
+    hospital.shrink = false;
+    expect_jobs_invariant(hospital, InvariantChecker::with_defaults());
+}
+
+/// A hospital hazard goes through the one capture path: it is logged,
+/// "shrunk" (no fault plan: a no-op), saved as an `mcps-repro v2`
+/// record with no spec line, and replays byte-identically from the
+/// file. The fingerprints of the seed-42 hazards are pinned.
+TEST(HospitalRepro, HazardReproReplaysByteIdentically) {
+    FuzzOptions opts;
+    opts.seed = 42;
+    opts.scenarios = 3;
+    opts.hospital = true;
+    opts.weakened = true;
+    opts.repro_dir = ::testing::TempDir() + "hospital_hazard_repro";
+    const FuzzOutcome outcome = run_fuzz(opts);
+    EXPECT_EQ(outcome.hospital_runs, 3u);
+    EXPECT_EQ(outcome.pca_runs + outcome.xray_runs, 0u);
+    const std::uint64_t kPinned[] = {0xa25bd50dad3c0073ULL,
+                                     0x8a7afa66ffaa5afeULL,
+                                     0x2e3d61c6086b2ce4ULL};
+    ASSERT_EQ(outcome.failures.size(), 3u);
+    const auto checker = InvariantChecker::with_defaults();
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        const FuzzFailure& f = outcome.failures[i];
+        EXPECT_EQ(f.repro.index, i);
+        EXPECT_EQ(f.repro.fingerprint, kPinned[i]);
+        EXPECT_TRUE(f.replay_byte_identical);
+        ASSERT_EQ(f.violations.size(), 1u);
+        EXPECT_EQ(f.violations[0].invariant, kHospitalHazard);
+        EXPECT_EQ(f.repro_path, opts.repro_dir + "/hospital-42-" +
+                                    std::to_string(i) + ".txt");
+
+        std::ostringstream file;
+        file << std::ifstream{f.repro_path}.rdbuf();
+        EXPECT_EQ(file.str(), to_text(f.repro));
+        Repro loaded = load_repro(f.repro_path);
+        const ReplayResult replayed = replay(loaded, checker);
+        EXPECT_TRUE(replayed.byte_identical);
+        EXPECT_EQ(replayed.violations, f.violations);
+
+        // The safe-envelope spec of the same index is a different run.
+        loaded.weakened = false;
+        EXPECT_FALSE(replay(loaded, checker).byte_identical);
     }
-    EXPECT_FALSE(serial_log.empty());
-    EXPECT_EQ(serial_log, parallel_log);  // byte-identical log stream
+}
+
+/// The x-ray fraction is a probability: NaN (which would route every
+/// index to pca) and values outside [0, 1] are refused by name before
+/// any scenario runs; so is a fault intensity outside its domain.
+TEST(Fuzzer, RefusesOptionsOutsideTheirDomains) {
+    for (const double bad : {std::nan(""), -0.1, 7.0, HUGE_VAL}) {
+        FuzzOptions opts;
+        opts.scenarios = 1;
+        opts.xray_fraction = bad;
+        char value[32];
+        std::snprintf(value, sizeof value, "%g", bad);
+        try {
+            (void)run_fuzz(opts);
+            ADD_FAILURE() << "accepted x-ray fraction " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string{e.what()},
+                      std::string{"x-ray fraction "} + value +
+                          " is outside [0, 1]");
+        }
+    }
+    FuzzOptions opts;
+    opts.scenarios = 1;
+    opts.fault_intensity = std::nan("");
+    EXPECT_THROW((void)run_fuzz(opts), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,14 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "ward/hospital_fuzz.hpp"
+#include "testkit/scenario_gen.hpp"
 #include "ward/ward.hpp"
 
 namespace {
@@ -51,8 +51,26 @@ TEST(WardConfig, ValidateRejectsDegenerateCampaigns) {
     cfg.shards = 0;
     EXPECT_THROW(cfg.validate(), WardConfigError);
     cfg.shards = 4;
-    cfg.fault_intensity = -0.5;
-    EXPECT_THROW(cfg.validate(), WardConfigError);
+    // The fault intensity is a finite number in [0, kMaxFaultIntensity];
+    // the message names the refused value.
+    for (const double bad : {-0.5, std::nan(""), HUGE_VAL, -HUGE_VAL, 1e9,
+                             std::nextafter(testkit::kMaxFaultIntensity,
+                                            HUGE_VAL)}) {
+        cfg.fault_intensity = bad;
+        try {
+            cfg.validate();
+            ADD_FAILURE() << "accepted fault_intensity " << bad;
+        } catch (const WardConfigError& e) {
+            char value[32];
+            std::snprintf(value, sizeof value, "%g", bad);
+            EXPECT_NE(std::string{e.what()}.find(value), std::string::npos)
+                << e.what();
+        }
+    }
+    for (const double good : {0.0, 1.0, testkit::kMaxFaultIntensity}) {
+        cfg.fault_intensity = good;
+        EXPECT_NO_THROW(cfg.validate()) << good;
+    }
 }
 
 TEST(WardScenarioFactory, KindChoiceIsDeterministicAndMixWeighted) {
@@ -291,77 +309,6 @@ TEST(WardEngine, ReportSerializesBothWays) {
     EXPECT_NE(text.str().find("fingerprint"), std::string::npos);
     EXPECT_NE(jsn.str().find("\"fingerprint\""), std::string::npos);
     EXPECT_NE(jsn.str().find("\"scenarios_per_sec\""), std::string::npos);
-}
-
-// ---- hospital repro files --------------------------------------------
-
-/// The error text of replaying \p text from a file, or "" when it
-/// replays.
-std::string hospital_repro_error(const std::string& path,
-                                 const std::string& text) {
-    std::ofstream{path} << text;
-    try {
-        (void)replay_hospital_repro(path);
-    } catch (const std::runtime_error& e) {
-        return e.what();
-    }
-    return "";
-}
-
-/// A hazard repro written by the campaign replays byte-identically; a
-/// file that could not have been written by it is malformed (exit 2 on
-/// the CLI), never a fingerprint MISMATCH (exit 1).
-TEST(HospitalRepro, RealFileReplaysAndMalformedFilesAreRejected) {
-    HospitalFuzzOptions opts;
-    opts.scenarios = 1;
-    opts.seed = 42;
-    opts.hazard = true;
-    opts.repro_dir = ::testing::TempDir() + "hospital_repro_strict";
-    const HospitalFuzzOutcome outcome = run_hospital_fuzz(opts);
-    ASSERT_EQ(outcome.violating_specs, 1u);
-    ASSERT_TRUE(outcome.clean());
-    const std::string real = opts.repro_dir + "/hospital-42-0.repro";
-    const HospitalReplayResult replayed = replay_hospital_repro(real);
-    EXPECT_TRUE(replayed.byte_identical);
-    EXPECT_EQ(replayed.fingerprint, replayed.expected_fingerprint);
-    EXPECT_GT(replayed.deadline_violations, 0.0);
-    EXPECT_EQ(replayed.invariant.rfind("deadline-hazard-expected: ", 0), 0u);
-
-    std::ostringstream buf;
-    buf << std::ifstream{real}.rdbuf();
-    const std::string text = buf.str();
-    const auto fp_at = text.find("fingerprint: ");
-    ASSERT_NE(fp_at, std::string::npos);
-    const std::string head = text.substr(0, fp_at);
-    const std::string fp_line = text.substr(fp_at);
-    const std::string spec_line =
-        text.substr(text.find("spec: "), fp_at - text.find("spec: "));
-    const std::string header = text.substr(0, text.find('\n') + 1);
-    EXPECT_EQ(hospital_repro_error(real, text), "");
-    const std::string path = opts.repro_dir + "/mutant.repro";
-    for (const std::string& bad : std::vector<std::string>{
-             head + "fingerprint: zz\n",
-             head + "fingerprint: 0x12zz\n",
-             head + "fingerprint: 12\n",
-             head + "fingerprint: 0x\n",
-             head + "fingerprint: 0x-1\n",
-             head + "fingerprint: 0x10000000000000000\n",
-             head + "fingerprint:  0x12\n",
-             head + fp_line + fp_line,
-             head + fp_line + spec_line,
-             head + fp_line + "# invariant: again\n",
-             head + fp_line + "seed: 7\n",
-             head + fp_line + "# a comment\n",
-             head,
-             header + fp_line,
-             text.substr(header.size()),
-             header + "spec: \n" + fp_line,
-         }) {
-        const std::string error = hospital_repro_error(path, bad);
-        EXPECT_EQ(error.rfind("malformed hospital repro " + path + ": ", 0),
-                  0u)
-            << bad << " -> '" << error << "'";
-    }
 }
 
 }  // namespace

@@ -29,7 +29,8 @@ int trace_main(std::string_view prog,
 int ward_main(std::string_view prog,
               const std::vector<std::string_view>& args);
 
-/// Scenario fuzzer CLI (fuzz/replay/hospital modes).
+/// Scenario fuzzer CLI (fuzz and replay; the pca/xray mix or the
+/// hospital family).
 int fuzz_main(std::string_view prog,
               const std::vector<std::string_view>& args);
 

@@ -7,7 +7,6 @@
 /// did not meet its expectation, 2 = usage or I/O error.
 
 #include <cstdint>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -17,7 +16,6 @@
 #include "../drivers.hpp"
 #include "sim/hash.hpp"
 #include "testkit/testkit.hpp"
-#include "ward/hospital_fuzz.hpp"
 
 namespace tk = mcps::testkit;
 using mcps::cli::CliError;
@@ -31,23 +29,26 @@ void usage(std::ostream& os, std::string_view prog) {
        << " [options]\n"
           "  --scenarios N        scenarios to run (default 200)\n"
           "  --seed N             master seed (default 42)\n"
-          "  --intensity X        fault-plan intensity scale (default 1.0)\n"
+          "  --intensity X        fault-plan intensity scale in [0, 100]\n"
+          "                       (default 1.0)\n"
           "  --jobs N             run scenarios over N worker threads (at\n"
           "                       most 256); the outcome is identical to\n"
           "                       --jobs 1\n"
-          "  --xray-fraction X    fraction of x-ray workloads (default 0.15)\n"
+          "  --xray-fraction X    fraction of x-ray workloads in [0, 1]\n"
+          "                       (default 0.15)\n"
           "  --weakened           fuzz the weakened-interlock fixture\n"
           "  --hospital           fuzz the hospital family instead: random\n"
           "                       cohorts/knobs over the claimed-safe\n"
           "                       envelope (with --expect-violation:\n"
           "                       interlock-off storm hazards that must\n"
           "                       violate and replay byte-identically);\n"
-          "                       --jobs, --intensity, --xray-fraction,\n"
-          "                       --weakened and --no-shrink are refused\n"
+          "                       --weakened, --intensity, --xray-fraction\n"
+          "                       and --no-shrink are refused\n"
           "  --expect-violation   succeed only if a violation is found,\n"
           "                       replays byte-identically, and shrinks to\n"
           "                       a small fault plan\n"
-          "  --replay FILE        replay one repro file and report\n"
+          "  --replay FILE        replay one repro file (any workload) and\n"
+          "                       report\n"
           "  --repro-dir DIR      write repro files here (default: repros)\n"
           "  --no-shrink          keep failing fault plans unshrunk\n"
           "  --quiet              suppress per-failure progress output\n"
@@ -59,10 +60,22 @@ int replay_mode(const std::string& path) {
     const tk::Repro repro = tk::load_repro(path);
     const auto result = tk::replay(repro, checker);
     std::cout << "repro: " << path << "\n"
-              << "  workload:   " << tk::to_string(repro.kind)
-              << (repro.weakened ? " (weakened fixture)" : "") << "\n"
+              << "  workload:   " << tk::to_string(repro.kind);
+    if (repro.weakened) {
+        std::cout << (repro.kind == tk::WorkloadKind::kHospital
+                          ? " (interlock-off storm hazard)"
+                          : " (weakened fixture)");
+    }
+    std::cout << "\n"
               << "  seed/index: " << repro.seed << "/" << repro.index << "\n"
               << "  faults:     " << repro.faults.size() << "\n";
+    if (repro.kind == tk::WorkloadKind::kHospital) {
+        std::cout << "  spec:       "
+                  << tk::ScenarioGenerator{repro.seed}
+                         .hospital(repro.index, repro.weakened)
+                         .to_text()
+                  << "\n";
+    }
     std::cout << "  fingerprint " << mcps::sim::hex64(result.fingerprint)
               << " ("
               << (result.byte_identical ? "byte-identical" : "MISMATCH")
@@ -78,51 +91,6 @@ int replay_mode(const std::string& path) {
     return result.byte_identical ? 0 : 1;
 }
 
-int hospital_replay_mode(const std::string& path) {
-    const auto r = mcps::ward::replay_hospital_repro(path);
-    std::cout << "repro: " << path << "\n"
-              << "  workload:   hospital\n"
-              << "  spec:       " << r.spec.to_text() << "\n"
-              << "  invariant:  " << r.invariant << "\n"
-              << "  fingerprint " << mcps::sim::hex64(r.fingerprint) << " ("
-              << (r.byte_identical ? "byte-identical" : "MISMATCH") << ")\n"
-              << "  deadline_violations: "
-              << static_cast<std::uint64_t>(r.deadline_violations) << "\n";
-    return r.byte_identical ? 0 : 1;
-}
-
-int hospital_mode(const mcps::ward::HospitalFuzzOptions& opts,
-                  bool expect_violation) {
-    const auto outcome = mcps::ward::run_hospital_fuzz(opts);
-    std::cout << "fuzz: " << outcome.scenarios_run
-              << " hospital scenarios, seed " << opts.seed << ", "
-              << outcome.violating_specs << " violating, "
-              << outcome.failures.size() << " invariant failures\n";
-
-    if (!expect_violation) {
-        if (!outcome.clean()) {
-            std::cout << "FAIL: invariant failures inside the claimed-safe "
-                         "envelope (repro files above replay them)\n";
-            return 1;
-        }
-        std::cout << "OK: no invariant violations\n";
-        return 0;
-    }
-    if (outcome.violating_specs == 0) {
-        std::cout << "FAIL: expected interlock-off storm hazards to "
-                     "violate the deadline, none did\n";
-        return 1;
-    }
-    if (!outcome.clean()) {
-        std::cout << "FAIL: a hazard repro did not replay "
-                     "byte-identically\n";
-        return 1;
-    }
-    std::cout << "OK: violations found and repro files replayed "
-                 "byte-identically\n";
-    return 0;
-}
-
 }  // namespace
 
 namespace mcps::drivers {
@@ -133,7 +101,6 @@ int fuzz_main(std::string_view prog,
     opts.repro_dir = "repros";
     unsigned jobs = 1;
     bool expect_violation = false;
-    bool hospital = false;
     bool quiet = false;
     std::string replay_path;
     // The last flag given that only the pca/xray campaign honours.
@@ -155,7 +122,6 @@ int fuzz_main(std::string_view prog,
                 pca_only_flag = arg;
             } else if (arg == "--jobs") {
                 jobs = cli::parse_jobs(arg, value());
-                pca_only_flag = arg;
             } else if (arg == "--xray-fraction") {
                 opts.xray_fraction = parse_double(arg, value());
                 pca_only_flag = arg;
@@ -163,7 +129,7 @@ int fuzz_main(std::string_view prog,
                 opts.weakened = true;
                 pca_only_flag = arg;
             } else if (arg == "--hospital") {
-                hospital = true;
+                opts.hospital = true;
             } else if (arg == "--expect-violation") {
                 expect_violation = true;
             } else if (arg == "--replay") {
@@ -183,35 +149,14 @@ int fuzz_main(std::string_view prog,
             }
         }
 
-        if (hospital && !pca_only_flag.empty()) {
+        if (opts.hospital && !pca_only_flag.empty()) {
             throw CliError{std::string{pca_only_flag} +
                            ": not supported with --hospital"};
         }
-        if (!replay_path.empty()) {
-            return hospital ? hospital_replay_mode(replay_path)
-                            : replay_mode(replay_path);
-        }
+        if (!replay_path.empty()) return replay_mode(replay_path);
+        // The hospital self-check samples the interlock-off storm hazard.
+        if (opts.hospital) opts.weakened = expect_violation;
 
-        if (hospital) {
-            mcps::ward::HospitalFuzzOptions hopts;
-            hopts.scenarios = opts.scenarios;
-            hopts.seed = opts.seed;
-            hopts.hazard = expect_violation;
-            hopts.repro_dir = opts.repro_dir;
-            if (!quiet) {
-                hopts.log = [](const std::string& line) {
-                    std::cout << line << "\n";
-                };
-            }
-            if (!hopts.repro_dir.empty()) {
-                std::filesystem::create_directories(hopts.repro_dir);
-            }
-            return hospital_mode(hopts, expect_violation);
-        }
-
-        if (!opts.repro_dir.empty()) {
-            std::filesystem::create_directories(opts.repro_dir);
-        }
         if (!quiet) {
             opts.log = [](const std::string& line) {
                 std::cout << line << "\n";
@@ -220,9 +165,14 @@ int fuzz_main(std::string_view prog,
 
         const auto outcome =
             tk::run_fuzz(opts, tk::InvariantChecker::with_defaults(), jobs);
-        std::cout << "fuzz: " << outcome.scenarios_run << " scenarios ("
-                  << outcome.pca_runs << " pca, " << outcome.xray_runs
-                  << " xray), seed " << opts.seed << ", "
+        std::cout << "fuzz: " << outcome.scenarios_run << " scenarios (";
+        if (opts.hospital) {
+            std::cout << outcome.hospital_runs << " hospital";
+        } else {
+            std::cout << outcome.pca_runs << " pca, " << outcome.xray_runs
+                      << " xray";
+        }
+        std::cout << "), seed " << opts.seed << ", "
                   << outcome.failures.size() << " violating\n";
 
         if (!expect_violation) {
@@ -235,13 +185,24 @@ int fuzz_main(std::string_view prog,
             return 0;
         }
 
-        // Self-check mode: the weakened fixture must fail, replay
-        // byte-identically, and shrink to a handful of fault events.
+        // Self-check mode: the weakened fixture (or the hospital hazard)
+        // must fail, replay byte-identically, and shrink to a handful of
+        // fault events; a hospital run may break nothing but the
+        // expected deadline.
         if (outcome.clean()) {
             std::cout << "FAIL: expected an invariant violation, found none\n";
             return 1;
         }
         for (const auto& f : outcome.failures) {
+            for (const auto& v : f.violations) {
+                if (f.repro.kind == tk::WorkloadKind::kHospital &&
+                    v.invariant != tk::kHospitalHazard) {
+                    std::cout << "FAIL: scenario " << f.repro.index
+                              << " broke " << v.invariant
+                              << " besides the expected hazard\n";
+                    return 1;
+                }
+            }
             if (!f.replay_byte_identical) {
                 std::cout << "FAIL: repro for scenario " << f.repro.index
                           << " did not replay byte-identically\n";
