@@ -14,15 +14,8 @@ using mcps::sim::SimDuration;
 using mcps::sim::SimTime;
 
 namespace {
-/// Samples a 1 Hz truth signal takes over a run of \p duration: one per
-/// whole second, capped (about 73 h) so that a long horizon reserves at
-/// most 4 MiB per signal up front and grows from there as before.
-std::size_t truth_samples(SimDuration duration) {
-    constexpr std::int64_t kMaxReserved = std::int64_t{1} << 18;
-    const std::int64_t seconds = duration.ticks() / 1'000'000;
-    return static_cast<std::size_t>(
-        std::clamp<std::int64_t>(seconds + 1, 0, kMaxReserved));
-}
+/// The ground-truth recorder's sample period.
+constexpr SimDuration kTruthPeriod = SimDuration::seconds(1);
 }  // namespace
 
 struct PcaScenario::Impl {
@@ -77,6 +70,7 @@ struct PcaScenario::Impl {
           oximeter{ctx, "oxi1", patient, cfg.oximeter},
           capnometer{ctx, "cap1", patient, cfg.capnometer} {
         bus.set_event_log(cfg.events);
+        trace.set_horizon(cfg.duration);
         if (cfg.with_monitor) monitor.emplace(ctx, "monitor1", cfg.monitor);
         if (cfg.with_smart_alarm) {
             smart.emplace(ctx, "smart1", cfg.smart_alarm);
@@ -146,22 +140,18 @@ PcaScenario::PcaScenario(PcaScenarioConfig cfg)
 
     // 1 Hz ground-truth recorder (separate from sensor readings).
     im.sim.schedule_periodic(
-        SimDuration::seconds(1),
+        kTruthPeriod,
         [this] {
             auto& im2 = *impl_;
             auto& t = im2.truth;
             if (t.spo2 == nullptr) {  // first tick: resolve the handles once
-                t.spo2 = &im2.trace.signal("truth/spo2");
-                t.resp_rate = &im2.trace.signal("truth/resp_rate");
-                t.etco2 = &im2.trace.signal("truth/etco2");
-                t.apneic = &im2.trace.signal("truth/apneic");
-                t.effect_site = &im2.trace.signal("truth/effect_site");
-                t.delivering = &im2.trace.signal("pump/delivering");
-                const std::size_t n = truth_samples(im2.cfg.duration);
-                for (auto* s : {t.spo2, t.resp_rate, t.etco2, t.apneic,
-                                t.effect_site, t.delivering}) {
-                    s->reserve(n);
-                }
+                auto& tr = im2.trace;
+                t.spo2 = &tr.signal("truth/spo2", kTruthPeriod);
+                t.resp_rate = &tr.signal("truth/resp_rate", kTruthPeriod);
+                t.etco2 = &tr.signal("truth/etco2", kTruthPeriod);
+                t.apneic = &tr.signal("truth/apneic", kTruthPeriod);
+                t.effect_site = &tr.signal("truth/effect_site", kTruthPeriod);
+                t.delivering = &tr.signal("pump/delivering", kTruthPeriod);
             }
             const SimTime now = im2.sim.now();
             t.spo2->record(now, im2.patient.spo2().as_percent());

@@ -126,7 +126,8 @@ void SmartAlarm::evaluate() {
     }
     score_ = score;
     if (score_signal_ == nullptr) {
-        score_signal_ = &ctx_.trace.signal("smart_alarm/" + name_ + "/score");
+        score_signal_ = &ctx_.trace.signal("smart_alarm/" + name_ + "/score",
+                                            cfg_.check_period);
     }
     score_signal_->record(now, score);
 

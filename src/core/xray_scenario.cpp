@@ -70,9 +70,15 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
     sim.schedule_periodic(SimDuration::millis(500), [&] {
         patient.step(0.5);
     });
+    const SimTime end = SimTime::origin() + SimDuration::seconds(60) +
+                        cfg.procedure_gap * static_cast<std::int64_t>(cfg.procedures);
+    trace.set_horizon(end - SimTime::origin());
+    constexpr SimDuration kTruthPeriod = SimDuration::seconds(1);
     mcps::sim::Signal* truth_spo2 = nullptr;  // resolved on the first tick
-    sim.schedule_periodic(SimDuration::seconds(1), [&] {
-        if (truth_spo2 == nullptr) truth_spo2 = &trace.signal("truth/spo2");
+    sim.schedule_periodic(kTruthPeriod, [&] {
+        if (truth_spo2 == nullptr) {
+            truth_spo2 = &trace.signal("truth/spo2", kTruthPeriod);
+        }
         truth_spo2->record(sim.now(), patient.spo2().as_percent());
     });
 
@@ -89,8 +95,6 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
         });
     }
 
-    const SimTime end = SimTime::origin() + SimDuration::seconds(60) +
-                        cfg.procedure_gap * static_cast<std::int64_t>(cfg.procedures);
     sim.run_until(end);
 
     // Collect outcomes.

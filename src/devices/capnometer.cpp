@@ -46,13 +46,15 @@ void Capnometer::sample_tick() {
     if (!et) return;  // cannula displaced silences both channels
     publish(etco2_pub_, *et);
     if (etco2_signal_ == nullptr) {
-        etco2_signal_ = &trace().signal("sensor/" + name() + "/etco2");
+        etco2_signal_ = &trace().signal("sensor/" + name() + "/etco2",
+                                        cfg_.sample_period);
     }
     etco2_signal_->record(sim().now(), et->value);
     if (auto rr = rr_->sample(sim().now())) {
         publish(rr_pub_, *rr);
         if (rr_signal_ == nullptr) {
-            rr_signal_ = &trace().signal("sensor/" + name() + "/resp_rate");
+            rr_signal_ = &trace().signal("sensor/" + name() + "/resp_rate",
+                                         cfg_.sample_period);
         }
         rr_signal_->record(sim().now(), rr->value);
     }

@@ -177,7 +177,8 @@ void GpcaPump::tick() {
 
     deliver(Dose::mg(basal_mg + bolus_mg));
     if (window_signal_ == nullptr) {
-        window_signal_ = &trace().signal("pump/" + name() + "/window_mg");
+        window_signal_ = &trace().signal("pump/" + name() + "/window_mg",
+                                         cfg_.tick);
     }
     window_signal_->record(sim().now(), window_total_mg_);
 }

@@ -52,7 +52,8 @@ void PulseOximeter::sample_tick() {
     if (!spo2_sample) return;  // probe-off silences both channels
     publish(spo2_pub_, *spo2_sample);
     if (spo2_signal_ == nullptr) {
-        spo2_signal_ = &trace().signal("sensor/" + name() + "/spo2");
+        spo2_signal_ = &trace().signal("sensor/" + name() + "/spo2",
+                                       cfg_.sample_period);
     }
     spo2_signal_->record(sim().now(), spo2_sample->value);
     if (auto pr = pulse_->sample(sim().now())) {

@@ -4,10 +4,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <utility>
 
+#include "obs/exporters.hpp"
 #include "sim/guarded.hpp"
 #include "sim/parallel.hpp"
 
@@ -15,24 +17,42 @@ namespace mcps::pipeline {
 
 namespace {
 
+/// One event log shared by a run's consumers: the producer's live log,
+/// or the artifact's bytes decoded by the first consumer that asks.
+struct EventMemo {
+    std::once_flag filled;
+    obs::EventLog log;
+};
+
 /// PassContext over a pass's resolved inputs; collects outputs locally
 /// so pass bodies never touch shared state.
 class LocalContext final : public PassContext {
 public:
     /// \p inputs holds one artifact per declared input, in declaration
-    /// order.
-    LocalContext(const Pass& pass, const std::vector<const Artifact*>& inputs)
-        : pass_{pass}, inputs_{inputs} {}
+    /// order; \p memos the matching event-log memo, null for an input
+    /// that is not an event log.
+    LocalContext(const Pass& pass, const std::vector<const Artifact*>& inputs,
+                 const std::vector<EventMemo*>& memos)
+        : pass_{pass}, inputs_{inputs}, memos_{memos} {}
 
     [[nodiscard]] const Artifact& input(
         const std::string& name) const override {
-        const auto it =
-            std::find(pass_.inputs.begin(), pass_.inputs.end(), name);
-        if (it == pass_.inputs.end()) {
-            throw PipelineError{"pass '" + pass_.name +
-                                "' reads undeclared input '" + name + "'"};
+        return *inputs_[index_of(name)];
+    }
+
+    [[nodiscard]] const obs::EventLog& events(
+        const std::string& name) const override {
+        const std::size_t i = index_of(name);
+        EventMemo* memo = memos_[i];
+        if (memo == nullptr) {
+            throw PipelineError{"pass '" + pass_.name + "' reads input '" +
+                                name + "' of kind '" + inputs_[i]->kind +
+                                "' as an event log"};
         }
-        return *inputs_[static_cast<std::size_t>(it - pass_.inputs.begin())];
+        std::call_once(memo->filled, [&] {
+            memo->log = obs::read_jsonl(inputs_[i]->payload);
+        });
+        return memo->log;
     }
 
     void emit(const std::string& name, Artifact artifact) override {
@@ -49,6 +69,13 @@ public:
         }
     }
 
+    void emit_events(const std::string& name, obs::EventLog log) override {
+        std::string jsonl;
+        obs::write_jsonl(log, jsonl);
+        emit(name, Artifact{std::string{kEventsKind}, std::move(jsonl)});
+        logs_.emplace(name, std::move(log));
+    }
+
     /// All outputs; verifies every declared output was emitted.
     std::map<std::string, Artifact> take_outputs() {
         for (const auto& name : pass_.outputs) {
@@ -61,15 +88,36 @@ public:
         return std::move(outputs_);
     }
 
+    /// The live logs behind the emit_events() outputs.
+    std::map<std::string, obs::EventLog> take_logs() {
+        return std::move(logs_);
+    }
+
 private:
+    /// Position of \p name among the declared inputs. \throws
+    /// PipelineError when it is not one.
+    [[nodiscard]] std::size_t index_of(const std::string& name) const {
+        const auto it =
+            std::find(pass_.inputs.begin(), pass_.inputs.end(), name);
+        if (it == pass_.inputs.end()) {
+            throw PipelineError{"pass '" + pass_.name +
+                                "' reads undeclared input '" + name + "'"};
+        }
+        return static_cast<std::size_t>(it - pass_.inputs.begin());
+    }
+
     const Pass& pass_;
     const std::vector<const Artifact*>& inputs_;
+    const std::vector<EventMemo*>& memos_;
     std::map<std::string, Artifact> outputs_;
+    std::map<std::string, obs::EventLog> logs_;
 };
 
 /// The result of executing (or replaying) one pass.
 struct ExecOutcome {
     std::map<std::string, Artifact> outputs;
+    /// Live logs behind event-log outputs (an executed body only).
+    std::map<std::string, obs::EventLog> logs;
     std::map<std::string, std::string> keys;  ///< output -> cache key
     bool from_cache = false;
     std::uint64_t hits = 0;
@@ -84,6 +132,7 @@ struct ExecOutcome {
 /// digested and no key is built: keys exist only to address the cache.
 ExecOutcome execute_pass(const Pass& pass,
                          const std::vector<const Artifact*>& inputs,
+                         const std::vector<EventMemo*>& memos,
                          ArtifactCache* cache) {
     ExecOutcome out;
     const bool cached_run = cache != nullptr && pass.cacheable;
@@ -115,7 +164,7 @@ ExecOutcome execute_pass(const Pass& pass,
 
     // mcps-analyze: allow(SIM1): wall-clock perf metric only
     const auto t0 = std::chrono::steady_clock::now();
-    LocalContext ctx{pass, inputs};
+    LocalContext ctx{pass, inputs, memos};
     try {
         pass.run(ctx);
     } catch (const PipelineError&) {
@@ -124,6 +173,7 @@ ExecOutcome execute_pass(const Pass& pass,
         throw PipelineError{"pass '" + pass.name + "' failed: " + e.what()};
     }
     out.outputs = ctx.take_outputs();
+    out.logs = ctx.take_logs();
     // mcps-analyze: allow(SIM1): wall-clock perf metric only (see above).
     const auto t1 = std::chrono::steady_clock::now();
     out.wall_us =
@@ -143,6 +193,11 @@ ExecOutcome execute_pass(const Pass& pass,
 /// and release its dependents. With one worker the ready set therefore
 /// drains in exactly topo_order(). The first pass failure stops every
 /// worker from taking more work.
+///
+/// Event logs live in memos beside the artifact map: a producer's live
+/// log seeds one when it publishes (and is dropped at once if no pass
+/// reads it), a consumer's first events() call fills an unseeded one,
+/// and the memo goes when the last pass declaring that input finishes.
 class Executor {
 public:
     Executor(const std::vector<Pass>& passes,
@@ -161,6 +216,7 @@ public:
         }
         for (std::size_t i = 0; i < passes.size(); ++i) {
             if (missing_[i] == 0) ready_.insert(i);
+            for (const auto& in : passes[i].inputs) ++readers_[in];
         }
     }
 
@@ -190,6 +246,14 @@ public:
     }
 
 private:
+    /// The memo of event-log artifact \p name, made on first use. Its
+    /// address holds until the memo is erased.
+    EventMemo& memo(const std::string& name) MCPS_REQUIRES(mu_) {
+        std::unique_ptr<EventMemo>& m = memos_[name];
+        if (!m) m = std::make_unique<EventMemo>();
+        return *m;
+    }
+
     void work() {
         std::unique_lock lk{mu_};
         for (;;) {
@@ -201,14 +265,19 @@ private:
             ready_.erase(ready_.begin());
             const Pass& pass = passes_[i];
             std::vector<const Artifact*> inputs;
+            std::vector<EventMemo*> memos;
             inputs.reserve(pass.inputs.size());
+            memos.reserve(pass.inputs.size());
             for (const auto& name : pass.inputs) {
-                inputs.push_back(&artifacts_.at(name));
+                const Artifact& in = artifacts_.at(name);
+                inputs.push_back(&in);
+                memos.push_back(in.kind == kEventsKind ? &memo(name)
+                                                       : nullptr);
             }
             lk.unlock();
             ExecOutcome exec;
             try {
-                exec = execute_pass(pass, inputs, cache_);
+                exec = execute_pass(pass, inputs, memos, cache_);
             } catch (...) {
                 lk.lock();
                 if (!error_) error_ = std::current_exception();
@@ -226,6 +295,14 @@ private:
             for (auto& [name, art] : exec.outputs) {
                 artifacts_.emplace(name, std::move(art));
             }
+            for (auto& [name, log] : exec.logs) {
+                if (readers_[name] == 0) continue;
+                EventMemo& m = memo(name);
+                std::call_once(m.filled, [&] { m.log = std::move(log); });
+            }
+            for (const auto& name : pass.inputs) {
+                if (--readers_.at(name) == 0) memos_.erase(name);
+            }
             for (const std::size_t dep : dependents_[i]) {
                 if (--missing_[dep] == 0) ready_.insert(dep);
             }
@@ -241,6 +318,11 @@ private:
     std::mutex mu_;
     std::condition_variable cv_;  ///< a pass finished or failed
     std::map<std::string, Artifact> artifacts_ MCPS_GUARDED_BY(mu_);
+    /// Artifact name -> passes declaring it as input that have not
+    /// finished yet.
+    std::map<std::string, std::size_t> readers_ MCPS_GUARDED_BY(mu_);
+    std::map<std::string, std::unique_ptr<EventMemo>> memos_
+        MCPS_GUARDED_BY(mu_);
     std::vector<std::size_t> missing_ MCPS_GUARDED_BY(mu_);
     /// Passes whose inputs all exist, lowest registration index first.
     std::set<std::size_t> ready_ MCPS_GUARDED_BY(mu_);

@@ -9,17 +9,30 @@
 /// else — wall clock, global state, unhashed files — would replay stale
 /// bytes from the cache. Passes that must touch the filesystem (source
 /// scans) fold a description of what they read into `params`.
+///
+/// Event logs travel as bytes like every artifact ("events-jsonl"), but
+/// a run decodes each at most once: emit_events() keeps the producer's
+/// live log beside its JSONL bytes, and events() hands every consumer
+/// that log — or, when the producer was replayed from a cache, the
+/// bytes decoded on first use. The log never enters an Artifact, a
+/// PipelineResult or an ArtifactCache; the run drops it after its last
+/// consumer finishes.
 
 #pragma once
 
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "artifact.hpp"
+#include "obs/event_log.hpp"
 
 namespace mcps::pipeline {
+
+/// The artifact kind of an event log: obs::write_jsonl bytes.
+inline constexpr std::string_view kEventsKind = "events-jsonl";
 
 /// Thrown on malformed graphs (duplicate outputs, unknown inputs,
 /// cycles) and on pass-body failures. The message is user-facing.
@@ -42,6 +55,18 @@ public:
     /// Produce a declared output. \throws PipelineError when \p name
     /// was not declared as an output of this pass.
     virtual void emit(const std::string& name, Artifact artifact) = 0;
+
+    /// Produce a declared output whose bytes are write_jsonl(\p log)
+    /// (kind kEventsKind) and keep \p log for this run's consumers.
+    /// \throws PipelineError as emit() does.
+    virtual void emit_events(const std::string& name, obs::EventLog log) = 0;
+
+    /// A declared input's event log: the producer's live log, else the
+    /// input's bytes decoded once per run. \throws PipelineError when
+    /// \p name was not declared as an input of this pass or is not of
+    /// kind kEventsKind.
+    [[nodiscard]] virtual const obs::EventLog& events(
+        const std::string& name) const = 0;
 };
 
 /// One registered pass.

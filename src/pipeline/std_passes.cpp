@@ -59,12 +59,9 @@ void add_scenario_pass(PipelineGraph& g, const std::string& id,
 
         std::ostringstream run_json;
         art.write_json(run_json);
-        std::string jsonl;
-        obs::write_jsonl(events, jsonl);
         ctx.emit(run_prefix(id) + "artifacts",
                  Artifact{"run-json", run_json.str()});
-        ctx.emit(run_prefix(id) + "events",
-                 Artifact{"events-jsonl", std::move(jsonl)});
+        ctx.emit_events(run_prefix(id) + "events", std::move(events));
         ctx.emit(run_prefix(id) + "fingerprint",
                  Artifact{"fingerprint", art.fingerprint_hex() + "\n"});
     };
@@ -77,10 +74,9 @@ void add_trace_export_pass(PipelineGraph& g, const std::string& id) {
     p.inputs = {run_prefix(id) + "events"};
     p.outputs = {"trace/" + id + "/chrome"};
     p.run = [id](PassContext& ctx) {
-        const obs::EventLog events =
-            obs::read_jsonl(ctx.input(run_prefix(id) + "events").payload);
         std::string chrome;
-        obs::write_chrome_trace(events, chrome);
+        obs::write_chrome_trace(ctx.events(run_prefix(id) + "events"),
+                                chrome);
         ctx.emit("trace/" + id + "/chrome",
                  Artifact{"chrome-trace", std::move(chrome)});
     };

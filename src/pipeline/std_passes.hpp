@@ -35,13 +35,16 @@ namespace mcps::pipeline {
 
 /// Provide source artifact "spec/<id>" (kind "spec", canonical spec
 /// text) and register pass "run:<id>" producing "run/<id>/artifacts"
-/// (run-json), "run/<id>/events" (events-jsonl) and
+/// (run-json), "run/<id>/events" (events-jsonl, through
+/// PassContext::emit_events) and
 /// "run/<id>/fingerprint" (fingerprint).
 void add_scenario_pass(PipelineGraph& g, const std::string& id,
                        const scenario::ScenarioSpec& spec);
 
 /// Register pass "trace:<id>": "run/<id>/events" -> "trace/<id>/chrome"
-/// (chrome-trace).
+/// (chrome-trace). It exports run:<id>'s live log through
+/// PassContext::events(), so the JSONL is decoded only when run:<id>
+/// was replayed from a cache.
 void add_trace_export_pass(PipelineGraph& g, const std::string& id);
 
 // ---- analysis ---------------------------------------------------------

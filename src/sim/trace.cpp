@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace mcps::sim {
@@ -60,10 +61,13 @@ RunningStats Signal::stats() const {
     return st;
 }
 
-Signal& TraceRecorder::signal(const std::string& name) {
-    auto it = signals_.find(name);
-    if (it == signals_.end()) {
-        it = signals_.emplace(name, Signal{name}).first;
+Signal& TraceRecorder::signal(const std::string& name, SimDuration period) {
+    const auto [it, created] = signals_.try_emplace(name, name);
+    if (created && horizon_ > SimDuration::zero() &&
+        period > SimDuration::zero()) {
+        constexpr std::int64_t kMaxReserved = std::int64_t{1} << 18;
+        it->second.reserve(static_cast<std::size_t>(std::min(
+            horizon_.ticks() / period.ticks() + 1, kMaxReserved)));
     }
     return it->second;
 }

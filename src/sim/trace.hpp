@@ -113,7 +113,17 @@ public:
     /// what record() below does). Resolve it on the first sample, not
     /// ahead of time: creating a signal adds it to signal_names(),
     /// write_csv() and the trace fingerprint even if it never samples.
-    Signal& signal(const std::string& name);
+    /// A signal this call creates with a positive \p period reserves
+    /// room for one sample per period over the horizon (set_horizon), so
+    /// a periodic recorder runs without regrowing. The reserve is capped
+    /// at 2^18 samples (4 MiB, about 73 h at 1 Hz); past that it grows as
+    /// usual.
+    Signal& signal(const std::string& name,
+                   SimDuration period = SimDuration::zero());
+
+    /// The run length signal(name, period) sizes new signals for; zero
+    /// (the default) reserves nothing.
+    void set_horizon(SimDuration run) noexcept { horizon_ = run; }
 
     /// Look up an existing signal; nullptr if never recorded.
     [[nodiscard]] const Signal* find(const std::string& name) const noexcept;
@@ -133,6 +143,7 @@ public:
 
 private:
     std::map<std::string, Signal> signals_;
+    SimDuration horizon_ = SimDuration::zero();
 };
 
 }  // namespace mcps::sim

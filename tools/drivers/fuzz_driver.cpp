@@ -27,7 +27,7 @@ namespace {
 void usage(std::ostream& os, std::string_view prog) {
     os << "usage: " << prog
        << " [options]\n"
-          "  --scenarios N        scenarios to run (default 200)\n"
+          "  --scenarios N        scenarios to run, at least 1 (default 200)\n"
           "  --seed N             master seed (default 42)\n"
           "  --intensity X        fault-plan intensity scale in [0, 100]\n"
           "                       (default 1.0)\n"
@@ -48,7 +48,7 @@ void usage(std::ostream& os, std::string_view prog) {
           "                       replays byte-identically, and shrinks to\n"
           "                       a small fault plan\n"
           "  --replay FILE        replay one repro file (any workload) and\n"
-          "                       report\n"
+          "                       report; every other flag is refused\n"
           "  --repro-dir DIR      write repro files here (default: repros)\n"
           "  --no-shrink          keep failing fault plans unshrunk\n"
           "  --quiet              suppress per-failure progress output\n"
@@ -105,6 +105,8 @@ int fuzz_main(std::string_view prog,
     std::string replay_path;
     // The last flag given that only the pca/xray campaign honours.
     std::string_view pca_only_flag;
+    // The last flag given that only a campaign honours: all but --replay.
+    std::string_view campaign_flag;
 
     return cli::tool_main(
         prog, [&](std::ostream& os) { usage(os, prog); },
@@ -113,6 +115,7 @@ int fuzz_main(std::string_view prog,
         while (!args.done()) {
             const auto arg = args.next();
             const auto value = [&] { return args.value(arg); };
+            if (arg != "--replay") campaign_flag = arg;
             if (arg == "--scenarios") {
                 opts.scenarios = parse_u64(arg, value());
             } else if (arg == "--seed") {
@@ -149,11 +152,20 @@ int fuzz_main(std::string_view prog,
             }
         }
 
+        if (!replay_path.empty()) {
+            if (!campaign_flag.empty()) {
+                throw CliError{std::string{campaign_flag} +
+                               ": not supported with --replay"};
+            }
+            return replay_mode(replay_path);
+        }
         if (opts.hospital && !pca_only_flag.empty()) {
             throw CliError{std::string{pca_only_flag} +
                            ": not supported with --hospital"};
         }
-        if (!replay_path.empty()) return replay_mode(replay_path);
+        if (opts.scenarios == 0) {
+            throw CliError{"--scenarios: a campaign runs at least 1 scenario"};
+        }
         // The hospital self-check samples the interlock-off storm hazard.
         if (opts.hospital) opts.weakened = expect_violation;
 
