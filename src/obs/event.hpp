@@ -23,7 +23,7 @@
 
 namespace mcps::obs {
 
-/// The closed event taxonomy. Keep to_string/event_kind_from in sync;
+/// The closed event taxonomy. Keep the name table in event.cpp in sync;
 /// the JSONL schema and the golden traces depend on these names.
 enum class EventKind : std::uint8_t {
     kScenarioStart = 0,  ///< a scenario kernel begins (value: seed)

@@ -43,7 +43,8 @@ char* put_int(char* p, std::int64_t v) {
     return std::to_chars(p, p + kMaxIntChars, v).ptr;
 }
 
-/// One write_jsonl line per event.
+/// One write_jsonl line per event. read_canonical reads a line back
+/// from the same literals, so the line's shape is stated only here.
 struct JsonlRecords {
     static constexpr std::string_view kTime = "{\"t_us\":",
                                       kKind = ",\"kind\":\"",
@@ -255,9 +256,81 @@ void read_event(std::string_view line, EventLog& log) {
                    *src, *detail, *value});
 }
 
-/// Reads line \p lineno (1-based) of a JSONL stream into \p log.
+/// Drops \p lit from the front of \p s; false if \p s does not start
+/// with it.
+bool skip_literal(std::string_view& s, std::string_view lit) noexcept {
+    if (!s.starts_with(lit)) return false;
+    s.remove_prefix(lit.size());
+    return true;
+}
+
+/// Reads a string body up to its closing quote, which is left in \p s
+/// (every literal after a string starts with it); false unless every
+/// byte before it is one JsonReader passes through unescaped.
+bool read_plain(std::string_view& s, std::string_view& out) noexcept {
+    const std::size_t end = skip_plain(s, 0);
+    if (end == s.size() || s[end] != '"') return false;
+    out = s.substr(0, end);
+    s.remove_prefix(end);
+    return true;
+}
+
+/// Reads the number token at the front of \p s with JsonReader's token
+/// rule and its from_chars call, so the value is the one the reader
+/// yields, bit for bit; false wherever the reader would fail.
+template <class T>
+bool read_number(std::string_view& s, T& v) noexcept {
+    // JsonReader::peek's rule: a number starts with '-' or a digit.
+    if (s.empty() || (s[0] != '-' && (s[0] < '0' || s[0] > '9'))) {
+        return false;
+    }
+    // JsonReader::read_number's token: every byte a number may hold.
+    std::size_t end = 0;
+    while (end < s.size() &&
+           ((s[end] >= '0' && s[end] <= '9') || s[end] == '-' ||
+            s[end] == '+' || s[end] == '.' || s[end] == 'e' ||
+            s[end] == 'E')) {
+        ++end;
+    }
+    const auto [p, ec] = std::from_chars(s.data(), s.data() + end, v);
+    if (ec != std::errc{} || p != s.data() + end) return false;
+    s.remove_prefix(end);
+    return true;
+}
+
+/// Reads \p line into \p log if it is spelled exactly as
+/// JsonlRecords::write spells an event: its literals in its order, plain
+/// strings, a known kind, a number or null, and nothing after the '}'.
+/// Any other spelling returns false with \p log untouched, and the line
+/// goes to read_event, which reads it or names what is wrong.
+bool read_canonical(std::string_view line, EventLog& log) {
+    using R = JsonlRecords;
+    std::int64_t t_us = 0;
+    std::string_view name, src, detail;
+    double value = std::numeric_limits<double>::quiet_NaN();
+    if (!skip_literal(line, R::kTime) || !read_number(line, t_us) ||
+        !skip_literal(line, R::kKind) || !read_plain(line, name) ||
+        !skip_literal(line, R::kSrc) || !read_plain(line, src) ||
+        !skip_literal(line, R::kDetail) || !read_plain(line, detail) ||
+        !skip_literal(line, R::kValue) ||
+        !(skip_literal(line, kJsonNull) || read_number(line, value)) ||
+        line != R::kEnd.substr(0, R::kEnd.size() - 1)) {  // less the '\n'
+        return false;
+    }
+    const std::optional<EventKind> kind = event_kind_from(name);
+    if (!kind) return false;
+    const SymbolId s = log.intern(src);
+    log.emit(Event{*kind,
+                   mcps::sim::SimTime::origin() +
+                       mcps::sim::SimDuration::micros(t_us),
+                   s, log.intern(detail), value});
+    return true;
+}
+
+/// Reads line \p lineno (1-based) of a JSONL stream into \p log: the
+/// canonical shape directly, any other through JsonReader.
 void read_line(std::string_view line, std::size_t lineno, EventLog& log) {
-    if (line.empty()) return;
+    if (line.empty() || read_canonical(line, log)) return;
     try {
         read_event(line, log);
     } catch (const JsonError& e) {

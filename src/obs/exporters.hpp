@@ -19,9 +19,21 @@
 ///
 /// Both writers build their text in one buffer, escaping each symbol
 /// once rather than once per event. read_jsonl parses exactly what
-/// write_jsonl emits (the round-trip is exact); validate_bench_json
-/// checks the `--json` report schema every bench binary emits via
-/// benchio::JsonReporter.
+/// write_jsonl emits (the round-trip is exact), on one of two paths per
+/// line:
+///
+///  * direct — a line in write_jsonl's exact shape (its own field
+///    literals in its order, strings without escapes or control bytes,
+///    a known kind, a number or null, nothing after the '}') is decoded
+///    in one pass, with JsonReader's number rule and from_chars call;
+///  * reader — any other line goes through JsonReader, which reads any
+///    spelling of the same object or names what is wrong.
+///
+/// The direct path appends nothing to a line it gives up on, so
+/// JsonReader stays the one general reader: the reference the direct
+/// path is tested against, and the only source of error text.
+/// validate_bench_json checks the `--json` report schema every bench
+/// binary emits via benchio::JsonReporter.
 
 #pragma once
 
@@ -39,7 +51,8 @@ void write_jsonl(const EventLog& log, std::ostream& os);
 void write_jsonl(const EventLog& log, std::string& out);
 
 /// Parse a JSONL event stream produced by write_jsonl. Lines are read
-/// in place and src/detail are interned straight from them.
+/// in place and src/detail are interned straight from them. A line
+/// spelled otherwise, but holding the same object, reads the same.
 /// \throws std::runtime_error naming the offending line on malformed
 /// input or unknown event kinds.
 [[nodiscard]] EventLog read_jsonl(std::string_view text);

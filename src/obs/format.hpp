@@ -24,12 +24,14 @@ namespace mcps::obs {
 /// Longest text write_number produces ("-2.2250738585072014e-308").
 inline constexpr std::size_t kMaxNumberChars = 24;
 
+/// What a non-finite value writes.
+inline constexpr std::string_view kJsonNull = "null";
+
 /// Writes \p v's deterministic text at \p p, which must have room for
 /// kMaxNumberChars bytes; returns the end of what it wrote.
 inline char* write_number(char* p, double v) {
     if (!std::isfinite(v)) {
-        constexpr std::string_view kNull = "null";
-        return std::copy(kNull.begin(), kNull.end(), p);
+        return std::copy(kJsonNull.begin(), kJsonNull.end(), p);
     }
     char* const end = p + kMaxNumberChars;
     return (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15

@@ -60,8 +60,8 @@ std::uint64_t zero_bytes(std::uint64_t v) noexcept {
     return ~(((v & kLow7) + kLow7) | v | kLow7);
 }
 
-/// The first non-plain byte of \p s at or after \p pos, or s.size():
-/// eight bytes per step, then byte by byte over the tail.
+}  // namespace
+
 std::size_t skip_plain(std::string_view s, std::size_t pos) noexcept {
     for (; pos + 8 <= s.size(); pos += 8) {
         std::uint64_t w;
@@ -80,8 +80,6 @@ std::size_t skip_plain(std::string_view s, std::size_t pos) noexcept {
     while (pos < s.size() && is_plain(s[pos])) ++pos;
     return pos;
 }
-
-}  // namespace
 
 void JsonReader::fail(const std::string& reason) const {
     throw JsonError{reason, pos_};

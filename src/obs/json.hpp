@@ -36,6 +36,12 @@ void append_json_escaped(std::string& out, std::string_view s);
 /// The escaped \p s as a new string.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// The first byte of \p s at or after \p pos that a JSON string cannot
+/// hold unescaped ('"', '\\' or a control byte), or s.size(); eight
+/// bytes per step. JsonReader scans string bodies with it.
+[[nodiscard]] std::size_t skip_plain(std::string_view s,
+                                     std::size_t pos) noexcept;
+
 inline constexpr int kJsonMaxDepth = 16;
 
 /// The reader's one error type; what() is "<reason> at offset <n>".

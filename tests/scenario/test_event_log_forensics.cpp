@@ -1,12 +1,12 @@
 /// \file test_event_log_forensics.cpp
 /// \brief The incident record's exporters against real scenario logs:
 /// the Chrome bytes of the x-ray golden trace are pinned by digest, the
-/// JSONL goldens round-trip byte for byte and, without the lines that
-/// were trace-recorder marks before, are the files they were then, a
-/// mutation sweep over a
-/// real pca log shows read_jsonl either rejects a damaged log or reads
-/// one whose JSONL is a fixed point, and the stream and in-memory
-/// read_jsonl agree on every input, chunk boundaries included.
+/// JSONL goldens round-trip byte for byte, read the same on both decode
+/// paths and, without the lines that were trace-recorder marks before,
+/// are the files they were then, a mutation sweep over a real pca log
+/// shows read_jsonl either rejects a damaged log or reads one whose
+/// JSONL is a fixed point, and the stream and in-memory read_jsonl agree
+/// on every input, chunk boundaries included.
 
 #include <gtest/gtest.h>
 
@@ -57,6 +57,37 @@ TEST(EventLogForensics, GoldenJsonlRoundTripsByteForByte) {
         std::ostringstream out;
         obs::write_jsonl(obs::read_jsonl(in), out);
         EXPECT_EQ(out.str(), golden) << name;
+    }
+}
+
+/// \p text with a space before every line: no line keeps write_jsonl's
+/// exact shape, so read_jsonl reads each one through JsonReader.
+std::string respaced(const std::string& text) {
+    std::string out;
+    for (std::size_t begin = 0; begin < text.size();) {
+        const std::size_t end = text.find('\n', begin);
+        out += ' ';
+        out += text.substr(begin, end - begin + 1);
+        begin = end == std::string::npos ? text.size() : end + 1;
+    }
+    return out;
+}
+
+/// The goldens read the same through the direct line decoder as through
+/// JsonReader: same events, same symbols, same fingerprint.
+TEST(EventLogForensics, GoldenJsonlReadsTheSameOnBothDecodePaths) {
+    for (const char* name : {"xray_vent.jsonl", "pca_interlock.jsonl"}) {
+        const std::string golden = read_golden(name);
+        ASSERT_FALSE(golden.empty()) << name;
+        const obs::EventLog direct = obs::read_jsonl(golden);
+        const obs::EventLog reader = obs::read_jsonl(respaced(golden));
+        ASSERT_GT(direct.size(), 0u) << name;
+        EXPECT_TRUE(direct == reader) << name;
+        EXPECT_EQ(direct.fingerprint(), reader.fingerprint()) << name;
+        ASSERT_EQ(direct.symbol_count(), reader.symbol_count()) << name;
+        for (obs::SymbolId id = 0; id < direct.symbol_count(); ++id) {
+            EXPECT_EQ(direct.symbol(id), reader.symbol(id)) << name;
+        }
     }
 }
 

@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/format.hpp"
@@ -433,6 +435,91 @@ TEST(Jsonl, AnySpellingOfALineReadsTheSame) {
     EXPECT_EQ(text, canonical);
     std::istringstream is{respelled};
     EXPECT_TRUE(read_jsonl(is) == a);
+}
+
+/// read_jsonl's log of \p text, or nullopt if it threw.
+std::optional<EventLog> try_read_jsonl(std::string_view text) {
+    try {
+        return read_jsonl(text);
+    } catch (const std::runtime_error&) {
+        return std::nullopt;
+    }
+}
+
+/// read_jsonl reads write_jsonl's own line shape directly and any other
+/// spelling through JsonReader; a leading space is enough to force the
+/// second path. Over canonical lines of every kind, and every
+/// single-byte deletion or substitution of them, the two paths accept
+/// the same lines into the same logs and reject the same lines.
+TEST(Jsonl, CanonicalDecoderAgreesWithReaderUnderMutation) {
+    const double values[] = {
+        std::numeric_limits<double>::quiet_NaN(), -3.0, 0.0, 0.1, -2.5e-7,
+        1e300, 9.007199254740993e15, 42.0,
+        std::numeric_limits<double>::denorm_min()};
+    const std::int64_t times[] = {0, -1, 1'000'000,
+                                  std::numeric_limits<std::int64_t>::max()};
+    const std::size_t kinds = static_cast<std::size_t>(EventKind::kAppState) + 1;
+    // Three lines per kind; the values and times cycle through all.
+    EventLog log;
+    for (std::size_t i = 0; i < 3 * kinds; ++i) {
+        log.emit(static_cast<EventKind>(i / 3),
+                 at(SimDuration::micros(times[i % std::size(times)])),
+                 i % 2 ? "pump1" : "a", i % 3 ? "vitals/x-1" : "",
+                 values[i % std::size(values)]);
+    }
+    std::string text;
+    write_jsonl(log, text);
+    const std::optional<EventLog> whole = try_read_jsonl(text);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_TRUE(*whole == log);
+    EXPECT_EQ(whole->fingerprint(), log.fingerprint());
+
+    // Lines of the canonical shape whose numbers write_jsonl never
+    // spells so: -0 must keep its sign bit on both paths.
+    text += "{\"t_us\":-0,\"kind\":\"alarm\",\"src\":\"a\",\"detail\":\"b\","
+            "\"value\":-0}\n"
+            "{\"t_us\":7,\"kind\":\"alarm\",\"src\":\"b\",\"detail\":\"a\","
+            "\"value\":-0.0e0}\n"
+            "{\"t_us\":7,\"kind\":\"alarm\",\"src\":\"b\",\"detail\":\"a\","
+            "\"value\":1.50E+3}\n";
+    const std::optional<EventLog> negative_zero =
+        try_read_jsonl(text.substr(text.rfind("{\"t_us\":-0")));
+    ASSERT_TRUE(negative_zero.has_value());
+    EXPECT_TRUE(std::signbit(negative_zero->events()[0].value));
+
+    const std::string_view subs = "\"\\},:-.e0 \n";
+    std::size_t accepted = 0, rejected = 0;
+    const auto check = [&](const std::string& line) {
+        const std::optional<EventLog> direct = try_read_jsonl(line);
+        const std::optional<EventLog> reader = try_read_jsonl(" " + line);
+        ASSERT_EQ(direct.has_value(), reader.has_value()) << line;
+        if (!direct) {
+            ++rejected;
+            return;
+        }
+        ++accepted;
+        EXPECT_TRUE(*direct == *reader) << line;
+        EXPECT_EQ(direct->fingerprint(), reader->fingerprint()) << line;
+    };
+    for (std::size_t begin = 0; begin < text.size();) {
+        const std::size_t end = text.find('\n', begin);
+        const std::string line = text.substr(begin, end - begin);
+        begin = end + 1;
+        check(line);
+        for (std::size_t i = 0; i < line.size(); ++i) {
+            std::string mutant = line;
+            check(mutant.erase(i, 1));
+            for (const char c : subs) {
+                if (c == line[i]) continue;
+                mutant = line;
+                mutant[i] = c;
+                check(mutant);
+            }
+        }
+    }
+    // The sweep reaches both outcomes, not only one.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 // ---- Chrome trace ----------------------------------------------------

@@ -95,6 +95,7 @@ int analyze_main(std::string_view prog,
     bool cross_check = false;
     bool quiet = false;
     bool matrix = false;
+    bool list_rules = false;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string arg{args[i]};
@@ -139,14 +140,28 @@ int analyze_main(std::string_view prog,
         } else if (arg == "--matrix") {
             matrix = true;
         } else if (arg == "--list-rules") {
-            for (analysis::RuleId r : analysis::all_rules()) {
-                std::cout << analysis::rule_name(r) << "\t"
-                          << analysis::rule_summary(r) << "\n";
-            }
-            return 0;
+            list_rules = true;
         } else {
             return usage(prog);
         }
+    }
+
+    if (list_rules) {
+        // The rule list is the whole output: a report flag beside it
+        // would name a file that is never written.
+        const char* report_flag = !json_path.empty()    ? "--json"
+                                  : !sarif_path.empty() ? "--sarif"
+                                                        : nullptr;
+        if (report_flag) {
+            std::cerr << prog << ": " << report_flag
+                      << ": not supported with --list-rules\n";
+            return 2;
+        }
+        for (analysis::RuleId r : analysis::all_rules()) {
+            std::cout << analysis::rule_name(r) << "\t"
+                      << analysis::rule_summary(r) << "\n";
+        }
+        return 0;
     }
 
     analysis::SuppressionSet suppressions;

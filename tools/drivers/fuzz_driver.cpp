@@ -3,8 +3,9 @@
 /// (see drivers.hpp).
 ///
 /// Exit codes: 0 = success (no violations, or — with --expect-violation —
-/// violations found, shrunk, and replayed byte-identically), 1 = the run
-/// did not meet its expectation, 2 = usage or I/O error.
+/// violations found, shrunk unless --no-shrink, and replayed
+/// byte-identically), 1 = the run did not meet its expectation, 2 = usage
+/// or I/O error.
 
 #include <cstdint>
 #include <iostream>
@@ -227,8 +228,10 @@ int fuzz_main(std::string_view prog,
                 return 1;
             }
         }
-        std::cout << "OK: violations found, shrunk, and replayed "
-                     "byte-identically\n";
+        std::cout << (opts.shrink ? "OK: violations found, shrunk, and "
+                                    "replayed byte-identically\n"
+                                  : "OK: violations found and replayed "
+                                    "byte-identically\n");
         return 0;
         });
 }

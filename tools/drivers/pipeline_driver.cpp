@@ -69,7 +69,9 @@ void usage(std::ostream& os, std::string_view prog) {
           "                     (per-pass wall_us + cache traffic)\n"
           "  --verify           run serial-cold, parallel-cold and\n"
           "                     serial-warm; require byte-identical\n"
-          "                     artifact manifests (exit 1 on mismatch)\n"
+          "                     artifact manifests (exit 1 on mismatch);\n"
+          "                     writes no output, so --cache, --out-dir,\n"
+          "                     --json and --manifest are refused\n"
           "  --list             print the topological pass order, run\n"
           "                     nothing\n"
           "  --manifest         print the artifact manifest to stdout\n"
@@ -276,6 +278,9 @@ namespace mcps::drivers {
 int pipeline_main(std::string_view prog,
                   const std::vector<std::string_view>& argv) {
     PipelineCli cli;
+    // The last output flag given: --verify writes no output, so it
+    // refuses each of them.
+    std::string_view output_flag;
 
     return mcps::cli::tool_main(
         prog, [&](std::ostream& os) { usage(os, prog); },
@@ -298,16 +303,20 @@ int pipeline_main(std::string_view prog,
                 cli.jobs = mcps::cli::parse_jobs(arg, value());
             } else if (arg == "--cache") {
                 cli.cache_path = std::string{value()};
+                output_flag = arg;
             } else if (arg == "--out-dir") {
                 cli.out_dir = std::string{value()};
+                output_flag = arg;
             } else if (arg == "--json") {
                 cli.json_path = std::string{value()};
+                output_flag = arg;
             } else if (arg == "--verify") {
                 cli.verify = true;
             } else if (arg == "--list") {
                 cli.list = true;
             } else if (arg == "--manifest") {
                 cli.manifest = true;
+                output_flag = arg;
             } else if (arg == "--quiet") {
                 cli.quiet = true;
             } else if (arg == "--help" || arg == "-h") {
@@ -316,6 +325,10 @@ int pipeline_main(std::string_view prog,
             } else {
                 throw CliError{"unknown option '" + std::string{arg} + "'"};
             }
+        }
+        if (cli.verify && !output_flag.empty()) {
+            throw CliError{std::string{output_flag} +
+                           ": not supported with --verify"};
         }
 
         const pipeline::PipelineGraph g = build_graph(cli);
