@@ -1,6 +1,8 @@
 #include "exporters.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +17,7 @@
 
 #include "format.hpp"
 #include "json.hpp"
+#include "sim/hash.hpp"
 
 namespace mcps::obs {
 
@@ -43,6 +46,14 @@ char* put_int(char* p, std::int64_t v) {
     return std::to_chars(p, p + kMaxIntChars, v).ptr;
 }
 
+/// The (kind, src, detail) triples the writers' fragment table and the
+/// reader's segment table each hold, and the bytes of text they may
+/// hold in all: fixed, so neither grows with the number of triples.
+constexpr std::size_t kTableTriples = 128;
+constexpr std::size_t kTableTextBytes = std::size_t{1} << 14;
+/// Open-addressed slots, at most half full.
+constexpr std::size_t kTableSlots = 2 * kTableTriples;
+
 /// One write_jsonl line per event. read_canonical reads a line back
 /// from the same literals, so the line's shape is stated only here.
 struct JsonlRecords {
@@ -61,12 +72,18 @@ struct JsonlRecords {
         return kFixed + to_string(e.kind).size() + sym[e.source].size() +
                sym[e.detail].size();
     }
-    char* write(char* p, const Event& e) const {
-        p = put_int(put(p, kTime), e.time.ticks());
-        p = put(put(put(p, kKind), to_string(e.kind)), kSrc);
-        p = put(put(put(p, sym[e.source]), kDetail), sym[e.detail]);
-        p = write_number(put(p, kValue), e.value);
-        return put(p, kEnd);
+    /// Appends the bytes \p e's line holds before its time, then those
+    /// between its time and its value; returns the first part's length.
+    std::size_t render(std::string& out, const Event& e) const {
+        out += kTime;
+        out += kKind;
+        out += to_string(e.kind);
+        out += kSrc;
+        out += sym[e.source];
+        out += kDetail;
+        out += sym[e.detail];
+        out += kValue;
+        return kTime.size();
     }
 };
 
@@ -91,17 +108,86 @@ struct ChromeRecords {
     [[nodiscard]] std::size_t bound(const Event& e) const {
         return kFixed + 2 * to_string(e.kind).size() + sym[e.detail].size();
     }
+    /// As JsonlRecords::render: the name/cat/ts head from the kind and
+    /// detail, then the pid/tid/args middle from the source's lane.
     // Kind names need no escaping, so escape(kind + ":" + detail) is
     // kind + ":" + escape(detail).
-    char* write(char* p, const Event& e) const {
-        p = put(put(p, kName), to_string(e.kind));
-        *p++ = ':';
-        p = put(put(put(p, sym[e.detail]), kCat), to_string(e.kind));
-        p = put_int(put(p, kTime), e.time.ticks());
-        p = put_int(put(p, kLane), lane[e.source]);
-        p = write_number(put(p, kValue), e.value);
-        return put(p, kEnd);
+    std::size_t render(std::string& out, const Event& e) const {
+        const std::size_t begin = out.size();
+        out += kName;
+        out += to_string(e.kind);
+        out += ':';
+        out += sym[e.detail];
+        out += kCat;
+        out += to_string(e.kind);
+        out += kTime;
+        const std::size_t head = out.size() - begin;
+        out += kLane;
+        out += std::to_string(lane[e.source]);
+        out += kValue;
+        return head;
     }
+};
+
+/// A record's constant bytes: those before its time, and those between
+/// its time and its value.
+struct Fragment {
+    std::string_view head, mid;
+};
+
+/// The fragments of one export, each rendered once per distinct
+/// (kind, source, detail) triple into an open-addressed table keyed by
+/// the packed triple. A triple that finds the table full is rendered
+/// again for each of its events, into one reused scratch buffer.
+template <class Records>
+class FragmentTable {
+public:
+    explicit FragmentTable(const Records& rec) : rec_{rec} {}
+
+    /// \p e's fragment; valid until the next call.
+    Fragment get(const Event& e) {
+        const std::uint64_t ids = std::uint64_t{e.source} << 32 | e.detail;
+        std::size_t i = sim::mix(static_cast<std::uint64_t>(e.kind), ids) &
+                        (kTableSlots - 1);
+        for (; slots_[i].end != 0; i = (i + 1) & (kTableSlots - 1)) {
+            const Slot& s = slots_[i];
+            if (s.ids == ids && s.kind == e.kind) {
+                return split(text_, s.begin, s.split, s.end);
+            }
+        }
+        if (count_ == kTableTriples ||
+            text_.size() + rec_.bound(e) > kTableTextBytes) {
+            scratch_.clear();
+            const std::size_t head = rec_.render(scratch_, e);
+            return split(scratch_, 0, head, scratch_.size());
+        }
+        const std::size_t begin = text_.size();
+        const std::size_t head = rec_.render(text_, e);
+        slots_[i] = Slot{ids, static_cast<std::uint32_t>(begin),
+                         static_cast<std::uint32_t>(begin + head),
+                         static_cast<std::uint32_t>(text_.size()), e.kind};
+        ++count_;
+        return split(text_, begin, begin + head, text_.size());
+    }
+
+private:
+    /// Empty while its end is 0: every fragment has bytes.
+    struct Slot {
+        std::uint64_t ids = 0;  ///< source << 32 | detail
+        std::uint32_t begin = 0, split = 0, end = 0;  ///< in text_
+        EventKind kind{};
+    };
+
+    static Fragment split(std::string_view text, std::size_t begin,
+                          std::size_t mid, std::size_t end) {
+        return {text.substr(begin, mid - begin), text.substr(mid, end - mid)};
+    }
+
+    const Records& rec_;
+    std::array<Slot, kTableSlots> slots_{};
+    std::string text_;  ///< the held fragments, back to back
+    std::size_t count_ = 0;
+    std::string scratch_;
 };
 
 /// Appends the Chrome header to \p out: the trace array's opening and
@@ -133,14 +219,18 @@ void flush(std::string& buf, std::ostream& os) {
     buf.clear();
 }
 
-/// Appends every event's record to \p out, each through a raw cursor:
-/// two resizes per record instead of one append per field. Without a
-/// \p sink the summed bounds are reserved first, so the buffer is never
-/// copied on growth; with one, \p out is flushed to it whenever it
-/// passes kFlushBytes, so a large log is never held in memory twice.
+/// Appends every event's record to \p out through a raw cursor: its
+/// triple's fragment, with the time and the value written between and
+/// after its parts. \p out grows by at most one record's bound at a
+/// time. Without a \p sink the summed bounds are reserved first, so the
+/// buffer is never copied on growth; with one, \p out is flushed to it
+/// whenever it passes kFlushBytes, so a large log is never held in
+/// memory twice.
 template <class Records>
 void append_records(const EventLog& log, const Records& rec,
                     std::string& out, std::ostream* sink) {
+    constexpr std::size_t kVarying =
+        kMaxIntChars + kMaxNumberChars + Records::kEnd.size();
     std::size_t total = out.size();
     if (sink) {
         total = 2 * kFlushBytes;
@@ -148,11 +238,14 @@ void append_records(const EventLog& log, const Records& rec,
         for (const Event& e : log.events()) total += rec.bound(e);
     }
     out.reserve(total);
+    FragmentTable<Records> fragments{rec};
     for (const Event& e : log.events()) {
+        const Fragment f = fragments.get(e);
         const std::size_t at = out.size();
-        out.resize(at + rec.bound(e));
-        out.resize(static_cast<std::size_t>(rec.write(out.data() + at, e) -
-                                            out.data()));
+        out.resize(at + f.head.size() + f.mid.size() + kVarying);
+        char* p = put_int(put(out.data() + at, f.head), e.time.ticks());
+        p = put(write_number(put(p, f.mid), e.value), Records::kEnd);
+        out.resize(static_cast<std::size_t>(p - out.data()));
         if (sink && out.size() >= kFlushBytes) flush(out, *sink);
     }
 }
@@ -275,72 +368,176 @@ bool read_plain(std::string_view& s, std::string_view& out) noexcept {
     return true;
 }
 
+/// A byte JsonReader's number token may hold.
+bool is_number_byte(char c) noexcept {
+    return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+           c == 'e' || c == 'E';
+}
+
 /// Reads the number token at the front of \p s with JsonReader's token
 /// rule and its from_chars call, so the value is the one the reader
 /// yields, bit for bit; false wherever the reader would fail.
 template <class T>
 bool read_number(std::string_view& s, T& v) noexcept {
+    const auto digit = [](char c) { return c >= '0' && c <= '9'; };
     // JsonReader::peek's rule: a number starts with '-' or a digit.
-    if (s.empty() || (s[0] != '-' && (s[0] < '0' || s[0] > '9'))) {
-        return false;
+    if (s.empty() || (s[0] != '-' && !digit(s[0]))) return false;
+    // A token of an optional '-' and 1 to 15 digits is an integer exact
+    // in an int64 and a double, so it is read here, as from_chars reads
+    // it: leading zeros included, and "-0" as 0 or -0.0.
+    const std::size_t sign = s[0] == '-' ? 1 : 0;
+    std::size_t end = sign;
+    std::uint64_t u = 0;
+    for (; end < s.size() && digit(s[end]); ++end) {
+        u = 10 * u + static_cast<std::uint64_t>(s[end] - '0');
+    }
+    if (end > sign && end - sign <= 15 &&
+        (end == s.size() || !is_number_byte(s[end]))) {
+        v = sign ? -static_cast<T>(u) : static_cast<T>(u);
+        s.remove_prefix(end);
+        return true;
     }
     // JsonReader::read_number's token: every byte a number may hold.
-    std::size_t end = 0;
-    while (end < s.size() &&
-           ((s[end] >= '0' && s[end] <= '9') || s[end] == '-' ||
-            s[end] == '+' || s[end] == '.' || s[end] == 'e' ||
-            s[end] == 'E')) {
-        ++end;
-    }
+    while (end < s.size() && is_number_byte(s[end])) ++end;
     const auto [p, ec] = std::from_chars(s.data(), s.data() + end, v);
     if (ec != std::errc{} || p != s.data() + end) return false;
     s.remove_prefix(end);
     return true;
 }
 
-/// Reads \p line into \p log if it is spelled exactly as
-/// JsonlRecords::write spells an event: its literals in its order, plain
-/// strings, a known kind, a number or null, and nothing after the '}'.
-/// Any other spelling returns false with \p log untouched, and the line
-/// goes to read_event, which reads it or names what is wrong.
-bool read_canonical(std::string_view line, EventLog& log) {
-    using R = JsonlRecords;
-    std::int64_t t_us = 0;
-    std::string_view name, src, detail;
-    double value = std::numeric_limits<double>::quiet_NaN();
-    if (!skip_literal(line, R::kTime) || !read_number(line, t_us) ||
-        !skip_literal(line, R::kKind) || !read_plain(line, name) ||
-        !skip_literal(line, R::kSrc) || !read_plain(line, src) ||
-        !skip_literal(line, R::kDetail) || !read_plain(line, detail) ||
-        !skip_literal(line, R::kValue) ||
-        !(skip_literal(line, kJsonNull) || read_number(line, value)) ||
-        line != R::kEnd.substr(0, R::kEnd.size() - 1)) {  // less the '\n'
-        return false;
+/// A hash of \p s for the segment table: each 8-byte word times the
+/// FNV prime, summed with a rotation between words so their order
+/// counts, then the fingerprint fold. The products do not wait on each
+/// other, so each word adds only a rotate and an add to the chain. A
+/// text of 8 bytes or more ends on its last 8 bytes, overlapping the
+/// word before; a shorter one is one zero-padded word.
+std::uint64_t hash_words(std::string_view s) noexcept {
+    const auto fold = [](std::uint64_t h, const char* p) {
+        std::uint64_t w;
+        std::memcpy(&w, p, 8);
+        return std::rotl(h, 21) + w * sim::kFnvPrime;
+    };
+    std::uint64_t h = s.size();
+    if (s.size() < 8) {
+        char w[8] = {};
+        std::copy(s.begin(), s.end(), w);
+        h = fold(h, w);
+    } else {
+        for (std::size_t i = 0; i + 8 < s.size(); i += 8) {
+            h = fold(h, s.data() + i);
+        }
+        h = fold(h, s.data() + s.size() - 8);
     }
-    const std::optional<EventKind> kind = event_kind_from(name);
-    if (!kind) return false;
-    const SymbolId s = log.intern(src);
-    log.emit(Event{*kind,
-                   mcps::sim::SimTime::origin() +
-                       mcps::sim::SimDuration::micros(t_us),
-                   s, log.intern(detail), value});
-    return true;
+    return sim::mix(sim::kFnvOffset, h);
 }
 
-/// Reads line \p lineno (1-based) of a JSONL stream into \p log: the
-/// canonical shape directly, any other through JsonReader.
-void read_line(std::string_view line, std::size_t lineno, EventLog& log) {
-    if (line.empty() || read_canonical(line, log)) return;
-    try {
-        read_event(line, log);
-    } catch (const JsonError& e) {
-        std::string msg{"jsonl line "};
-        msg += std::to_string(lineno);
-        msg += ": ";
-        msg += e.what();
-        throw std::runtime_error{msg};
+/// Reads the lines of one JSONL stream into one log. A line spelled
+/// exactly as write_jsonl writes an event is split into its t_us token,
+/// its (kind, src, detail) segment and its value token; each distinct
+/// segment is decoded once and looked up after that. Any other line
+/// goes through JsonReader, which reads it or names what is wrong.
+class LineDecoder {
+public:
+    explicit LineDecoder(EventLog& log) : log_{log} {}
+
+    /// Reads line \p lineno (1-based) into the log.
+    void read(std::string_view line, std::size_t lineno) {
+        if (line.empty() || read_canonical(line)) return;
+        try {
+            read_event(line, log_);
+        } catch (const JsonError& e) {
+            std::string msg{"jsonl line "};
+            msg += std::to_string(lineno);
+            msg += ": ";
+            msg += e.what();
+            throw std::runtime_error{msg};
+        }
     }
-}
+
+private:
+    /// Empty while its end is 0: every segment has bytes.
+    struct Slot {
+        std::uint64_t hash = 0;
+        std::uint32_t begin = 0, end = 0;  ///< the segment, in text_
+        EventKind kind{};
+        SymbolId src = 0, detail = 0;
+    };
+
+    /// Reads \p line if it is spelled exactly as write_jsonl writes an
+    /// event: JsonlRecords' literals in their order, plain strings, a
+    /// known kind, a number or null, and nothing after the '}'. Any
+    /// other spelling returns false with the log untouched. Only a
+    /// segment the table does not hold is decoded, src interned before
+    /// detail, so symbol ids keep first-appearance order.
+    bool read_canonical(std::string_view line) {
+        using R = JsonlRecords;
+        std::int64_t t_us = 0;
+        double value = std::numeric_limits<double>::quiet_NaN();
+        if (!skip_literal(line, R::kTime) || !read_number(line, t_us) ||
+            !line.ends_with('}')) {
+            return false;
+        }
+        line.remove_suffix(1);
+        // The value token runs back from the '}' over number bytes; the
+        // segment ends in kValue's ':', which is not one.
+        std::size_t at = line.size();
+        while (at > 0 && is_number_byte(line[at - 1])) --at;
+        std::string_view token = line.substr(at);
+        if (token.empty() && line.ends_with(kJsonNull)) {
+            at -= kJsonNull.size();
+        } else if (!read_number(token, value)) {
+            return false;
+        }
+        const std::string_view segment = line.substr(0, at);
+
+        const std::uint64_t hash = hash_words(segment);
+        std::size_t i = hash & (kTableSlots - 1);
+        for (; slots_[i].end != 0; i = (i + 1) & (kTableSlots - 1)) {
+            const Slot& s = slots_[i];
+            if (s.hash == hash &&
+                std::string_view{text_}.substr(s.begin, s.end - s.begin) ==
+                    segment) {
+                emit(s.kind, t_us, s.src, s.detail, value);
+                return true;
+            }
+        }
+        std::string_view rest = segment, name, src, detail;
+        if (!skip_literal(rest, R::kKind) || !read_plain(rest, name) ||
+            !skip_literal(rest, R::kSrc) || !read_plain(rest, src) ||
+            !skip_literal(rest, R::kDetail) || !read_plain(rest, detail) ||
+            rest != R::kValue) {
+            return false;
+        }
+        const std::optional<EventKind> kind = event_kind_from(name);
+        if (!kind) return false;
+        const SymbolId s = log_.intern(src);
+        const SymbolId d = log_.intern(detail);
+        if (count_ < kTableTriples &&
+            text_.size() + segment.size() <= kTableTextBytes) {
+            slots_[i] = Slot{hash, static_cast<std::uint32_t>(text_.size()),
+                             static_cast<std::uint32_t>(text_.size() +
+                                                        segment.size()),
+                             *kind, s, d};
+            text_ += segment;
+            ++count_;
+        }
+        emit(*kind, t_us, s, d, value);
+        return true;
+    }
+
+    void emit(EventKind kind, std::int64_t t_us, SymbolId src,
+              SymbolId detail, double value) {
+        log_.emit(Event{kind,
+                        mcps::sim::SimTime::origin() +
+                            mcps::sim::SimDuration::micros(t_us),
+                        src, detail, value});
+    }
+
+    EventLog& log_;
+    std::array<Slot, kTableSlots> slots_{};
+    std::string text_;  ///< the held segments, back to back
+    std::size_t count_ = 0;
+};
 
 }  // namespace
 
@@ -349,9 +546,10 @@ EventLog read_jsonl(std::string_view text) {
     // Event lines run about 100 bytes; an event takes 32, so this stays
     // under half the text's size whatever the text holds.
     log.reserve(text.size() / 64);
+    LineDecoder decoder{log};
     for (std::size_t lineno = 1; !text.empty(); ++lineno) {
         const std::size_t nl = text.find('\n');
-        read_line(text.substr(0, nl), lineno, log);
+        decoder.read(text.substr(0, nl), lineno);
         text.remove_prefix(nl == std::string_view::npos ? text.size()
                                                         : nl + 1);
     }
@@ -361,6 +559,7 @@ EventLog read_jsonl(std::string_view text) {
 EventLog read_jsonl(std::istream& is) {
     constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
     EventLog log;
+    LineDecoder decoder{log};
     // buf[0, carried) is the line the last chunk ended inside, and the
     // next chunk is read after it, so a large stream is never held
     // whole; buf outgrows one chunk only for a line longer than one.
@@ -377,14 +576,14 @@ EventLog read_jsonl(std::istream& is) {
         std::string_view rest{buf.data(), carried + got};
         for (std::size_t nl; (nl = rest.find('\n')) != std::string_view::npos;
              ++lineno) {
-            read_line(rest.substr(0, nl), lineno, log);
+            decoder.read(rest.substr(0, nl), lineno);
             rest.remove_prefix(nl + 1);
         }
         carried = rest.size();
         std::memmove(buf.data(), rest.data(), carried);
     }
     // A last line without a newline.
-    read_line(std::string_view{buf.data(), carried}, lineno, log);
+    decoder.read(std::string_view{buf.data(), carried}, lineno);
     return log;
 }
 

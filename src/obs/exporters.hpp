@@ -18,14 +18,24 @@
 ///    metrics.hpp).
 ///
 /// Both writers build their text in one buffer, escaping each symbol
-/// once rather than once per event. read_jsonl parses exactly what
-/// write_jsonl emits (the round-trip is exact), on one of two paths per
-/// line:
+/// once rather than once per event. A record is the constant bytes of
+/// its (kind, src, detail) triple with its time and value written
+/// between and after them; each distinct triple's bytes are rendered
+/// once per export into a table of fixed capacity (128 triples, 16 KiB),
+/// and a triple that finds it full is rendered again for each of its
+/// events into one reused scratch buffer.
+///
+/// read_jsonl parses exactly what write_jsonl emits (the round-trip is
+/// exact), on one of two paths per line:
 ///
 ///  * direct — a line in write_jsonl's exact shape (its own field
 ///    literals in its order, strings without escapes or control bytes,
-///    a known kind, a number or null, nothing after the '}') is decoded
-///    in one pass, with JsonReader's number rule and from_chars call;
+///    a known kind, a number or null, nothing after the '}') is split
+///    into its t_us token, its (kind, src, detail) segment and its value
+///    token. Each distinct segment is decoded once and then looked up
+///    in a table of the same fixed capacity (a miss once it is full
+///    decodes without inserting); numbers follow JsonReader's token
+///    rule and from_chars, bit for bit;
 ///  * reader — any other line goes through JsonReader, which reads any
 ///    spelling of the same object or names what is wrong.
 ///

@@ -1,9 +1,10 @@
 /// \file test_event_log_forensics.cpp
 /// \brief The incident record's exporters against real scenario logs:
-/// the Chrome bytes of the x-ray golden trace are pinned by digest, the
-/// JSONL goldens round-trip byte for byte, read the same on both decode
-/// paths and, without the lines that were trace-recorder marks before,
-/// are the files they were then, a mutation sweep over a real pca log
+/// the Chrome bytes of both golden traces, and the JSONL and Chrome
+/// bytes of pca and x-ray logs with their bus traffic, are pinned by
+/// digest, the JSONL goldens round-trip byte for byte, read the same on
+/// both decode paths and, without the lines that were trace-recorder
+/// marks before, are the files they were then, a mutation sweep over a real pca log
 /// shows read_jsonl either rejects a damaged log or reads one whose
 /// JSONL is a fixed point, and the stream and in-memory read_jsonl agree
 /// on every input, chunk boundaries included.
@@ -130,11 +131,11 @@ TEST(EventLogForensics, GoldensWithoutFormerMarksAreTheOldFiles) {
     }
 }
 
-/// The Chrome trace_event bytes of the x-ray/vent golden log, pinned by
-/// size and FNV-1a digest: no test diffs the Chrome export otherwise, so
-/// a change here is a format change and must be deliberate. The export
-/// of the golden without its former-mark lines keeps the pin it had
-/// before they were added.
+/// The Chrome trace_event bytes of both golden logs, pinned by size and
+/// FNV-1a digest: no test diffs the Chrome export otherwise, so a
+/// change here is a format change and must be deliberate. The export of
+/// the x-ray/vent golden without its former-mark lines keeps the pin it
+/// had before they were added.
 TEST(EventLogForensics, GoldenChromeBytesArePinned) {
     const obs::EventLog log = obs::read_jsonl(read_golden("xray_vent.jsonl"));
     const std::string chrome = chrome_of(log);
@@ -143,6 +144,11 @@ TEST(EventLogForensics, GoldenChromeBytesArePinned) {
     std::ostringstream streamed;
     obs::write_chrome_trace(log, streamed);
     EXPECT_EQ(streamed.str(), chrome);
+
+    const std::string pca =
+        chrome_of(obs::read_jsonl(read_golden("pca_interlock.jsonl")));
+    EXPECT_EQ(pca.size(), 9590u);
+    EXPECT_EQ(sim::fnv1a64(pca), 0x25927277611ebc38ULL);
 
     const std::string old = chrome_of(without_former_marks(log));
     EXPECT_EQ(old.size(), 194388u);
@@ -174,8 +180,11 @@ std::optional<obs::EventLog> read_both(const std::string& text) {
     return from_view;
 }
 
-obs::EventLog pca_log(std::uint64_t minutes) {
-    scenario::ScenarioSpec spec = scenario::registry().default_spec("pca");
+/// The events-on log of the \p name preset at seed 42, bus traffic
+/// included.
+obs::EventLog scenario_log(const char* name, std::uint64_t minutes) {
+    scenario::ScenarioSpec spec = scenario::registry().default_spec(name);
+    spec.seed = 42;
     spec.minutes = minutes;
     obs::EventLog log;
     scenario::RunOptions opts;
@@ -184,12 +193,45 @@ obs::EventLog pca_log(std::uint64_t minutes) {
     return log;
 }
 
+/// The exporters' bytes on bus traffic, which neither golden carries:
+/// each preset's 30-minute log at seed 42, written both ways, pinned by
+/// size and FNV-1a digest, streamed and in memory alike.
+TEST(EventLogForensics, BusTrafficExportBytesArePinned) {
+    const struct {
+        const char* name;
+        std::size_t jsonl_bytes;
+        std::uint64_t jsonl_fnv;
+        std::size_t chrome_bytes;
+        std::uint64_t chrome_fnv;
+    } kPins[] = {
+        {"pca", 1688444u, 0x71d6dd336a2deb19ULL, 2244490u,
+         0x5b62f302e4cbb0a1ULL},
+        {"xray", 459258u, 0x4a25d64fa742b4eeULL, 617846u,
+         0xb7b8f6ec28fd5275ULL},
+    };
+    for (const auto& pin : kPins) {
+        const obs::EventLog log = scenario_log(pin.name, 30);
+        ASSERT_GT(log.count(obs::EventKind::kBusDeliver), 0u) << pin.name;
+        const std::string jsonl = jsonl_of(log);
+        const std::string chrome = chrome_of(log);
+        EXPECT_EQ(jsonl.size(), pin.jsonl_bytes) << pin.name;
+        EXPECT_EQ(sim::fnv1a64(jsonl), pin.jsonl_fnv) << pin.name;
+        EXPECT_EQ(chrome.size(), pin.chrome_bytes) << pin.name;
+        EXPECT_EQ(sim::fnv1a64(chrome), pin.chrome_fnv) << pin.name;
+        std::ostringstream streamed_jsonl, streamed_chrome;
+        obs::write_jsonl(log, streamed_jsonl);
+        obs::write_chrome_trace(log, streamed_chrome);
+        EXPECT_EQ(streamed_jsonl.str(), jsonl) << pin.name;
+        EXPECT_EQ(streamed_chrome.str(), chrome) << pin.name;
+    }
+}
+
 /// ROADMAP's event-log mutation sweep, on a real multi-line pca log:
 /// every mutant either throws std::runtime_error, or reads back to a log
 /// whose symbols all resolve and whose JSONL is a fixed point under
 /// read -> write. Both read_jsonl overloads give the same answer.
 TEST(EventLogForensics, MutationSweepRejectsOrReachesAFixedPoint) {
-    const obs::EventLog base = pca_log(5);
+    const obs::EventLog base = scenario_log("pca", 5);
     ASSERT_GT(base.size(), 500u);
     const std::string text = jsonl_of(base);
     ASSERT_EQ(obs::read_jsonl(text).fingerprint(), base.fingerprint());
@@ -253,7 +295,7 @@ TEST(EventLogForensics, MutationSweepRejectsOrReachesAFixedPoint) {
 /// the same log, or the same error naming the same line.
 TEST(EventLogForensics, StreamAndViewReadersAgreeAcrossChunks) {
     constexpr std::size_t kChunk = std::size_t{1} << 16;
-    const obs::EventLog base = pca_log(5);
+    const obs::EventLog base = scenario_log("pca", 5);
     const std::string text = jsonl_of(base);
     ASSERT_GT(text.size(), kChunk + 1000);
 

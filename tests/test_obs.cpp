@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -446,6 +447,16 @@ std::optional<EventLog> try_read_jsonl(std::string_view text) {
     }
 }
 
+/// read_jsonl's error text for \p text, or "" if it read.
+std::string jsonl_error(std::string_view text) {
+    try {
+        (void)read_jsonl(text);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
 /// read_jsonl reads write_jsonl's own line shape directly and any other
 /// spelling through JsonReader; a leading space is enough to force the
 /// second path. Over canonical lines of every kind, and every
@@ -489,31 +500,57 @@ TEST(Jsonl, CanonicalDecoderAgreesWithReaderUnderMutation) {
 
     const std::string_view subs = "\"\\},:-.e0 \n";
     std::size_t accepted = 0, rejected = 0;
-    const auto check = [&](const std::string& line) {
-        const std::optional<EventLog> direct = try_read_jsonl(line);
-        const std::optional<EventLog> reader = try_read_jsonl(" " + line);
-        ASSERT_EQ(direct.has_value(), reader.has_value()) << line;
+    // Each mutant is read alone, and after its unmutated line, which
+    // leaves that line's segment in the decoder's table: a mutant one
+    // byte off a held segment, or a held segment beside a bad t_us or
+    // value token, must read as it does with the table cold.
+    const auto check = [&](const std::string& line,
+                           const std::string& mutant) {
+        const std::optional<EventLog> direct = try_read_jsonl(mutant);
+        const std::optional<EventLog> reader = try_read_jsonl(" " + mutant);
+        ASSERT_EQ(direct.has_value(), reader.has_value()) << mutant;
+        const std::optional<EventLog> warm =
+            try_read_jsonl(line + "\n" + mutant);
+        const std::optional<EventLog> warm_reader =
+            try_read_jsonl(line + "\n " + mutant);
+        ASSERT_EQ(warm.has_value(), warm_reader.has_value()) << mutant;
         if (!direct) {
             ++rejected;
+            // The same error, one line further down.
+            ASSERT_FALSE(warm.has_value()) << mutant;
+            const std::string cold = jsonl_error(mutant);
+            const std::string_view head = "jsonl line ";
+            ASSERT_EQ(cold.rfind(head, 0), 0u) << cold;
+            std::size_t n = 0;
+            const auto [rest, ec] =
+                std::from_chars(cold.data() + head.size(),
+                                cold.data() + cold.size(), n);
+            ASSERT_EQ(ec, std::errc{}) << cold;
+            EXPECT_EQ(jsonl_error(line + "\n" + mutant),
+                      std::string{head} + std::to_string(n + 1) + rest)
+                << mutant;
             return;
         }
         ++accepted;
-        EXPECT_TRUE(*direct == *reader) << line;
-        EXPECT_EQ(direct->fingerprint(), reader->fingerprint()) << line;
+        EXPECT_TRUE(*direct == *reader) << mutant;
+        EXPECT_EQ(direct->fingerprint(), reader->fingerprint()) << mutant;
+        ASSERT_TRUE(warm.has_value()) << mutant;
+        EXPECT_TRUE(*warm == *warm_reader) << mutant;
+        EXPECT_EQ(warm->fingerprint(), warm_reader->fingerprint()) << mutant;
     };
     for (std::size_t begin = 0; begin < text.size();) {
         const std::size_t end = text.find('\n', begin);
         const std::string line = text.substr(begin, end - begin);
         begin = end + 1;
-        check(line);
+        check(line, line);
         for (std::size_t i = 0; i < line.size(); ++i) {
             std::string mutant = line;
-            check(mutant.erase(i, 1));
+            check(line, mutant.erase(i, 1));
             for (const char c : subs) {
                 if (c == line[i]) continue;
                 mutant = line;
                 mutant[i] = c;
-                check(mutant);
+                check(line, mutant);
             }
         }
     }
@@ -547,6 +584,130 @@ TEST(ChromeTrace, EmitsLanesAndInstantEvents) {
     std::ostringstream empty;
     write_chrome_trace(EventLog{}, empty);
     EXPECT_EQ(empty.str(), "{\"traceEvents\":[\n]}\n");
+}
+
+/// A log whose events each have their own (kind, src, detail) triple,
+/// far more than the exporters' fragment tables and read_jsonl's
+/// segment table hold, then a second pass over some of the same triples
+/// (held and not). Symbols need every escape and carry UTF-8; times and
+/// values take the extremes.
+EventLog all_distinct_triples_log() {
+    const std::string sources[] = {
+        "a", "pump1", "q\"uote", "back\\slash", std::string{"c\x01\x1f"},
+        "nl\n\ttab\r", "utf8 \xc3\xa9\xe2\x86\x92", ""};
+    const std::string details[] = {"vitals/x-", "", "\"", "\\\\",
+                                   std::string{"\x7f\x02/"}, "\xce\xbc/"};
+    const std::int64_t times[] = {
+        0, -1, std::numeric_limits<std::int64_t>::max(), 1'234'567};
+    const double two53 = 9007199254740992.0;
+    const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             -0.0, two53, -two53, 0.1,
+                             std::numeric_limits<double>::denorm_min(), 7.0};
+    const std::size_t kinds =
+        static_cast<std::size_t>(EventKind::kAppState) + 1;
+    EventLog log;
+    const auto emit = [&](std::size_t triple, std::size_t i) {
+        log.emit(static_cast<EventKind>(triple % kinds),
+                 at(SimDuration::micros(times[i % std::size(times)])),
+                 sources[triple % std::size(sources)],
+                 details[triple % std::size(details)] + std::to_string(triple),
+                 values[i % std::size(values)]);
+    };
+    constexpr std::size_t kTriples = 3000;
+    for (std::size_t i = 0; i < kTriples; ++i) emit(i, i);
+    for (std::size_t i = 0; i < 600; ++i) emit(i * 7 % kTriples, i + 1);
+    return log;
+}
+
+/// write_jsonl's and write_chrome_trace's bytes for \p log, built here
+/// field by field from the format's definition.
+std::string jsonl_by_fields(const EventLog& log) {
+    std::string out;
+    for (const Event& e : log.events()) {
+        out += "{\"t_us\":" + std::to_string(e.time.ticks()) +
+               ",\"kind\":\"" + std::string{to_string(e.kind)} +
+               "\",\"src\":\"" + json_escape(log.symbol(e.source)) +
+               "\",\"detail\":\"" + json_escape(log.symbol(e.detail)) +
+               "\",\"value\":" + format_number(e.value) + "}\n";
+    }
+    return out;
+}
+
+std::string chrome_by_fields(const EventLog& log) {
+    std::string out = "{\"traceEvents\":[";
+    std::vector<std::int64_t> lane(log.symbol_count(), 0);
+    std::int64_t lanes = 0;
+    for (const Event& e : log.events()) {
+        if (lane[e.source] != 0) continue;
+        lane[e.source] = ++lanes;
+        out += lanes == 1 ? "\n" : ",\n";
+        out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
+               std::to_string(lanes) + ",\"args\":{\"name\":\"" +
+               json_escape(log.symbol(e.source)) + "\"}}";
+    }
+    for (const Event& e : log.events()) {
+        const std::string kind{to_string(e.kind)};
+        out += ",\n{\"name\":\"" + kind + ":" +
+               json_escape(log.symbol(e.detail)) + "\",\"cat\":\"" + kind +
+               "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
+               std::to_string(e.time.ticks()) + ",\"pid\":1,\"tid\":" +
+               std::to_string(lane[e.source]) + ",\"args\":{\"value\":" +
+               format_number(e.value) + "}}";
+    }
+    return out + "\n]}\n";
+}
+
+/// Both writers match the field-by-field bytes when no two events share
+/// a triple, through both overloads, appending to a non-empty string
+/// and streaming across many 64 KiB flushes; read_jsonl reads the JSONL
+/// back to the log, values as their text reads (non-finite as NaN, -0
+/// as 0), on both decode paths.
+TEST(Exporters, DistinctTriplesWriteFieldByFieldBytes) {
+    const EventLog log = all_distinct_triples_log();
+    const std::string jsonl = jsonl_by_fields(log);
+    const std::string chrome = chrome_by_fields(log);
+    ASSERT_GT(jsonl.size(), std::size_t{4} << 16);
+    ASSERT_GT(chrome.size(), std::size_t{4} << 16);
+
+    std::string text = "prefix";
+    write_jsonl(log, text);
+    EXPECT_EQ(text, "prefix" + jsonl);
+    text = "prefix";
+    write_chrome_trace(log, text);
+    EXPECT_EQ(text, "prefix" + chrome);
+    std::ostringstream streamed_jsonl, streamed_chrome;
+    write_jsonl(log, streamed_jsonl);
+    write_chrome_trace(log, streamed_chrome);
+    EXPECT_EQ(streamed_jsonl.str(), jsonl);
+    EXPECT_EQ(streamed_chrome.str(), chrome);
+
+    EventLog as_read;
+    for (const Event& e : log.events()) {
+        const double v = !std::isfinite(e.value)
+                             ? std::numeric_limits<double>::quiet_NaN()
+                         : e.value == 0.0 ? 0.0
+                                          : e.value;
+        as_read.emit(e.kind, e.time, log.symbol(e.source),
+                     log.symbol(e.detail), v);
+    }
+    std::string respaced;
+    for (std::size_t begin = 0; begin < jsonl.size();) {
+        const std::size_t end = jsonl.find('\n', begin) + 1;
+        respaced += ' ' + jsonl.substr(begin, end - begin);
+        begin = end;
+    }
+    std::istringstream is{jsonl};
+    for (const EventLog& back :
+         {read_jsonl(jsonl), read_jsonl(respaced), read_jsonl(is)}) {
+        EXPECT_TRUE(back == as_read);
+        EXPECT_EQ(back.fingerprint(), as_read.fingerprint());
+        ASSERT_EQ(back.symbol_count(), as_read.symbol_count());
+        for (SymbolId id = 0; id < back.symbol_count(); ++id) {
+            ASSERT_EQ(back.symbol(id), as_read.symbol(id));
+        }
+    }
 }
 
 // ---- bench JSON schema -----------------------------------------------

@@ -27,15 +27,19 @@
 #                            and the CLI usage-error exit codes
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
 #   5. end-to-end smokes:    the hospital preset and the pipeline
-#                            determinism gate, plus 2 s perfbench
-#                            bedside, forensic and hospital runs
-#                            (perfbench is the one performance record)
-#                            that must each report "correct": true; the
+#                            determinism gate, plus 2 s perfbench runs
+#                            of every workload (bedside, forensic,
+#                            hospital, serve; perfbench is the one
+#                            performance record) that must each report
+#                            "correct": true, so every workload's
+#                            output checks run at Release flags; the
 #                            forensic run checks events-on against
 #                            events-off fingerprints and the JSONL
 #                            round-trip, the hospital run jobs=1 against
 #                            jobs=2 fingerprints and every preset pin on
-#                            the Release-built batch physio kernel
+#                            the Release-built batch physio kernel, the
+#                            serve run its warm-up responses and cache
+#                            misses against direct runs of their specs
 #   6. ASan+UBSan:           full test suite under address+undefined
 #   7. TSan:                 `mcps` and the test binaries under thread
 #                            sanitizer: the ward-engine and fuzz
@@ -117,16 +121,18 @@ echo "hospital preset smoke: OK"
 "${repo_root}/build-ci-werror/tools/mcps" trace check-bench \
     "${repo_root}/build-ci-werror/BENCH_pipeline_smoke.json" >/dev/null
 echo "pipeline smoke: OK"
-# Repository benchmark smokes: short bedside, forensic and hospital runs
-# of perfbench (its own Release build under .bench_build/) must check
-# every pin and invariant. The forensic run checks that a run with the
+# Repository benchmark smokes: a short run of every perfbench workload
+# (its own Release build under .bench_build/) must check every pin and
+# invariant. The forensic run checks that a run with the
 # event log attached has the fingerprint of the same run without it and
 # that its JSONL reads back exactly, so the bus publish path is checked
 # with events on at Release flags. The hospital run compares each
 # engine's jobs=1 and jobs=2 fingerprints, so the optimized batch physio
 # kernel is checked at Release flags, not only at the test tree's. The
-# last stdout line is the result; its "correct" flag is the verdict.
-for workload in bedside forensic hospital; do
+# serve run compares the embedded server's warm-up responses and cache
+# misses with direct runs of their specs. The last stdout line is the
+# result; its "correct" flag is the verdict.
+for workload in bedside forensic hospital serve; do
     perfbench_result="$(cd "${repo_root}" && python3 perfbench/run.py \
         --workload "${workload}" --seed 1 --seconds 2 --trace 0 \
         2>/dev/null | tail -n 1 || true)"

@@ -25,12 +25,14 @@
 /// Exit codes: 0 = clean, 1 = findings, 2 = usage/internal error,
 /// 3 = configuration error (CFG1: a scan root is missing — takes
 /// precedence over 1 so CI can tell "found problems" from "looked at
-/// nothing"). --check-sarif: 0 = valid, 1 = invalid, 2 = unreadable.
+/// nothing"). --check-sarif: 0 = valid, 1 = invalid, 2 = unreadable or
+/// another flag beside it.
 /// CI gate: tools/ci_analysis.sh runs this on every build.
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -96,9 +98,14 @@ int analyze_main(std::string_view prog,
     bool quiet = false;
     bool matrix = false;
     bool list_rules = false;
+    std::optional<std::string> check_sarif;
+    // The first flag other than --check-sarif: the SARIF check is the
+    // whole run, so any other flag beside it is refused.
+    std::string other_flag;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string arg{args[i]};
+        if (arg != "--check-sarif" && other_flag.empty()) other_flag = arg;
         auto next = [&](std::string& out) {
             if (i + 1 >= args.size()) {
                 std::cerr << prog << ": " << arg << ": missing value\n";
@@ -112,9 +119,7 @@ int analyze_main(std::string_view prog,
         } else if (arg == "--sarif") {
             if (!next(sarif_path)) return 2;
         } else if (arg == "--check-sarif") {
-            std::string path;
-            if (!next(path)) return 2;
-            return check_sarif_file(prog, path);
+            if (!next(check_sarif.emplace())) return 2;
         } else if (arg == "--suppress") {
             if (!next(suppress_list)) return 2;
         } else if (arg == "--src-root") {
@@ -146,6 +151,14 @@ int analyze_main(std::string_view prog,
         }
     }
 
+    if (check_sarif) {
+        if (!other_flag.empty()) {
+            std::cerr << prog << ": " << other_flag
+                      << ": not supported with --check-sarif\n";
+            return 2;
+        }
+        return check_sarif_file(prog, *check_sarif);
+    }
     if (list_rules) {
         // The rule list is the whole output: a report flag beside it
         // would name a file that is never written.

@@ -73,7 +73,8 @@ void usage(std::ostream& os, std::string_view prog) {
           "                     writes no output, so --cache, --out-dir,\n"
           "                     --json and --manifest are refused\n"
           "  --list             print the topological pass order, run\n"
-          "                     nothing\n"
+          "                     nothing; the output flags are refused\n"
+          "                     as with --verify\n"
           "  --manifest         print the artifact manifest to stdout\n"
           "  --quiet            suppress the pass summary\n"
           "  --help             this text\n";
@@ -278,8 +279,8 @@ namespace mcps::drivers {
 int pipeline_main(std::string_view prog,
                   const std::vector<std::string_view>& argv) {
     PipelineCli cli;
-    // The last output flag given: --verify writes no output, so it
-    // refuses each of them.
+    // The last output flag given: --list and --verify write no output,
+    // so each refuses all of them.
     std::string_view output_flag;
 
     return mcps::cli::tool_main(
@@ -326,9 +327,12 @@ int pipeline_main(std::string_view prog,
                 throw CliError{"unknown option '" + std::string{arg} + "'"};
             }
         }
-        if (cli.verify && !output_flag.empty()) {
+        const std::string_view mode = cli.list     ? "--list"
+                                      : cli.verify ? "--verify"
+                                                   : "";
+        if (!mode.empty() && !output_flag.empty()) {
             throw CliError{std::string{output_flag} +
-                           ": not supported with --verify"};
+                           ": not supported with " + std::string{mode}};
         }
 
         const pipeline::PipelineGraph g = build_graph(cli);
