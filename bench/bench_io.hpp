@@ -53,9 +53,9 @@ public:
         }
     }
 
-    /// Reports to \p path; reporting is a no-op when it is empty.
-    JsonReporter(std::string bench_name, std::string path)
-        : bench_name_{std::move(bench_name)}, path_{std::move(path)} {}
+    /// Collects metrics for write(std::ostream&) only.
+    explicit JsonReporter(std::string bench_name)
+        : bench_name_{std::move(bench_name)} {}
 
     [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
 
@@ -72,21 +72,7 @@ public:
         if (path_.empty()) return true;
         std::ofstream out{path_};
         if (out) {
-            out << "{\n  \"bench\": \"" << bench_name_ << "\",\n"
-                << "  \"seed\": " << seed_ << ",\n  \"metrics\": [\n";
-            for (std::size_t i = 0; i < metrics_.size(); ++i) {
-                const auto& m = metrics_[i];
-                // NaN/inf are not valid JSON numbers; emit null instead.
-                out << "    {\"name\": \"" << m.name << "\", \"value\": ";
-                if (std::isfinite(m.value)) {
-                    out << m.value;
-                } else {
-                    out << "null";
-                }
-                out << ", \"unit\": \"" << m.unit << "\"}"
-                    << (i + 1 < metrics_.size() ? "," : "") << "\n";
-            }
-            out << "  ]\n}\n";
+            write(out);
             out.close();
         }
         if (!out) {
@@ -96,6 +82,25 @@ public:
         }
         std::cout << "json report: " << path_ << "\n";
         return true;
+    }
+
+    /// The report's JSON text.
+    void write(std::ostream& out) const {
+        out << "{\n  \"bench\": \"" << bench_name_ << "\",\n"
+            << "  \"seed\": " << seed_ << ",\n  \"metrics\": [\n";
+        for (std::size_t i = 0; i < metrics_.size(); ++i) {
+            const auto& m = metrics_[i];
+            // NaN/inf are not valid JSON numbers; emit null instead.
+            out << "    {\"name\": \"" << m.name << "\", \"value\": ";
+            if (std::isfinite(m.value)) {
+                out << m.value;
+            } else {
+                out << "null";
+            }
+            out << ", \"unit\": \"" << m.unit << "\"}"
+                << (i + 1 < metrics_.size() ? "," : "") << "\n";
+        }
+        out << "  ]\n}\n";
     }
 
 private:

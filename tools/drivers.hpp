@@ -1,12 +1,13 @@
 /// \file drivers.hpp
-/// \brief The CLI driver registry: every mcps tool as a callable.
+/// \brief The CLI driver registry: every mcps command as an option
+/// table and a driver.
 ///
-/// Each driver is the complete implementation of one tool — argument
-/// parsing, execution, output, exit code — parameterized only by the
-/// invocation name \p prog (used in usage text and error prefixes) and
-/// the argument vector (argv without the program name). The one `mcps`
-/// binary dispatches `mcps <cmd> ...` to `<cmd>_main("mcps <cmd>", ...)`.
-///
+/// Each `<cmd>_main` is the complete implementation of one command —
+/// parsing against its table `k<Cmd>Cli` (cli.hpp), execution, output,
+/// exit code — parameterized only by the invocation name \p prog (used
+/// in usage text and error prefixes) and the argument vector (argv
+/// without the program name). The one `mcps` binary dispatches
+/// `mcps <cmd> ...` to `<cmd>_main("mcps <cmd>", ...)` through kTools.
 /// Exit-code contracts are each driver's own (documented in its .cpp);
 /// all of them reserve 2 for usage errors.
 
@@ -15,41 +16,50 @@
 #include <string_view>
 #include <vector>
 
+#include "cli.hpp"
+
 namespace mcps::drivers {
 
-/// Scenario registry CLI (list/describe/run/selfcheck).
-int run_main(std::string_view prog,
-             const std::vector<std::string_view>& args);
+using Argv = std::vector<std::string_view>;
 
-/// Structured-trace CLI (run/inspect/diff/check/check-bench).
-int trace_main(std::string_view prog,
-               const std::vector<std::string_view>& args);
-
-/// Ward campaign CLI (flag-style; --verify-serial/--verify-obs-jobs).
-int ward_main(std::string_view prog,
-              const std::vector<std::string_view>& args);
-
-/// Scenario fuzzer CLI (fuzz and replay; the pca/xray mix or the
-/// hospital family).
-int fuzz_main(std::string_view prog,
-              const std::vector<std::string_view>& args);
-
-/// Model-level safety linter CLI.
-int analyze_main(std::string_view prog,
-                 const std::vector<std::string_view>& args);
-
-/// Composable pipeline CLI: build a pass graph from flags, run it
-/// serially or in parallel over an artifact cache, export artifacts,
-/// report per-pass timing and cache traffic.
-int pipeline_main(std::string_view prog,
-                  const std::vector<std::string_view>& args);
-
+/// Scenario registry (list/describe/run/selfcheck).
+extern const cli::Command kRunCli;
+int run_main(std::string_view prog, const Argv& args);
+/// Structured traces (run/inspect/diff/check/check-bench).
+extern const cli::Command kTraceCli;
+int trace_main(std::string_view prog, const Argv& args);
+/// Ward campaigns (--verify-serial/--verify-obs-jobs).
+extern const cli::Command kWardCli;
+int ward_main(std::string_view prog, const Argv& args);
+/// Scenario fuzzer (the pca/xray mix, the hospital family, replay).
+extern const cli::Command kFuzzCli;
+int fuzz_main(std::string_view prog, const Argv& args);
+/// Model-level safety linter.
+extern const cli::Command kAnalyzeCli;
+int analyze_main(std::string_view prog, const Argv& args);
+/// Composable pipeline: a pass graph from flags, run serially or in
+/// parallel over an artifact cache.
+extern const cli::Command kPipelineCli;
+int pipeline_main(std::string_view prog, const Argv& args);
 /// Scenario-execution service: serve JSONL run requests until drained.
-int serve_main(std::string_view prog,
-               const std::vector<std::string_view>& args);
-
+extern const cli::Command kServeCli;
+int serve_main(std::string_view prog, const Argv& args);
 /// Latency-percentile load generator against a serve endpoint.
-int load_main(std::string_view prog,
-              const std::vector<std::string_view>& args);
+extern const cli::Command kLoadCli;
+int load_main(std::string_view prog, const Argv& args);
+
+/// One `mcps` command: its option table and its driver.
+struct Tool {
+    const cli::Command* cli;
+    int (*main)(std::string_view prog, const Argv& args);
+};
+
+/// Every command, in `mcps --help` order.
+inline constexpr Tool kTools[] = {
+    {&kRunCli, &run_main},         {&kTraceCli, &trace_main},
+    {&kWardCli, &ward_main},       {&kFuzzCli, &fuzz_main},
+    {&kAnalyzeCli, &analyze_main}, {&kPipelineCli, &pipeline_main},
+    {&kServeCli, &serve_main},     {&kLoadCli, &load_main},
+};
 
 }  // namespace mcps::drivers

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -47,18 +46,6 @@
 namespace {
 
 using namespace mcps;
-
-int usage(std::string_view prog) {
-    std::cerr
-        << "usage: " << prog
-        << " [--json <path>] [--sarif <path>] [--suppress R1,R2]\n"
-           "       [--src-root <dir>] [--scan-scenarios <dir>]...\n"
-           "       [--scan-conc <dir>]... [--no-scan] [--no-deadlines]\n"
-           "       [--deadline-table] [--cross-check] [--list-rules]\n"
-           "       [--matrix] [--quiet]\n"
-           "       " << prog << " --check-sarif <path>\n";
-    return 2;
-}
 
 int check_sarif_file(std::string_view prog, const std::string& path) {
     std::ifstream in{path};
@@ -83,138 +70,99 @@ int check_sarif_file(std::string_view prog, const std::string& path) {
 
 namespace mcps::drivers {
 
+constexpr cli::Mode kModes[] = {
+    {"--check-sarif"}, {"--list-rules"}, {"--no-deadlines"}, {"--no-scan"}};
+
+/// The flags an analysis run reads, with --no-deadlines or --no-scan.
+constexpr std::string_view kRun = "--no-deadlines --no-scan";
+
+constexpr cli::Option kOptions[] = {
+    {"--json", cli::kOutPath, kRun, "write the report as JSON"},
+    {"--sarif", cli::kOutPath, kRun, "write the report as SARIF 2.1.0"},
+    {"--suppress", cli::text("R1,R2"), kRun,
+     "suppress the findings of these rules"},
+    {"--src-root", cli::text("DIR"), "--no-deadlines",
+     "root of the SIM1 banned-construct scan (default src)"},
+    {"--scan-scenarios", cli::text("DIR"), kRun,
+     "ICE1 registry-bypass scan over DIR's scenario consumers "
+     "(repeatable)"},
+    {"--scan-conc", cli::text("DIR"), kRun,
+     "CONC1 lock-discipline scan over DIR; all roots form one unit "
+     "(repeatable)"},
+    {"--no-scan", cli::kSwitch, kRun, "skip the SIM1 source scan"},
+    {"--no-deadlines", cli::kSwitch, kRun, "skip the TA5 deadline analysis"},
+    {"--deadline-table", cli::kSwitch, "--no-scan",
+     "print the TA5 deadline slack table"},
+    {"--cross-check", cli::kSwitch, "--no-scan",
+     "cross-check the TA5 bounds against observed sim latencies"},
+    {"--list-rules", cli::kSwitch, "--list-rules",
+     "print the rule catalog and run nothing"},
+    {"--matrix", cli::kSwitch, kRun, "print the hazard-coverage matrix"},
+    {"--quiet", cli::kSwitch, kRun, "print the report only with findings"},
+    {"--check-sarif", cli::text("PATH"), "--check-sarif",
+     "check one SARIF file's structure and do nothing else"},
+};
+
+const cli::Command kAnalyzeCli{"analyze", "model-level safety linter",
+                               kModes, kOptions};
+
 int analyze_main(std::string_view prog,
                  const std::vector<std::string_view>& args) {
-    std::string json_path;
-    std::string sarif_path;
-    std::string suppress_list;
-    std::string src_root = "src";
-    std::vector<std::string> scenario_roots;
-    std::vector<std::filesystem::path> conc_roots;
-    bool scan = true;
-    bool deadlines = true;
-    bool deadline_table = false;
-    bool cross_check = false;
-    bool quiet = false;
-    bool matrix = false;
-    bool list_rules = false;
-    std::optional<std::string> check_sarif;
-    // The first flag other than --check-sarif: the SARIF check is the
-    // whole run, so any other flag beside it is refused.
-    std::string other_flag;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string arg{args[i]};
-        if (arg != "--check-sarif" && other_flag.empty()) other_flag = arg;
-        auto next = [&](std::string& out) {
-            if (i + 1 >= args.size()) {
-                std::cerr << prog << ": " << arg << ": missing value\n";
-                return false;
+    return cli::tool_main(prog, kAnalyzeCli, args, [&](const cli::Parsed& p) {
+        if (p.has("--check-sarif")) {
+            return check_sarif_file(prog, p.text("--check-sarif"));
+        }
+        if (p.has("--list-rules")) {
+            for (analysis::RuleId r : analysis::all_rules()) {
+                std::cout << analysis::rule_name(r) << "\t"
+                          << analysis::rule_summary(r) << "\n";
             }
-            out = std::string{args[++i]};
-            return true;
-        };
-        if (arg == "--json") {
-            if (!next(json_path)) return 2;
-        } else if (arg == "--sarif") {
-            if (!next(sarif_path)) return 2;
-        } else if (arg == "--check-sarif") {
-            if (!next(check_sarif.emplace())) return 2;
-        } else if (arg == "--suppress") {
-            if (!next(suppress_list)) return 2;
-        } else if (arg == "--src-root") {
-            if (!next(src_root)) return 2;
-        } else if (arg == "--scan-scenarios") {
-            std::string root;
-            if (!next(root)) return 2;
-            scenario_roots.push_back(std::move(root));
-        } else if (arg == "--scan-conc") {
-            std::string root;
-            if (!next(root)) return 2;
-            conc_roots.emplace_back(std::move(root));
-        } else if (arg == "--no-scan") {
-            scan = false;
-        } else if (arg == "--no-deadlines") {
-            deadlines = false;
-        } else if (arg == "--deadline-table") {
-            deadline_table = true;
-        } else if (arg == "--cross-check") {
-            cross_check = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--matrix") {
-            matrix = true;
-        } else if (arg == "--list-rules") {
-            list_rules = true;
-        } else {
-            return usage(prog);
+            return 0;
         }
-    }
 
-    if (check_sarif) {
-        if (!other_flag.empty()) {
-            std::cerr << prog << ": " << other_flag
-                      << ": not supported with --check-sarif\n";
-            return 2;
+        const std::string suppress_list = p.text("--suppress");
+        analysis::SuppressionSet suppressions;
+        if (!suppress_list.empty() &&
+            !suppressions.parse_list(suppress_list)) {
+            throw cli::CliError{"--suppress: unknown rule in '" +
+                                suppress_list + "'"};
         }
-        return check_sarif_file(prog, *check_sarif);
-    }
-    if (list_rules) {
-        // The rule list is the whole output: a report flag beside it
-        // would name a file that is never written.
-        const char* report_flag = !json_path.empty()    ? "--json"
-                                  : !sarif_path.empty() ? "--sarif"
-                                                        : nullptr;
-        if (report_flag) {
-            std::cerr << prog << ": " << report_flag
-                      << ": not supported with --list-rules\n";
-            return 2;
-        }
-        for (analysis::RuleId r : analysis::all_rules()) {
-            std::cout << analysis::rule_name(r) << "\t"
-                      << analysis::rule_summary(r) << "\n";
-        }
-        return 0;
-    }
 
-    analysis::SuppressionSet suppressions;
-    if (!suppress_list.empty() && !suppressions.parse_list(suppress_list)) {
-        std::cerr << prog << ": --suppress: unknown rule in '"
-                  << suppress_list << "'\n";
-        return 2;
-    }
-
-    analysis::Analyzer analyzer{suppressions};
-    try {
+        analysis::Analyzer analyzer{suppressions};
         analysis::add_shipped_ta_models(analyzer);
         analysis::add_shipped_assemblies(analyzer);
         const auto log = assurance::build_gpca_hazard_log();
         const auto gsn = assurance::build_gpca_case_skeleton();
         analyzer.check_hazards(log, &gsn);
-        if (deadlines) analyzer.check_deadlines({}, cross_check);
-        if (scan) analyzer.scan_sources(src_root);
-        for (const std::string& root : scenario_roots) {
+        if (!p.has("--no-deadlines")) {
+            analyzer.check_deadlines({}, p.has("--cross-check"));
+        }
+        if (!p.has("--no-scan")) {
+            analyzer.scan_sources(p.text("--src-root", "src"));
+        }
+        for (const std::string& root : p.all("--scan-scenarios")) {
             analyzer.scan_scenario_assembly(root);
         }
-        if (!conc_roots.empty()) analyzer.scan_concurrency(conc_roots);
-    } catch (const std::exception& e) {
-        std::cerr << prog << ": " << e.what() << "\n";
-        return 2;
-    }
+        const std::vector<std::string> conc = p.all("--scan-conc");
+        if (!conc.empty()) {
+            analyzer.scan_concurrency({conc.begin(), conc.end()});
+        }
 
-    const analysis::AnalysisReport& report = analyzer.report();
-    if (!quiet || !report.clean()) {
-        std::cout << report.to_text();
-    }
-    if (matrix) {
-        std::cout << "\nhazard-coverage matrix:\n"
-                  << analyzer.last_coverage().to_text();
-    }
-    if (deadline_table && deadlines) {
-        std::cout << "\nTA5 deadline slack table:\n"
-                  << analyzer.deadline_report().to_text();
-    }
-    try {
+        const analysis::AnalysisReport& report = analyzer.report();
+        const std::string json_path = p.text("--json");
+        const std::string sarif_path = p.text("--sarif");
+        const bool quiet = p.has("--quiet");
+        if (!quiet || !report.clean()) {
+            std::cout << report.to_text();
+        }
+        if (p.has("--matrix")) {
+            std::cout << "\nhazard-coverage matrix:\n"
+                      << analyzer.last_coverage().to_text();
+        }
+        if (p.has("--deadline-table")) {
+            std::cout << "\nTA5 deadline slack table:\n"
+                      << analyzer.deadline_report().to_text();
+        }
         if (!json_path.empty()) {
             cli::write_file("--json", json_path, [&](std::ostream& out) {
                 report.write_json(out);
@@ -227,17 +175,14 @@ int analyze_main(std::string_view prog,
             });
             if (!quiet) std::cout << "sarif report: " << sarif_path << "\n";
         }
-    } catch (const cli::CliError& e) {
-        std::cerr << prog << ": " << e.message << "\n";
-        return 2;
-    }
-    const bool config_error = std::any_of(
-        report.findings.begin(), report.findings.end(),
-        [](const analysis::Finding& f) {
-            return f.rule == analysis::RuleId::kCFG1;
-        });
-    if (config_error) return 3;
-    return report.clean() ? 0 : 1;
+        const bool config_error = std::any_of(
+            report.findings.begin(), report.findings.end(),
+            [](const analysis::Finding& f) {
+                return f.rule == analysis::RuleId::kCFG1;
+            });
+        if (config_error) return 3;
+        return report.clean() ? 0 : 1;
+    });
 }
 
 }  // namespace mcps::drivers

@@ -20,41 +20,8 @@
 
 namespace tk = mcps::testkit;
 using mcps::cli::CliError;
-using mcps::cli::parse_double;
-using mcps::cli::parse_u64;
 
 namespace {
-
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " [options]\n"
-          "  --scenarios N        scenarios to run, at least 1 (default 200)\n"
-          "  --seed N             master seed (default 42)\n"
-          "  --intensity X        fault-plan intensity scale in [0, 100]\n"
-          "                       (default 1.0)\n"
-          "  --jobs N             run scenarios over N worker threads (at\n"
-          "                       most 256); the outcome is identical to\n"
-          "                       --jobs 1\n"
-          "  --xray-fraction X    fraction of x-ray workloads in [0, 1]\n"
-          "                       (default 0.15)\n"
-          "  --weakened           fuzz the weakened-interlock fixture\n"
-          "  --hospital           fuzz the hospital family instead: random\n"
-          "                       cohorts/knobs over the claimed-safe\n"
-          "                       envelope (with --expect-violation:\n"
-          "                       interlock-off storm hazards that must\n"
-          "                       violate and replay byte-identically);\n"
-          "                       --weakened, --intensity, --xray-fraction\n"
-          "                       and --no-shrink are refused\n"
-          "  --expect-violation   succeed only if a violation is found,\n"
-          "                       replays byte-identically, and shrinks to\n"
-          "                       a small fault plan\n"
-          "  --replay FILE        replay one repro file (any workload) and\n"
-          "                       report; every other flag is refused\n"
-          "  --repro-dir DIR      write repro files here (default: repros)\n"
-          "  --no-shrink          keep failing fault plans unshrunk\n"
-          "  --quiet              suppress per-failure progress output\n"
-          "  --help               this text\n";
-}
 
 int replay_mode(const std::string& path) {
     const auto checker = tk::InvariantChecker::with_defaults();
@@ -96,81 +63,62 @@ int replay_mode(const std::string& path) {
 
 namespace mcps::drivers {
 
+constexpr cli::Mode kModes[] = {{"--replay"}, {"--hospital"}};
+
+constexpr cli::Option kOptions[] = {
+    {"--scenarios", cli::count("N"), "--hospital",
+     "scenarios to run, at least 1 (default 200)"},
+    {"--seed", cli::count("N"), "--hospital", "master seed (default 42)"},
+    {"--intensity", cli::number("X", 0, tk::kMaxFaultIntensity), "",
+     "fault-plan intensity scale in [0, 100] (default 1.0)"},
+    {"--jobs", cli::kJobs, "--hospital",
+     "run scenarios over N worker threads (at most 256); the outcome is "
+     "identical to --jobs 1"},
+    {"--xray-fraction", cli::number("X", 0, 1), "",
+     "fraction of x-ray workloads in [0, 1] (default 0.15)"},
+    {"--weakened", cli::kSwitch, "", "fuzz the weakened-interlock fixture"},
+    {"--hospital", cli::kSwitch, "--hospital",
+     "fuzz the hospital family instead: random cohorts/knobs over the "
+     "claimed-safe envelope (with --expect-violation: interlock-off storm "
+     "hazards that must violate and replay byte-identically)"},
+    {"--expect-violation", cli::kSwitch, "--hospital",
+     "succeed only if a violation is found, replays byte-identically, and "
+     "shrinks to a small fault plan"},
+    {"--replay", cli::text("FILE"), "--replay",
+     "replay one repro file (any workload) and report"},
+    {"--repro-dir", cli::text("DIR"), "--hospital",
+     "write repro files here (default: repros)"},
+    {"--no-shrink", cli::kSwitch, "", "keep failing fault plans unshrunk"},
+    {"--quiet", cli::kSwitch, "--hospital",
+     "suppress per-failure progress output"},
+};
+
+const cli::Command kFuzzCli{"fuzz",
+                            "scenario fuzzer: fuzz, replay, hospital modes",
+                            kModes, kOptions};
+
 int fuzz_main(std::string_view prog,
               const std::vector<std::string_view>& argv) {
-    tk::FuzzOptions opts;
-    opts.repro_dir = "repros";
-    unsigned jobs = 1;
-    bool expect_violation = false;
-    bool quiet = false;
-    std::string replay_path;
-    // The last flag given that only the pca/xray campaign honours.
-    std::string_view pca_only_flag;
-    // The last flag given that only a campaign honours: all but --replay.
-    std::string_view campaign_flag;
-
-    return cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
-        cli::Args args{argv};
-        while (!args.done()) {
-            const auto arg = args.next();
-            const auto value = [&] { return args.value(arg); };
-            if (arg != "--replay") campaign_flag = arg;
-            if (arg == "--scenarios") {
-                opts.scenarios = parse_u64(arg, value());
-            } else if (arg == "--seed") {
-                opts.seed = parse_u64(arg, value());
-            } else if (arg == "--intensity") {
-                opts.fault_intensity = parse_double(arg, value());
-                pca_only_flag = arg;
-            } else if (arg == "--jobs") {
-                jobs = cli::parse_jobs(arg, value());
-            } else if (arg == "--xray-fraction") {
-                opts.xray_fraction = parse_double(arg, value());
-                pca_only_flag = arg;
-            } else if (arg == "--weakened") {
-                opts.weakened = true;
-                pca_only_flag = arg;
-            } else if (arg == "--hospital") {
-                opts.hospital = true;
-            } else if (arg == "--expect-violation") {
-                expect_violation = true;
-            } else if (arg == "--replay") {
-                replay_path = std::string{value()};
-            } else if (arg == "--repro-dir") {
-                opts.repro_dir = std::string{value()};
-            } else if (arg == "--no-shrink") {
-                opts.shrink = false;
-                pca_only_flag = arg;
-            } else if (arg == "--quiet") {
-                quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(std::cout, prog);
-                return 0;
-            } else {
-                throw CliError{"unknown option '" + std::string{arg} + "'"};
-            }
-        }
-
-        if (!replay_path.empty()) {
-            if (!campaign_flag.empty()) {
-                throw CliError{std::string{campaign_flag} +
-                               ": not supported with --replay"};
-            }
-            return replay_mode(replay_path);
-        }
-        if (opts.hospital && !pca_only_flag.empty()) {
-            throw CliError{std::string{pca_only_flag} +
-                           ": not supported with --hospital"};
-        }
+    return cli::tool_main(prog, kFuzzCli, argv, [&](const cli::Parsed& p) {
+        if (p.has("--replay")) return replay_mode(p.text("--replay"));
+        tk::FuzzOptions opts;
+        opts.scenarios = p.count("--scenarios", opts.scenarios);
+        opts.seed = p.count("--seed", opts.seed);
+        opts.fault_intensity = p.number("--intensity", opts.fault_intensity);
+        opts.xray_fraction = p.number("--xray-fraction", opts.xray_fraction);
+        opts.weakened = p.has("--weakened");
+        opts.hospital = p.has("--hospital");
+        opts.repro_dir = p.text("--repro-dir", "repros");
+        opts.shrink = !p.has("--no-shrink");
+        const unsigned jobs = p.count("--jobs", 1u);
+        const bool expect_violation = p.has("--expect-violation");
         if (opts.scenarios == 0) {
             throw CliError{"--scenarios: a campaign runs at least 1 scenario"};
         }
         // The hospital self-check samples the interlock-off storm hazard.
         if (opts.hospital) opts.weakened = expect_violation;
 
-        if (!quiet) {
+        if (!p.has("--quiet")) {
             opts.log = [](const std::string& line) {
                 std::cout << line << "\n";
             };
@@ -233,7 +181,7 @@ int fuzz_main(std::string_view prog,
                                   : "OK: violations found and replayed "
                                     "byte-identically\n");
         return 0;
-        });
+    });
 }
 
 }  // namespace mcps::drivers

@@ -128,78 +128,51 @@ PhaseResult run_phase(std::string_view prog, const mcps::serve::Endpoint& ep,
     return result;
 }
 
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " [options]\n"
-          "  --embed                start an in-process server (ephemeral "
-          "TCP port)\n"
-          "  --port N / --host A    target an external TCP server\n"
-          "  --unix PATH            target an external Unix-socket server\n"
-          "  --clients N            concurrent clients (default 4, at most "
-          "256)\n"
-          "  --clients-list 1,4,16  sweep several concurrency levels (each "
-          "at most 256)\n"
-          "  --requests N           requests per client (default 50)\n"
-          "  --seed N               master workload seed (default 42)\n"
-          "  --minutes N            scenario minutes per request "
-          "(default 1)\n"
-          "  --seed-pool N          distinct seeds per preset (default 12;"
-          " smaller = more cache hits)\n"
-          "  --workers N            embedded server workers (default 4, at "
-          "most 256)\n"
-          "  --queue N              embedded admission capacity "
-          "(default 64)\n"
-          "  --cache N              embedded cache entries (default 256)\n"
-          "  --drain                send a drain command when done\n"
-          "  --json PATH            machine-readable report\n"
-          "  --quick                tiny smoke workload\n";
-}
-
-struct LoadCli {
-    bool embed = false;
-    bool drain = false;
-    bool quick = false;
-    std::string host = "127.0.0.1";
-    std::string unix_sock;
-    std::uint64_t port = 0, requests = 50, seed = 42, minutes = 1;
-    std::uint64_t seed_pool = 12;
-    std::vector<unsigned> client_list;
-    std::string json_path;
-    mcps::serve::ServerConfig embed_cfg;
-};
-
-int run_load(std::string_view prog, LoadCli& cli) {
-    mcps::benchio::JsonReporter json{"serve_load", cli.json_path};
-    json.set_seed(cli.seed);
+int run_load(std::string_view prog, const mcps::cli::Parsed& p) {
+    const bool quick = p.has("--quick");
+    const std::uint64_t requests =
+        quick ? 8 : p.count("--requests", std::uint64_t{50});
+    const std::uint64_t seed = p.count("--seed", std::uint64_t{42});
+    const std::uint64_t minutes = p.count("--minutes", std::uint64_t{1});
+    const std::uint64_t seed_pool = p.count("--seed-pool", std::uint64_t{12});
+    std::vector<unsigned> client_list = p.list("--clients-list");
+    if (client_list.empty()) client_list = {p.count("--clients", 4u)};
+    if (quick) client_list = {2};
+    mcps::benchio::JsonReporter json{"serve_load"};
+    json.set_seed(seed);
 
     std::unique_ptr<mcps::serve::Server> server;
     mcps::serve::Endpoint ep;
-    if (cli.embed) {
-        cli.embed_cfg.endpoint = mcps::serve::Endpoint::tcp("127.0.0.1", 0);
-        server = std::make_unique<mcps::serve::Server>(cli.embed_cfg);
+    if (p.has("--embed")) {
+        mcps::serve::ServerConfig cfg;
+        cfg.endpoint = mcps::serve::Endpoint::tcp("127.0.0.1", 0);
+        cfg.workers = quick ? 2 : p.count("--workers", 4u);
+        cfg.queue_capacity = p.count("--queue", cfg.queue_capacity);
+        cfg.cache_entries = p.count("--cache", cfg.cache_entries);
+        server = std::make_unique<mcps::serve::Server>(cfg);
         ep = server->endpoint();
-    } else if (!cli.unix_sock.empty()) {
-        ep = mcps::serve::Endpoint::unix_path(cli.unix_sock);
+    } else if (p.has("--unix")) {
+        ep = mcps::serve::Endpoint::unix_path(p.text("--unix"));
     } else {
-        ep = mcps::serve::Endpoint::tcp(cli.host,
-                                        static_cast<std::uint16_t>(cli.port));
+        ep = mcps::serve::Endpoint::tcp(p.text("--host", "127.0.0.1"),
+                                        p.count<std::uint16_t>("--port", 0));
     }
 
     std::printf("# %.*s against %s (requests/client=%llu, "
                 "minutes=%llu, seed-pool=%llu)\n",
                 static_cast<int>(prog.size()), prog.data(),
                 ep.to_string().c_str(),
-                static_cast<unsigned long long>(cli.requests),
-                static_cast<unsigned long long>(cli.minutes),
-                static_cast<unsigned long long>(cli.seed_pool));
+                static_cast<unsigned long long>(requests),
+                static_cast<unsigned long long>(minutes),
+                static_cast<unsigned long long>(seed_pool));
     std::printf("%8s %9s %10s %9s %9s %9s %8s %8s %8s\n", "clients",
                 "total", "rps", "p50_ms", "p95_ms", "p99_ms", "cached",
                 "rejected", "errors");
 
     bool any_failed = false;
-    for (const unsigned clients : cli.client_list) {
-        const PhaseResult r = run_phase(prog, ep, clients, cli.requests,
-                                        cli.seed, cli.minutes, cli.seed_pool);
+    for (const unsigned clients : client_list) {
+        const PhaseResult r = run_phase(prog, ep, clients, requests, seed,
+                                        minutes, seed_pool);
         const std::uint64_t total =
             r.totals.ok + r.totals.rejected + r.totals.errors;
         const double rps =
@@ -215,23 +188,23 @@ int run_load(std::string_view prog, LoadCli& cli) {
                     static_cast<unsigned long long>(r.totals.cached),
                     static_cast<unsigned long long>(r.totals.rejected),
                     static_cast<unsigned long long>(r.totals.errors));
-        const std::string p = "serve/c" + std::to_string(clients);
-        json.metric(p + "/throughput_rps", rps, "requests/s");
-        json.metric(p + "/p50_ms", p50, "ms");
-        json.metric(p + "/p95_ms", p95, "ms");
-        json.metric(p + "/p99_ms", p99, "ms");
-        json.metric(p + "/completed", static_cast<double>(r.totals.ok),
+        const std::string key = "serve/c" + std::to_string(clients);
+        json.metric(key + "/throughput_rps", rps, "requests/s");
+        json.metric(key + "/p50_ms", p50, "ms");
+        json.metric(key + "/p95_ms", p95, "ms");
+        json.metric(key + "/p99_ms", p99, "ms");
+        json.metric(key + "/completed", static_cast<double>(r.totals.ok),
                     "requests");
-        json.metric(p + "/cached", static_cast<double>(r.totals.cached),
+        json.metric(key + "/cached", static_cast<double>(r.totals.cached),
                     "requests");
-        json.metric(p + "/rejected", static_cast<double>(r.totals.rejected),
+        json.metric(key + "/rejected", static_cast<double>(r.totals.rejected),
                     "requests");
-        json.metric(p + "/errors", static_cast<double>(r.totals.errors),
+        json.metric(key + "/errors", static_cast<double>(r.totals.errors),
                     "requests");
         if (r.totals.errors > 0) any_failed = true;
     }
 
-    if (cli.drain && !cli.embed) {
+    if (p.has("--drain")) {
         mcps::serve::Client c{ep};
         (void)c.drain();
     }
@@ -239,7 +212,11 @@ int run_load(std::string_view prog, LoadCli& cli) {
         server->request_drain();
         server->wait();
     }
-    if (!json.write()) return 1;
+    if (p.has("--json")) {
+        mcps::cli::write_file("--json", p.text("--json"),
+                              [&](std::ostream& out) { json.write(out); });
+        std::cout << "json report: " << p.text("--json") << "\n";
+    }
     return any_failed ? 1 : 0;
 }
 
@@ -247,78 +224,64 @@ int run_load(std::string_view prog, LoadCli& cli) {
 
 namespace mcps::drivers {
 
+/// --quick fixes the clients, requests and embedded workers; a
+/// --clients-list sweep replaces --clients.
+constexpr cli::Mode kModes[] = {
+    {"--embed"}, {"--unix"}, {"--port"}, {"--quick"}, {"--clients-list"}};
+
+/// The modes that name a server and let the workload be sized.
+constexpr std::string_view kSized = "--embed --unix --port --clients-list";
+
+constexpr cli::Option kOptions[] = {
+    {"--embed", cli::kSwitch, "--embed --quick --clients-list",
+     "start an in-process server (ephemeral TCP port)"},
+    {"--port", cli::count("N", 0, 65535), "--port --quick --clients-list",
+     "target an external TCP server"},
+    {"--host", cli::text("ADDR"), "--port --quick --clients-list",
+     "the TCP server's address (default 127.0.0.1)"},
+    {"--unix", cli::text("PATH"), "--unix --quick --clients-list",
+     "target an external Unix-socket server"},
+    {"--clients", cli::count("N", 1, sim::kMaxJobs), "--embed --unix --port",
+     "concurrent clients (default 4, at most 256)"},
+    {"--clients-list", cli::list(1, sim::kMaxJobs), kSized,
+     "sweep several concurrency levels, e.g. 1,4,16 (each at most 256)"},
+    {"--requests", cli::count("N", 1), kSized,
+     "requests per client (default 50)"},
+    {"--seed", cli::count("N"), "*", "master workload seed (default 42)"},
+    {"--minutes", cli::count("N"), "*",
+     "scenario minutes per request (default 1)"},
+    {"--seed-pool", cli::count("N", 1), "*",
+     "distinct seeds per preset (default 12; smaller = more cache hits)"},
+    {"--workers", cli::kJobs, "--embed --clients-list",
+     "embedded server workers (default 4, at most 256)"},
+    {"--queue", cli::count("N"), "--embed --quick --clients-list",
+     "embedded admission capacity (default 64)"},
+    {"--cache", cli::count("N"), "--embed --quick --clients-list",
+     "embedded cache entries (default 256)"},
+    {"--drain", cli::kSwitch, "--unix --port --quick --clients-list",
+     "send a drain command when done"},
+    {"--json", cli::kOutPath, "*", "machine-readable report"},
+    {"--quick", cli::kSwitch, "--embed --unix --port --quick",
+     "tiny smoke workload: 2 clients of 8 requests (2 embedded workers)"},
+};
+
+const cli::Command kLoadCli{"load", "load generator against a serve endpoint",
+                            kModes, kOptions};
+
 int load_main(std::string_view prog,
               const std::vector<std::string_view>& argv) {
-    using cli::CliError;
-    return cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
-        LoadCli lc;
-        lc.embed_cfg.workers = 4;
-        cli::Args args{argv};
-        while (!args.done()) {
-            const auto arg = args.next();
-            const auto value = [&] { return args.value(arg); };
-            if (arg == "--embed") {
-                lc.embed = true;
-            } else if (arg == "--port") {
-                lc.port = cli::parse_u64(arg, value());
-                if (lc.port > 65535) throw CliError{"--port: out of range"};
-            } else if (arg == "--host") {
-                lc.host = std::string{value()};
-            } else if (arg == "--unix") {
-                lc.unix_sock = std::string{value()};
-            } else if (arg == "--clients") {
-                lc.client_list = {cli::parse_jobs(arg, value())};
-            } else if (arg == "--clients-list") {
-                lc.client_list =
-                    cli::parse_unsigned_list(arg, value(), mcps::sim::kMaxJobs);
-            } else if (arg == "--requests") {
-                lc.requests = cli::parse_u64(arg, value());
-            } else if (arg == "--seed") {
-                lc.seed = cli::parse_u64(arg, value());
-            } else if (arg == "--minutes") {
-                lc.minutes = cli::parse_u64(arg, value());
-            } else if (arg == "--seed-pool") {
-                lc.seed_pool = cli::parse_u64(arg, value());
-                if (lc.seed_pool == 0) {
-                    throw CliError{"--seed-pool: must be >= 1"};
-                }
-            } else if (arg == "--workers") {
-                lc.embed_cfg.workers = cli::parse_jobs(arg, value());
-            } else if (arg == "--queue") {
-                lc.embed_cfg.queue_capacity = cli::parse_u64(arg, value());
-            } else if (arg == "--cache") {
-                lc.embed_cfg.cache_entries = cli::parse_u64(arg, value());
-            } else if (arg == "--drain") {
-                lc.drain = true;
-            } else if (arg == "--json") {
-                lc.json_path = std::string{value()};
-            } else if (arg == "--quick") {
-                lc.quick = true;
-            } else if (arg == "--help") {
-                usage(std::cout, prog);
-                return 0;
-            } else {
-                throw CliError{"unknown option '" + std::string{arg} + "'"};
-            }
-        }
-        if (!lc.embed && lc.unix_sock.empty() && lc.port == 0) {
-            throw CliError{"need --embed, --port or --unix"};
-        }
-        if (lc.client_list.empty()) lc.client_list = {4};
-        if (lc.quick) {
-            lc.client_list = {2};
-            lc.requests = 8;
-            lc.embed_cfg.workers = 2;
+    return cli::tool_main(prog, kLoadCli, argv, [&](const cli::Parsed& p) {
+        if (!p.has("--embed") && !p.has("--unix") &&
+            p.count("--port", 0u) == 0) {
+            throw cli::CliError{"need --embed, --port or --unix"};
         }
         try {
-            return run_load(prog, lc);
+            return run_load(prog, p);
         } catch (const std::exception& e) {
             std::cerr << prog << ": " << e.what() << "\n";
             return 1;
         }
-        });
+    });
 }
 
 }  // namespace mcps::drivers

@@ -36,65 +36,8 @@
 namespace pipeline = mcps::pipeline;
 namespace scenario = mcps::scenario;
 using mcps::cli::CliError;
-using mcps::cli::parse_u64;
 
 namespace {
-
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " [options]\n"
-          "  --spec 'NAME [seed=N] [minutes=M] [key=value]...'\n"
-          "                     add a scenario-run pass (repeatable)\n"
-          "  --preset NAME      add a scenario-run pass from the\n"
-          "                     registry default spec (repeatable)\n"
-          "  --trace            chain a Chrome-trace export pass onto\n"
-          "                     every scenario-run pass\n"
-          "  --analysis         add the model-level analysis passes\n"
-          "                     (shipped models/assemblies, hazards,\n"
-          "                     deadlines) and their merge pass\n"
-          "  --ward 'seed=N patients=N jobs=N shards=N mix=SPEC\n"
-          "          intensity=X'\n"
-          "                     add a ward-campaign pass (repeatable;\n"
-          "                     any subset of keys; one merge pass\n"
-          "                     covers all campaigns)\n"
-          "  --jobs N           worker threads for independent passes\n"
-          "                     (default 1 = serial topological order;\n"
-          "                     at most 256)\n"
-          "  --cache PATH       artifact-cache snapshot: loaded before\n"
-          "                     the run if present, saved after\n"
-          "  --out-dir DIR      write every artifact under DIR (artifact\n"
-          "                     names become relative paths) plus a\n"
-          "                     MANIFEST file\n"
-          "  --json PATH        write a bench-schema timing report\n"
-          "                     (per-pass wall_us + cache traffic)\n"
-          "  --verify           run serial-cold, parallel-cold and\n"
-          "                     serial-warm; require byte-identical\n"
-          "                     artifact manifests (exit 1 on mismatch);\n"
-          "                     writes no output, so --cache, --out-dir,\n"
-          "                     --json and --manifest are refused\n"
-          "  --list             print the topological pass order, run\n"
-          "                     nothing; the output flags are refused\n"
-          "                     as with --verify\n"
-          "  --manifest         print the artifact manifest to stdout\n"
-          "  --quiet            suppress the pass summary\n"
-          "  --help             this text\n";
-}
-
-struct PipelineCli {
-    std::vector<std::string> specs;
-    std::vector<std::string> presets;
-    std::vector<std::string> wards;
-    bool trace = false;
-    bool analysis = false;
-    unsigned jobs = 1;
-    std::string cache_path;
-    std::string out_dir;
-    std::string json_path;
-    bool verify = false;
-    bool list = false;
-    bool manifest = false;
-    bool quiet = false;
-};
 
 /// Scenario pass ids default to the scenario name; duplicates get a
 /// positional suffix so `--preset pca --preset pca` stays legal.
@@ -116,41 +59,45 @@ std::string unique_id(std::vector<std::string>& taken,
     return id;
 }
 
-pipeline::PipelineGraph build_graph(const PipelineCli& cli) {
+pipeline::PipelineGraph build_graph(const mcps::cli::Parsed& p) {
     pipeline::PipelineGraph g;
     std::vector<std::string> scenario_ids;
 
-    for (const std::string& text : cli.specs) {
+    for (const std::string& text : p.all("--spec")) {
         const scenario::ScenarioSpec spec = scenario::parse_spec(text);
         pipeline::add_scenario_pass(
             g, unique_id(scenario_ids, spec.name), spec);
     }
-    for (const std::string& name : cli.presets) {
+    for (const std::string& name : p.all("--preset")) {
         const scenario::ScenarioSpec spec =
             scenario::registry().default_spec(name);
         pipeline::add_scenario_pass(
             g, unique_id(scenario_ids, spec.name), spec);
     }
-    if (cli.trace) {
+    if (p.has("--trace")) {
+        if (scenario_ids.empty()) {
+            throw CliError{"--trace: no --spec or --preset pass to trace"};
+        }
         for (const std::string& id : scenario_ids) {
             pipeline::add_trace_export_pass(g, id);
         }
     }
-    if (cli.analysis) {
+    if (p.has("--analysis")) {
         // The scan stages are deliberately absent here: they read the
         // working tree, so their output depends on the invocation
         // directory. The analyze driver stays the scan surface.
         pipeline::add_analysis_passes(g, pipeline::AnalysisPassOptions{});
     }
+    const std::vector<std::string> wards = p.all("--ward");
     std::vector<std::string> ward_ids;
-    for (std::size_t i = 0; i < cli.wards.size(); ++i) {
+    for (std::size_t i = 0; i < wards.size(); ++i) {
         // Two-step concatenation sidesteps GCC 12's -Wrestrict false
         // positive on `const char* + std::string&&` (GCC bug 105329).
         std::string id{"w"};
         id += std::to_string(i + 1);
         ward_ids.push_back(id);
         pipeline::add_ward_pass(g, id,
-                                pipeline::parse_ward_config(cli.wards[i]));
+                                pipeline::parse_ward_config(wards[i]));
     }
     if (!ward_ids.empty()) pipeline::add_ward_merge_pass(g, ward_ids);
 
@@ -276,104 +223,95 @@ int cmd_verify(const pipeline::PipelineGraph& g, unsigned jobs, bool quiet) {
 
 namespace mcps::drivers {
 
+constexpr cli::Mode kModes[] = {{"--list"}, {"--verify"}};
+
+constexpr cli::Option kOptions[] = {
+    {"--spec", cli::text("'NAME [seed=N] [minutes=M] [key=value]...'"), "*",
+     "add a scenario-run pass (repeatable)"},
+    {"--preset", cli::text("NAME"), "*",
+     "add a scenario-run pass from the registry default spec (repeatable)"},
+    {"--trace", cli::kSwitch, "*",
+     "chain a Chrome-trace export pass onto every scenario-run pass"},
+    {"--analysis", cli::kSwitch, "*",
+     "add the model-level analysis passes (shipped models/assemblies, "
+     "hazards, deadlines) and their merge pass"},
+    {"--ward",
+     cli::text("'seed=N patients=N jobs=N shards=N mix=SPEC intensity=X'"),
+     "*",
+     "add a ward-campaign pass (repeatable; any subset of keys; one merge "
+     "pass covers all campaigns)"},
+    {"--jobs", cli::kJobs, "--verify",
+     "worker threads for independent passes (default 1 = serial "
+     "topological order; at most 256)"},
+    {"--cache", cli::text("PATH"), "",
+     "artifact-cache snapshot: loaded before the run if present, saved "
+     "after"},
+    {"--out-dir", cli::text("DIR"), "",
+     "write every artifact under DIR (artifact names become relative "
+     "paths) plus a MANIFEST file"},
+    {"--json", cli::kOutPath, "",
+     "write a bench-schema timing report (per-pass wall_us + cache "
+     "traffic)"},
+    {"--verify", cli::kSwitch, "--verify",
+     "run serial-cold, parallel-cold and serial-warm; require "
+     "byte-identical artifact manifests (exit 1 on mismatch)"},
+    {"--list", cli::kSwitch, "--list",
+     "print the topological pass order, run nothing"},
+    {"--manifest", cli::kSwitch, "", "print the artifact manifest to stdout"},
+    {"--quiet", cli::kSwitch, "--verify", "suppress the pass summary"},
+};
+
+const cli::Command kPipelineCli{
+    "pipeline", "composable pass pipeline over cached artifacts", kModes,
+    kOptions};
+
 int pipeline_main(std::string_view prog,
                   const std::vector<std::string_view>& argv) {
-    PipelineCli cli;
-    // The last output flag given: --list and --verify write no output,
-    // so each refuses all of them.
-    std::string_view output_flag;
+    return cli::tool_main(prog, kPipelineCli, argv, [&](const cli::Parsed& p) {
+        const unsigned jobs = p.count("--jobs", 1u);
+        const bool quiet = p.has("--quiet");
+        const std::string cache_path = p.text("--cache");
+        const std::string out_dir = p.text("--out-dir");
+        const std::string json_path = p.text("--json");
+        const pipeline::PipelineGraph g = build_graph(p);
 
-    return mcps::cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
-        mcps::cli::Args args{argv};
-        while (!args.done()) {
-            const auto arg = args.next();
-            const auto value = [&] { return args.value(arg); };
-            if (arg == "--spec") {
-                cli.specs.emplace_back(value());
-            } else if (arg == "--preset") {
-                cli.presets.emplace_back(value());
-            } else if (arg == "--ward") {
-                cli.wards.emplace_back(value());
-            } else if (arg == "--trace") {
-                cli.trace = true;
-            } else if (arg == "--analysis") {
-                cli.analysis = true;
-            } else if (arg == "--jobs") {
-                cli.jobs = mcps::cli::parse_jobs(arg, value());
-            } else if (arg == "--cache") {
-                cli.cache_path = std::string{value()};
-                output_flag = arg;
-            } else if (arg == "--out-dir") {
-                cli.out_dir = std::string{value()};
-                output_flag = arg;
-            } else if (arg == "--json") {
-                cli.json_path = std::string{value()};
-                output_flag = arg;
-            } else if (arg == "--verify") {
-                cli.verify = true;
-            } else if (arg == "--list") {
-                cli.list = true;
-            } else if (arg == "--manifest") {
-                cli.manifest = true;
-                output_flag = arg;
-            } else if (arg == "--quiet") {
-                cli.quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(std::cout, prog);
-                return 0;
-            } else {
-                throw CliError{"unknown option '" + std::string{arg} + "'"};
-            }
-        }
-        const std::string_view mode = cli.list     ? "--list"
-                                      : cli.verify ? "--verify"
-                                                   : "";
-        if (!mode.empty() && !output_flag.empty()) {
-            throw CliError{std::string{output_flag} +
-                           ": not supported with " + std::string{mode}};
-        }
-
-        const pipeline::PipelineGraph g = build_graph(cli);
-
-        if (cli.list) {
+        if (p.has("--list")) {
             for (const std::string& name : g.topo_order()) {
                 std::cout << name << "\n";
             }
             return 0;
         }
-        if (cli.verify) return cmd_verify(g, cli.jobs, cli.quiet);
+        if (p.has("--verify")) return cmd_verify(g, jobs, quiet);
 
         pipeline::ArtifactCache cache;
-        if (!cli.cache_path.empty()) {
-            const std::size_t loaded = cache.load(cli.cache_path);
-            if (!cli.quiet) {
-                std::cout << "cache: " << cli.cache_path << " (" << loaded
+        if (!cache_path.empty()) {
+            const std::size_t loaded = cache.load(cache_path);
+            if (!quiet) {
+                std::cout << "cache: " << cache_path << " (" << loaded
                           << " entries loaded)\n";
             }
         }
 
         mcps::obs::MetricsRegistry metrics;
         pipeline::PipelineOptions opts;
-        opts.jobs = cli.jobs;
+        opts.jobs = jobs;
         opts.cache = &cache;
         opts.metrics = &metrics;
         const pipeline::PipelineResult result = g.run(opts);
 
-        if (!cli.cache_path.empty() && !cache.save(cli.cache_path)) {
-            throw CliError{"--cache: cannot write '" + cli.cache_path + "'"};
+        if (!cache_path.empty() && !cache.save(cache_path)) {
+            throw CliError{"--cache: cannot write '" + cache_path + "'"};
         }
-        if (!cli.out_dir.empty()) {
-            write_artifacts(result, cli.out_dir, cli.quiet);
+        if (!out_dir.empty()) {
+            write_artifacts(result, out_dir, quiet);
         }
-        if (!cli.json_path.empty()) {
-            write_bench_json(result, cli.jobs, cli.json_path, cli.quiet);
+        if (!json_path.empty()) {
+            write_bench_json(result, jobs, json_path, quiet);
         }
-        if (!cli.quiet) print_summary(result, cli.jobs);
-        if (cli.manifest) std::cout << result.manifest();
+        if (!quiet) print_summary(result, jobs);
+        if (p.has("--manifest")) std::cout << result.manifest();
         return 0;
-        });
+    });
 }
 
 }  // namespace mcps::drivers

@@ -31,29 +31,8 @@
 
 namespace scenario = mcps::scenario;
 using mcps::cli::CliError;
-using mcps::cli::parse_u64;
 
 namespace {
-
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " <subcommand> [options]\n"
-          "  list\n"
-          "        one line per registered scenario.\n"
-          "  describe SCENARIO\n"
-          "        the scenario's knobs, value domains and defaults.\n"
-          "  run --spec 'NAME [seed=N] [minutes=M] [key=value]...'\n"
-          "  run --scenario NAME [--seed N] [--minutes M]\n"
-          "      [--set key=value]... [--json PATH] [--events-out PATH]\n"
-          "      [--quiet]\n"
-          "        run one scenario; print the outcome table (or write\n"
-          "        the artifacts as JSON to --json and the structured\n"
-          "        event log as JSONL to --events-out; pca- and\n"
-          "        xray-family scenarios only).\n"
-          "  selfcheck\n"
-          "        run every registered scenario for one sim-minute and\n"
-          "        require spec round-trip + fingerprint reproduction.\n";
-}
 
 std::string knob_domain(const scenario::KnobInfo& k) {
     switch (k.kind) {
@@ -94,12 +73,11 @@ int cmd_list() {
     return 0;
 }
 
-int cmd_describe(const std::vector<std::string_view>& args,
-                 std::string_view prog) {
-    if (args.size() != 2) {
+int cmd_describe(const mcps::cli::Parsed& p, std::string_view prog) {
+    if (p.positionals.size() != 1) {
         throw CliError{"describe: expected exactly one SCENARIO"};
     }
-    const auto& info = scenario::registry().info(args[1]);
+    const auto& info = scenario::registry().info(p.positionals[0]);
     std::cout << info.name << " (" << scenario::to_string(info.family)
               << "-family, default " << info.default_minutes
               << " min): " << info.description << "\n\n";
@@ -113,50 +91,20 @@ int cmd_describe(const std::vector<std::string_view>& args,
     return 0;
 }
 
-int cmd_run(const std::vector<std::string_view>& raw) {
-    std::string spec_text;
-    std::string name;
-    std::string json_path;
-    std::string events_path;
-    bool quiet = false;
-    std::uint64_t seed = 0, minutes = 0;
-    bool have_seed = false, have_minutes = false;
-    std::vector<std::string_view> sets;
-
-    mcps::cli::Args args{std::vector<std::string_view>{raw.begin() + 1,
-                                                       raw.end()}};
-    while (!args.done()) {
-        const auto arg = args.next();
-        const auto value = [&] { return args.value(arg); };
-        if (arg == "--spec") {
-            spec_text = std::string{value()};
-        } else if (arg == "--scenario") {
-            name = std::string{value()};
-        } else if (arg == "--seed") {
-            seed = parse_u64(arg, value());
-            have_seed = true;
-        } else if (arg == "--minutes") {
-            minutes = parse_u64(arg, value());
-            have_minutes = true;
-        } else if (arg == "--set") {
-            sets.push_back(value());
-        } else if (arg == "--json") {
-            json_path = std::string{value()};
-        } else if (arg == "--events-out") {
-            events_path = std::string{value()};
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else {
-            throw CliError{"unknown option '" + std::string{arg} + "'"};
-        }
-    }
+int cmd_run(const mcps::cli::Parsed& p) {
+    const std::string spec_text = p.text("--spec");
+    const std::string name = p.text("--scenario");
+    const std::string json_path = p.text("--json");
+    const std::string events_path = p.text("--events-out");
+    const bool quiet = p.has("--quiet");
+    const std::vector<std::string> sets = p.all("--set");
     if (spec_text.empty() == name.empty()) {
         throw CliError{"run: exactly one of --spec or --scenario is required"};
     }
 
     scenario::ScenarioSpec spec;
     if (!spec_text.empty()) {
-        if (have_seed || have_minutes || !sets.empty()) {
+        if (p.has("--seed") || p.has("--minutes") || !sets.empty()) {
             throw CliError{
                 "run: --spec already carries seed/minutes/overrides; "
                 "don't mix it with --seed/--minutes/--set"};
@@ -164,9 +112,9 @@ int cmd_run(const std::vector<std::string_view>& raw) {
         spec = scenario::parse_spec(spec_text);
     } else {
         spec = scenario::registry().default_spec(name);
-        if (have_seed) spec.seed = seed;
-        if (have_minutes) spec.minutes = minutes;
-        for (const auto sv : sets) {
+        spec.seed = p.count("--seed", spec.seed);
+        spec.minutes = p.count("--minutes", spec.minutes);
+        for (const std::string_view sv : sets) {
             const std::size_t eq = sv.find('=');
             if (eq == std::string_view::npos) {
                 throw CliError{"--set: expected key=value, got '" +
@@ -246,22 +194,48 @@ int cmd_selfcheck() {
 
 namespace mcps::drivers {
 
+constexpr cli::Mode kModes[] = {
+    {"list", "", "one line per registered scenario."},
+    {"describe", "SCENARIO",
+     "the scenario's knobs, value domains and defaults."},
+    {"run", "",
+     "run one scenario, given as one --spec line or as --scenario with "
+     "--seed, --minutes and --set; print the outcome table (or write the "
+     "artifacts as JSON to --json and the structured event log as JSONL "
+     "to --events-out; pca- and xray-family scenarios only)."},
+    {"selfcheck", "",
+     "run every registered scenario for one sim-minute and require spec "
+     "round-trip + fingerprint reproduction."},
+};
+
+constexpr cli::Option kOptions[] = {
+    {"--spec", cli::text("'NAME [seed=N] [minutes=M] [key=value]...'"),
+     "run", "the whole run as one spec line"},
+    {"--scenario", cli::text("NAME"), "run",
+     "a registered scenario, from its default spec"},
+    {"--seed", cli::count("N"), "run", "override the spec's seed"},
+    {"--minutes", cli::count("M"), "run",
+     "override the spec's simulated minutes"},
+    {"--set", cli::text("KEY=VALUE"), "run",
+     "override one knob (repeatable)"},
+    {"--json", cli::kOutPath, "run", "write the artifacts as JSON"},
+    {"--events-out", cli::kOutPath, "run",
+     "write the structured event log as JSONL"},
+    {"--quiet", cli::kSwitch, "run", "print nothing"},
+};
+
+const cli::Command kRunCli{
+    "run", "scenario registry: list, describe, run, selfcheck", kModes,
+    kOptions};
+
 int run_main(std::string_view prog,
              const std::vector<std::string_view>& args) {
-    return cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
-            if (args.empty() || args[0] == "--help" || args[0] == "-h") {
-                usage(std::cout, prog);
-                return args.empty() ? 2 : 0;
-            }
-            const auto cmd = args[0];
-            if (cmd == "list") return cmd_list();
-            if (cmd == "describe") return cmd_describe(args, prog);
-            if (cmd == "run") return cmd_run(args);
-            if (cmd == "selfcheck") return cmd_selfcheck();
-            throw CliError{"unknown subcommand '" + std::string{cmd} + "'"};
-        });
+    return cli::tool_main(prog, kRunCli, args, [&](const cli::Parsed& p) {
+        if (p.mode == "list") return cmd_list();
+        if (p.mode == "describe") return cmd_describe(p, prog);
+        if (p.mode == "run") return cmd_run(p);
+        return cmd_selfcheck();
+    });
 }
 
 }  // namespace mcps::drivers

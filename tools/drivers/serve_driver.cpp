@@ -39,25 +39,6 @@ void on_signal(int) {
     [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " [options]\n"
-          "  --port N               listen on TCP 127.0.0.1:N (0 = ephemeral"
-          ", default 0)\n"
-          "  --host ADDR            TCP bind address (default 127.0.0.1)\n"
-          "  --unix PATH            listen on a Unix-domain socket instead\n"
-          "  --workers N            scenario worker threads (default 2, at "
-          "most 256)\n"
-          "  --queue N              admission queue capacity (default 64)\n"
-          "  --cache N              result-cache entries, 0 disables "
-          "(default 256)\n"
-          "  --max-request-bytes N  per-line request bound (default 65536)\n"
-          "  --cache-load PATH      load a cache snapshot on start\n"
-          "  --cache-save PATH      save a cache snapshot on drain\n"
-          "  --quiet                suppress the shutdown stats line\n"
-          "  --help                 this text\n";
-}
-
 int serve_until_drained(std::string_view prog,
                         const mcps::serve::ServerConfig& cfg, bool quiet) {
     mcps::serve::Server server{cfg};
@@ -100,60 +81,53 @@ int serve_until_drained(std::string_view prog,
 
 namespace mcps::drivers {
 
+constexpr cli::Mode kModes[] = {{"--unix"}};
+
+constexpr cli::Option kOptions[] = {
+    {"--port", cli::count("N", 0, 65535), "",
+     "listen on TCP 127.0.0.1:N (0 = ephemeral, default 0)"},
+    {"--host", cli::text("ADDR"), "", "TCP bind address (default 127.0.0.1)"},
+    {"--unix", cli::text("PATH"), "*",
+     "listen on a Unix-domain socket instead"},
+    {"--workers", cli::kJobs, "*",
+     "scenario worker threads (default 2, at most 256)"},
+    {"--queue", cli::count("N"), "*", "admission queue capacity (default 64)"},
+    {"--cache", cli::count("N"), "*",
+     "result-cache entries, 0 disables (default 256)"},
+    {"--max-request-bytes", cli::count("N"), "*",
+     "per-line request bound (default 65536)"},
+    {"--cache-load", cli::text("PATH"), "*", "load a cache snapshot on start"},
+    {"--cache-save", cli::text("PATH"), "*", "save a cache snapshot on drain"},
+    {"--quiet", cli::kSwitch, "*", "suppress the shutdown stats line"},
+};
+
+const cli::Command kServeCli{
+    "serve", "scenario-execution service (JSONL over TCP/Unix)", kModes,
+    kOptions};
+
 int serve_main(std::string_view prog,
                const std::vector<std::string_view>& argv) {
-    using cli::CliError;
-    return cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
+    return cli::tool_main(prog, kServeCli, argv, [&](const cli::Parsed& p) {
         serve::ServerConfig cfg;
-        std::string host = "127.0.0.1";
-        std::uint64_t port = 0;
-        std::string unix_sock;
-        bool quiet = false;
-        cli::Args args{argv};
-        while (!args.done()) {
-            const auto arg = args.next();
-            const auto value = [&] { return args.value(arg); };
-            if (arg == "--port") {
-                port = cli::parse_u64(arg, value());
-                if (port > 65535) throw CliError{"--port: out of range"};
-            } else if (arg == "--host") {
-                host = std::string{value()};
-            } else if (arg == "--unix") {
-                unix_sock = std::string{value()};
-            } else if (arg == "--workers") {
-                cfg.workers = cli::parse_jobs(arg, value());
-            } else if (arg == "--queue") {
-                cfg.queue_capacity = cli::parse_u64(arg, value());
-            } else if (arg == "--cache") {
-                cfg.cache_entries = cli::parse_u64(arg, value());
-            } else if (arg == "--max-request-bytes") {
-                cfg.max_request_bytes = cli::parse_u64(arg, value());
-            } else if (arg == "--cache-load") {
-                cfg.cache_load_path = std::string{value()};
-            } else if (arg == "--cache-save") {
-                cfg.cache_save_path = std::string{value()};
-            } else if (arg == "--quiet") {
-                quiet = true;
-            } else if (arg == "--help") {
-                usage(std::cout, prog);
-                return 0;
-            } else {
-                throw CliError{"unknown option '" + std::string{arg} + "'"};
-            }
-        }
+        cfg.workers = p.count("--workers", cfg.workers);
+        cfg.queue_capacity = p.count("--queue", cfg.queue_capacity);
+        cfg.cache_entries = p.count("--cache", cfg.cache_entries);
+        cfg.max_request_bytes =
+            p.count("--max-request-bytes", cfg.max_request_bytes);
+        cfg.cache_load_path = p.text("--cache-load");
+        cfg.cache_save_path = p.text("--cache-save");
         cfg.endpoint =
-            unix_sock.empty()
-                ? serve::Endpoint::tcp(host, static_cast<std::uint16_t>(port))
-                : serve::Endpoint::unix_path(unix_sock);
+            p.has("--unix")
+                ? serve::Endpoint::unix_path(p.text("--unix"))
+                : serve::Endpoint::tcp(p.text("--host", "127.0.0.1"),
+                                       p.count<std::uint16_t>("--port", 0));
         try {
-            return serve_until_drained(prog, cfg, quiet);
+            return serve_until_drained(prog, cfg, p.has("--quiet"));
         } catch (const std::exception& e) {
             std::cerr << prog << ": " << e.what() << "\n";
             return 1;
         }
-        });
+    });
 }
 
 }  // namespace mcps::drivers

@@ -37,58 +37,8 @@
 namespace obs = mcps::obs;
 namespace scenario = mcps::scenario;
 using mcps::cli::CliError;
-using mcps::cli::parse_u64;
 
 namespace {
-
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " <subcommand> [options]\n"
-          "  run --scenario NAME [--seed N] [--minutes M]\n"
-          "      [--out PATH] [--chrome PATH] [--no-bus] [--quiet]\n"
-          "        run a registered scenario (see `mcps run list`) with\n"
-          "        structured tracing; write the event log as JSONL to\n"
-          "        --out (default stdout) and optionally as a Chrome\n"
-          "        trace_event file to --chrome. --no-bus drops bus\n"
-          "        publish/deliver/drop events.\n"
-          "  inspect FILE\n"
-          "        summarize a JSONL event log (counts per kind, time\n"
-          "        range, sources).\n"
-          "  diff A B\n"
-          "        byte-diff two JSONL event logs; exit 1 on difference.\n"
-          "  check --scenario NAME --golden FILE [--seed N]\n"
-          "      [--minutes M] [--no-bus] [--update]\n"
-          "        re-run the scenario and byte-diff its JSONL against\n"
-          "        the golden file; --update rewrites the golden.\n"
-          "  check-bench FILE\n"
-          "        validate a bench --json report against the schema.\n";
-}
-
-struct TraceOptions {
-    std::string scenario;
-    std::uint64_t seed = 42;
-    std::uint64_t minutes = 30;
-    bool no_bus = false;
-};
-
-/// Run the named scenario with tracing attached. The configurations are
-/// the registry's canonical presets (not exposed flag-by-flag): golden
-/// traces must correspond to one reproducible command line.
-obs::EventLog run_traced_scenario(const TraceOptions& opt) {
-    obs::EventLog log;
-    scenario::ScenarioSpec spec;
-    spec.name = opt.scenario;
-    spec.seed = opt.seed;
-    spec.minutes = opt.minutes;
-    scenario::RunOptions run;
-    run.events = &log;
-    try {
-        (void)scenario::registry().run(spec, run);
-    } catch (const scenario::SpecError& e) {
-        throw CliError{e.what()};
-    }
-    return log;
-}
 
 obs::EventLog drop_bus_events(const obs::EventLog& in) {
     obs::EventLog out;
@@ -100,6 +50,38 @@ obs::EventLog drop_bus_events(const obs::EventLog& in) {
         }
     }
     return out;
+}
+
+constexpr std::uint64_t kSeed = 42, kMinutes = 30;
+
+/// Run the --scenario with tracing attached (without bus events under
+/// --no-bus). The configurations are the registry's canonical presets
+/// (not exposed flag-by-flag): golden traces must correspond to one
+/// reproducible command line.
+obs::EventLog run_traced_scenario(const mcps::cli::Parsed& p) {
+    scenario::ScenarioSpec spec;
+    spec.name = p.text("--scenario");
+    spec.seed = p.count("--seed", kSeed);
+    spec.minutes = p.count("--minutes", kMinutes);
+    if (spec.name.empty()) throw CliError{"--scenario is required"};
+    // Hospital runs do not feed the event log; refuse rather than trace
+    // nothing and exit 0.
+    if (const auto* info = scenario::registry().find(spec.name);
+        info != nullptr &&
+        info->family == scenario::ScenarioFamily::kHospital) {
+        throw CliError{"--scenario: scenario '" + spec.name +
+                       "' is hospital-family and records no event log"};
+    }
+    obs::EventLog log;
+    scenario::RunOptions run;
+    run.events = &log;
+    try {
+        (void)scenario::registry().run(spec, run);
+    } catch (const scenario::SpecError& e) {
+        throw CliError{e.what()};
+    }
+    if (p.has("--no-bus")) return drop_bus_events(log);
+    return log;
 }
 
 std::string serialize(const obs::EventLog& log) {
@@ -151,52 +133,11 @@ bool diff_texts(const std::string& a_name, const std::string& a,
     }
 }
 
-TraceOptions parse_run_options(const std::vector<std::string_view>& args,
-                               std::size_t start, std::string* out_path,
-                               std::string* chrome_path, std::string* golden,
-                               bool* update, bool* quiet) {
-    TraceOptions opt;
-    mcps::cli::Args cursor{
-        std::vector<std::string_view>{args.begin() + static_cast<std::ptrdiff_t>(start),
-                                      args.end()}};
-    while (!cursor.done()) {
-        const auto arg = cursor.next();
-        const auto value = [&] { return cursor.value(arg); };
-        if (arg == "--scenario") {
-            opt.scenario = std::string{value()};
-        } else if (arg == "--seed") {
-            opt.seed = parse_u64(arg, value());
-        } else if (arg == "--minutes") {
-            opt.minutes = parse_u64(arg, value());
-        } else if (arg == "--no-bus") {
-            opt.no_bus = true;
-        } else if (arg == "--out" && out_path) {
-            *out_path = std::string{value()};
-        } else if (arg == "--chrome" && chrome_path) {
-            *chrome_path = std::string{value()};
-        } else if (arg == "--golden" && golden) {
-            *golden = std::string{value()};
-        } else if (arg == "--update" && update) {
-            *update = true;
-        } else if (arg == "--quiet" && quiet) {
-            *quiet = true;
-        } else {
-            throw CliError{"unknown option '" + std::string{arg} + "'"};
-        }
-    }
-    if (opt.scenario.empty()) {
-        throw CliError{"--scenario is required"};
-    }
-    return opt;
-}
-
-int cmd_run(const std::vector<std::string_view>& args) {
-    std::string out_path, chrome_path;
-    bool quiet = false;
-    const TraceOptions opt = parse_run_options(args, 1, &out_path, &chrome_path,
-                                             nullptr, nullptr, &quiet);
-    obs::EventLog log = run_traced_scenario(opt);
-    if (opt.no_bus) log = drop_bus_events(log);
+int cmd_run(const mcps::cli::Parsed& p) {
+    const std::string out_path = p.text("--out");
+    const std::string chrome_path = p.text("--chrome");
+    const bool quiet = p.has("--quiet");
+    const obs::EventLog log = run_traced_scenario(p);
 
     if (out_path.empty()) {
         obs::write_jsonl(log, std::cout);
@@ -218,9 +159,11 @@ int cmd_run(const std::vector<std::string_view>& args) {
     return 0;
 }
 
-int cmd_inspect(const std::vector<std::string_view>& args) {
-    if (args.size() != 2) throw CliError{"inspect: expected exactly one FILE"};
-    const std::string path{args[1]};
+int cmd_inspect(const mcps::cli::Parsed& p) {
+    if (p.positionals.size() != 1) {
+        throw CliError{"inspect: expected exactly one FILE"};
+    }
+    const std::string path{p.positionals[0]};
     std::ifstream in{path, std::ios::binary};
     if (!in) throw CliError{"cannot open '" + path + "' for reading"};
     const obs::EventLog log = obs::read_jsonl(in);
@@ -255,9 +198,11 @@ int cmd_inspect(const std::vector<std::string_view>& args) {
     return 0;
 }
 
-int cmd_diff(const std::vector<std::string_view>& args) {
-    if (args.size() != 3) throw CliError{"diff: expected exactly two files"};
-    const std::string a_path{args[1]}, b_path{args[2]};
+int cmd_diff(const mcps::cli::Parsed& p) {
+    if (p.positionals.size() != 2) {
+        throw CliError{"diff: expected exactly two files"};
+    }
+    const std::string a_path{p.positionals[0]}, b_path{p.positionals[1]};
     const std::string a = read_file(a_path), b = read_file(b_path);
     if (diff_texts(a_path, a, b_path, b, std::cout)) {
         std::cout << "traces identical (" << a.size() << " bytes)\n";
@@ -266,18 +211,13 @@ int cmd_diff(const std::vector<std::string_view>& args) {
     return 1;
 }
 
-int cmd_check(const std::vector<std::string_view>& args) {
-    std::string golden;
-    bool update = false;
-    const TraceOptions opt = parse_run_options(args, 1, nullptr, nullptr,
-                                             &golden, &update, nullptr);
+int cmd_check(const mcps::cli::Parsed& p) {
+    const std::string golden = p.text("--golden");
     if (golden.empty()) throw CliError{"check: --golden is required"};
-
-    obs::EventLog log = run_traced_scenario(opt);
-    if (opt.no_bus) log = drop_bus_events(log);
+    const obs::EventLog log = run_traced_scenario(p);
     const std::string actual = serialize(log);
 
-    if (update) {
+    if (p.has("--update")) {
         mcps::cli::write_file("--golden", golden,
                               [&](std::ostream& out) { out << actual; });
         std::cout << "golden updated: " << golden << " (" << log.size()
@@ -290,17 +230,18 @@ int cmd_check(const std::vector<std::string_view>& args) {
                   << " events, " << actual.size() << " bytes)\n";
         return 0;
     }
-    std::cout << "golden mismatch for scenario '" << opt.scenario
-              << "' (seed " << opt.seed << ", " << opt.minutes
+    std::cout << "golden mismatch for scenario '" << p.text("--scenario")
+              << "' (seed " << p.count("--seed", kSeed) << ", "
+              << p.count("--minutes", kMinutes)
               << " min); run with --update after an intentional change\n";
     return 1;
 }
 
-int cmd_check_bench(const std::vector<std::string_view>& args) {
-    if (args.size() != 2) {
+int cmd_check_bench(const mcps::cli::Parsed& p) {
+    if (p.positionals.size() != 1) {
         throw CliError{"check-bench: expected exactly one FILE"};
     }
-    const std::string path{args[1]};
+    const std::string path{p.positionals[0]};
     std::ifstream in{path, std::ios::binary};
     if (!in) throw CliError{"cannot open '" + path + "' for reading"};
     std::string error;
@@ -316,23 +257,51 @@ int cmd_check_bench(const std::vector<std::string_view>& args) {
 
 namespace mcps::drivers {
 
+constexpr cli::Mode kModes[] = {
+    {"run", "",
+     "run a registered scenario (see `mcps run list`) with structured "
+     "tracing; write the event log as JSONL to --out (default stdout) and "
+     "optionally as a Chrome trace_event file to --chrome."},
+    {"inspect", "FILE",
+     "summarize a JSONL event log (counts per kind, time range, sources)."},
+    {"diff", "A B", "byte-diff two JSONL event logs; exit 1 on difference."},
+    {"check", "",
+     "re-run the scenario and byte-diff its JSONL against the --golden "
+     "file; --update rewrites the golden."},
+    {"check-bench", "FILE",
+     "validate a bench --json report against the schema."},
+};
+
+constexpr cli::Option kOptions[] = {
+    {"--scenario", cli::text("NAME"), "run check",
+     "the registered scenario to run (required)"},
+    {"--seed", cli::count("N"), "run check", "seed (default 42)"},
+    {"--minutes", cli::count("M"), "run check",
+     "simulated minutes (default 30)"},
+    {"--no-bus", cli::kSwitch, "run check",
+     "drop bus publish/deliver/drop events"},
+    {"--out", cli::kOutPath, "run", "write the JSONL event log here"},
+    {"--chrome", cli::kOutPath, "run", "also write a Chrome trace_event file"},
+    {"--quiet", cli::kSwitch, "run", "print nothing about the written files"},
+    {"--golden", cli::text("FILE"), "check",
+     "the committed JSONL to compare against (required)"},
+    {"--update", cli::kSwitch, "check",
+     "rewrite the golden file instead of comparing"},
+};
+
+const cli::Command kTraceCli{
+    "trace", "structured traces: run, inspect, diff, check, check-bench",
+    kModes, kOptions};
+
 int trace_main(std::string_view prog,
                const std::vector<std::string_view>& args) {
-    return cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
-            if (args.empty() || args[0] == "--help" || args[0] == "-h") {
-                usage(std::cout, prog);
-                return args.empty() ? 2 : 0;
-            }
-            const auto cmd = args[0];
-            if (cmd == "run") return cmd_run(args);
-            if (cmd == "inspect") return cmd_inspect(args);
-            if (cmd == "diff") return cmd_diff(args);
-            if (cmd == "check") return cmd_check(args);
-            if (cmd == "check-bench") return cmd_check_bench(args);
-            throw CliError{"unknown subcommand '" + std::string{cmd} + "'"};
-        });
+    return cli::tool_main(prog, kTraceCli, args, [&](const cli::Parsed& p) {
+        if (p.mode == "run") return cmd_run(p);
+        if (p.mode == "inspect") return cmd_inspect(p);
+        if (p.mode == "diff") return cmd_diff(p);
+        if (p.mode == "check") return cmd_check(p);
+        return cmd_check_bench(p);
+    });
 }
 
 }  // namespace mcps::drivers

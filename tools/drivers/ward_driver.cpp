@@ -22,108 +22,56 @@
 #include "ward/ward.hpp"
 
 namespace ward = mcps::ward;
-using mcps::cli::CliError;
-using mcps::cli::parse_double;
-using mcps::cli::parse_u64;
-
-namespace {
-
-void usage(std::ostream& os, std::string_view prog) {
-    os << "usage: " << prog
-       << " [options]\n"
-          "  --patients N       scenarios to run (default 64)\n"
-          "  --jobs N           worker threads (default 1, at most 256)\n"
-          "  --shards N         reduction shards (default 64; fixes the\n"
-          "                     merge order, so keep it constant when\n"
-          "                     comparing runs)\n"
-          "  --mix SPEC         workload weights, e.g. pca=0.7,xray=0.15,\n"
-          "                     ward=0.15 (normalized; default shown;\n"
-          "                     hospital=X embeds smoke-sized\n"
-          "                     hospital-small population runs)\n"
-          "  --seed N           master seed (default 42)\n"
-          "  --intensity X      fault-plan intensity for PCA-family\n"
-          "                     scenarios (default 0 = no injected faults)\n"
-          "  --json PATH        write the machine-readable report to PATH\n"
-          "  --events-out PATH  write the campaign's merged structured\n"
-          "                     event log as JSONL to PATH\n"
-          "  --metrics-out PATH write the campaign's metrics registry as\n"
-          "                     JSON to PATH\n"
-          "  --verify-serial    also run with jobs=1 and require an\n"
-          "                     identical ward fingerprint\n"
-          "  --verify-obs-jobs LIST\n"
-          "                     run the campaign once per job count in the\n"
-          "                     comma-separated LIST (e.g. 1,4,8) and\n"
-          "                     require bit-identical event logs, metrics\n"
-          "                     and report fingerprints across all of them\n"
-          "  --quiet            suppress the report tables\n"
-          "  --help             this text\n";
-}
-
-std::vector<unsigned> parse_jobs_list(std::string_view flag,
-                                      std::string_view v) {
-    std::vector<unsigned> jobs =
-        mcps::cli::parse_unsigned_list(flag, v, mcps::sim::kMaxJobs);
-    if (jobs.size() < 2) {
-        throw CliError{std::string{flag} +
-                       ": need at least two job counts to compare"};
-    }
-    return jobs;
-}
-
-}  // namespace
 
 namespace mcps::drivers {
 
+constexpr cli::Option kOptions[] = {
+    {"--patients", cli::count("N"), "*", "scenarios to run (default 64)"},
+    {"--jobs", cli::kJobs, "*", "worker threads (default 1, at most 256)"},
+    {"--shards", cli::count("N"), "*",
+     "reduction shards (default 64; fixes the merge order, so keep it "
+     "constant when comparing runs)"},
+    {"--mix", cli::text("SPEC"), "*",
+     "workload weights, e.g. pca=0.7,xray=0.15,ward=0.15 (normalized; "
+     "default shown; hospital=X embeds smoke-sized hospital-small "
+     "population runs)"},
+    {"--seed", cli::count("N"), "*", "master seed (default 42)"},
+    {"--intensity", cli::number("X", 0, testkit::kMaxFaultIntensity), "*",
+     "fault-plan intensity for PCA-family scenarios (default 0 = no "
+     "injected faults)"},
+    {"--json", cli::kOutPath, "*", "write the machine-readable report"},
+    {"--events-out", cli::kOutPath, "*",
+     "write the campaign's merged structured event log as JSONL"},
+    {"--metrics-out", cli::kOutPath, "*",
+     "write the campaign's metrics registry as JSON"},
+    {"--verify-serial", cli::kSwitch, "*",
+     "also run with jobs=1 and require an identical ward fingerprint"},
+    {"--verify-obs-jobs", cli::list(0, sim::kMaxJobs, 2), "*",
+     "run the campaign once per job count in the comma-separated LIST "
+     "(e.g. 1,4,8) and require bit-identical event logs, metrics and "
+     "report fingerprints across all of them"},
+    {"--quiet", cli::kSwitch, "*", "suppress the report tables"},
+};
+
+const cli::Command kWardCli{
+    "ward", "ward-scale parallel campaign engine", {}, kOptions};
+
 int ward_main(std::string_view prog,
               const std::vector<std::string_view>& argv) {
-    ward::WardConfig cfg;
-    bool verify_serial = false;
-    bool quiet = false;
-    std::string json_path;
-    std::string events_path;
-    std::string metrics_path;
-    std::vector<unsigned> verify_obs_jobs;
-
-    return cli::tool_main(
-        prog, [&](std::ostream& os) { usage(os, prog); },
-        [&]() -> int {
-        cli::Args args{argv};
-        while (!args.done()) {
-            const auto arg = args.next();
-            const auto value = [&] { return args.value(arg); };
-            if (arg == "--patients") {
-                cfg.patients =
-                    static_cast<std::size_t>(parse_u64(arg, value()));
-            } else if (arg == "--jobs") {
-                cfg.jobs = cli::parse_jobs(arg, value());
-            } else if (arg == "--shards") {
-                cfg.shards =
-                    static_cast<std::size_t>(parse_u64(arg, value()));
-            } else if (arg == "--mix") {
-                cfg.mix = ward::parse_mix(value());
-            } else if (arg == "--seed") {
-                cfg.seed = parse_u64(arg, value());
-            } else if (arg == "--intensity") {
-                cfg.fault_intensity = parse_double(arg, value());
-            } else if (arg == "--json") {
-                json_path = std::string{value()};
-            } else if (arg == "--events-out") {
-                events_path = std::string{value()};
-            } else if (arg == "--metrics-out") {
-                metrics_path = std::string{value()};
-            } else if (arg == "--verify-obs-jobs") {
-                verify_obs_jobs = parse_jobs_list(arg, value());
-            } else if (arg == "--verify-serial") {
-                verify_serial = true;
-            } else if (arg == "--quiet") {
-                quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(std::cout, prog);
-                return 0;
-            } else {
-                throw CliError{"unknown option '" + std::string{arg} + "'"};
-            }
-        }
+    return cli::tool_main(prog, kWardCli, argv, [&](const cli::Parsed& p) {
+        ward::WardConfig cfg;
+        cfg.patients = p.count("--patients", cfg.patients);
+        cfg.jobs = p.count("--jobs", cfg.jobs);
+        cfg.shards = p.count("--shards", cfg.shards);
+        if (p.has("--mix")) cfg.mix = ward::parse_mix(p.text("--mix"));
+        cfg.seed = p.count("--seed", cfg.seed);
+        cfg.fault_intensity = p.number("--intensity", cfg.fault_intensity);
+        const bool quiet = p.has("--quiet");
+        const std::string json_path = p.text("--json");
+        const std::string events_path = p.text("--events-out");
+        const std::string metrics_path = p.text("--metrics-out");
+        const std::vector<unsigned> verify_obs_jobs =
+            p.list("--verify-obs-jobs");
 
         const ward::WardEngine engine{cfg};
         const auto checker = mcps::testkit::InvariantChecker::with_defaults();
@@ -156,7 +104,7 @@ int ward_main(std::string_view prog,
             if (!quiet) std::cout << "json report: " << json_path << "\n";
         }
 
-        if (verify_serial) {
+        if (p.has("--verify-serial")) {
             ward::WardConfig serial = cfg;
             serial.jobs = 1;
             const auto check = ward::WardEngine{serial}.run();
@@ -213,7 +161,7 @@ int ward_main(std::string_view prog,
             std::cout << "}\n";
         }
         return 0;
-        });
+    });
 }
 
 }  // namespace mcps::drivers
