@@ -1,18 +1,35 @@
 /// \file on_demand_assembly.cpp
 /// \brief The paper's on-demand certification loop, end to end: a ward
 /// assembles a closed-loop PCA system from whatever devices are present,
-/// certifies the configuration (GSN case from the assembly report),
-/// deploys only if certifiable, then re-certifies after a configuration
-/// change — exactly the re-certification cycle the DAC'10 vision calls
-/// for.
+/// certifies the configuration with the ICE1 assembly lint (the slot
+/// assignment Supervisor::deploy makes, over the live registry), deploys
+/// only when ICE1 reports no finding, then re-certifies after a
+/// configuration change — exactly the re-certification cycle the DAC'10
+/// vision calls for.
 
 #include <iostream>
 
+#include "analysis/ice_lint.hpp"
 #include "core/core.hpp"
 #include "ice/ice.hpp"
 
 using namespace mcps;
 using namespace mcps::sim::literals;
+
+namespace {
+
+/// Certify \p app against the bedside inventory: print every ICE1
+/// finding; the configuration is deployable when there is none.
+bool certify(const ice::DeviceRegistry& registry, const ice::VmdApp& app) {
+    const auto findings = analysis::lint_assembly(
+        analysis::make_assembly_spec("bedside", registry, {&app}));
+    for (const auto& f : findings) std::cout << "  " << f.to_string() << '\n';
+    std::cout << "certifiable: " << (findings.empty() ? "YES" : "NO")
+              << "\n\n";
+    return findings.empty();
+}
+
+}  // namespace
 
 int main() {
     sim::Simulation sim{7};
@@ -38,35 +55,24 @@ int main() {
     core::PcaInterlock app{ctx, "pca_interlock", core::InterlockConfig{}};
 
     // --- Attempt 1: dual-sensor interlock, but no capnometer present ----
-    auto report = ice::check_assembly(app, registry);
-    auto ac = ice::build_assembly_case(report);
-    std::cout << ac.to_text() << "\n";
-    auto audit = ac.audit();
-    std::cout << "certifiable: " << (audit.certifiable ? "YES" : "NO")
-              << "  (satisfiable=" << report.satisfiable << ")\n\n";
+    certify(registry, app);
 
     // --- A capnometer is wheeled in; re-certify ---------------------------
     devices::Capnometer cap{ctx, "cap1", patient};
     cap.set_heartbeat_period(2_s);
     cap.start();
     registry.add(cap);
-    std::cout << "-- capnometer added to the bedside; re-certifying --\n\n";
-
-    report = ice::check_assembly(app, registry);
-    ac = ice::build_assembly_case(report);
-    std::cout << ac.to_text() << "\n";
-    audit = ac.audit();
-    std::cout << "certifiable: " << (audit.certifiable ? "YES" : "NO") << "\n";
-    for (const auto& w : audit.warnings) std::cout << "  note: " << w << '\n';
+    std::cout << "-- capnometer added to the bedside; re-certifying --\n";
 
     // --- Deploy only the certified configuration -------------------------
-    if (!audit.certifiable) return 1;
+    if (!certify(registry, app)) return 1;
     ice::Supervisor supervisor{ctx, "supervisor1", registry};
     supervisor.start();
     const auto deploy = supervisor.deploy(app);
-    std::cout << "\ndeployed: " << (deploy.ok ? "yes" : deploy.error) << " (";
+    std::cout << "deployed: " << (deploy.ok ? "yes" : deploy.error) << " (";
     for (const auto& d : deploy.bound_devices) std::cout << ' ' << d;
     std::cout << " )\n";
+    if (!deploy.ok) return 1;
 
     // Run a short closed-loop session to show it actually operates.
     sim.schedule_periodic(500_ms, [&] { patient.step(0.5); });

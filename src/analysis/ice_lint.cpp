@@ -9,16 +9,6 @@ namespace mcps::analysis {
 
 namespace {
 
-bool satisfies(const DeviceSpec& d, const ice::Requirement& r) {
-    if (d.kind != r.kind) return false;
-    return std::all_of(r.capabilities.begin(), r.capabilities.end(),
-                       [&d](const std::string& cap) {
-                           return std::find(d.capabilities.begin(),
-                                            d.capabilities.end(),
-                                            cap) != d.capabilities.end();
-                       });
-}
-
 std::string describe(const ice::Requirement& r) {
     std::string out = "slot '" + r.label + "' (kind " +
                       std::string{devices::to_string(r.kind)};
@@ -38,7 +28,7 @@ AssemblySpec make_assembly_spec(std::string name,
     AssemblySpec spec;
     spec.name = std::move(name);
     for (const auto& d : registry.all()) {
-        spec.devices.push_back({d.name, d.kind, d.capabilities, {}});
+        spec.devices.push_back({d, {}});
     }
     for (const ice::VmdApp* app : apps) {
         spec.apps.push_back({app->name(), app->requirements(), {}});
@@ -51,35 +41,30 @@ std::vector<Finding> lint_assembly(const AssemblySpec& spec) {
 
     // Duplicate device names would shadow each other in a registry.
     std::set<std::string> seen;
+    std::vector<const ice::DeviceDescriptor*> candidates;
+    candidates.reserve(spec.devices.size());
     for (const DeviceSpec& d : spec.devices) {
-        if (!seen.insert(d.name).second) {
+        const std::string& name = d.descriptor.name;
+        if (!seen.insert(name).second) {
             out.push_back({RuleId::kICE1, FindingSeverity::kError,
-                           spec.name + "/device '" + d.name + "'", "", 0,
+                           spec.name + "/device '" + name + "'", "", 0,
                            "duplicate device name in assembly"});
         }
+        candidates.push_back(&d.descriptor);
     }
 
-    // Requirement slots: greedy distinct assignment, mirroring
-    // ice::DeviceRegistry::resolve, across ALL apps of the assembly at
-    // once (they share the bedside inventory).
     for (const AppSpec& app : spec.apps) {
-        std::set<std::string> consumed;
-        for (const ice::Requirement& req : app.requirements) {
-            const DeviceSpec* chosen = nullptr;
-            for (const DeviceSpec& d : spec.devices) {
-                if (consumed.count(d.name) != 0) continue;
-                if (satisfies(d, req)) {
-                    chosen = &d;
-                    break;
-                }
-            }
-            if (chosen != nullptr) {
-                consumed.insert(chosen->name);
-                continue;
-            }
+        // Requirement slots: each app is assigned against the whole
+        // inventory, in spec order, exactly as resolve() would.
+        const auto slots = ice::assign_slots(candidates, app.requirements);
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (slots[i] != nullptr) continue;
+            const ice::Requirement& req = app.requirements[i];
             const bool any_match = std::any_of(
-                spec.devices.begin(), spec.devices.end(),
-                [&req](const DeviceSpec& d) { return satisfies(d, req); });
+                candidates.begin(), candidates.end(),
+                [&req](const ice::DeviceDescriptor* d) {
+                    return ice::satisfies(*d, req);
+                });
             out.push_back({RuleId::kICE1, FindingSeverity::kError,
                            spec.name + "/" + app.name, "", 0,
                            describe(req) +

@@ -3,8 +3,8 @@
 ///
 /// An on-demand MCPS is only safe if the pieces actually fit: every
 /// requirement slot an app declares must be satisfiable by a distinct
-/// registered device (same greedy semantics as
-/// ice::DeviceRegistry::resolve), and every data input the supervisor
+/// registered device (ice::assign_slots, the assignment
+/// ice::DeviceRegistry::resolve makes), and every data input the supervisor
 /// logic consumes (vitals topics, command acks, images) must be
 /// produced by some device in the assembly. Silent integration defects
 /// — a missing capnometer, an alarm input nothing publishes — are
@@ -28,12 +28,10 @@
 
 namespace mcps::analysis {
 
-/// One device in the assembly, as the registry would describe it, plus
-/// the topics it publishes (its data-plane contract).
+/// One device in the assembly, as the registry describes it, plus the
+/// topics it publishes (its data-plane contract).
 struct DeviceSpec {
-    std::string name;
-    devices::DeviceKind kind = devices::DeviceKind::kInfusionPump;
-    std::vector<std::string> capabilities;
+    ice::DeviceDescriptor descriptor;
     /// Topic patterns this device publishes (net::topic_matches syntax).
     std::vector<std::string> publishes;
 };

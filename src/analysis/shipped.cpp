@@ -28,14 +28,12 @@ void add_shipped_assemblies(Analyzer& a) {
     AssemblySpec pca;
     pca.name = "pca_closed_loop";
     pca.devices = {
-        {"pump1", DeviceKind::kInfusionPump,
-         {"analgesia", "bolus", "remote-stop"},
+        {{"pump1", DeviceKind::kInfusionPump,
+          {"analgesia", "bolus", "remote-stop"}},
          {"ack/pump1", "alarm/pump1", "status/pump1"}},
-        {"oxi1", DeviceKind::kPulseOximeter,
-         {"spo2", "pulse_rate"},
+        {{"oxi1", DeviceKind::kPulseOximeter, {"spo2", "pulse_rate"}},
          {"vitals/bed1/spo2", "vitals/bed1/pulse_rate"}},
-        {"cap1", DeviceKind::kCapnometer,
-         {"etco2", "resp_rate"},
+        {{"cap1", DeviceKind::kCapnometer, {"etco2", "resp_rate"}},
          {"vitals/bed1/etco2", "vitals/bed1/resp_rate"}},
     };
     pca.apps = {
@@ -51,11 +49,9 @@ void add_shipped_assemblies(Analyzer& a) {
     AssemblySpec xv;
     xv.name = "xray_vent_sync";
     xv.devices = {
-        {"vent1", DeviceKind::kVentilator,
-         {"ventilation", "remote-pause"},
+        {{"vent1", DeviceKind::kVentilator, {"ventilation", "remote-pause"}},
          {"ack/vent1", "alarm/vent1", "status/vent1"}},
-        {"xray1", DeviceKind::kXRay,
-         {"imaging"},
+        {{"xray1", DeviceKind::kXRay, {"imaging"}},
          {"ack/xray1", "image/xray1", "status/xray1"}},
     };
     xv.apps = {

@@ -9,6 +9,5 @@
 #include "pca_interlock.hpp"   // IWYU pragma: export
 #include "pca_scenario.hpp"   // IWYU pragma: export
 #include "smart_alarm.hpp"    // IWYU pragma: export
-#include "trend.hpp"          // IWYU pragma: export
 #include "xray_scenario.hpp"  // IWYU pragma: export
 #include "xray_vent_app.hpp"  // IWYU pragma: export

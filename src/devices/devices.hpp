@@ -5,7 +5,6 @@
 
 #include "capnometer.hpp"      // IWYU pragma: export
 #include "device.hpp"          // IWYU pragma: export
-#include "drug_library.hpp"    // IWYU pragma: export
 #include "gpca_pump.hpp"       // IWYU pragma: export
 #include "monitor.hpp"         // IWYU pragma: export
 #include "pulse_oximeter.hpp"  // IWYU pragma: export

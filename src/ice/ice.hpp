@@ -4,6 +4,5 @@
 #pragma once
 
 #include "app.hpp"         // IWYU pragma: export
-#include "assembly.hpp"    // IWYU pragma: export
 #include "registry.hpp"    // IWYU pragma: export
 #include "supervisor.hpp"  // IWYU pragma: export

@@ -3,8 +3,41 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 namespace mcps::ice {
+
+bool satisfies(const DeviceDescriptor& d, const Requirement& r) {
+    if (d.kind != r.kind) return false;
+    return std::all_of(r.capabilities.begin(), r.capabilities.end(),
+                       [&](const std::string& cap) {
+                           return std::find(d.capabilities.begin(),
+                                            d.capabilities.end(),
+                                            cap) != d.capabilities.end();
+                       });
+}
+
+std::vector<const DeviceDescriptor*> assign_slots(
+    const std::vector<const DeviceDescriptor*>& candidates,
+    const std::vector<Requirement>& reqs) {
+    std::vector<const DeviceDescriptor*> slots;
+    slots.reserve(reqs.size());
+    std::set<std::string_view> taken;
+    for (const Requirement& r : reqs) {
+        const auto it = std::find_if(
+            candidates.begin(), candidates.end(),
+            [&](const DeviceDescriptor* d) {
+                return !taken.contains(d->name) && satisfies(*d, r);
+            });
+        if (it == candidates.end()) {
+            slots.push_back(nullptr);
+            continue;
+        }
+        taken.insert((*it)->name);
+        slots.push_back(*it);
+    }
+    return slots;
+}
 
 void DeviceRegistry::add(devices::Device& device) {
     const auto& name = device.name();
@@ -32,16 +65,6 @@ std::vector<DeviceDescriptor> DeviceRegistry::all() const {
     return out;
 }
 
-bool DeviceRegistry::satisfies(const DeviceDescriptor& d, const Requirement& r) {
-    if (d.kind != r.kind) return false;
-    return std::all_of(r.capabilities.begin(), r.capabilities.end(),
-                       [&](const std::string& cap) {
-                           return std::find(d.capabilities.begin(),
-                                            d.capabilities.end(),
-                                            cap) != d.capabilities.end();
-                       });
-}
-
 std::vector<DeviceDescriptor> DeviceRegistry::match(
     const Requirement& req) const {
     std::vector<DeviceDescriptor> out;
@@ -53,24 +76,21 @@ std::vector<DeviceDescriptor> DeviceRegistry::match(
 
 std::vector<DeviceDescriptor> DeviceRegistry::resolve(
     const std::vector<Requirement>& reqs, std::string& missing) const {
+    std::vector<const DeviceDescriptor*> candidates;
+    candidates.reserve(entries_.size());
+    for (const auto& [_, d] : entries_) candidates.push_back(&d);
+    const auto slots = assign_slots(candidates, reqs);
+
     std::vector<DeviceDescriptor> chosen;
-    std::set<std::string> used;
-    for (const auto& r : reqs) {
-        bool found = false;
-        for (const auto& [_, d] : entries_) {
-            if (used.contains(d.name)) continue;
-            if (!satisfies(d, r)) continue;
-            chosen.push_back(d);
-            used.insert(d.name);
-            found = true;
-            break;
-        }
-        if (!found) {
-            missing = r.label.empty()
-                          ? std::string{devices::to_string(r.kind)}
-                          : r.label;
+    chosen.reserve(reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        if (slots[i] == nullptr) {
+            missing = reqs[i].label.empty()
+                          ? std::string{devices::to_string(reqs[i].kind)}
+                          : reqs[i].label;
             return {};
         }
+        chosen.push_back(*slots[i]);
     }
     return chosen;
 }

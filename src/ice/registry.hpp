@@ -32,6 +32,20 @@ struct Requirement {
     std::string label;  ///< slot name for diagnostics, e.g. "oximeter"
 };
 
+/// True when \p d is of the requirement's kind and carries every
+/// capability it lists: the one matching rule of the ICE layer.
+[[nodiscard]] bool satisfies(const DeviceDescriptor& d, const Requirement& r);
+
+/// The one slot assignment of the ICE layer, shared by
+/// DeviceRegistry::resolve (and through it Supervisor::deploy) and the
+/// ICE1 assembly lint: each requirement, in order, takes the first
+/// candidate, in the caller's order, that satisfies it and whose name no
+/// earlier slot took. A slot nothing fits gets nullptr and takes nothing.
+/// Returns one entry per requirement.
+[[nodiscard]] std::vector<const DeviceDescriptor*> assign_slots(
+    const std::vector<const DeviceDescriptor*>& candidates,
+    const std::vector<Requirement>& reqs);
+
 class DeviceRegistry {
 public:
     /// Register a device. \throws std::invalid_argument on duplicate name.
@@ -47,16 +61,14 @@ public:
     [[nodiscard]] std::vector<DeviceDescriptor> match(
         const Requirement& req) const;
 
-    /// Greedy assignment of one distinct device per requirement.
-    /// On success, result.size() == reqs.size() (ordered as given).
-    /// On failure returns an empty vector and sets \p missing to the
-    /// label of the first unsatisfiable requirement.
+    /// assign_slots() over the registry in name order. On success,
+    /// result.size() == reqs.size() (ordered as given). On failure
+    /// returns an empty vector and sets \p missing to the label of the
+    /// first unfilled requirement.
     [[nodiscard]] std::vector<DeviceDescriptor> resolve(
         const std::vector<Requirement>& reqs, std::string& missing) const;
 
 private:
-    [[nodiscard]] static bool satisfies(const DeviceDescriptor& d,
-                                        const Requirement& r);
     std::map<std::string, DeviceDescriptor> entries_;
 };
 

@@ -151,44 +151,4 @@ private:
     std::uint64_t underflow_{0}, overflow_{0}, total_{0};
 };
 
-/// 2x2 confusion-matrix accumulator for detector evaluations (smart
-/// alarms, interlocks): records hits/misses/false-alarms/correct-rejects.
-class DetectionStats {
-public:
-    void record(bool event_present, bool detector_fired) noexcept {
-        if (event_present) {
-            detector_fired ? ++tp_ : ++fn_;
-        } else {
-            detector_fired ? ++fp_ : ++tn_;
-        }
-    }
-
-    [[nodiscard]] std::uint64_t true_positives() const noexcept { return tp_; }
-    [[nodiscard]] std::uint64_t false_positives() const noexcept { return fp_; }
-    [[nodiscard]] std::uint64_t true_negatives() const noexcept { return tn_; }
-    [[nodiscard]] std::uint64_t false_negatives() const noexcept { return fn_; }
-
-    /// TP / (TP + FN); NaN if no positive events were seen.
-    [[nodiscard]] double sensitivity() const noexcept {
-        const double d = static_cast<double>(tp_ + fn_);
-        return d > 0 ? static_cast<double>(tp_) / d
-                     : std::numeric_limits<double>::quiet_NaN();
-    }
-    /// TN / (TN + FP); NaN if no negative cases were seen.
-    [[nodiscard]] double specificity() const noexcept {
-        const double d = static_cast<double>(tn_ + fp_);
-        return d > 0 ? static_cast<double>(tn_) / d
-                     : std::numeric_limits<double>::quiet_NaN();
-    }
-    /// TP / (TP + FP); NaN if the detector never fired.
-    [[nodiscard]] double precision() const noexcept {
-        const double d = static_cast<double>(tp_ + fp_);
-        return d > 0 ? static_cast<double>(tp_) / d
-                     : std::numeric_limits<double>::quiet_NaN();
-    }
-
-private:
-    std::uint64_t tp_{0}, fp_{0}, tn_{0}, fn_{0};
-};
-
 }  // namespace mcps::sim

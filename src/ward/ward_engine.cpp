@@ -90,12 +90,6 @@ void record_outcome(obs::MetricsRegistry& reg, const ScenarioOutcome& o) {
 
 }  // namespace
 
-double WardReport::alarms_per_scenario() const noexcept {
-    return patients == 0 ? 0.0
-                         : static_cast<double>(monitor_alarms + smart_alarms) /
-                               static_cast<double>(patients);
-}
-
 WardEngine::WardEngine(WardConfig cfg) : cfg_{std::move(cfg)} {
     cfg_.validate();
 }

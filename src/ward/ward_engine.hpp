@@ -83,10 +83,6 @@ struct WardReport {
     double wall_seconds = 0.0;
     double scenarios_per_sec = 0.0;
 
-    /// Alarms (monitor + smart) per scenario-hour proxy: total alarms /
-    /// scenarios. Exposed as a helper so the CLI and bench agree.
-    [[nodiscard]] double alarms_per_scenario() const noexcept;
-
     /// Human-readable summary tables.
     void print(std::ostream& os) const;
     /// Machine-readable report (one JSON object).

@@ -1,6 +1,7 @@
 /// \file test_analysis_ice.cpp
-/// \brief Seeded-defect fixtures for rule ICE1 (assembly integration)
-/// plus the adapter from live ice:: objects.
+/// \brief Seeded-defect fixtures for rule ICE1 (assembly integration),
+/// the adapter from live ice:: objects, and ICE1's agreement with
+/// DeviceRegistry::resolve and Supervisor::deploy.
 
 #include <gtest/gtest.h>
 
@@ -34,8 +35,8 @@ AssemblySpec pca_spec() {
     AssemblySpec spec;
     spec.name = "pca";
     spec.devices = {
-        {"pump1", DeviceKind::kInfusionPump, {"remote-stop"}, {"ack/pump1"}},
-        {"oxi1", DeviceKind::kPulseOximeter, {"spo2"}, {"vitals/bed1/spo2"}},
+        {{"pump1", DeviceKind::kInfusionPump, {"remote-stop"}}, {"ack/pump1"}},
+        {{"oxi1", DeviceKind::kPulseOximeter, {"spo2"}}, {"vitals/bed1/spo2"}},
     };
     spec.apps = {
         {"interlock",
@@ -63,7 +64,7 @@ TEST(AnalysisICE1, FlagsMissingDevice) {
 
 TEST(AnalysisICE1, FlagsMissingCapability) {
     AssemblySpec spec = pca_spec();
-    spec.devices[0].capabilities = {"bolus"};  // pump lost remote-stop
+    spec.devices[0].descriptor.capabilities = {"bolus"};  // pump lost remote-stop
 
     const auto fs = analysis::lint_assembly(spec);
     EXPECT_TRUE(has_message(fs, "satisfied by no registered device"));
@@ -143,6 +144,122 @@ TEST(AnalysisICE1, AdapterDerivesSlotsFromLiveRegistry) {
         analysis::make_assembly_spec("live2", registry, {&dual});
     EXPECT_TRUE(has_message(analysis::lint_assembly(spec2),
                             "satisfied by no registered device"));
+}
+
+/// An app that only declares requirement slots and records what it is
+/// bound to.
+class SlotApp : public ice::VmdApp {
+public:
+    explicit SlotApp(std::vector<ice::Requirement> reqs)
+        : ice::VmdApp{"slot-app"}, reqs_{std::move(reqs)} {}
+    std::vector<ice::Requirement> requirements() const override {
+        return reqs_;
+    }
+    void bind(const std::vector<ice::DeviceDescriptor>& devices) override {
+        for (const auto& d : devices) bound.push_back(d.name);
+    }
+    void on_app_start() override {}
+    void on_app_stop() override {}
+
+    std::vector<std::string> bound;
+
+private:
+    std::vector<ice::Requirement> reqs_;
+};
+
+/// ICE1 certifies an assembly exactly when the supervisor can deploy it:
+/// over one live registry, lint_assembly(make_assembly_spec(...)) reports
+/// a slot finding iff DeviceRegistry::resolve fails, names the same first
+/// missing slot, and Supervisor::deploy binds the devices resolve picked.
+class Ice1ResolveAgreement : public ::testing::Test {
+protected:
+    Ice1ResolveAgreement()
+        : sim_{42},
+          bus_{sim_, net::ChannelParameters::ideal()},
+          patient_{physio::nominal_parameters(physio::Archetype::kTypicalAdult)},
+          ctx_{sim_, bus_, trace_, events_},
+          pump_{ctx_, "pump1", patient_, devices::Prescription{}},
+          oxi_a_{ctx_, "oxiA", patient_},
+          oxi_b_{ctx_, "oxiB", patient_} {}
+
+    void add(devices::Device& d) {
+        d.set_heartbeat_period(2_s);
+        d.start();
+        registry_.add(d);
+    }
+
+    /// Lint, resolve and deploy \p app over registry_; returns the
+    /// devices resolve picked (empty when it failed).
+    std::vector<std::string> expect_agreement(SlotApp& app) {
+        std::vector<std::string> slot_findings;
+        for (const Finding& f : analysis::lint_assembly(
+                 analysis::make_assembly_spec("bedside", registry_, {&app}))) {
+            if (f.rule == RuleId::kICE1 && f.message.rfind("slot '", 0) == 0) {
+                slot_findings.push_back(f.message);
+            }
+        }
+        std::string missing;
+        std::vector<std::string> picked;
+        for (const auto& d : registry_.resolve(app.requirements(), missing)) {
+            picked.push_back(d.name);
+        }
+        const bool resolves = !picked.empty();
+        EXPECT_EQ(slot_findings.empty(), resolves);
+        if (!resolves && !slot_findings.empty()) {
+            EXPECT_EQ(slot_findings[0].rfind("slot '" + missing + "' ", 0), 0u)
+                << slot_findings[0] << " vs missing " << missing;
+        }
+
+        ice::Supervisor sup{ctx_, "sup", registry_};
+        sup.start();
+        const ice::DeployResult deploy = sup.deploy(app);
+        EXPECT_EQ(deploy.ok, resolves) << deploy.error;
+        EXPECT_EQ(deploy.bound_devices, picked);
+        EXPECT_EQ(app.bound, picked);
+        return picked;
+    }
+
+    sim::Simulation sim_;
+    net::Bus bus_;
+    sim::TraceRecorder trace_;
+    physio::Patient patient_;
+    mcps::obs::EventLog events_;
+    devices::DeviceContext ctx_;
+    devices::GpcaPump pump_;
+    devices::PulseOximeter oxi_a_;
+    devices::PulseOximeter oxi_b_;
+    ice::DeviceRegistry registry_;
+};
+
+TEST_F(Ice1ResolveAgreement, RedundantOximeters) {
+    add(pump_);
+    add(oxi_a_);
+    add(oxi_b_);
+    SlotApp app{{{DeviceKind::kInfusionPump, {"remote-stop"}, "pump"},
+                 {DeviceKind::kPulseOximeter, {"spo2"}, "oximeter"},
+                 {DeviceKind::kPulseOximeter, {"spo2"}, "backup-oximeter"}}};
+    EXPECT_EQ(expect_agreement(app),
+              (std::vector<std::string>{"pump1", "oxiA", "oxiB"}));
+}
+
+TEST_F(Ice1ResolveAgreement, NoCapnometer) {
+    add(pump_);
+    add(oxi_a_);
+    SlotApp app{{{DeviceKind::kInfusionPump, {"remote-stop"}, "pump"},
+                 {DeviceKind::kPulseOximeter, {"spo2"}, "oximeter"},
+                 {DeviceKind::kCapnometer, {"etco2"}, "capnometer"}}};
+    EXPECT_TRUE(expect_agreement(app).empty());
+}
+
+TEST_F(Ice1ResolveAgreement, OneDeviceEitherOfTwoSlotsCouldTake) {
+    add(pump_);
+    add(oxi_a_);
+    // oxiA fits both oximeter slots; the first takes it and the second
+    // is left with nothing, for ICE1 and resolve alike.
+    SlotApp app{{{DeviceKind::kPulseOximeter, {}, "first-oximeter"},
+                 {DeviceKind::kPulseOximeter, {"spo2"}, "second-oximeter"},
+                 {DeviceKind::kInfusionPump, {}, "pump"}}};
+    EXPECT_TRUE(expect_agreement(app).empty());
 }
 
 }  // namespace

@@ -60,9 +60,6 @@ std::optional<std::string> legacy_label(const obs::EventLog& log,
         case EventKind::kAlarm:
             if (src == "monitor1") return "monitor_alarm/" + detail;
             if (src == "pump1") return "pump_alarm/" + src + "/" + detail;
-            if (detail.rfind("predict/", 0) == 0) {
-                return "predict/" + src + detail.substr(7);
-            }
             return "smart_alarm/" + src + "/" + detail;
         case EventKind::kClinician:
             return "nurse/" + src + "/" + detail;

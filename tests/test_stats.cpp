@@ -263,29 +263,6 @@ TEST(Histogram, ToStringContainsBars) {
     EXPECT_NE(s.find("#####"), std::string::npos);
 }
 
-TEST(DetectionStats, ConfusionMatrix) {
-    DetectionStats d;
-    d.record(true, true);    // TP
-    d.record(true, false);   // FN
-    d.record(false, true);   // FP
-    d.record(false, false);  // TN
-    d.record(true, true);    // TP
-    EXPECT_EQ(d.true_positives(), 2u);
-    EXPECT_EQ(d.false_negatives(), 1u);
-    EXPECT_EQ(d.false_positives(), 1u);
-    EXPECT_EQ(d.true_negatives(), 1u);
-    EXPECT_NEAR(d.sensitivity(), 2.0 / 3.0, 1e-12);
-    EXPECT_NEAR(d.specificity(), 0.5, 1e-12);
-    EXPECT_NEAR(d.precision(), 2.0 / 3.0, 1e-12);
-}
-
-TEST(DetectionStats, NanWhenUndefined) {
-    DetectionStats d;
-    EXPECT_TRUE(std::isnan(d.sensitivity()));
-    EXPECT_TRUE(std::isnan(d.specificity()));
-    EXPECT_TRUE(std::isnan(d.precision()));
-}
-
 TEST(Table, AlignsAndRenders) {
     Table t({"name", "value"});
     t.row().cell("alpha").cell(1.5, 2);

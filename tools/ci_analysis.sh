@@ -24,10 +24,12 @@
 #                            scheduling, cold/warm/parallel determinism,
 #                            knob-edit invalidation), the golden
 #                            traces, ward determinism, the fuzz smokes,
-#                            and the CLI surface (`ctest -L cli`: every
+#                            the CLI surface (`ctest -L cli`: every
 #                            command x mode x flag from the option
 #                            tables, help, usage-error exit codes and
-#                            output paths)
+#                            output paths) and the examples (`ctest -L
+#                            examples`: every examples/ binary must
+#                            exit 0)
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
 #   5. end-to-end smokes:    the hospital preset and the pipeline
 #                            determinism gate, plus 2 s perfbench runs

@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,6 +48,13 @@ int serve_main(std::string_view prog, const Argv& args);
 /// Latency-percentile load generator against a serve endpoint.
 extern const cli::Command kLoadCli;
 int load_main(std::string_view prog, const Argv& args);
+
+/// Refuse \p flag, which asks for the event log of scenario \p name,
+/// when that scenario records none (the hospital family): a usage error
+/// rather than an empty log and exit 0. An unknown name passes; the run
+/// reports it. \throws cli::CliError
+/// "<flag>: scenario '<name>' is hospital-family and records no event log".
+void require_event_log(std::string_view flag, const std::string& name);
 
 /// One `mcps` command: its option table and its driver.
 struct Tool {

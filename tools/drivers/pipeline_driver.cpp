@@ -63,16 +63,18 @@ pipeline::PipelineGraph build_graph(const mcps::cli::Parsed& p) {
     pipeline::PipelineGraph g;
     std::vector<std::string> scenario_ids;
 
-    for (const std::string& text : p.all("--spec")) {
-        const scenario::ScenarioSpec spec = scenario::parse_spec(text);
+    auto add_scenario = [&](const scenario::ScenarioSpec& spec) {
+        if (p.has("--trace")) {
+            mcps::drivers::require_event_log("--trace", spec.name);
+        }
         pipeline::add_scenario_pass(
             g, unique_id(scenario_ids, spec.name), spec);
+    };
+    for (const std::string& text : p.all("--spec")) {
+        add_scenario(scenario::parse_spec(text));
     }
     for (const std::string& name : p.all("--preset")) {
-        const scenario::ScenarioSpec spec =
-            scenario::registry().default_spec(name);
-        pipeline::add_scenario_pass(
-            g, unique_id(scenario_ids, spec.name), spec);
+        add_scenario(scenario::registry().default_spec(name));
     }
     if (p.has("--trace")) {
         if (scenario_ids.empty()) {

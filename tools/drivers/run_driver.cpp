@@ -124,13 +124,8 @@ int cmd_run(const mcps::cli::Parsed& p) {
         }
     }
 
-    // Hospital runs do not feed the event log; refuse rather than write
-    // an empty file and exit 0.
-    if (const auto* info = scenario::registry().find(spec.name);
-        !events_path.empty() && info != nullptr &&
-        info->family == scenario::ScenarioFamily::kHospital) {
-        throw CliError{"--events-out: scenario '" + spec.name +
-                       "' is hospital-family and records no event log"};
+    if (!events_path.empty()) {
+        mcps::drivers::require_event_log("--events-out", spec.name);
     }
 
     mcps::obs::EventLog log;
@@ -193,6 +188,16 @@ int cmd_selfcheck() {
 }  // namespace
 
 namespace mcps::drivers {
+
+void require_event_log(std::string_view flag, const std::string& name) {
+    // Hospital runs never feed RunOptions::events.
+    if (const auto* info = scenario::registry().find(name);
+        info != nullptr &&
+        info->family == scenario::ScenarioFamily::kHospital) {
+        throw CliError{std::string{flag} + ": scenario '" + name +
+                       "' is hospital-family and records no event log"};
+    }
+}
 
 constexpr cli::Mode kModes[] = {
     {"list", "", "one line per registered scenario."},

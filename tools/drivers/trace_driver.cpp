@@ -64,14 +64,7 @@ obs::EventLog run_traced_scenario(const mcps::cli::Parsed& p) {
     spec.seed = p.count("--seed", kSeed);
     spec.minutes = p.count("--minutes", kMinutes);
     if (spec.name.empty()) throw CliError{"--scenario is required"};
-    // Hospital runs do not feed the event log; refuse rather than trace
-    // nothing and exit 0.
-    if (const auto* info = scenario::registry().find(spec.name);
-        info != nullptr &&
-        info->family == scenario::ScenarioFamily::kHospital) {
-        throw CliError{"--scenario: scenario '" + spec.name +
-                       "' is hospital-family and records no event log"};
-    }
+    mcps::drivers::require_event_log("--scenario", spec.name);
     obs::EventLog log;
     scenario::RunOptions run;
     run.events = &log;
