@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -87,6 +88,9 @@ struct WardResult {
     std::uint64_t nurse_stops = 0;
     std::uint64_t rescues = 0;
     std::uint64_t deadline_violations = 0;
+    /// Tick of the ward's first deadline violation; max() when none.
+    std::int64_t first_violation_tick =
+        std::numeric_limits<std::int64_t>::max();
     std::uint64_t severe_desat_patients = 0;
 
     sim::RunningStats min_spo2;
@@ -248,6 +252,8 @@ HospitalReport HospitalEngine::run() const {
                                        tick_s >
                                    cfg_.interlock_deadline_s) {
                         violated[i] = 1;
+                        R.first_violation_tick =
+                            std::min(R.first_violation_tick, t);
                         ++R.deadline_violations;
                         R.fp = fold_event(R.fp, t, i, 4);
                     }
@@ -338,6 +344,8 @@ HospitalReport HospitalEngine::run() const {
     std::uint64_t fp = mix64(kFnvOffset, cfg_.seed);
     fp = mix64(fp, n);
     fp = mix64(fp, wards);
+    std::int64_t first_violation_tick =
+        std::numeric_limits<std::int64_t>::max();
     for (const WardResult& R : results) {
         rep.patient_steps += R.patient_steps;
         rep.boluses += R.boluses;
@@ -353,6 +361,8 @@ HospitalReport HospitalEngine::run() const {
         rep.nurse_stops += R.nurse_stops;
         rep.rescues += R.rescues;
         rep.deadline_violations += R.deadline_violations;
+        first_violation_tick =
+            std::min(first_violation_tick, R.first_violation_tick);
         rep.severe_desat_patients += R.severe_desat_patients;
         rep.min_spo2.merge(R.min_spo2);
         rep.drug_mg.merge(R.drug_mg);
@@ -362,6 +372,10 @@ HospitalReport HospitalEngine::run() const {
         fp = mix64(fp, R.fp);
     }
     rep.fingerprint = fp;
+    if (first_violation_tick < ticks) {
+        rep.first_deadline_violation_s =
+            static_cast<double>(first_violation_tick) * tick_s;
+    }
 
     // Steady-state footprint: a function of the population and ward
     // buffer bounds, NEVER of the simulated duration.

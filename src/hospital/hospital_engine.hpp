@@ -71,6 +71,11 @@ struct HospitalReport {
     std::uint64_t nurse_stops = 0;      ///< nurse-attended pump stops
     std::uint64_t rescues = 0;          ///< antagonist administrations
     std::uint64_t deadline_violations = 0;
+    /// Simulated time of the earliest deadline violation in any ward
+    /// (tick t is t * tick_s); -1 when there is none. Not part of the
+    /// outcome metrics; the fingerprint already folds every violation
+    /// with its tick.
+    double first_deadline_violation_s = -1.0;
     std::uint64_t severe_desat_patients = 0;  ///< min SpO2 < 80
 
     // Streaming aggregates over patients / messages / alarms.

@@ -65,15 +65,6 @@ std::vector<DeviceDescriptor> DeviceRegistry::all() const {
     return out;
 }
 
-std::vector<DeviceDescriptor> DeviceRegistry::match(
-    const Requirement& req) const {
-    std::vector<DeviceDescriptor> out;
-    for (const auto& [_, d] : entries_) {
-        if (satisfies(d, req)) out.push_back(d);
-    }
-    return out;
-}
-
 std::vector<DeviceDescriptor> DeviceRegistry::resolve(
     const std::vector<Requirement>& reqs, std::string& missing) const {
     std::vector<const DeviceDescriptor*> candidates;

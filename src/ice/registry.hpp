@@ -57,10 +57,6 @@ public:
     [[nodiscard]] std::vector<DeviceDescriptor> all() const;
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-    /// All devices of a kind carrying every listed capability.
-    [[nodiscard]] std::vector<DeviceDescriptor> match(
-        const Requirement& req) const;
-
     /// assign_slots() over the registry in name order. On success,
     /// result.size() == reqs.size() (ordered as given). On failure
     /// returns an empty vector and sets \p missing to the label of the

@@ -201,13 +201,21 @@ private:
 };
 
 /// Severinghaus (1979) oxyhemoglobin dissociation approximation:
-/// SpO2(PaO2) = 100 / (1 + 23400 / (p^3 + 150 p)). Inline so the batched
-/// gas-exchange pass makes no call per lane.
+/// SpO2(PaO2) = 100 / (1 + 23400 / (p^3 + 150 p)), 0 for p <= 0, clamped
+/// to [0, 100]. Written over the lane type \p L: `double`, or a GCC
+/// vector of doubles on which the batched gas-exchange pass evaluates two
+/// lanes at once. The clamp is std::clamp's comparisons spelled with
+/// `?:`, which also apply lane by lane, so every lane type gives the
+/// scalar value.
+template <typename L>
+[[nodiscard]] inline L severinghaus_curve(L p) noexcept {
+    const L s = 100.0 / (1.0 + 23400.0 / (p * p * p + 150.0 * p));
+    const L at_least_0 = s < 0.0 ? 0.0 : s;
+    return p <= 0.0 ? 0.0 : (100.0 < at_least_0 ? 100.0 : at_least_0);
+}
+
 [[nodiscard]] inline double severinghaus_spo2(double pao2_mmhg) noexcept {
-    if (pao2_mmhg <= 0) return 0.0;
-    const double p = pao2_mmhg;
-    const double s = 100.0 / (1.0 + 23400.0 / (p * p * p + 150.0 * p));
-    return std::clamp(s, 0.0, 100.0);
+    return severinghaus_curve(pao2_mmhg);
 }
 
 }  // namespace mcps::physio

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -95,9 +96,55 @@ void PatientBatch::refresh_factors(std::size_t i, double dt) noexcept {
 }
 
 namespace {
+
+/// Two lanes of doubles (a GCC vector: one SSE2 register on x86-64).
+/// Arithmetic, comparisons and `?:` apply lane by lane, and a scalar
+/// operand is broadcast, so a lane body written over its lane type `L`
+/// reads the same for `double` and `Pair`.
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+
+template <typename L>
+L load(const std::vector<double>& v, std::size_t i) noexcept {
+    L x{};
+    std::memcpy(&x, v.data() + i, sizeof x);
+    return x;
+}
+
+template <typename L>
+void store(std::vector<double>& v, std::size_t i, L x) noexcept {
+    std::memcpy(v.data() + i, &x, sizeof x);
+}
+
+// std::max, std::min and std::clamp, with libstdc++'s comparisons (so
+// the same value for every input, signed zeros and NaN included),
+// spelled with `?:` so that they also apply to a Pair.
+template <typename A, typename B>
+auto lane_max(A a, B b) noexcept {
+    return a < b ? b : a;
+}
+template <typename A, typename B>
+auto lane_min(A a, B b) noexcept {
+    return b < a ? b : a;
+}
+template <typename L>
+L lane_clamp(L v, double lo, double hi) noexcept {
+    return lane_min(lane_max(v, lo), hi);
+}
+
+/// Calls body(Pair{}, i) for lanes i, i + 1 of [first, last), two at a
+/// time, and body(0.0, last - 1) for a lone last lane.
+template <typename Body>
+void for_lane_pairs(std::size_t first, std::size_t last, Body&& body) {
+    std::size_t i = first;
+    for (; last - i >= 2; i += 2) body(Pair{}, i);
+    if (i < last) body(0.0, i);
+}
+
+template <typename L>
 struct Deriv {
-    double da1, da2, dce;
+    L da1, da2, dce;
 };
+
 }  // namespace
 
 void PatientBatch::step_range(std::size_t first, std::size_t last,
@@ -114,60 +161,74 @@ void PatientBatch::step_range(std::size_t first, std::size_t last,
     // for every lane.
     const double pattern_alpha = 1.0 - std::exp(-dt / 15.0);
 
-    // Three passes over the range, each in the scalar expression order.
+    // Four passes over the range, each in the scalar expression order.
     // A lane's passes depend only on that lane, so splitting the loop
-    // changes no value.
+    // changes no value. Passes 1 and 4 make no call and step two lanes
+    // at a time; passes 2 and 3 hold the libm calls, and since no call
+    // in either waits on another lane's, the CPU overlaps them.
 
     // --- Pass 1, PK: one RK4 step, expression-for-expression the scalar
-    // PkTwoCompartment::step so lanes stay bit-identical. No calls.
-    for (std::size_t i = first; i < last; ++i) {
-        const double u_mg_per_min = rate_mg_h_[i] / 60.0;
-        const double k10 = k10_[i];
-        const double k12 = k12_[i];
-        const double k21 = k21_[i];
-        const double ke0 = ke0_[i];
-        const double v1 = v1_[i];
+    // PkTwoCompartment::step so lanes stay bit-identical.
+    for_lane_pairs(first, last, [&](auto lane, std::size_t i) {
+        using L = decltype(lane);
+        const L u_mg_per_min = load<L>(rate_mg_h_, i) / 60.0;
+        const L k10 = load<L>(k10_, i);
+        const L k12 = load<L>(k12_, i);
+        const L k21 = load<L>(k21_, i);
+        const L ke0 = load<L>(ke0_, i);
+        const L v1 = load<L>(v1_, i);
 
-        auto f = [&](double a1, double a2, double ce) -> Deriv {
-            const double c1 = a1 * 1000.0 / v1;
-            return Deriv{
+        auto f = [&](L a1, L a2, L ce) -> Deriv<L> {
+            const L c1 = a1 * 1000.0 / v1;
+            return Deriv<L>{
                 u_mg_per_min - (k10 + k12) * a1 + k21 * a2,
                 k12 * a1 - k21 * a2,
                 ke0 * (c1 - ce),
             };
         };
 
-        const Deriv k1 = f(a1_[i], a2_[i], ce_[i]);
-        const Deriv k2 = f(a1_[i] + 0.5 * dt_min * k1.da1,
-                           a2_[i] + 0.5 * dt_min * k1.da2,
-                           ce_[i] + 0.5 * dt_min * k1.dce);
-        const Deriv k3 = f(a1_[i] + 0.5 * dt_min * k2.da1,
-                           a2_[i] + 0.5 * dt_min * k2.da2,
-                           ce_[i] + 0.5 * dt_min * k2.dce);
-        const Deriv k4 = f(a1_[i] + dt_min * k3.da1,
-                           a2_[i] + dt_min * k3.da2,
-                           ce_[i] + dt_min * k3.dce);
+        const L a1_before = load<L>(a1_, i);
+        const L a2_before = load<L>(a2_, i);
+        const L ce_before = load<L>(ce_, i);
+        const Deriv<L> k1 = f(a1_before, a2_before, ce_before);
+        const Deriv<L> k2 = f(a1_before + 0.5 * dt_min * k1.da1,
+                              a2_before + 0.5 * dt_min * k1.da2,
+                              ce_before + 0.5 * dt_min * k1.dce);
+        const Deriv<L> k3 = f(a1_before + 0.5 * dt_min * k2.da1,
+                              a2_before + 0.5 * dt_min * k2.da2,
+                              ce_before + 0.5 * dt_min * k2.dce);
+        const Deriv<L> k4 = f(a1_before + dt_min * k3.da1,
+                              a2_before + dt_min * k3.da2,
+                              ce_before + dt_min * k3.dce);
 
-        const double a1_before = a1_[i];
-        const double a2_before = a2_[i];
-        a1_[i] += dt_min / 6.0 * (k1.da1 + 2 * k2.da1 + 2 * k3.da1 + k4.da1);
-        a2_[i] += dt_min / 6.0 * (k1.da2 + 2 * k2.da2 + 2 * k3.da2 + k4.da2);
-        ce_[i] += dt_min / 6.0 * (k1.dce + 2 * k2.dce + 2 * k3.dce + k4.dce);
-        if (a1_[i] < std::numeric_limits<double>::min()) a1_[i] = 0;
-        if (a2_[i] < std::numeric_limits<double>::min()) a2_[i] = 0;
-        if (ce_[i] < std::numeric_limits<double>::min()) ce_[i] = 0;
+        L a1 = a1_before +
+               dt_min / 6.0 * (k1.da1 + 2 * k2.da1 + 2 * k3.da1 + k4.da1);
+        L a2 = a2_before +
+               dt_min / 6.0 * (k1.da2 + 2 * k2.da2 + 2 * k3.da2 + k4.da2);
+        L ce = ce_before +
+               dt_min / 6.0 * (k1.dce + 2 * k2.dce + 2 * k3.dce + k4.dce);
+        constexpr double kMinNormal = std::numeric_limits<double>::min();
+        a1 = a1 < kMinNormal ? 0.0 : a1;
+        a2 = a2 < kMinNormal ? 0.0 : a2;
+        ce = ce < kMinNormal ? 0.0 : ce;
+        store(a1_, i, a1);
+        store(a2_, i, a2);
+        store(ce_, i, ce);
 
-        const double input_mg = u_mg_per_min * dt_min;
-        delivered_[i] += input_mg;
-        const double eliminated =
-            input_mg - ((a1_[i] - a1_before) + (a2_[i] - a2_before));
-        if (eliminated > 0) eliminated_[i] += eliminated;
-    }
+        const L input_mg = u_mg_per_min * dt_min;
+        store(delivered_, i, load<L>(delivered_, i) + input_mg);
+        const L eliminated =
+            input_mg - ((a1 - a1_before) + (a2 - a2_before));
+        const L eliminated_total = load<L>(eliminated_, i);
+        store(eliminated_, i,
+              eliminated > 0.0 ? eliminated_total + eliminated
+                               : eliminated_total);
+    });
 
-    // --- Pass 2: antagonist decay (Patient::step) and respiration
-    // (Patient::step_respiration, no ventilator path). The three pow
-    // calls that depend on lane state live here; a lane with an active
-    // antagonist also makes the scalar model's exp and EC50 pow.
+    // --- Pass 2: antagonist decay (Patient::step) and the respiratory
+    // drive (Patient::step_respiration up to `drive_ = drive`), written
+    // to drive_. One pow per lane with drug on board; a lane with an
+    // active antagonist also makes the scalar model's exp and EC50 pow.
     for (std::size_t i = first; i < last; ++i) {
         if (factor_dt_[i] != dt) refresh_factors(i, dt);
 
@@ -196,9 +257,14 @@ void PatientBatch::step_range(std::size_t first, std::size_t last,
         const double co2_excess =
             std::max(0.0, (paco2_[i] - base_paco2_[i]) / base_paco2_[i]);
         drive *= 1.0 + co2_gain_[i] * co2_excess;
-        drive = std::clamp(drive, 0.0, 1.5);
-        drive_[i] = drive;
+        drive_[i] = std::clamp(drive, 0.0, 1.5);
+    }
 
+    // --- Pass 3: the breathing pattern (the rest of
+    // Patient::step_respiration, no ventilator path) from drive_. Two
+    // pow calls per breathing lane.
+    for (std::size_t i = first; i < last; ++i) {
+        const double drive = drive_[i];
         if (drive < apnea_thresh_[i]) {
             rr_[i] = 0.0;
             tidal_[i] = 0.0;
@@ -210,41 +276,48 @@ void PatientBatch::step_range(std::size_t first, std::size_t last,
         }
     }
 
-    // --- Pass 3: gas exchange (Patient::step_gas_exchange) and cardio
-    // (Patient::step_cardio) on the cached factors. No calls.
-    for (std::size_t i = first; i < last; ++i) {
-        const double va =
-            rr_[i] * std::max(0.0, tidal_[i] - deadspace_[i]) / 1000.0;
-        const double va_base =
-            base_rr_[i] * (base_vt_[i] - deadspace_[i]) / 1000.0;
+    // --- Pass 4: gas exchange (Patient::step_gas_exchange) and cardio
+    // (Patient::step_cardio) on the cached factors. Where the scalar
+    // model branches, a lane computes both arms and keeps the one the
+    // scalar model takes.
+    for_lane_pairs(first, last, [&](auto lane, std::size_t i) {
+        using L = decltype(lane);
+        const L base_rr = load<L>(base_rr_, i);
+        const L deadspace = load<L>(deadspace_, i);
+        const L base_paco2 = load<L>(base_paco2_, i);
+        const L va = load<L>(rr_, i) *
+                     lane_max(0.0, load<L>(tidal_, i) - deadspace) / 1000.0;
+        const L va_base =
+            base_rr * (load<L>(base_vt_, i) - deadspace) / 1000.0;
+        const auto apneic = va < 0.05 * va_base;
 
-        if (va < 0.05 * va_base) {
-            paco2_[i] += apnea_rise_[i] * dt;
-        } else {
-            const double paco2_eq =
-                std::min(130.0, base_paco2_[i] * va_base / va);
-            paco2_[i] += (paco2_eq - paco2_[i]) * co2_alpha_[i];
-        }
-        paco2_[i] = std::clamp(paco2_[i], 15.0, 140.0);
+        L paco2 = load<L>(paco2_, i);
+        const L paco2_eq = lane_min(130.0, base_paco2 * va_base / va);
+        paco2 = apneic ? paco2 + load<L>(apnea_rise_, i) * dt
+                       : paco2 + (paco2_eq - paco2) * load<L>(co2_alpha_, i);
+        paco2 = lane_clamp(paco2, 15.0, 140.0);
+        store(paco2_, i, paco2);
 
-        double pao2_eq =
-            fio2_[i] * (760.0 - 47.0) - paco2_[i] / 0.8 - aa_grad_[i];
-        if (va < 0.05 * va_base) pao2_eq = 30.0;
-        pao2_eq = std::max(20.0, pao2_eq);
-        pao2_[i] += (pao2_eq - pao2_[i]) * o2_alpha_[i];
+        L pao2_eq = load<L>(fio2_, i) * (760.0 - 47.0) - paco2 / 0.8 -
+                    load<L>(aa_grad_, i);
+        pao2_eq = apneic ? 30.0 : pao2_eq;
+        pao2_eq = lane_max(20.0, pao2_eq);
+        L pao2 = load<L>(pao2_, i);
+        pao2 = pao2 + (pao2_eq - pao2) * load<L>(o2_alpha_, i);
+        store(pao2_, i, pao2);
 
-        const double spo2 = severinghaus_spo2(pao2_[i]);
-        double target = base_hr_[i];
-        const double desat = std::max(0.0, 96.0 - spo2);
-        if (spo2 > severe_spo2_[i]) {
-            target += hypox_gain_[i] * desat;
-        } else {
-            target = std::max(25.0, base_hr_[i] - 1.5 * desat);
-        }
-        hr_[i] += (target - hr_[i]) * hr_alpha_[i];
+        const L spo2 = severinghaus_curve(pao2);
+        const L base_hr = load<L>(base_hr_, i);
+        const L desat = lane_max(0.0, 96.0 - spo2);
+        const L target = spo2 > load<L>(severe_spo2_, i)
+                             ? base_hr + load<L>(hypox_gain_, i) * desat
+                             : lane_max(25.0, base_hr - 1.5 * desat);
+        L hr = load<L>(hr_, i);
+        hr = hr + (target - hr) * load<L>(hr_alpha_, i);
+        store(hr_, i, hr);
 
-        elapsed_[i] += dt;
-    }
+        store(elapsed_, i, load<L>(elapsed_, i) + dt);
+    });
 }
 
 std::size_t PatientBatch::state_bytes() const noexcept {

@@ -10,23 +10,31 @@
 /// lane is bit-identical to a scalar `Patient` fed the same inputs — a
 /// property the differential suite in tests/hospital pins.
 ///
-/// What the batch buys is locality and fewer transcendental calls, not
-/// different math. Stepping thousands of scalar `Patient` objects walks
-/// heap-scattered objects (each carrying a `std::string` label and an
-/// optional ventilator block); the batch streams dense `double` arrays.
-/// It also keeps, per lane, the factors that depend only on the lane's
-/// parameters and `dt`: `pow(ec50, gamma)` and the three
-/// `1 - exp(-dt/tau)` relaxation factors of PaCO2, PaO2 and heart rate.
-/// The scalar model recomputes them every step; the batch rebuilds a
-/// lane's dt factors only when the `dt` it is stepped with changes. A
-/// lane-step without an active antagonist therefore makes three `pow`
-/// calls (`pow(ce, gamma)`, `pow(drive, 0.7)`, `pow(drive, 0.3)`) and no
-/// `exp` call, where the scalar step makes four and four. Each step walks
-/// the range in three passes (PK; antagonist, drive and breathing
-/// pattern; gas exchange and cardio) so that those calls sit in one
-/// short loop and the other two make no call at all. Mechanical
-/// ventilation is intentionally NOT supported here — it is an E4
-/// single-patient scenario feature, and hospital-scale cohorts are
+/// What the batch buys is locality and instruction-level parallelism,
+/// not different math. Stepping thousands of scalar `Patient` objects
+/// walks heap-scattered objects (each carrying a `std::string` label and
+/// an optional ventilator block); the batch streams dense `double`
+/// arrays. Like `Patient`, it keeps per lane the factors that depend only
+/// on the lane's parameters and `dt` (`pow(ec50, gamma)` and the three
+/// `1 - exp(-dt/tau)` relaxation factors of PaCO2, PaO2 and heart rate)
+/// and rebuilds a lane's dt factors only when the `dt` it is stepped with
+/// changes. A lane-step without an active antagonist makes three `pow`
+/// calls: `pow(ce, gamma)`, then `pow(drive, 0.7)` and `pow(drive, 0.3)`
+/// on the drive that the first one yields.
+///
+/// Each step walks the range in four passes: PK; antagonist and
+/// respiratory drive; breathing pattern; gas exchange and cardio. The
+/// drive pass writes `drive_` and the breathing pass reads it back, so
+/// no `pow` in either pass waits on another lane's: the CPU overlaps the
+/// calls of neighbouring lanes instead of running one lane's three as a
+/// chain. The PK and gas-exchange passes make no call; their lane bodies
+/// are written once over the lane type and step two lanes at a time as
+/// a GCC vector of two doubles, with a one-lane tail for a range of odd
+/// length. Every lane still runs the scalar expression sequence, so the
+/// vector steps change no bit.
+///
+/// Mechanical ventilation is intentionally NOT supported here — it is an
+/// E4 single-patient scenario feature, and hospital-scale cohorts are
 /// spontaneously breathing PCA patients. `add()` rejects nothing, but
 /// there is simply no ventilator input on this API.
 ///

@@ -40,20 +40,27 @@ void add_scenario_pass(PipelineGraph& g, const std::string& id,
     const std::string spec_name = "spec/" + id;
     g.provide(spec_name, Artifact{"spec", spec.to_text()});
 
+    // Only a scenario that records an event log gets an events output;
+    // a hospital-family run would emit an empty one. An unknown name
+    // keeps it, and the run fails on the name.
+    const scenario::ScenarioInfo* info = scenario::registry().find(spec.name);
+    const bool events_out = info == nullptr || info->records_event_log();
+
     Pass p;
     p.name = "run:" + id;
     p.inputs = {spec_name};
-    p.outputs = {run_prefix(id) + "artifacts", run_prefix(id) + "events",
-                 run_prefix(id) + "fingerprint"};
+    p.outputs = {run_prefix(id) + "artifacts"};
+    if (events_out) p.outputs.push_back(run_prefix(id) + "events");
+    p.outputs.push_back(run_prefix(id) + "fingerprint");
     // The body re-parses the spec from the input artifact instead of
     // capturing it: the run is a function of the artifact bytes, so a
     // knob edit invalidates through the content hash.
-    p.run = [id, spec_name](PassContext& ctx) {
+    p.run = [id, spec_name, events_out](PassContext& ctx) {
         const scenario::ScenarioSpec run_spec =
             scenario::parse_spec(ctx.input(spec_name).payload);
         obs::EventLog events;
         scenario::RunOptions opts;
-        opts.events = &events;
+        if (events_out) opts.events = &events;
         const scenario::RunArtifacts art =
             scenario::registry().run(run_spec, opts);
 
@@ -61,7 +68,9 @@ void add_scenario_pass(PipelineGraph& g, const std::string& id,
         art.write_json(run_json);
         ctx.emit(run_prefix(id) + "artifacts",
                  Artifact{"run-json", run_json.str()});
-        ctx.emit_events(run_prefix(id) + "events", std::move(events));
+        if (events_out) {
+            ctx.emit_events(run_prefix(id) + "events", std::move(events));
+        }
         ctx.emit(run_prefix(id) + "fingerprint",
                  Artifact{"fingerprint", art.fingerprint_hex() + "\n"});
     };

@@ -36,7 +36,8 @@ namespace mcps::pipeline {
 /// Provide source artifact "spec/<id>" (kind "spec", canonical spec
 /// text) and register pass "run:<id>" producing "run/<id>/artifacts"
 /// (run-json), "run/<id>/events" (events-jsonl, through
-/// PassContext::emit_events) and
+/// PassContext::emit_events; only for a scenario whose
+/// ScenarioInfo::records_event_log() holds) and
 /// "run/<id>/fingerprint" (fingerprint).
 void add_scenario_pass(PipelineGraph& g, const std::string& id,
                        const scenario::ScenarioSpec& spec);

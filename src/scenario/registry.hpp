@@ -74,6 +74,11 @@ struct ScenarioInfo {
     std::vector<KnobInfo> knobs;
 
     [[nodiscard]] const KnobInfo* find_knob(std::string_view name) const;
+    /// Whether a run fills RunOptions::events. Hospital-family runs do
+    /// not: the engine aggregates per ward and keeps no event stream.
+    [[nodiscard]] bool records_event_log() const noexcept {
+        return family != ScenarioFamily::kHospital;
+    }
 };
 
 class ScenarioRegistry {

@@ -3,7 +3,10 @@
 #include <exception>
 #include <string>
 
+#include "hospital/hospital_engine.hpp"
+#include "scenario/presets.hpp"
 #include "scenario/registry.hpp"
+#include "sim/hash.hpp"
 
 namespace mcps::testkit {
 
@@ -71,39 +74,44 @@ XrayRunOutcome run_instrumented_xray(const core::XrayScenarioConfig& cfg,
 HospitalRunOutcome check_hospital(const scenario::ScenarioSpec& spec,
                                   bool hazard) {
     HospitalRunOutcome out;
-    scenario::RunArtifacts art;
+    // The engine report, not the registry's artifacts, so the violation
+    // time is at hand; make_hospital_config is the resolution the
+    // registry's hospital runner applies.
+    hospital::HospitalReport rep;
     try {
-        art = scenario::registry().run(spec);
+        rep = hospital::HospitalEngine{scenario::make_hospital_config(spec)}
+                  .run();
     } catch (const std::exception& e) {
         out.violations.push_back({"resolves-and-runs", 0.0, e.what()});
         return out;
     }
-    out.fingerprint = art.fingerprint;
+    out.fingerprint = rep.fingerprint;
 
     // Determinism + jobs invariance: the identical spec with jobs=1 must
     // reproduce the fingerprint and every outcome metric bit-exactly
     // (wall-clock never enters the outcome).
     scenario::ScenarioSpec serial = spec;
     serial.set("jobs", "1");
-    const scenario::RunArtifacts again = scenario::registry().run(serial);
-    if (again.fingerprint != art.fingerprint || again.outcome != art.outcome) {
+    const hospital::HospitalReport again =
+        hospital::HospitalEngine{scenario::make_hospital_config(serial)}.run();
+    if (again.fingerprint != rep.fingerprint ||
+        scenario::hospital_outcome(again) != scenario::hospital_outcome(rep)) {
         out.violations.push_back(
             {"jobs-invariant-report", 0.0,
              "jobs=" + *spec.find("jobs") + " report differs from jobs=1 "
-             "(fingerprints " + art.fingerprint_hex() + " vs " +
-                 again.fingerprint_hex() + ")"});
+             "(fingerprints " + sim::hex64(rep.fingerprint) + " vs " +
+                 sim::hex64(again.fingerprint) + ")"});
         return out;
     }
 
-    const double violations = art.at("deadline_violations");
-    if (violations > 0) {
-        const std::string n =
-            std::to_string(static_cast<std::uint64_t>(violations));
+    if (rep.deadline_violations > 0) {
+        const std::string n = std::to_string(rep.deadline_violations);
+        const double at_s = rep.first_deadline_violation_s;
         out.violations.push_back(
-            hazard ? Violation{std::string{kHospitalHazard}, 0.0,
+            hazard ? Violation{std::string{kHospitalHazard}, at_s,
                                n + " deadline violations (interlock off, "
                                    "storm)"}
-                   : Violation{"deadline-safe-envelope", 0.0,
+                   : Violation{"deadline-safe-envelope", at_s,
                                n + " deadline violations inside the "
                                    "claimed-safe envelope"});
     }

@@ -57,7 +57,8 @@ inline constexpr std::string_view kHospitalHazard = "deadline-hazard-expected";
 [[nodiscard]] XrayRunOutcome run_instrumented_xray(
     const core::XrayScenarioConfig& cfg, InvariantTolerances tol = {});
 
-/// Run one hospital spec through the scenario registry and check it:
+/// Resolve one hospital spec as the scenario registry does, run it and
+/// check it:
 ///   resolves-and-runs       the spec resolves and runs;
 ///   jobs-invariant-report   the same spec at jobs=1 reproduces the
 ///                           fingerprint and every outcome metric;
@@ -65,8 +66,8 @@ inline constexpr std::string_view kHospitalHazard = "deadline-hazard-expected";
 ///                           \p hazard (interlock off plus a storm,
 ///                           outside the envelope), the violations are
 ///                           reported as the expected kHospitalHazard.
-/// The hospital report counts deadline violations but not their times,
-/// so every Violation's at_s is 0.
+/// A deadline violation's at_s is the earliest violation's simulated
+/// time over all wards; the other two have none and carry 0.
 [[nodiscard]] HospitalRunOutcome check_hospital(
     const scenario::ScenarioSpec& spec, bool hazard);
 

@@ -67,6 +67,7 @@ TEST(AlarmStorm, LocalInterlockHoldsDeadlineUnderBusContention) {
     EXPECT_EQ(r.deadline_violations, 0u)
         << "a local interlock must not miss its deadline, however "
            "contended the ward bus";
+    EXPECT_EQ(r.first_deadline_violation_s, -1.0);
 }
 
 TEST(AlarmStorm, InterlockOffBlowsTheDeadline) {
@@ -78,6 +79,22 @@ TEST(AlarmStorm, InterlockOffBlowsTheDeadline) {
         << "without an interlock the storm must leave pumps running "
            "through prolonged desaturation (else the local zero above "
            "is vacuous)";
+}
+
+TEST(AlarmStorm, FirstViolationTimeIsTheEarliestOverWards) {
+    // The report dates the earliest violation in any ward: after the
+    // storm plus the deadline, and the same for every jobs value.
+    HospitalConfig cfg = storm_config();
+    cfg.interlock = InterlockPlacement::kOff;
+    const HospitalReport r = HospitalEngine{cfg}.run();
+    ASSERT_GT(r.deadline_violations, 0u);
+    EXPECT_GT(r.first_deadline_violation_s,
+              cfg.storm_at_s + cfg.interlock_deadline_s);
+    EXPECT_LT(r.first_deadline_violation_s, cfg.duration.to_seconds());
+    EXPECT_EQ(r.first_deadline_violation_s, 366.0);  // pinned
+    cfg.jobs = 4;
+    EXPECT_EQ(HospitalEngine{cfg}.run().first_deadline_violation_s,
+              r.first_deadline_violation_s);
 }
 
 TEST(AlarmStorm, CentralInterlockBlowsTheDeadlineUnderContention) {

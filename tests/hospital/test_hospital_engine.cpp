@@ -62,6 +62,7 @@ void expect_reports_identical(const HospitalReport& a,
     EXPECT_EQ(a.nurse_stops, b.nurse_stops);
     EXPECT_EQ(a.rescues, b.rescues);
     EXPECT_EQ(a.deadline_violations, b.deadline_violations);
+    EXPECT_EQ(a.first_deadline_violation_s, b.first_deadline_violation_s);
     EXPECT_EQ(a.severe_desat_patients, b.severe_desat_patients);
     EXPECT_EQ(a.state_bytes, b.state_bytes);
     // Exact-double aggregate identity (merge order is pinned to ward

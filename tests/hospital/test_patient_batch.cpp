@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "physio/patient.hpp"
@@ -308,6 +309,99 @@ TEST(PatientBatchDifferential, CopiedBatchStepsLikeItsSource) {
     for (std::size_t i = 0; i < c.scalars.size(); ++i) {
         expect_bit_identical(c.scalars[i], copy, i, "copy");
     }
+}
+
+// ------------------------------------------------- two-lane tails ----
+//
+// step_range advances the PK and gas-exchange passes two lanes at a time
+// and finishes a range of odd length with one single lane. These suites
+// drive ranges that do not split into even pairs: odd cohort sizes,
+// ranges that start or end mid-pair, and single-lane ranges.
+
+/// Runs \p c for 900 ticks through repeat boluses, an apnea-deep bolus
+/// on every fourth lane, an antagonist rescue on every third lane and a
+/// dt that changes 1.0 -> 0.25 -> 0.5, advancing the batch each tick
+/// with \p step_batch(batch, dt) and comparing every lane with the
+/// scalar model along the way. Returns whether any lane went apneic and
+/// whether any fell below its severe-hypoxia SpO2, so callers can check
+/// that the apnea and decompensation branches ran.
+template <typename StepBatch>
+std::pair<bool, bool> run_tail_schedule(DosedCohort& c,
+                                        StepBatch step_batch) {
+    const std::size_t n = c.scalars.size();
+    const auto bolus = [&c](std::size_t i, double mg) {
+        c.scalars[i].bolus(Dose::mg(mg));
+        c.batch.bolus(i, Dose::mg(mg));
+    };
+    for (std::size_t i = 1; i < n; i += 4) bolus(i, 12.0);
+    if (n == 1) bolus(0, 12.0);
+    bool apnea = false;
+    bool severe = false;
+    for (int t = 0; t < 900; ++t) {
+        const double dt = t < 300 ? 1.0 : (t < 600 ? 0.25 : 0.5);
+        if (t % 120 == 60) {
+            for (std::size_t i = 0; i < n; ++i) {
+                if ((i + static_cast<std::size_t>(t / 120)) % 2 == 0) {
+                    bolus(i, 1.0);
+                }
+            }
+        }
+        if (t == 200) {
+            for (std::size_t i = 0; i < n; i += 3) {
+                c.scalars[i].give_antagonist(10.0, 60.0);
+                c.batch.give_antagonist(i, 10.0, 60.0);
+            }
+        }
+        step_batch(c.batch, dt);
+        for (auto& p : c.scalars) p.step(dt);
+        for (std::size_t i = 0; i < n; ++i) {
+            apnea = apnea || c.batch.is_apneic(i);
+            severe = severe || c.batch.spo2_raw(i) <=
+                                   c.batch.parameters(i).cardio.severe_hypoxia_spo2;
+        }
+        if (t % 150 == 149) {
+            c.expect_identical("tail schedule");
+            if (::testing::Test::HasFailure()) return {apnea, severe};
+        }
+    }
+    return {apnea, severe};
+}
+
+TEST(PatientBatchDifferential, OddCohortSizesAreBitIdenticalToScalar) {
+    for (const std::size_t n : {1u, 7u, 25u}) {
+        SCOPED_TRACE(n);
+        DosedCohort c{61 + n, n};
+        const auto [apnea, severe] = run_tail_schedule(
+            c, [](PatientBatch& b, double dt) { b.step_all(dt); });
+        EXPECT_TRUE(apnea);
+        EXPECT_TRUE(severe);
+    }
+}
+
+TEST(PatientBatchDifferential, RangesSplittingPairsAreBitIdenticalToScalar) {
+    // [1, 6) starts mid-pair and [6, 13) ends on a lone lane; [0, 1) is a
+    // single lane.
+    DosedCohort c{67, 13};
+    const auto [apnea, severe] =
+        run_tail_schedule(c, [](PatientBatch& b, double dt) {
+            b.step_range(0, 1, dt);
+            b.step_range(1, 6, dt);
+            b.step_range(6, 13, dt);
+        });
+    EXPECT_TRUE(apnea);
+    EXPECT_TRUE(severe);
+}
+
+TEST(PatientBatchDifferential, SingleLaneRangesAreBitIdenticalToScalar) {
+    // Every lane stepped alone, in reverse order, beside an empty range.
+    DosedCohort c{71, 7};
+    const auto [apnea, severe] =
+        run_tail_schedule(c, [](PatientBatch& b, double dt) {
+            b.step_range(3, 3, dt);
+            for (std::size_t i = b.size(); i-- > 0;) b.step_range(i, i + 1, dt);
+        });
+    EXPECT_TRUE(apnea);
+    EXPECT_TRUE(severe);
 }
 
 // ------------------------------------------- lane-range independence ----

@@ -6,7 +6,8 @@
 /// builds up, alarms fire and the interlock trips. These pins run each
 /// pca- and x-ray-family preset's default spec (pca, pca-open: 240 min;
 /// smart-alarm: 480 min; xray, xray-manual: 60 min) and pin the run
-/// fingerprint and outcome digest. The pca run is also pinned on its
+/// fingerprint and outcome digest, and pin the two hospital presets at
+/// longer spans than the smoke pins (below). The pca run is also pinned on its
 /// whole event stream: the FNV-1a hash of the JSONL that
 /// `mcps run run --scenario pca --events-out` writes, which covers every
 /// bus publish and delivery the run makes.
@@ -41,6 +42,22 @@ inline constexpr Pin kDefaultPins[] = {
     {"xray-manual", 0x9bf9d1af92f0e5a3ULL, 0x33a9198daa82e349ULL},
 };
 
+/// The hospital presets past the one-minute smoke pins: `hospital` at
+/// minutes=3 (the run length of one perfbench `hospital` op; 2000
+/// patients, 20 wards, 180 ticks) and `hospital-small` at its default 30
+/// minutes (96 patients, 4 wards, 1800 ticks). Both step the batch
+/// physio kernel over ward ranges that do not split into even lane
+/// pairs.
+struct HospitalPin {
+    Pin pin;
+    std::uint64_t minutes;
+};
+
+inline constexpr HospitalPin kHospitalPins[] = {
+    {{"hospital", 0x9097150972985259ULL, 0x929185f80ec36165ULL}, 3},
+    {{"hospital-small", 0xb73bb89c1b05b7f4ULL, 0xa587dd82dc02ade2ULL}, 30},
+};
+
 /// FNV-1a of `pca`'s default-spec --events-out JSONL (13,756,235 bytes).
 inline constexpr std::uint64_t kPcaEventsJsonlFnv = 0x2418abb16569203aULL;
 
@@ -48,6 +65,13 @@ scenario::RunArtifacts run_default(const std::string& preset,
                                    const scenario::RunOptions& opts = {}) {
     return scenario::registry().run(
         scenario::registry().default_spec(preset), opts);
+}
+
+scenario::RunArtifacts run_hospital(const HospitalPin& hp) {
+    scenario::ScenarioSpec spec =
+        scenario::registry().default_spec(hp.pin.preset);
+    spec.minutes = hp.minutes;
+    return scenario::registry().run(spec);
 }
 
 std::uint64_t pca_events_jsonl_fnv() {
@@ -70,6 +94,18 @@ TEST(DefaultDurationPins, FingerprintsAndDigestsMatchPinnedValues) {
     }
 }
 
+TEST(DefaultDurationPins, HospitalFingerprintsAndDigestsMatchPinnedValues) {
+    for (const auto& hp : kHospitalPins) {
+        const auto a = run_hospital(hp);
+        EXPECT_EQ(a.fingerprint, hp.pin.fingerprint)
+            << hp.pin.preset << " minutes=" << hp.minutes
+            << ": fingerprint drifted";
+        EXPECT_EQ(outcome_digest(a), hp.pin.digest)
+            << hp.pin.preset << " minutes=" << hp.minutes
+            << ": outcome metrics drifted";
+    }
+}
+
 TEST(DefaultDurationPins, PcaEventStreamJsonlMatchesPinnedHash) {
     EXPECT_EQ(pca_events_jsonl_fnv(), kPcaEventsJsonlFnv)
         << "pca: default-duration --events-out JSONL drifted";
@@ -82,6 +118,14 @@ TEST(DefaultDurationPins, DISABLED_PrintCurrentPins) {
         std::printf("    {\"%s\", 0x%016llxULL, 0x%016llxULL},\n", pin.preset,
                     static_cast<unsigned long long>(a.fingerprint),
                     static_cast<unsigned long long>(outcome_digest(a)));
+    }
+    for (const auto& hp : kHospitalPins) {
+        const auto a = run_hospital(hp);
+        std::printf("    {{\"%s\", 0x%016llxULL, 0x%016llxULL}, %llu},\n",
+                    hp.pin.preset,
+                    static_cast<unsigned long long>(a.fingerprint),
+                    static_cast<unsigned long long>(outcome_digest(a)),
+                    static_cast<unsigned long long>(hp.minutes));
     }
     std::printf("kPcaEventsJsonlFnv = 0x%016llxULL\n",
                 static_cast<unsigned long long>(pca_events_jsonl_fnv()));

@@ -84,21 +84,6 @@ TEST_F(IceTest, RegistryAddFindRemove) {
     EXPECT_EQ(registry_.size(), 0u);
 }
 
-TEST_F(IceTest, RegistryMatchByKindAndCapability) {
-    start_all();
-    ice::Requirement req{devices::DeviceKind::kInfusionPump, {"remote-stop"},
-                         "pump"};
-    auto matches = registry_.match(req);
-    ASSERT_EQ(matches.size(), 1u);
-    EXPECT_EQ(matches[0].name, "pump1");
-    // Capability the pump does not have.
-    req.capabilities = {"teleportation"};
-    EXPECT_TRUE(registry_.match(req).empty());
-    // Kind mismatch.
-    ice::Requirement req2{devices::DeviceKind::kVentilator, {}, "vent"};
-    EXPECT_TRUE(registry_.match(req2).empty());
-}
-
 TEST_F(IceTest, ResolveAssignsDistinctDevices) {
     start_all();
     // Two oximeter requirements but only one oximeter present.

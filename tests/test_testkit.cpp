@@ -591,7 +591,8 @@ TEST(Fuzzer, JobsFourMatchesJobsOneAcrossWindows) {
 /// A hospital hazard goes through the one capture path: it is logged,
 /// "shrunk" (no fault plan: a no-op), saved as an `mcps-repro v2`
 /// record with no spec line, and replays byte-identically from the
-/// file. The fingerprints of the seed-42 hazards are pinned.
+/// file. The fingerprints of the seed-42 hazards and the times of
+/// their first deadline violations are pinned.
 TEST(HospitalRepro, HazardReproReplaysByteIdentically) {
     FuzzOptions opts;
     opts.seed = 42;
@@ -605,6 +606,7 @@ TEST(HospitalRepro, HazardReproReplaysByteIdentically) {
     const std::uint64_t kPinned[] = {0xa25bd50dad3c0073ULL,
                                      0x8a7afa66ffaa5afeULL,
                                      0x2e3d61c6086b2ce4ULL};
+    const double kPinnedAtS[] = {145.0, 154.0, 149.0};
     ASSERT_EQ(outcome.failures.size(), 3u);
     const auto checker = InvariantChecker::with_defaults();
     for (std::uint64_t i = 0; i < 3; ++i) {
@@ -614,6 +616,7 @@ TEST(HospitalRepro, HazardReproReplaysByteIdentically) {
         EXPECT_TRUE(f.replay_byte_identical);
         ASSERT_EQ(f.violations.size(), 1u);
         EXPECT_EQ(f.violations[0].invariant, kHospitalHazard);
+        EXPECT_EQ(f.violations[0].at_s, kPinnedAtS[i]);
         EXPECT_EQ(f.repro_path, opts.repro_dir + "/hospital-42-" +
                                     std::to_string(i) + ".txt");
 

@@ -31,7 +31,8 @@
 #                            examples`: every examples/ binary must
 #                            exit 0)
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
-#   5. end-to-end smokes:    the hospital preset and the pipeline
+#   5. end-to-end smokes:    the hospital preset, an odd-lane hospital
+#                            run at jobs=1 and 4, the pipeline
 #                            determinism gate, plus 2 s perfbench runs
 #                            of every workload (bedside, forensic,
 #                            hospital, serve; perfbench is the one
@@ -40,9 +41,9 @@
 #                            output checks run at Release flags; the
 #                            forensic run checks events-on against
 #                            events-off fingerprints and the JSONL
-#                            round-trip, the hospital run jobs=1 against
-#                            jobs=2 fingerprints and every preset pin on
-#                            the Release-built batch physio kernel, the
+#                            round-trip, the hospital run its jobs=1
+#                            and jobs=2 fingerprints against each other
+#                            (every run checks the preset pins), the
 #                            serve run its warm-up responses and cache
 #                            misses against direct runs of their specs
 #   6. ASan+UBSan:           full test suite under address+undefined
@@ -113,6 +114,23 @@ stage "5/7 end-to-end smokes (hospital, pipeline, perfbench)"
 "${repo_root}/build-ci-werror/tools/mcps" run run \
     --spec "hospital-small minutes=2" >/dev/null
 echo "hospital preset smoke: OK"
+# Odd-lane smoke: 97 patients in 4 wards give ward ranges of 25 and 24
+# lanes starting at lanes 0, 25, 49 and 73, so the batch kernel's
+# one-lane tail runs on the `mcps run` surface. The run at jobs=4 must
+# print the fingerprint of the run at jobs=1.
+hospital_fp() {
+    "${repo_root}/build-ci-werror/tools/mcps" run run \
+        --spec "hospital-small minutes=2 patients=97 jobs=$1" |
+        grep -o 'fingerprint 0x[0-9a-f]*' || true
+}
+fp_jobs1="$(hospital_fp 1)"
+fp_jobs4="$(hospital_fp 4)"
+if [ -z "${fp_jobs1}" ] || [ "${fp_jobs1}" != "${fp_jobs4}" ]; then
+    echo "hospital odd-lane smoke FAILED: jobs=1 '${fp_jobs1}'," \
+        "jobs=4 '${fp_jobs4}'" >&2
+    exit 1
+fi
+echo "hospital odd-lane smoke: OK (${fp_jobs1})"
 # Pipeline smoke: the pipeline driver's determinism gate (serial-cold vs
 # parallel-cold vs warm-from-cache manifests) over a mixed graph, plus
 # a bench-schema timing report validated by the built-in checker.
@@ -132,8 +150,10 @@ echo "pipeline smoke: OK"
 # event log attached has the fingerprint of the same run without it and
 # that its JSONL reads back exactly, so the bus publish path is checked
 # with events on at Release flags. The hospital run compares each
-# engine's jobs=1 and jobs=2 fingerprints, so the optimized batch physio
-# kernel is checked at Release flags, not only at the test tree's. The
+# engine's jobs=1 run with its jobs=2 run: the Release-built kernel
+# against itself, which shows wards that disturb one another across
+# threads, not a Release-only drift from the scalar model; that drift
+# shows in the one-minute preset pins every workload checks first. The
 # serve run compares the embedded server's warm-up responses and cache
 # misses with direct runs of their specs. The last stdout line is the
 # result; its "correct" flag is the verdict.

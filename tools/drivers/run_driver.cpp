@@ -190,10 +190,8 @@ int cmd_selfcheck() {
 namespace mcps::drivers {
 
 void require_event_log(std::string_view flag, const std::string& name) {
-    // Hospital runs never feed RunOptions::events.
     if (const auto* info = scenario::registry().find(name);
-        info != nullptr &&
-        info->family == scenario::ScenarioFamily::kHospital) {
+        info != nullptr && !info->records_event_log()) {
         throw CliError{std::string{flag} + ": scenario '" + name +
                        "' is hospital-family and records no event log"};
     }
